@@ -13,6 +13,7 @@ from pathlib import Path
 
 from ndglab import GameConfig, benchmark_spec, run_test
 from ndglab.experiments import METRICS
+from ndglab.planner import TIE_BREAKS
 
 
 def parse_args(argv=None):
@@ -21,7 +22,7 @@ def parse_args(argv=None):
     parser.add_argument("--replications", type=int, default=30, help="replications per grid cell")
     parser.add_argument("--single-run", action="store_true", help="force one replication per cell")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--tie-break", choices=("smallest", "random"), default="smallest")
+    parser.add_argument("--tie-break", choices=TIE_BREAKS, default="smallest")
     parser.add_argument("--out", default="out", help="output root, one subdirectory per scenario")
     parser.add_argument("--force", action="store_true", help="overwrite existing CSV files")
     return parser.parse_args(argv)

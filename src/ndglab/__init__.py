@@ -17,7 +17,7 @@ from .core import (
     reward_matrix,
     seat_view,
 )
-from .engine import HeuristicAgent, RngPlan, pretrain, run_game, success_rate
+from .engine import HeuristicAgent, RngPlan, pretrain, run_game
 from .experiments import (
     AgentSpec,
     CellResult,
@@ -36,7 +36,6 @@ from .opponent import (
     load_learner,
     make_prior,
     save_learner,
-    uniform_model,
     uniform_table,
 )
 from .planner import (
@@ -64,7 +63,6 @@ __all__ = [
     "RngPlan",
     "pretrain",
     "run_game",
-    "success_rate",
     "AgentSpec",
     "CellResult",
     "ExperimentSpec",
@@ -80,7 +78,6 @@ __all__ = [
     "load_learner",
     "make_prior",
     "save_learner",
-    "uniform_model",
     "uniform_table",
     "DecisionRule",
     "MdpAgent",

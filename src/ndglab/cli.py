@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, RoundRecord, reward
+from .core import GameConfig, Role, RoundRecord
 from .engine import RngPlan, pretrain, run_game, write_game_summary_csv, write_round_csv
 from .experiments import (
     AgentSpec,
-    DEFAULT_OMEGA_GRID,
     METRICS,
     benchmark_spec,
     build_agent,
@@ -33,7 +32,7 @@ from .opponent import (
     save_learner,
     uniform_table,
 )
-from .planner import MdpAgent, backward_induction, brute_force_value
+from .planner import TIE_BREAKS, MdpAgent, backward_induction, brute_force_value
 
 __all__ = ["CliConfig", "load_config", "main"]
 
@@ -42,7 +41,6 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 GAME_KEYS = ("q", "rounds", "horizon", "initial_demand", "omega_a", "omega_b", "seed")
-EXTRA_KEYS = ("replications", "tie_break", "out")
 
 AGENT_CHOICES = ("mdp-uniform", "mdp-heuristic", "mdp-learning", "heuristic")
 
@@ -70,18 +68,15 @@ class CliConfig:
         return GameConfig(**{k: getattr(self, k) for k in GAME_KEYS})
 
 
-_KEY_TYPES = {
-    "q": int,
-    "rounds": int,
-    "horizon": int,
-    "initial_demand": int,
-    "omega_a": float,
-    "omega_b": float,
-    "seed": int,
-    "replications": int,
-    "tie_break": str,
-    "out": str,
-}
+_KEY_TYPES = {f.name: str if f.default is None else type(f.default) for f in fields(CliConfig)}
+
+
+def _convert(key: str, value):
+    """A config value as its key's type; null, booleans and lossy numbers are refused."""
+    converted = _KEY_TYPES[key](value)
+    if value is None or isinstance(value, bool) or (isinstance(value, float) and converted != value):
+        raise ValueError(f"{key} cannot hold {value!r}")
+    return converted
 
 
 def load_config(path) -> CliConfig:
@@ -113,7 +108,7 @@ def load_config(path) -> CliConfig:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         try:
-            setattr(config, key, _KEY_TYPES[key](value))
+            setattr(config, key, _convert(key, value))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r} in {path}: {value!r}") from exc
     return config
@@ -154,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-a", type=float, help="player A reward weight")
         p.add_argument("--omega-b", type=float, help="player B reward weight")
         p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--tie-break", choices=("smallest", "random"), help="planner tie handling")
+        p.add_argument("--tie-break", choices=TIE_BREAKS, help="planner tie handling")
         p.add_argument("--out", help="output directory")
         p.add_argument("--force", action="store_true", help="allow overwriting output files")
 
@@ -167,17 +162,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--prior-a", help="learner state file seeding an mdp-learning A agent")
     run_p.add_argument("--prior-b", help="learner state file seeding an mdp-learning B agent")
 
-    test_p = sub.add_parser("test", help="run one built-in benchmark scenario")
-    add_common(test_p)
-    test_p.add_argument("--id", type=int, required=True, help="scenario number, 1..5")
-    test_p.add_argument("--replications", type=int, help="replications per grid cell")
-    test_p.add_argument("--grid", help="omega grid: point count or comma list")
-
-    sweep_p = sub.add_parser("sweep", help="run a scenario's agent pairing over a custom grid")
-    add_common(sweep_p)
-    sweep_p.add_argument("--id", type=int, required=True, help="scenario number, 1..5")
-    sweep_p.add_argument("--replications", type=int)
-    sweep_p.add_argument("--grid", required=True, help="omega grid: point count or comma list")
+    for name, help_text, grid_required in (
+        ("test", "run one built-in benchmark scenario", False),
+        ("sweep", "run a scenario's agent pairing over a custom grid", True),
+    ):
+        scenario_p = sub.add_parser(name, help=help_text)
+        add_common(scenario_p)
+        scenario_p.add_argument("--id", type=int, required=True, help="scenario number, 1..5")
+        scenario_p.add_argument("--replications", type=int, help="replications per grid cell")
+        scenario_p.add_argument("--grid", required=grid_required, help="omega grid: point count or comma list")
 
     pre_p = sub.add_parser("pretrain", help="warm-up game; writes both learner states")
     add_common(pre_p)
@@ -278,15 +271,13 @@ def _cmd_test(args, config: CliConfig) -> int:
         raise ConfigError(str(exc)) from exc
     default_dir = f"out/test{args.id}" if args.command == "test" else "out/sweep"
     out = _out_dir(config, default_dir)
-    cells_path = out / f"test{spec.test_id}_cells.csv"
-    summary_path = out / f"test{spec.test_id}_summary.csv"
-    _check_overwrite([cells_path, summary_path], args.force)
-    result = run_test(spec, out_dir=out, force=True)
+    result = run_test(spec, out_dir=out, force=args.force)
     print(f"scenario {spec.test_id}: {len(result.cells)} cells x {spec.replications} replication(s)")
     print("statistic," + ",".join(METRICS))
     for stat in ("min", "mean", "max"):
         print(stat + "," + ",".join(f"{result.summary[stat][m]:.2f}" for m in METRICS))
-    print(f"wrote {cells_path} and {summary_path}")
+    stem = out / f"test{spec.test_id}"
+    print(f"wrote {stem}_cells.csv and {stem}_summary.csv")
     return EXIT_OK
 
 
@@ -296,16 +287,11 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     path_a = out / "learner_a.txt"
     path_b = out / "learner_b.txt"
     _check_overwrite([path_a, path_b], args.force)
-    agent_a = MdpAgent(
-        Role.A, game_config.omega_a, game_config.horizon, game_config.q,
-        learner=DirichletLearner.uniform(game_config.q), tie_break=config.tie_break,
-    )
-    agent_b = MdpAgent(
-        Role.B, game_config.omega_b, game_config.horizon, game_config.q,
-        learner=DirichletLearner.uniform(game_config.q), tie_break=config.tie_break,
-    )
     if args.pretrain_rounds < 0:
         raise ConfigError("--pretrain-rounds must be non-negative")
+    learner_spec = AgentSpec("mdp", learning=True, prior="uniform")
+    agent_a = build_agent(learner_spec, Role.A, game_config.omega_a, game_config, config.tie_break)
+    agent_b = build_agent(learner_spec, Role.B, game_config.omega_b, game_config, config.tie_break)
     learner_a, learner_b = pretrain(
         game_config, agent_a, agent_b, args.pretrain_rounds, RngPlan(game_config.seed)
     )
@@ -398,10 +384,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args, config)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileExistsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, FileExistsError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -193,15 +193,3 @@ class GameLog:
             cum_profit_b=sum(r.profit_b for r in records),
             success_rate_pct=100.0 * compatible / len(records),
         )
-
-    def round_states(self) -> list[JointState]:
-        """State each round was played at.
-
-        Round 1 is played at the preset opening pair; every later round at
-        the pair of demands from the round before.
-        """
-        a0 = self.config.initial_demand
-        states = [JointState(a0, a0)]
-        for rec in self.records[:-1]:
-            states.append(JointState(rec.demand_a, rec.demand_b))
-        return states

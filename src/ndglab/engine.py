@@ -24,7 +24,6 @@ __all__ = [
     "HeuristicAgent",
     "run_game",
     "pretrain",
-    "success_rate",
     "ROUND_FIELDS",
     "SUMMARY_FIELDS",
     "write_round_csv",
@@ -156,14 +155,6 @@ def pretrain(
     warmup_config = replace(config, rounds=n_rounds)
     run_game(warmup_config, agent_a, agent_b, plan.pretrain_plan())
     return agent_a.learner, agent_b.learner
-
-
-def success_rate(log: GameLog) -> float:
-    """Percentage of rounds with compatible demands."""
-    if not log.records:
-        raise ValueError("cannot compute a success rate for an empty log")
-    compatible = sum(1 for r in log.records if r.compatible)
-    return 100.0 * compatible / len(log.records)
 
 
 # === CSV serialization ===

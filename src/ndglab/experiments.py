@@ -19,13 +19,14 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .core import GameConfig, Role
 from .engine import HeuristicAgent, RngPlan, pretrain, run_game
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
-from .planner import MdpAgent
+from .planner import TIE_BREAKS, MdpAgent
 
 __all__ = [
     "AgentSpec",
@@ -114,7 +115,7 @@ class ExperimentSpec:
                     raise ValueError(f"{name} values must lie in [0, 1], got {w}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
-        if self.tie_break not in ("smallest", "random"):
+        if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if self.pretrain_rounds < 0:
             raise ValueError("pretrain_rounds must be non-negative")
@@ -234,13 +235,7 @@ def run_cell(
         agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
         agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
         if spec.pretrain_rounds and "pretrained" in (spec.agent_a.prior, spec.agent_b.prior):
-            learner_a, learner_b = pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)
-            agent_a = MdpAgent(
-                Role.A, omega_a, config.horizon, config.q, learner=learner_a, tie_break=spec.tie_break
-            )
-            agent_b = MdpAgent(
-                Role.B, omega_b, config.horizon, config.q, learner=learner_b, tie_break=spec.tie_break
-            )
+            pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)  # trains in place
         log = run_game(config, agent_a, agent_b, plan)
         profits_a.append(float(log.cum_profit_a))
         profits_b.append(float(log.cum_profit_b))
@@ -263,10 +258,24 @@ def _cell_task(args) -> CellResult:
 
 
 def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSummary:
-    """Run a whole sweep; optionally write its cells and summary CSV files."""
+    """Run a whole sweep; optionally write its cells and summary CSV files.
+
+    Bad settings and existing output files (unless ``force``) are refused
+    before any cell runs.
+    """
     spec.validate()
+    if out_dir is not None:
+        cells_path = Path(out_dir) / f"test{spec.test_id}_cells.csv"
+        summary_path = Path(out_dir) / f"test{spec.test_id}_summary.csv"
+        for p in (cells_path, summary_path):
+            if p.exists() and not force:
+                raise FileExistsError(f"refusing to overwrite {p} (pass --force)")
+    threads = os.environ.get("NDG_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(f"NDG_THREADS must be an integer, got {threads!r}") from None
     tasks = [(spec, wa, wb, i) for i, (wa, wb) in enumerate(spec.cells())]
-    workers = int(os.environ.get("NDG_THREADS", "1") or "1")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             cells = tuple(pool.map(_cell_task, tasks))
@@ -274,15 +283,7 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
         cells = tuple(_cell_task(t) for t in tasks)
     result = SweepSummary(spec=spec, cells=cells, summary=aggregate(cells))
     if out_dir is not None:
-        from pathlib import Path
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        cells_path = out / f"test{spec.test_id}_cells.csv"
-        summary_path = out / f"test{spec.test_id}_summary.csv"
-        for p in (cells_path, summary_path):
-            if p.exists() and not force:
-                raise FileExistsError(f"refusing to overwrite {p} (use force)")
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         write_cells_csv(result, cells_path)
         write_summary_csv(result, summary_path)
     return result

@@ -17,13 +17,12 @@ have shape ``(q - 1, q - 1, q - 1)`` indexed by
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import GameLog, JointState, Role, check_demand, seat_view
+from .core import JointState, Role, check_demand, seat_view
 
 __all__ = [
     "HeuristicModel",
@@ -33,7 +32,6 @@ __all__ = [
     "heuristic_distribution",
     "heuristic_sample",
     "heuristic_table",
-    "uniform_model",
     "uniform_table",
     "DirichletLearner",
     "make_prior",
@@ -122,13 +120,6 @@ def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
     return table
 
 
-def uniform_model(q: int) -> np.ndarray:
-    """The context-free uniform distribution over demands ``1..q-1``."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    return np.full(q - 1, 1.0 / (q - 1))
-
-
 def uniform_table(q: int) -> np.ndarray:
     """Uniform conditional table: every context gets the uniform row."""
     n = q - 1
@@ -153,8 +144,8 @@ class DirichletLearner:
             raise ValueError(
                 f"counts must have shape {(n, n, n)} for q={q}, got {counts.shape}"
             )
-        if not np.all(counts > 0):
-            raise ValueError("all counts must stay strictly positive")
+        if not np.all(np.isfinite(counts) & (counts > 0)):
+            raise ValueError("all counts must be finite and strictly positive")
         self.counts = counts
         self.q = q
         self.version = 0  # bumped on every update; lets planners cache per belief state
@@ -183,21 +174,12 @@ class DirichletLearner:
         """Point estimates for every context at once."""
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
-    def total_mass(self) -> float:
-        return float(self.counts.sum())
-
-    def copy(self) -> "DirichletLearner":
-        clone = DirichletLearner(self.counts.copy(), self.q)
-        clone.version = self.version
-        return clone
-
 
 def make_prior(
     kind: str,
     q: int,
     *,
     sigma: float | None = None,
-    training_log: GameLog | None = None,
     opponent: Role = Role.B,
 ) -> DirichletLearner:
     """Build a learner's starting counts.
@@ -207,13 +189,12 @@ def make_prior(
             ``"heuristic"`` shapes each context row like the rule-based
             distribution with the given ``sigma``, scaled to row mass
             ``q - 1`` so it is exactly as weak as the uniform prior.
-            ``"pretrained"`` starts uniform and replays one update per
-            round of ``training_log``.
+            A warmed-up prior is a uniform one trained by
+            :func:`ndglab.engine.pretrain`.
         q: amount being split; fixes the table dimensions.
         sigma: spread for the heuristic prior.
-        training_log: source game for the pretrained prior.
         opponent: which seat is being modelled; decides the heuristic
-            role mapping and whose demands are read from the log.
+            role mapping.
     """
     if kind == "uniform":
         return DirichletLearner.uniform(q)
@@ -222,19 +203,6 @@ def make_prior(
             raise ValueError("heuristic prior needs sigma")
         table = heuristic_table(HeuristicModel(sigma=sigma, q=q), opponent)
         return DirichletLearner(table * (q - 1), q)
-    if kind == "pretrained":
-        learner = DirichletLearner.uniform(q)
-        if training_log is None or not training_log.records:
-            warnings.warn("empty training log: falling back to the uniform prior")
-            return learner
-        if training_log.config.q != q:
-            raise ValueError(
-                f"training log was played with q={training_log.config.q}, expected {q}"
-            )
-        for state, rec in zip(training_log.round_states(), training_log.records):
-            observed = rec.demand_b if opponent is Role.B else rec.demand_a
-            learner.update(state, observed)
-        return learner
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
@@ -259,11 +227,15 @@ def load_learner(path) -> DirichletLearner:
     if n < 1 or len(rows) != n * n:
         raise ValueError(f"expected {n * n} rows of width {n + 2} in {path}")
     counts = np.empty((n, n, n))
+    seen = set()  # n * n distinct in-range contexts in n * n rows: each appears once
     for cells in rows:
         if len(cells) != n + 2:
             raise ValueError(f"ragged learner row in {path}")
         prev_a, prev_b = int(cells[0]), int(cells[1])
         check_demand(prev_a, q, "prev_a")
         check_demand(prev_b, q, "prev_b")
+        if (prev_a, prev_b) in seen:
+            raise ValueError(f"context ({prev_a}, {prev_b}) listed twice in {path}")
+        seen.add((prev_a, prev_b))
         counts[prev_a - 1, prev_b - 1] = [float(v) for v in cells[2:]]
     return DirichletLearner(counts, q)

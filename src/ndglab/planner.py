@@ -16,7 +16,6 @@ deterministically becomes the first component of the next state.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "backward_induction",
     "brute_force_value",
     "MdpAgent",
-    "write_value_table_csv",
-    "write_decision_rule_csv",
 ]
 
 TIE_BREAKS = ("smallest", "random")
@@ -229,24 +226,3 @@ class MdpAgent:
     def observe(self, state: JointState, opponent_demand: int) -> None:
         if self.learning:
             self.learner.update(state, opponent_demand)
-
-
-def write_value_table_csv(table: ValueTable, path) -> None:
-    """Dump stage values; state columns are in the planner's seat order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "prev_a", "prev_b", "value"])
-        for k in range(table.h + 1):
-            for own in range(1, table.q):
-                for opp in range(1, table.q):
-                    writer.writerow([k, own, opp, repr(float(table.values[k, own - 1, opp - 1]))])
-
-
-def write_decision_rule_csv(rule: DecisionRule, path) -> None:
-    """Dump the first-stage rule; state columns are in the planner's seat order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prev_a", "prev_b", "action"])
-        for own in range(1, rule.q):
-            for opp in range(1, rule.q):
-                writer.writerow([own, opp, rule.demand_at(own, opp)])

@@ -2,7 +2,7 @@
 
 import json
 
-from ndglab import load_learner
+from ndglab import experiments, load_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
 from ndglab.engine import read_game_summary_csv, read_round_csv
 from ndglab.experiments import read_cells_csv, read_summary_csv
@@ -133,6 +133,36 @@ def test_json_config(tmp_path):
     assert records[0].demand_a == 2
 
 
+def test_json_config_integer_keys_take_only_whole_numbers(tmp_path, capsys):
+    cfg = tmp_path / "game.json"
+    for raw in ({"q": 10.7}, {"rounds": True}, {"seed": False}):
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+        assert f"bad value for {next(iter(raw))!r}" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+    cfg.write_text(json.dumps({"rounds": 4.0}))  # a whole number written as a float is fine
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_OK
+
+
+def test_json_config_rejects_null_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "game.json"
+    cfg.write_text(json.dumps({"rounds": 3, "out": None}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "bad value for 'out'" in capsys.readouterr().err
+    assert not (tmp_path / "None").exists() and not (tmp_path / "out").exists()
+
+
+def test_non_integer_thread_count_is_refused_before_any_cell(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    monkeypatch.setenv("NDG_THREADS", "two")
+    args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0", "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    assert "NDG_THREADS" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "game.cfg"
     cfg.write_text("qq = 10\n")
@@ -151,8 +181,8 @@ def test_pretrain_writes_loadable_learners(tmp_path, capsys):
     assert main(["pretrain", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     learner = load_learner(out / "learner_a.txt")
-    assert learner.total_mass() == 729.0 + 30
-    assert load_learner(out / "learner_b.txt").total_mass() == 729.0 + 30
+    assert learner.counts.sum() == 729.0 + 30
+    assert load_learner(out / "learner_b.txt").counts.sum() == 729.0 + 30
     # the saved state can seed a learning agent in a later run
     game_out = tmp_path / "game"
     args = [

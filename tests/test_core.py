@@ -162,17 +162,6 @@ def test_game_log_length_checked():
         GameLog.from_records(config, [RoundRecord.from_demands(1, 3, 3, config)])
 
 
-def test_round_states_chain():
-    config = GameConfig(rounds=3)
-    records = [
-        RoundRecord.from_demands(1, 3, 3, config),
-        RoundRecord.from_demands(2, 5, 4, config),
-        RoundRecord.from_demands(3, 6, 4, config),
-    ]
-    log = GameLog.from_records(config, records)
-    assert log.round_states() == [JointState(3, 3), JointState(3, 3), JointState(5, 4)]
-
-
 def test_seat_view_and_roles():
     s = JointState(4, 7)
     assert seat_view(s, Role.A) == (4, 7)

@@ -16,7 +16,6 @@ from ndglab import (
     RoundRecord,
     pretrain,
     run_game,
-    success_rate,
     uniform_table,
 )
 from ndglab.engine import (
@@ -49,7 +48,7 @@ def test_fixed_uniform_agents_settle_on_the_even_split():
     assert all(r.demand_a == r.demand_b == 5 for r in log.records[1:])
     assert log.cum_profit_a == 3 + 59 * 5 == 298
     assert log.cum_profit_b == 298
-    assert success_rate(log) == 100.0
+    assert log.success_rate_pct == 100.0
 
 
 def test_opening_round_is_forced():
@@ -106,7 +105,7 @@ def test_every_round_is_observed_at_its_own_state():
     agent_a = MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=learner)
     agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10))
     log = run_game(config, agent_a, agent_b)
-    assert learner.total_mass() == 729.0 + config.rounds
+    assert learner.counts.sum() == 729.0 + config.rounds
     assert learner.counts[2, 2, log.records[0].demand_b - 1] >= 2.0
 
 
@@ -153,8 +152,8 @@ def _learning_pair(config):
 def test_pretrain_returns_warmed_up_beliefs():
     config = GameConfig()
     learner_a, learner_b = pretrain(config, *_learning_pair(config), n_rounds=30)
-    assert learner_a.total_mass() == 729.0 + 30
-    assert learner_b.total_mass() == 729.0 + 30
+    assert learner_a.counts.sum() == 729.0 + 30
+    assert learner_b.counts.sum() == 729.0 + 30
     again_a, again_b = pretrain(config, *_learning_pair(config), n_rounds=30)
     np.testing.assert_array_equal(learner_a.counts, again_a.counts)
     np.testing.assert_array_equal(learner_b.counts, again_b.counts)
@@ -165,7 +164,7 @@ def test_pretrain_zero_rounds_is_a_no_op():
     agent_a, agent_b = _learning_pair(config)
     learner_a, learner_b = pretrain(config, agent_a, agent_b, n_rounds=0)
     assert learner_a is agent_a.learner
-    assert learner_a.total_mass() == 729.0
+    assert learner_a.counts.sum() == 729.0
 
 
 def test_pretrain_requires_learning_agents():
@@ -180,11 +179,11 @@ def test_success_rate_edges():
     all_good = GameLog.from_records(
         config, [RoundRecord.from_demands(t, 5, 5, config) for t in (1, 2)]
     )
-    assert success_rate(all_good) == 100.0
+    assert all_good.success_rate_pct == 100.0
     all_bad = GameLog.from_records(
         config, [RoundRecord.from_demands(t, 9, 9, config) for t in (1, 2)]
     )
-    assert success_rate(all_bad) == 0.0
+    assert all_bad.success_rate_pct == 0.0
 
 
 # --- CSV ---

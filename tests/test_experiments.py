@@ -14,6 +14,7 @@ from ndglab import (
     Role,
     aggregate,
     benchmark_spec,
+    experiments,
     run_test,
 )
 from ndglab.experiments import (
@@ -83,7 +84,7 @@ def test_build_agent_kinds():
     learner = build_agent(
         AgentSpec("mdp", learning=True, prior="heuristic", sigma=3.0), Role.A, 0.5, config, "smallest"
     )
-    assert learner.learning and learner.learner.total_mass() == pytest.approx(729.0)
+    assert learner.learning and learner.learner.counts.sum() == pytest.approx(729.0)
 
 
 def test_cell_is_deterministic_and_rep_stable():
@@ -155,6 +156,17 @@ def test_run_test_writes_and_protects_outputs(tmp_path):
     lines = (tmp_path / "test3_summary.csv").read_text().splitlines()
     assert lines[1] == "min,298.00,298.00,596.00,100.00"
     assert result.summary["mean"]["success_rate_pct"] == 100.0
+
+
+def test_existing_outputs_are_refused_before_any_cell_runs(tmp_path, monkeypatch):
+    (tmp_path / "test3_cells.csv").write_text("old\n")
+    calls = []
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    with pytest.raises(FileExistsError, match="refusing to overwrite"):
+        run_test(benchmark_spec(3, replications=1, grid=SMALL), out_dir=tmp_path)
+    assert calls == []
+    assert (tmp_path / "test3_cells.csv").read_text() == "old\n"
 
 
 def test_parallel_cells_match_serial(tmp_path, monkeypatch):

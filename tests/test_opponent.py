@@ -7,19 +7,15 @@ from hypothesis import strategies as st
 
 from ndglab import (
     DirichletLearner,
-    GameConfig,
-    GameLog,
     HeuristicModel,
     JointState,
     Role,
-    RoundRecord,
     heuristic_distribution,
     heuristic_sample,
     heuristic_table,
     load_learner,
     make_prior,
     save_learner,
-    uniform_model,
     uniform_table,
 )
 from ndglab.opponent import heuristic_mean, holds_previous_demand, proportional_mean
@@ -139,7 +135,6 @@ def test_sampler_stays_in_range():
 
 
 def test_uniform_shapes():
-    np.testing.assert_array_equal(uniform_model(10), np.full(9, 1 / 9))
     np.testing.assert_array_equal(uniform_table(10), np.full((9, 9, 9), 1 / 9))
 
 
@@ -148,7 +143,7 @@ def test_uniform_shapes():
 
 def test_uniform_learner_start():
     learner = DirichletLearner.uniform(10)
-    assert learner.total_mass() == 729.0
+    assert learner.counts.sum() == 729.0
     np.testing.assert_array_equal(learner.estimate(JointState(4, 4)), np.full(9, 1 / 9))
     assert learner.version == 0
 
@@ -194,19 +189,15 @@ def test_estimate_converges_on_synthetic_data():
     assert np.abs(learner.estimate(s) - target).sum() < 0.05
 
 
-def test_copy_is_independent():
-    learner = DirichletLearner.uniform(10)
-    clone = learner.copy()
-    clone.update(JointState(1, 1), 1)
-    assert learner.total_mass() == 729.0
-    assert clone.total_mass() == 730.0
-
-
 def test_counts_validation():
     with pytest.raises(ValueError, match="shape"):
         DirichletLearner(np.ones((9, 9)), 10)
     with pytest.raises(ValueError, match="positive"):
         DirichletLearner(np.zeros((9, 9, 9)), 10)
+    counts = np.ones((9, 9, 9))
+    counts[4, 4, 4] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        DirichletLearner(counts, 10)
 
 
 # --- priors ---
@@ -244,44 +235,6 @@ def test_heuristic_prior_needs_sigma():
         make_prior("heuristic", 10)
 
 
-def _toy_log(rounds=4):
-    config = GameConfig(rounds=rounds)
-    records = [RoundRecord.from_demands(t + 1, 3 + t % 2, 4, config) for t in range(rounds)]
-    return GameLog.from_records(config, records)
-
-
-def test_pretrained_prior_replays_the_log():
-    log = _toy_log()
-    learner = make_prior("pretrained", 10, training_log=log)
-    assert learner.total_mass() == 729.0 + 4
-    manual = DirichletLearner.uniform(10)
-    for state, rec in zip(log.round_states(), log.records):
-        manual.update(state, rec.demand_b)
-    np.testing.assert_array_equal(learner.counts, manual.counts)
-
-
-def test_pretrained_prior_can_model_seat_a():
-    log = _toy_log()
-    learner = make_prior("pretrained", 10, training_log=log, opponent=Role.A)
-    # demand_a alternates 3, 4 while demand_b is constant at 4
-    assert learner.counts[2, 2, 2] == 2.0  # prior 1 plus the opening (3, 3) -> 3
-    total_a = sum(1 for r in log.records if r.demand_a == 3)
-    assert learner.counts[..., 2].sum() == 81 + total_a
-
-
-def test_pretrained_prior_without_log_warns_and_stays_uniform():
-    with pytest.warns(UserWarning, match="training log"):
-        learner = make_prior("pretrained", 10)
-    assert learner.total_mass() == 729.0
-
-
-def test_pretrained_prior_checks_q():
-    config = GameConfig(q=6, rounds=1, initial_demand=2)
-    log = GameLog.from_records(config, [RoundRecord.from_demands(1, 2, 2, config)])
-    with pytest.raises(ValueError, match="q=6"):
-        make_prior("pretrained", 10, training_log=log)
-
-
 def test_unknown_prior_kind():
     with pytest.raises(ValueError, match="unknown prior kind"):
         make_prior("flat", 10)
@@ -314,4 +267,11 @@ def test_load_rejects_malformed(tmp_path):
         load_learner(path)
     path.write_text("")
     with pytest.raises(ValueError, match="no learner rows"):
+        load_learner(path)
+    # q = 3 has contexts (1, 1), (1, 2), (2, 1), (2, 2), one row each
+    path.write_text("1 1 1.0 1.0\n1 1 1.0 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
+    with pytest.raises(ValueError, match=r"\(1, 1\) listed twice"):
+        load_learner(path)
+    path.write_text("1 1 1.0 1.0\n1 2 inf 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
+    with pytest.raises(ValueError, match="finite"):
         load_learner(path)

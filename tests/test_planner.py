@@ -12,7 +12,6 @@ from ndglab import (
     brute_force_value,
     uniform_table,
 )
-from ndglab.planner import write_decision_rule_csv, write_value_table_csv
 
 from oracles import (
     exhaustive_policy_max,
@@ -208,18 +207,3 @@ def test_agent_validation():
         MdpAgent(Role.A, 0.5, 10, 10, model=uniform_table(10), tie_break="greedy")
     with pytest.raises(ValueError, match="q=6"):
         MdpAgent(Role.A, 0.5, 10, 10, learner=DirichletLearner.uniform(6))
-
-
-def test_table_dumps(tmp_path):
-    table, rule = backward_induction(uniform_table(3), 0.0, 1, 3)
-    value_path = tmp_path / "values.csv"
-    rule_path = tmp_path / "rule.csv"
-    write_value_table_csv(table, value_path)
-    write_decision_rule_csv(rule, rule_path)
-    value_lines = value_path.read_text().splitlines()
-    assert value_lines[0] == "stage,prev_a,prev_b,value"
-    assert value_lines[1] == "0,1,1,0.0"
-    assert len(value_lines) == 1 + 2 * 4
-    rule_lines = rule_path.read_text().splitlines()
-    assert rule_lines[0] == "prev_a,prev_b,action"
-    assert len(rule_lines) == 5
