@@ -199,9 +199,8 @@ def _merge_config(args: argparse.Namespace) -> CliConfig:
 
 
 def _out_dir(config: CliConfig, default: str) -> Path:
-    out = Path(config.out) if config.out else Path(default)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; commands create it only right before their first write."""
+    return Path(config.out) if config.out else Path(default)
 
 
 def _check_overwrite(paths, force: bool) -> None:
@@ -245,6 +244,7 @@ def _cmd_run(args, config: CliConfig) -> int:
         agents[seat] = agent
 
     log = run_game(game_config, agents[Role.A], agents[Role.B], RngPlan(game_config.seed))
+    out.mkdir(parents=True, exist_ok=True)
     write_round_csv(log, rounds_path)
     write_game_summary_csv(log, summary_path)
     print(f"wrote {rounds_path} and {summary_path}")
@@ -287,14 +287,13 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     path_a = out / "learner_a.txt"
     path_b = out / "learner_b.txt"
     _check_overwrite([path_a, path_b], args.force)
-    if args.pretrain_rounds < 0:
-        raise ConfigError("--pretrain-rounds must be non-negative")
     learner_spec = AgentSpec("mdp", learning=True, prior="uniform")
     agent_a = build_agent(learner_spec, Role.A, game_config.omega_a, game_config, config.tie_break)
     agent_b = build_agent(learner_spec, Role.B, game_config.omega_b, game_config, config.tie_break)
     learner_a, learner_b = pretrain(
         game_config, agent_a, agent_b, args.pretrain_rounds, RngPlan(game_config.seed)
     )
+    out.mkdir(parents=True, exist_ok=True)
     save_learner(learner_a, path_a)
     save_learner(learner_b, path_b)
     print(f"wrote {path_a} and {path_b} after {args.pretrain_rounds} warm-up rounds")

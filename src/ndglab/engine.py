@@ -63,6 +63,9 @@ class RngPlan:
 
 class Agent(Protocol):
     role: Role
+    # False promises that play never reads the stream bound by bind_rng, so
+    # the same config and agents replay the same game under any seed.
+    draws_randomness: bool
 
     def act(self, state: JointState) -> int: ...
 
@@ -73,6 +76,8 @@ class Agent(Protocol):
 
 class HeuristicAgent:
     """Non-optimizing player that samples its demand from its own rule-based model."""
+
+    draws_randomness = True
 
     def __init__(self, role: Role, model: HeuristicModel):
         self.role = role

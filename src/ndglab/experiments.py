@@ -227,27 +227,33 @@ def run_cell(
     omega_b: float,
     seed_seqs,
 ) -> CellResult:
-    """Run every replication of one grid cell."""
-    profits_a, profits_b, totals, successes = [], [], [], []
+    """Run every replication of one grid cell.
+
+    When neither agent draws randomness, every replication plays the same
+    game, so the first one is played and its metrics repeated.
+    """
+    config = replace(spec.base, omega_a=omega_a, omega_b=omega_b)
+    games = []
     for seq in seed_seqs:
-        config = replace(spec.base, omega_a=omega_a, omega_b=omega_b)
         plan = RngPlan(seq)
         agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
         agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
         if spec.pretrain_rounds and "pretrained" in (spec.agent_a.prior, spec.agent_b.prior):
             pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)  # trains in place
         log = run_game(config, agent_a, agent_b, plan)
-        profits_a.append(float(log.cum_profit_a))
-        profits_b.append(float(log.cum_profit_b))
-        totals.append(float(log.cum_profit_a + log.cum_profit_b))
-        successes.append(log.success_rate_pct)
+        total = float(log.cum_profit_a + log.cum_profit_b)
+        games.append((float(log.cum_profit_a), float(log.cum_profit_b), total, log.success_rate_pct))
+        if not (agent_a.draws_randomness or agent_b.draws_randomness):
+            games *= len(seed_seqs)
+            break
+    profits_a, profits_b, totals, successes = zip(*games) if games else ((),) * 4
     return CellResult(
         omega_a=omega_a,
         omega_b=omega_b,
-        profit_a=tuple(profits_a),
-        profit_b=tuple(profits_b),
-        total=tuple(totals),
-        success_rate_pct=tuple(successes),
+        profit_a=profits_a,
+        profit_b=profits_b,
+        total=totals,
+        success_rate_pct=successes,
     )
 
 

@@ -18,6 +18,7 @@ have shape ``(q - 1, q - 1, q - 1)`` indexed by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,13 @@ def heuristic_sample(
     return min(idx, model.q - 2) + 1
 
 
+@lru_cache
 def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
-    """Full conditional table of ``role``'s next demand for every state."""
+    """Full conditional table of ``role``'s next demand for every state.
+
+    Built once per ``(model, role)``; every caller shares the returned
+    array, which is therefore read-only.
+    """
     n = model.q - 1
     table = np.empty((n, n, n))
     for prev_a in range(1, model.q):
@@ -117,6 +123,7 @@ def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
             table[prev_a - 1, prev_b - 1] = heuristic_distribution(
                 model, JointState(prev_a, prev_b), role
             )
+    table.flags.writeable = False
     return table
 
 
@@ -219,23 +226,31 @@ def save_learner(learner: DirichletLearner, path) -> None:
 
 def load_learner(path) -> DirichletLearner:
     """Read counts written by :func:`save_learner`; q is inferred from the row width."""
-    rows = [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
+    rows = [
+        (lineno, line.split())
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip()
+    ]
     if not rows:
         raise ValueError(f"no learner rows found in {path}")
-    q = len(rows[0]) - 2 + 1
+    q = len(rows[0][1]) - 2 + 1
     n = q - 1
     if n < 1 or len(rows) != n * n:
         raise ValueError(f"expected {n * n} rows of width {n + 2} in {path}")
     counts = np.empty((n, n, n))
     seen = set()  # n * n distinct in-range contexts in n * n rows: each appears once
-    for cells in rows:
+    for lineno, cells in rows:
         if len(cells) != n + 2:
             raise ValueError(f"ragged learner row in {path}")
-        prev_a, prev_b = int(cells[0]), int(cells[1])
+        try:
+            prev_a, prev_b = int(cells[0]), int(cells[1])
+            row = [float(v) for v in cells[2:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         check_demand(prev_a, q, "prev_a")
         check_demand(prev_b, q, "prev_b")
         if (prev_a, prev_b) in seen:
             raise ValueError(f"context ({prev_a}, {prev_b}) listed twice in {path}")
         seen.add((prev_a, prev_b))
-        counts[prev_a - 1, prev_b - 1] = [float(v) for v in cells[2:]]
+        counts[prev_a - 1, prev_b - 1] = row
     return DirichletLearner(counts, q)

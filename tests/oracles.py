@@ -102,6 +102,32 @@ def exhaustive_policy_max(prob, omega, h, q, own_prev, opp_prev):
     return best
 
 
+def stage_loop_backward_induction(model, omega, h, q, tie_break="smallest", rng=None):
+    """Backward induction in (state, action) orientation, one row per state.
+
+    The package solver works in (action, state) orientation; every Q-value
+    is the same dot product over the same demands either way, so the two
+    must agree bit for bit, ties and random tie draws included.  Returns
+    ``(values[k, own_prev - 1, opp_prev - 1], actions[own_prev - 1, opp_prev - 1])``.
+    """
+    n = q - 1
+    gains = np.array([[scalar_reward(a, b, omega, q) for b in range(1, q)] for a in range(1, q)])
+    flat_model = np.asarray(model, dtype=float).reshape(n * n, n)
+    values = np.zeros((h + 1, n, n))
+    for k in range(1, h + 1):
+        landing = gains + values[k - 1]
+        q_vals = flat_model @ landing.T  # (state, action)
+        values[k] = q_vals.max(axis=1).reshape(n, n)
+    actions = q_vals.argmax(axis=1)
+    if tie_break == "random":
+        for i in range(n * n):
+            row = q_vals[i]
+            ties = np.flatnonzero(row == row.max())
+            if len(ties) > 1:
+                actions[i] = rng.choice(ties)
+    return values, (actions + 1).reshape(n, n)
+
+
 def random_model(rng, q):
     """Random conditional table with strictly positive normalized rows."""
     n = q - 1

@@ -192,6 +192,22 @@ def test_pretrain_writes_loadable_learners(tmp_path, capsys):
     assert main(args) == EXIT_OK
 
 
+def test_failed_pretrain_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["pretrain", "--pretrain-rounds", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tie_break": 3}))
+    out = tmp_path / "h"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "tie_break" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prior_needs_learning_agent(tmp_path, capsys):
     args = ["run", "--prior-a", "whatever.txt", "--out", str(tmp_path / "g")]
     assert main(args) == EXIT_CONFIG

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndglab import (
     AgentSpec,
@@ -11,10 +13,13 @@ from ndglab import (
     GameConfig,
     HeuristicAgent,
     MdpAgent,
+    RngPlan,
     Role,
     aggregate,
     benchmark_spec,
     experiments,
+    pretrain,
+    run_game,
     run_test,
 )
 from ndglab.experiments import (
@@ -96,6 +101,51 @@ def test_cell_is_deterministic_and_rep_stable():
     # each replication is seeded on its own: a shorter run is a prefix
     short = run_cell(spec, 0.0, 0.5, seqs[:1])
     assert short.success_rate_pct == first.success_rate_pct[:1]
+
+
+def _play(spec, omega_a, omega_b, seed):
+    config = dataclasses.replace(spec.base, omega_a=omega_a, omega_b=omega_b)
+    plan = RngPlan(seed)
+    agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
+    agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
+    if spec.pretrain_rounds:
+        pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)
+    return run_game(config, agent_a, agent_b, plan)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from((3, 4, 5)),
+    st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_planner_pairs_under_smallest_ties_replay_under_any_seed(test_id, wa, wb, seed, other):
+    # run_cell plays such a cell once and repeats its metrics
+    spec = benchmark_spec(test_id, base=GameConfig(rounds=30))
+    assert _play(spec, wa, wb, seed) == _play(spec, wa, wb, other)
+
+
+@pytest.mark.parametrize(
+    ("test_id", "tie_break", "games"),
+    [(1, "smallest", 3), (2, "smallest", 3), (3, "smallest", 1), (4, "smallest", 1), (5, "smallest", 1)]
+    + [(k, "random", 3) for k in range(1, 6)],
+)
+def test_run_cell_plays_a_deterministic_cell_once(test_id, tie_break, games, monkeypatch):
+    calls = []
+
+    def counting_run_game(*args, **kwargs):
+        calls.append(args)
+        return run_game(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_game", counting_run_game)
+    spec = benchmark_spec(test_id, replications=3, base=GameConfig(rounds=8), tie_break=tie_break)
+    cell = run_cell(spec, 0.3, 0.7, _cell_seed_seqs(spec.base.seed, 4, 3))
+    assert len(calls) == games
+    assert len(cell.total) == 3
+    if games == 1:
+        assert len(set(cell.total)) == 1
 
 
 def test_fixed_uniform_cell_is_exact():

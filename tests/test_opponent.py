@@ -230,6 +230,19 @@ def test_heuristic_prior_respects_modelled_seat():
     assert np.abs(for_a.counts[2, 7] - for_b.counts[2, 7]).sum() > 0.1
 
 
+def test_heuristic_table_is_built_once_and_read_only():
+    model = HeuristicModel(sigma=2.5, q=10)
+    table = heuristic_table(model, Role.B)
+    assert heuristic_table(HeuristicModel(sigma=2.5, q=10), Role.B) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
+    before = table.copy()
+    learner = make_prior("heuristic", 10, sigma=2.5, opponent=Role.B)
+    learner.update(JointState(1, 1), 9)
+    np.testing.assert_array_equal(heuristic_table(model, Role.B), before)
+
+
 def test_heuristic_prior_needs_sigma():
     with pytest.raises(ValueError, match="sigma"):
         make_prior("heuristic", 10)
@@ -274,4 +287,7 @@ def test_load_rejects_malformed(tmp_path):
         load_learner(path)
     path.write_text("1 1 1.0 1.0\n1 2 inf 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
     with pytest.raises(ValueError, match="finite"):
+        load_learner(path)
+    path.write_text("1 2 1.0 1.0\n\n1 1 x 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:3: .*'x'"):
         load_learner(path)

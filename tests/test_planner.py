@@ -17,6 +17,7 @@ from oracles import (
     exhaustive_policy_max,
     one_step_action_values,
     random_model,
+    stage_loop_backward_induction,
     table_prob,
     tree_value,
 )
@@ -112,6 +113,36 @@ def test_random_tie_breaking_draws_among_exact_ties():
     assert seen == {4, 5, 6}
 
 
+def _assert_same_solve(model, omega, h, q, tie_break="smallest", seed=None):
+    rng = None if seed is None else np.random.default_rng(seed)
+    table, rule = backward_induction(model, omega, h, q, tie_break=tie_break, rng=rng)
+    rng = None if seed is None else np.random.default_rng(seed)
+    values, actions = stage_loop_backward_induction(model, omega, h, q, tie_break, rng)
+    assert np.array_equal(table.values, values)
+    assert np.array_equal(rule.actions, actions)
+
+
+def test_solver_matches_stage_loop_bit_for_bit():
+    rng = np.random.default_rng(33)
+    for q in (3, 5, 10):
+        for _ in range(20):
+            model = random_model(rng, q)
+            omega = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+            h = int(rng.integers(1, 11))
+            _assert_same_solve(model, omega, h, q)
+            _assert_same_solve(model.transpose(1, 0, 2), omega, h, q)  # seat B's view
+
+
+def test_solver_matches_stage_loop_on_ties():
+    for omega in (i / 10 for i in range(11)):
+        for h in (1, 10):
+            _assert_same_solve(uniform_table(10), omega, h, 10)
+            _assert_same_solve(uniform_table(10), omega, h, 10, "random", seed=7)
+    for seed in range(5):
+        _assert_same_solve(_two_point_model(), 1.0, 1, 10, "random", seed=seed)
+        _assert_same_solve(_two_point_model().transpose(1, 0, 2), 1.0, 3, 10, "random", seed=seed)
+
+
 def test_random_tie_breaking_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="random")
@@ -120,10 +151,15 @@ def test_random_tie_breaking_needs_rng():
 def test_model_validation():
     with pytest.raises(ValueError, match="shape"):
         backward_induction(np.ones((9, 9)), 0.5, 1, 10)
-    bad = uniform_table(10).copy()
-    bad[0, 0, 0] += 0.5
-    with pytest.raises(ValueError, match="distribution"):
-        backward_induction(bad, 0.5, 1, 10)
+    u = 1 / 9
+    for first_two in ((np.nan, u), (np.inf, u), (-0.1, 2 * u + 0.1), (u + 0.5, u), (u + 2e-5, u)):
+        bad = uniform_table(10).copy()
+        bad[0, 0, :2] = first_two
+        with pytest.raises(ValueError, match="distribution"):
+            backward_induction(bad, 0.5, 1, 10)
+    near = uniform_table(10).copy()
+    near[0, 0, 0] += 5e-6  # inside the tolerance of 1e-9 + 1e-5
+    backward_induction(near, 0.5, 1, 10)
     with pytest.raises(ValueError, match="horizon"):
         backward_induction(uniform_table(10), 0.5, 0, 10)
     with pytest.raises(ValueError, match="tie_break"):
