@@ -195,6 +195,8 @@ def _merge_config(args: argparse.Namespace) -> CliConfig:
         raise ConfigError(str(exc)) from exc
     if config.replications < 1:
         raise ConfigError(f"replications must be at least 1, got {config.replications}")
+    if config.tie_break not in TIE_BREAKS:
+        raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, got {config.tie_break!r}")
     return config
 
 

@@ -6,12 +6,18 @@ round pays nothing.  A player's per-round reward blends its own profit
 with a penalty on the gap between ``q`` and the joint claim, controlled
 by a weight ``omega``: 0 means pure profit seeking, 1 means caring only
 about splitting the full amount exactly.
+
+The module also holds :func:`atomic_write`, which every output file of the
+package is written through.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +67,15 @@ def check_demand(value: int, q: int, name: str = "demand") -> None:
         raise ValueError(f"{name} must lie in 1..{q - 1}, got {value}")
 
 
+def _check_weight(value: float, name: str = "omega") -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+# Largest learner table GameConfig accepts: (q - 1)**3 float64 counts, so q <= 513.
+MAX_TABLE_BYTES = 1 << 30
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Parameters of one repeated game.
@@ -87,6 +102,12 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.q < 2:
             raise ValueError(f"q must be at least 2, got {self.q}")
+        table_bytes = (self.q - 1) ** 3 * 8
+        if table_bytes > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"q={self.q} would need {table_bytes / 2**30:.2f} GiB for one "
+                f"learner table, over the {MAX_TABLE_BYTES / 2**30:g} GiB limit"
+            )
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.horizon < 1:
@@ -95,10 +116,8 @@ class GameConfig:
             raise ValueError(
                 f"initial_demand must lie in 1..{self.q - 1}, got {self.initial_demand}"
             )
-        for name in ("omega_a", "omega_b"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _check_weight(self.omega_a, "omega_a")
+        _check_weight(self.omega_b, "omega_b")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -126,14 +145,25 @@ def reward(a: int, b: int, omega: float, q: int) -> float:
     minus ``omega`` times the absolute gap between ``q`` and the joint
     claim.  On the compatible branch this telescopes to ``a - omega * (q - b)``.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    return a * (1.0 - omega) * chi(a, b, q) - omega * abs(q - (a + b))
+    _check_weight(omega)
+    return _payoff(a, b, chi(a, b, q), omega, q)
+
+
+def _payoff(a, b, c, omega: float, q: int):
+    """Unchecked reward of ``a`` against ``b`` given their compatibility ``c``.
+
+    Works elementwise on numpy grids with the same float operations, in the
+    same order, as on scalars, so both give the same bits.
+    """
+    return a * (1.0 - omega) * c - omega * abs(q - (a + b))
 
 
 def reward_matrix(omega: float, q: int) -> np.ndarray:
     """Reward of every demand pair, indexed ``[a - 1, b - 1]``."""
-    return np.array([[reward(a, b, omega, q) for b in range(1, q)] for a in range(1, q)])
+    _check_weight(omega)
+    a = np.arange(1, q)[:, None]
+    b = np.arange(1, q)[None, :]
+    return _payoff(a, b, a + b <= q, omega, q)
 
 
 @dataclass(frozen=True)
@@ -155,6 +185,7 @@ class RoundRecord:
         cls, t: int, demand_a: int, demand_b: int, config: GameConfig
     ) -> "RoundRecord":
         c = chi(demand_a, demand_b, config.q)
+        q = config.q  # both omegas were checked when config was built
         return cls(
             t=t,
             demand_a=demand_a,
@@ -162,9 +193,9 @@ class RoundRecord:
             compatible=bool(c),
             profit_a=demand_a * c,
             profit_b=demand_b * c,
-            reward_a=reward(demand_a, demand_b, config.omega_a, config.q),
-            reward_b=reward(demand_b, demand_a, config.omega_b, config.q),
-            unclaimed=config.q - demand_a - demand_b if c else config.q,
+            reward_a=_payoff(demand_a, demand_b, c, config.omega_a, q),
+            reward_b=_payoff(demand_b, demand_a, c, config.omega_b, q),
+            unclaimed=q - demand_a - demand_b if c else q,
         )
 
 
@@ -193,3 +224,23 @@ class GameLog:
             cum_profit_b=sum(r.profit_b for r in records),
             success_rate_pct=100.0 * compatible / len(records),
         )
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Text file handle whose contents replace ``path`` only once fully written.
+
+    Writes go to a hidden temporary file in the target's directory, which
+    ``os.replace`` then moves onto ``path``.  If the block raises, the
+    temporary file is removed and ``path`` is left as it was, so no reader
+    ever sees a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

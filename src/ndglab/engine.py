@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import GameConfig, GameLog, JointState, Role, RoundRecord
+from .core import GameConfig, GameLog, JointState, Role, RoundRecord, atomic_write
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
 
 __all__ = [
@@ -188,7 +188,7 @@ SUMMARY_FIELDS = (
 
 
 def write_round_csv(log: GameLog, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUND_FIELDS)
         for r in log.records:
@@ -233,7 +233,7 @@ def read_round_csv(path) -> list[RoundRecord]:
 def write_game_summary_csv(log: GameLog, path) -> None:
     """One-row headline summary; numeric columns use fixed two-decimal formatting."""
     cfg = log.config
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
         writer.writerow(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role
+from .core import GameConfig, Role, atomic_write
 from .engine import HeuristicAgent, RngPlan, pretrain, run_game
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
 from .planner import TIE_BREAKS, MdpAgent
@@ -324,7 +324,7 @@ def _cells_header() -> list[str]:
 
 
 def write_cells_csv(result: SweepSummary, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_cells_header())
         for c in result.cells:
@@ -345,7 +345,7 @@ def read_cells_csv(path) -> list[dict]:
 
 def write_summary_csv(result: SweepSummary, path) -> None:
     """Three-row table (min/mean/max) with fixed two-decimal formatting."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["statistic", *METRICS])
         for stat in ("min", "mean", "max"):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import JointState, Role, check_demand, seat_view
+from .core import JointState, Role, atomic_write, check_demand, seat_view
 
 __all__ = [
     "HeuristicModel",
@@ -102,9 +102,16 @@ def heuristic_distribution(model: HeuristicModel, s: JointState, role: Role) -> 
 def heuristic_sample(
     model: HeuristicModel, s: JointState, role: Role, rng: np.random.Generator
 ) -> int:
-    """Draw one demand from the rule-based model by inverse CDF."""
-    probs = heuristic_distribution(model, s, role)
-    cdf = np.cumsum(probs)
+    """Draw one demand from the rule-based model by inverse CDF.
+
+    Looks the state's row up in the cached cumulative table: the same
+    numbers ``np.cumsum(heuristic_distribution(...))`` gives, so the same
+    single uniform draw picks the same demand.
+    """
+    own_prev, opp_prev = seat_view(s, role)
+    check_demand(own_prev, model.q, "own_prev")  # a 0 would silently wrap to the last row
+    check_demand(opp_prev, model.q, "opp_prev")
+    cdf = _heuristic_cdf(model, role)[s.prev_a - 1, s.prev_b - 1]
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, model.q - 2) + 1
 
@@ -125,6 +132,14 @@ def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
             )
     table.flags.writeable = False
     return table
+
+
+@lru_cache
+def _heuristic_cdf(model: HeuristicModel, role: Role) -> np.ndarray:
+    """Running sums of every row of :func:`heuristic_table`; shared and read-only."""
+    cdf = np.cumsum(heuristic_table(model, role), axis=-1)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def uniform_table(q: int) -> np.ndarray:
@@ -170,13 +185,6 @@ class DirichletLearner:
         self.counts[context.prev_a - 1, context.prev_b - 1, observed - 1] += 1.0
         self.version += 1
 
-    def estimate(self, context: JointState) -> np.ndarray:
-        """Point estimate of the opponent's demand distribution in ``context``."""
-        check_demand(context.prev_a, self.q, "context.prev_a")
-        check_demand(context.prev_b, self.q, "context.prev_b")
-        row = self.counts[context.prev_a - 1, context.prev_b - 1]
-        return row / row.sum()
-
     def estimate_table(self) -> np.ndarray:
         """Point estimates for every context at once."""
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
@@ -215,13 +223,12 @@ def make_prior(
 
 def save_learner(learner: DirichletLearner, path) -> None:
     """Write counts as plain text: one ``prev_a prev_b v1 .. v_{q-1}`` row per context."""
-    lines = []
-    for prev_a in range(1, learner.q):
-        for prev_b in range(1, learner.q):
-            row = learner.counts[prev_a - 1, prev_b - 1]
-            cells = [str(prev_a), str(prev_b)] + [repr(float(v)) for v in row]
-            lines.append(" ".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        for prev_a in range(1, learner.q):
+            for prev_b in range(1, learner.q):
+                row = learner.counts[prev_a - 1, prev_b - 1]
+                cells = [str(prev_a), str(prev_b)] + [repr(float(v)) for v in row]
+                fh.write(" ".join(cells) + "\n")
 
 
 def load_learner(path) -> DirichletLearner:

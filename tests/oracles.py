@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ndglab.opponent import heuristic_distribution
+
 
 def scalar_reward(a, b, omega, q):
     ok = 1 if a + b <= q else 0
@@ -126,6 +128,13 @@ def stage_loop_backward_induction(model, omega, h, q, tie_break="smallest", rng=
             if len(ties) > 1:
                 actions[i] = rng.choice(ties)
     return values, (actions + 1).reshape(n, n)
+
+
+def reference_heuristic_sample(model, s, role, rng):
+    """The rule-based draw rebuilt from scratch: distribution, running sum, inverse CDF."""
+    cdf = np.cumsum(heuristic_distribution(model, s, role))
+    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    return min(idx, model.q - 2) + 1
 
 
 def random_model(rng, q):

@@ -189,7 +189,7 @@ def test_05_belief_converges_to_a_known_opponent():
             for i, d in enumerate(draws, start=1):
                 learner.update(s, int(d))
                 if cp < len(checkpoints) and i == checkpoints[cp]:
-                    errs[idx, cp] = np.abs(learner.estimate(s) - row).sum()
+                    errs[idx, cp] = np.abs(learner.estimate_table()[pa - 1, pb - 1] - row).sum()
                     cp += 1
         curves[seed] = errs.mean(axis=0)
         worst_final = max(worst_final, float(errs[:, -1].max()))

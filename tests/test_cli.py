@@ -208,6 +208,25 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_tie_break_is_checked_without_a_planner(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tie_break": 3}))
+    out = tmp_path / "h"
+    args = ["run", "--agent-a", "heuristic", "--agent-b", "heuristic", "--config", str(cfg)]
+    assert main([*args, "--out", str(out)]) == EXIT_CONFIG
+    assert "tie_break" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_q_too_large_for_memory(tmp_path, capsys):
+    out = tmp_path / "big"
+    # one forced round between rule-based agents allocates nothing q-sized even unbounded
+    args = ["run", "--q", "1000", "--rounds", "1", "--agent-a", "heuristic", "--agent-b", "heuristic"]
+    assert main([*args, "--out", str(out)]) == EXIT_CONFIG
+    assert "q=1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prior_needs_learning_agent(tmp_path, capsys):
     args = ["run", "--prior-a", "whatever.txt", "--out", str(tmp_path / "g")]
     assert main(args) == EXIT_CONFIG

@@ -87,12 +87,15 @@ def test_reward_bounds_enumerated():
 
 
 def test_reward_matrix_matches_scalar():
-    for omega in (0.0, 0.3, 1.0):
-        m = reward_matrix(omega, 10)
-        assert m.shape == (9, 9)
-        for a in range(1, 10):
-            for b in range(1, 10):
-                assert m[a - 1, b - 1] == reward(a, b, omega, 10)
+    rng = np.random.default_rng(17)
+    for q in range(2, 18):
+        for omega in (0.0, 0.3, 1.0, *rng.random(8)):
+            m = reward_matrix(float(omega), q)
+            assert m.shape == (q - 1, q - 1)
+            scalar = [[reward(a, b, float(omega), q) for b in range(1, q)] for a in range(1, q)]
+            assert m.tobytes() == np.array(scalar).tobytes()
+    with pytest.raises(ValueError, match="omega"):
+        reward_matrix(1.5, 10)
 
 
 def test_reward_rejects_bad_weight():
@@ -118,6 +121,13 @@ def test_config_validation_names_fields():
     assert GameConfig().n_demands == 9
 
 
+def test_config_refuses_q_whose_learner_table_exceeds_the_limit():
+    GameConfig(q=513, initial_demand=1)  # 512**3 float64 counts: exactly 1 GiB
+    for q in (514, 1000):
+        with pytest.raises(ValueError, match=rf"q={q} would need .* GiB"):
+            GameConfig(q=q)
+
+
 def test_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         GameConfig().q = 11
@@ -141,6 +151,16 @@ def test_round_record_rewards_use_each_seat_weight():
     rec = RoundRecord.from_demands(1, 4, 5, config)
     assert rec.reward_a == reward(4, 5, 0.2, 10)
     assert rec.reward_b == reward(5, 4, 0.9, 10)
+
+
+@given(st.integers(2, 30), st.data(), weights, weights)
+def test_round_record_rewards_are_the_scalar_rewards_bit_for_bit(q, data, omega_a, omega_b):
+    a = data.draw(st.integers(1, q - 1))
+    b = data.draw(st.integers(1, q - 1))
+    config = GameConfig(q=q, initial_demand=1, omega_a=omega_a, omega_b=omega_b)
+    rec = RoundRecord.from_demands(2, a, b, config)
+    assert rec.reward_a.hex() == reward(a, b, omega_a, q).hex()
+    assert rec.reward_b.hex() == reward(b, a, omega_b, q).hex()
 
 
 def test_game_log_totals():

@@ -1,5 +1,7 @@
 """Game loop, named random streams, warm-up play, and CSV round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from ndglab.engine import (
     write_game_summary_csv,
     write_round_csv,
 )
+from ndglab.experiments import write_cells_csv, write_summary_csv
+from ndglab.opponent import save_learner
 
 
 def _uniform_pair(config, tie_break="smallest"):
@@ -225,3 +229,39 @@ def test_summary_csv_header_checked(tmp_path):
     path.write_text("omega_a,omega_b\n0.5,0.5\n")
     with pytest.raises(ValueError, match="header"):
         read_game_summary_csv(path)
+
+
+def _round_log_failing_at_row_2():
+    return SimpleNamespace(records=[RoundRecord.from_demands(1, 3, 3, GameConfig()), None])
+
+
+def _learner_failing_at_row_4():
+    counts = np.ones((2, 2, 2), dtype=object)
+    counts[1, 1, 1] = None
+    return SimpleNamespace(q=3, counts=counts)
+
+
+# Each writer gets an input that breaks after its header (and some rows) went out.
+FAILING_WRITES = {
+    "write_round_csv": lambda path: write_round_csv(_round_log_failing_at_row_2(), path),
+    "write_game_summary_csv": lambda path: write_game_summary_csv(
+        SimpleNamespace(config=GameConfig(), cum_profit_a=None, cum_profit_b=0), path
+    ),
+    "write_cells_csv": lambda path: write_cells_csv(SimpleNamespace(cells=[None]), path),
+    "write_summary_csv": lambda path: write_summary_csv(SimpleNamespace(summary={}), path),
+    "save_learner": lambda path: save_learner(_learner_failing_at_row_4(), path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+def test_failed_write_leaves_no_partial_file(tmp_path, writer):
+    target = tmp_path / "out.txt"
+    with pytest.raises((AttributeError, KeyError, TypeError)):
+        FAILING_WRITES[writer](target)
+    assert list(tmp_path.iterdir()) == []
+
+    target.write_text("previous contents\n")
+    with pytest.raises((AttributeError, KeyError, TypeError)):
+        FAILING_WRITES[writer](target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "previous contents\n"

@@ -18,9 +18,14 @@ from ndglab import (
     save_learner,
     uniform_table,
 )
-from ndglab.opponent import heuristic_mean, holds_previous_demand, proportional_mean
+from ndglab.opponent import (
+    _heuristic_cdf,
+    heuristic_mean,
+    holds_previous_demand,
+    proportional_mean,
+)
 
-from oracles import gaussian_row
+from oracles import gaussian_row, reference_heuristic_sample
 
 demands = st.integers(1, 9)
 
@@ -134,6 +139,40 @@ def test_sampler_stays_in_range():
     assert min(draws) >= 1 and max(draws) <= 9
 
 
+@settings(max_examples=200)
+@given(
+    st.integers(2, 20), st.floats(1e-3, 100.0), st.sampled_from(Role), st.integers(0, 2**32), st.data()
+)
+def test_sampler_matches_reference_under_equal_seeds(q, sigma, role, seed, data):
+    model = HeuristicModel(sigma=sigma, q=q)
+    state = st.tuples(st.integers(1, q - 1), st.integers(1, q - 1))
+    states = data.draw(st.lists(state, min_size=1, max_size=20))
+    fast = np.random.default_rng(seed)
+    slow = np.random.default_rng(seed)
+    for prev_a, prev_b in states:
+        s = JointState(prev_a, prev_b)
+        assert heuristic_sample(model, s, role, fast) == reference_heuristic_sample(model, s, role, slow)
+
+
+def test_sampler_rejects_out_of_range_states():
+    model = HeuristicModel(sigma=1.0, q=10)
+    rng = np.random.default_rng(0)
+    for s in (JointState(0, 5), JointState(5, 0), JointState(10, 5), JointState(5, 10)):
+        for role in Role:
+            with pytest.raises(ValueError, match="must lie in 1..9"):
+                heuristic_sample(model, s, role, rng)
+
+
+def test_cdf_table_is_shared_and_read_only():
+    model = HeuristicModel(sigma=1.5, q=10)
+    cdf = _heuristic_cdf(model, Role.A)
+    assert _heuristic_cdf(HeuristicModel(sigma=1.5, q=10), Role.A) is cdf
+    assert not cdf.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cdf[0, 0, 0] = 0.0
+    assert cdf.tobytes() == np.cumsum(heuristic_table(model, Role.A), axis=-1).tobytes()
+
+
 def test_uniform_shapes():
     np.testing.assert_array_equal(uniform_table(10), np.full((9, 9, 9), 1 / 9))
 
@@ -144,7 +183,7 @@ def test_uniform_shapes():
 def test_uniform_learner_start():
     learner = DirichletLearner.uniform(10)
     assert learner.counts.sum() == 729.0
-    np.testing.assert_array_equal(learner.estimate(JointState(4, 4)), np.full(9, 1 / 9))
+    np.testing.assert_array_equal(learner.estimate_table()[3, 3], np.full(9, 1 / 9))
     assert learner.version == 0
 
 
@@ -152,11 +191,11 @@ def test_update_moves_one_count():
     learner = DirichletLearner.uniform(10)
     learner.update(JointState(6, 6), 5)
     assert learner.version == 1
-    row = learner.estimate(JointState(6, 6))
+    row = learner.estimate_table()[5, 5]
     assert row[4] == pytest.approx(0.2)
     assert row.sum() == pytest.approx(1.0)
     # other contexts untouched
-    np.testing.assert_array_equal(learner.estimate(JointState(1, 1)), np.full(9, 1 / 9))
+    np.testing.assert_array_equal(learner.estimate_table()[0, 0], np.full(9, 1 / 9))
 
 
 @settings(max_examples=30)
@@ -186,7 +225,7 @@ def test_estimate_converges_on_synthetic_data():
     s = JointState(2, 9)
     for d in rng.choice(9, size=10_000, p=target) + 1:
         learner.update(s, int(d))
-    assert np.abs(learner.estimate(s) - target).sum() < 0.05
+    assert np.abs(learner.estimate_table()[1, 8] - target).sum() < 0.05
 
 
 def test_counts_validation():
