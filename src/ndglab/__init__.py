@@ -12,7 +12,6 @@ from .core import (
     Role,
     RoundRecord,
     chi,
-    profit,
     reward,
     reward_matrix,
     seat_view,
@@ -30,7 +29,6 @@ from .experiments import (
 from .opponent import (
     DirichletLearner,
     HeuristicModel,
-    heuristic_distribution,
     heuristic_sample,
     heuristic_table,
     load_learner,
@@ -55,7 +53,6 @@ __all__ = [
     "Role",
     "RoundRecord",
     "chi",
-    "profit",
     "reward",
     "reward_matrix",
     "seat_view",
@@ -72,7 +69,6 @@ __all__ = [
     "run_test",
     "DirichletLearner",
     "HeuristicModel",
-    "heuristic_distribution",
     "heuristic_sample",
     "heuristic_table",
     "load_learner",

@@ -30,7 +30,6 @@ __all__ = [
     "GameLog",
     "check_demand",
     "chi",
-    "profit",
     "reward",
     "reward_matrix",
     "seat_view",
@@ -131,11 +130,6 @@ def chi(a: int, b: int, q: int) -> int:
     check_demand(a, q, "a")
     check_demand(b, q, "b")
     return 1 if a + b <= q else 0
-
-
-def profit(a: int, b: int, q: int) -> int:
-    """First player's round profit: its own demand when compatible, else 0."""
-    return a * chi(a, b, q)
 
 
 def reward(a: int, b: int, omega: float, q: int) -> float:

@@ -27,9 +27,7 @@ __all__ = [
     "ROUND_FIELDS",
     "SUMMARY_FIELDS",
     "write_round_csv",
-    "read_round_csv",
     "write_game_summary_csv",
-    "read_game_summary_csv",
 ]
 
 
@@ -207,29 +205,6 @@ def write_round_csv(log: GameLog, path) -> None:
             )
 
 
-def read_round_csv(path) -> list[RoundRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != ROUND_FIELDS:
-            raise ValueError(f"unexpected round CSV header in {path}")
-        for row in reader:
-            records.append(
-                RoundRecord(
-                    t=int(row["round"]),
-                    demand_a=int(row["demand_a"]),
-                    demand_b=int(row["demand_b"]),
-                    compatible=bool(int(row["compatible"])),
-                    profit_a=int(row["profit_a"]),
-                    profit_b=int(row["profit_b"]),
-                    reward_a=float(row["reward_a"]),
-                    reward_b=float(row["reward_b"]),
-                    unclaimed=int(row["unclaimed"]),
-                )
-            )
-    return records
-
-
 def write_game_summary_csv(log: GameLog, path) -> None:
     """One-row headline summary; numeric columns use fixed two-decimal formatting."""
     cfg = log.config
@@ -247,14 +222,3 @@ def write_game_summary_csv(log: GameLog, path) -> None:
                 f"{log.success_rate_pct:.2f}",
             ]
         )
-
-
-def read_game_summary_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SUMMARY_FIELDS:
-            raise ValueError(f"unexpected summary CSV header in {path}")
-        row = next(reader)
-    out = {k: float(v) for k, v in row.items()}
-    out["seed"] = int(row["seed"])
-    return out

@@ -16,6 +16,7 @@ parallel (capped by the ``NDG_THREADS`` environment variable).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,9 +42,7 @@ __all__ = [
     "run_test",
     "aggregate",
     "write_cells_csv",
-    "read_cells_csv",
     "write_summary_csv",
-    "read_summary_csv",
 ]
 
 DEFAULT_OMEGA_GRID = tuple(i / 10 for i in range(11))
@@ -52,6 +51,11 @@ METRICS = ("profit_a", "profit_b", "total", "success_rate_pct")
 AGENT_KINDS = ("mdp", "heuristic")
 PRIOR_KINDS = ("uniform", "heuristic", "pretrained")
 FIXED_MODELS = ("uniform", "heuristic")
+
+
+def _check_sigma(sigma: float | None, owner: str) -> None:
+    if sigma is None or not 0 < sigma < math.inf:  # also refuses NaN
+        raise ValueError(f"{owner} needs a finite positive sigma, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -70,23 +74,22 @@ class AgentSpec:
         if self.kind == "heuristic":
             if self.learning or self.prior or self.fixed_model:
                 raise ValueError("heuristic agents neither learn nor hold a model")
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("heuristic agents need a positive sigma")
+            _check_sigma(self.sigma, "a heuristic agent")
             return
         if self.learning:
             if self.prior not in PRIOR_KINDS:
                 raise ValueError(f"learning planner needs a prior in {PRIOR_KINDS}")
             if self.fixed_model is not None:
                 raise ValueError("a learning planner cannot also hold a fixed model")
-            if self.prior == "heuristic" and (self.sigma is None or self.sigma <= 0):
-                raise ValueError("heuristic prior needs a positive sigma")
+            if self.prior == "heuristic":
+                _check_sigma(self.sigma, "a heuristic prior")
         else:
             if self.fixed_model not in FIXED_MODELS:
                 raise ValueError(f"non-learning planner needs a model in {FIXED_MODELS}")
             if self.prior is not None:
                 raise ValueError("a non-learning planner takes no prior")
-            if self.fixed_model == "heuristic" and (self.sigma is None or self.sigma <= 0):
-                raise ValueError("heuristic-structured model needs a positive sigma")
+            if self.fixed_model == "heuristic":
+                _check_sigma(self.sigma, "a heuristic-structured model")
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,6 @@ class SweepSummary:
     spec: ExperimentSpec
     cells: tuple[CellResult, ...]
     summary: dict
-
-    def rep_level_means(self, metric: str) -> np.ndarray:
-        """Per-replication means over the whole grid; useful for statistics."""
-        stacked = np.stack([c.rep_values(metric) for c in self.cells])
-        return stacked.mean(axis=0)
 
 
 def _cell_seed_seqs(base_seed: int, cell_index: int, reps: int) -> list[np.random.SeedSequence]:
@@ -335,14 +333,6 @@ def write_cells_csv(result: SweepSummary, path) -> None:
             writer.writerow(row)
 
 
-def read_cells_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if (reader.fieldnames or []) != _cells_header():
-            raise ValueError(f"unexpected cells CSV header in {path}")
-        return [{k: float(v) for k, v in row.items()} for row in reader]
-
-
 def write_summary_csv(result: SweepSummary, path) -> None:
     """Three-row table (min/mean/max) with fixed two-decimal formatting."""
     with atomic_write(path, newline="") as fh:
@@ -350,14 +340,3 @@ def write_summary_csv(result: SweepSummary, path) -> None:
         writer.writerow(["statistic", *METRICS])
         for stat in ("min", "mean", "max"):
             writer.writerow([stat] + [f"{result.summary[stat][m]:.2f}" for m in METRICS])
-
-
-def read_summary_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if (reader.fieldnames or []) != ["statistic", *METRICS]:
-            raise ValueError(f"unexpected summary CSV header in {path}")
-        out = {}
-        for row in reader:
-            out[row["statistic"]] = {m: float(row[m]) for m in METRICS}
-    return out

@@ -17,6 +17,7 @@ have shape ``(q - 1, q - 1, q - 1)`` indexed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -27,10 +28,6 @@ from .core import JointState, Role, atomic_write, check_demand, seat_view
 
 __all__ = [
     "HeuristicModel",
-    "holds_previous_demand",
-    "proportional_mean",
-    "heuristic_mean",
-    "heuristic_distribution",
     "heuristic_sample",
     "heuristic_table",
     "uniform_table",
@@ -49,54 +46,45 @@ class HeuristicModel:
     q: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:  # also refuses NaN
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.q < 2:
             raise ValueError(f"q must be at least 2, got {self.q}")
 
 
-def holds_previous_demand(own_prev: int, opp_prev: int, q: int) -> bool:
-    """True when the modelled player repeats its demand instead of adjusting.
+def _rule_rows(model: HeuristicModel, own_prev, opp_prev) -> np.ndarray:
+    """Rule-based distributions of the modelled player's next demand.
 
-    That happens after an incompatible round in which its own demand was at
-    most half of ``q``: the failure was the opponent's overreach, so the
-    modelled player stays put rather than conceding further.
+    ``own_prev`` and ``opp_prev`` are the modelled player's and its
+    opponent's previous demands, as scalars or broadcastable integer grids;
+    the result adds a last axis over demands ``1..q-1``.
+
+    The mean is the previous demand adjusted by a proportional share of the
+    leftover, ``own + own / (own + opp) * (q - own - opp)``: a negative
+    leftover (an incompatible round) pulls it down, and both seats' means of
+    one state add up to exactly ``q``.  After an incompatible round in which
+    its own demand was at most half of ``q``, the player holds its demand
+    instead, since the failure was the opponent's overreach.  The row is the
+    Gaussian kernel ``exp(-(d - mu)^2 / (2 sigma^2))`` on the demand grid,
+    normalized; ``mu`` is not rounded.  Every element goes through the same
+    float operations in the same order, so a grid and a scalar state give
+    the same bits.
     """
-    return 2 * own_prev <= q and own_prev + opp_prev > q
-
-
-def proportional_mean(own_prev: int, opp_prev: int, q: int) -> float:
-    """Previous demand adjusted by a proportional share of the leftover.
-
-    ``own + own / (own + opp) * (q - own - opp)``; negative leftover (an
-    incompatible round) pulls the mean down.  Applied to both seats of the
-    same state the two means always add up to exactly ``q``.
-    """
-    leftover = q - own_prev - opp_prev
-    return own_prev + own_prev / (own_prev + opp_prev) * leftover
-
-
-def heuristic_mean(own_prev: int, opp_prev: int, q: int) -> float:
-    if holds_previous_demand(own_prev, opp_prev, q):
-        return float(own_prev)
-    return proportional_mean(own_prev, opp_prev, q)
-
-
-def heuristic_distribution(model: HeuristicModel, s: JointState, role: Role) -> np.ndarray:
-    """Distribution of ``role``'s next demand under the rule-based model.
-
-    A Gaussian kernel ``exp(-(d - mu)^2 / (2 sigma^2))`` evaluated on the
-    demand grid ``1..q-1`` and normalized; the mean ``mu`` is not rounded.
-    """
-    own_prev, opp_prev = seat_view(s, role)
-    check_demand(own_prev, model.q, "own_prev")
-    check_demand(opp_prev, model.q, "opp_prev")
-    mu = heuristic_mean(own_prev, opp_prev, model.q)
-    support = np.arange(1, model.q)
-    log_w = -((support - mu) ** 2) / (2.0 * model.sigma**2)
-    log_w -= log_w.max()  # largest weight becomes 1: immune to underflow at tiny sigma
-    weights = np.exp(log_w)
-    return weights / weights.sum()
+    q = model.q
+    own = np.asarray(own_prev)[..., None]
+    opp = np.asarray(opp_prev)[..., None]
+    holds = (2 * own <= q) & (own + opp > q)
+    mu = np.where(holds, own, own + own / (own + opp) * (q - own - opp))
+    # In place, so a full table needs no more memory than the table itself.
+    log_w = np.arange(1, q) - mu
+    np.square(log_w, out=log_w)
+    np.negative(log_w, out=log_w)
+    log_w /= 2.0 * model.sigma**2
+    # The largest weight becomes 1: immune to underflow at tiny sigma.
+    log_w -= log_w.max(axis=-1, keepdims=True)
+    np.exp(log_w, out=log_w)
+    log_w /= log_w.sum(axis=-1, keepdims=True)
+    return log_w
 
 
 def heuristic_sample(
@@ -104,42 +92,36 @@ def heuristic_sample(
 ) -> int:
     """Draw one demand from the rule-based model by inverse CDF.
 
-    Looks the state's row up in the cached cumulative table: the same
-    numbers ``np.cumsum(heuristic_distribution(...))`` gives, so the same
-    single uniform draw picks the same demand.
+    A single uniform draw picks the first demand whose running probability
+    sum exceeds it; each state's running sums are built once and cached.
     """
     own_prev, opp_prev = seat_view(s, role)
-    check_demand(own_prev, model.q, "own_prev")  # a 0 would silently wrap to the last row
+    check_demand(own_prev, model.q, "own_prev")
     check_demand(opp_prev, model.q, "opp_prev")
-    cdf = _heuristic_cdf(model, role)[s.prev_a - 1, s.prev_b - 1]
+    cdf = _cdf_row(model, own_prev, opp_prev)
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, model.q - 2) + 1
 
 
-@lru_cache
+@lru_cache(maxsize=4096)
+def _cdf_row(model: HeuristicModel, own_prev: int, opp_prev: int) -> np.ndarray:
+    """Running sums of one state's rule-based row; shared and read-only."""
+    cdf = np.cumsum(_rule_rows(model, own_prev, opp_prev))
+    cdf.flags.writeable = False
+    return cdf
+
+
+@lru_cache(maxsize=4)  # near the q bound one table is about 1 GiB
 def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
     """Full conditional table of ``role``'s next demand for every state.
 
     Built once per ``(model, role)``; every caller shares the returned
     array, which is therefore read-only.
     """
-    n = model.q - 1
-    table = np.empty((n, n, n))
-    for prev_a in range(1, model.q):
-        for prev_b in range(1, model.q):
-            table[prev_a - 1, prev_b - 1] = heuristic_distribution(
-                model, JointState(prev_a, prev_b), role
-            )
+    prev_a, prev_b = np.ogrid[1 : model.q, 1 : model.q]
+    table = _rule_rows(model, *seat_view(JointState(prev_a, prev_b), role))
     table.flags.writeable = False
     return table
-
-
-@lru_cache
-def _heuristic_cdf(model: HeuristicModel, role: Role) -> np.ndarray:
-    """Running sums of every row of :func:`heuristic_table`; shared and read-only."""
-    cdf = np.cumsum(heuristic_table(model, role), axis=-1)
-    cdf.flags.writeable = False
-    return cdf
 
 
 def uniform_table(q: int) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is plain-Python scalar arithmetic (math.exp, dict memos,
+Most of it is plain-Python scalar arithmetic (math.exp, dict memos,
 explicit loops) so that a bug in the vectorized production code cannot
-hide in a mirror image of itself.
+hide in a mirror image of itself.  The numpy references work one state or
+one row at a time with the package's float operations, so the vectorized
+code must match them bit for bit.
 """
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
-from ndglab.opponent import heuristic_distribution
+from ndglab.core import seat_view
 
 
 def scalar_reward(a, b, omega, q):
@@ -130,11 +133,37 @@ def stage_loop_backward_induction(model, omega, h, q, tie_break="smallest", rng=
     return values, (actions + 1).reshape(n, n)
 
 
+def reference_heuristic_distribution(model, s, role):
+    """One state's rule-based row, built per state with the package's float operations.
+
+    The modelled player holds its previous demand after an incompatible
+    round in which it demanded at most half of ``q``; otherwise it moves to
+    its proportional share of the leftover.  The package builds every row at
+    once on numpy grids, which must give these bits.
+    """
+    own_prev, opp_prev = seat_view(s, role)
+    if 2 * own_prev <= model.q and own_prev + opp_prev > model.q:
+        mu = float(own_prev)
+    else:
+        mu = own_prev + own_prev / (own_prev + opp_prev) * (model.q - own_prev - opp_prev)
+    support = np.arange(1, model.q)
+    log_w = -((support - mu) ** 2) / (2.0 * model.sigma**2)
+    log_w -= log_w.max()
+    weights = np.exp(log_w)
+    return weights / weights.sum()
+
+
 def reference_heuristic_sample(model, s, role, rng):
     """The rule-based draw rebuilt from scratch: distribution, running sum, inverse CDF."""
-    cdf = np.cumsum(heuristic_distribution(model, s, role))
+    cdf = np.cumsum(reference_heuristic_distribution(model, s, role))
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, model.q - 2) + 1
+
+
+def csv_rows(path):
+    """Rows of a written CSV file as dicts of strings, per the README's file formats."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def random_model(rng, q):

@@ -50,6 +50,11 @@ def benchmarks():
     return results, time.perf_counter() - start
 
 
+def _success_by_replication(result):
+    """Each replication's success rate, averaged over the sweep's grid cells."""
+    return np.stack([cell.rep_values("success_rate_pct") for cell in result.cells]).mean(axis=0)
+
+
 def test_01_fixed_uniform_grid_is_exact():
     start = time.perf_counter()
     result = run_test(benchmark_spec(3, replications=1))
@@ -108,18 +113,11 @@ def test_02_solver_equals_exhaustive_policy_search():
 
 def test_03_learning_keeps_the_benchmark_ordering(benchmarks):
     results, elapsed = benchmarks
-    means = {
-        k: results[k].rep_level_means("success_rate_pct").mean() for k in results
-    }
-    diff_21 = results[2].rep_level_means("success_rate_pct") - results[1].rep_level_means(
-        "success_rate_pct"
-    )
-    diff_43 = results[4].rep_level_means("success_rate_pct") - results[3].rep_level_means(
-        "success_rate_pct"
-    )
-    diff_54 = results[5].rep_level_means("success_rate_pct") - results[4].rep_level_means(
-        "success_rate_pct"
-    )
+    success = {k: _success_by_replication(results[k]) for k in results}
+    means = {k: success[k].mean() for k in success}
+    diff_21 = success[2] - success[1]
+    diff_43 = success[4] - success[3]
+    diff_54 = success[5] - success[4]
     leg_a = diff_21.mean() >= 5.0 and bootstrap_lower(diff_21) > 0.0
     leg_b = diff_43.mean() > 0.0 and bootstrap_lower(diff_43) > 0.0
     leg_c = diff_54.mean() >= 0.0 and bootstrap_lower(diff_54) >= 0.0
@@ -158,8 +156,8 @@ def test_03_learning_keeps_the_benchmark_ordering(benchmarks):
 
 def test_04_success_magnitudes_in_expected_windows(benchmarks):
     results, _ = benchmarks
-    t2 = results[2].rep_level_means("success_rate_pct").mean()
-    t5 = results[5].rep_level_means("success_rate_pct").mean()
+    t2 = _success_by_replication(results[2]).mean()
+    t5 = _success_by_replication(results[5]).mean()
     ok = 50.0 <= t2 <= 85.0 and t5 >= 85.0
     report(
         4,

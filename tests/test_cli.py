@@ -4,8 +4,8 @@ import json
 
 from ndglab import experiments, load_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
-from ndglab.engine import read_game_summary_csv, read_round_csv
-from ndglab.experiments import read_cells_csv, read_summary_csv
+
+from oracles import csv_rows
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -23,10 +23,9 @@ def test_run_writes_game_files(tmp_path, capsys):
     out = tmp_path / "game"
     assert main(["run", "--rounds", "5", "--out", str(out)]) == EXIT_OK
     assert "profits:" in capsys.readouterr().out
-    records = read_round_csv(out / "game_rounds.csv")
-    assert len(records) == 5
-    summary = read_game_summary_csv(out / "game_summary.csv")
-    assert summary["seed"] == 0
+    assert len(csv_rows(out / "game_rounds.csv")) == 5
+    (summary,) = csv_rows(out / "game_summary.csv")
+    assert int(summary["seed"]) == 0
 
 
 def test_run_refuses_to_overwrite(tmp_path, capsys):
@@ -52,7 +51,7 @@ def test_run_heuristic_opponent_with_custom_spread(tmp_path):
         "--sigma-a", "3.0", "--sigma-b", "1.0", "--seed", "7", "--out", str(out),
     ]
     assert main(args) == EXIT_OK
-    assert len(read_round_csv(out / "game_rounds.csv")) == 60
+    assert len(csv_rows(out / "game_rounds.csv")) == 60
 
 
 def test_test_subcommand_runs_a_scenario(tmp_path, capsys):
@@ -60,9 +59,9 @@ def test_test_subcommand_runs_a_scenario(tmp_path, capsys):
     args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0,1.0", "--out", str(out)]
     assert main(args) == EXIT_OK
     assert "scenario 3: 4 cells" in capsys.readouterr().out
-    rows = read_cells_csv(out / "test3_cells.csv")
-    assert len(rows) == 4
-    assert read_summary_csv(out / "test3_summary.csv")["max"]["total"] == 596.0
+    assert len(csv_rows(out / "test3_cells.csv")) == 4
+    summary = {row["statistic"]: row for row in csv_rows(out / "test3_summary.csv")}
+    assert float(summary["max"]["total"]) == 596.0
 
 
 def test_test_subcommand_protects_outputs(tmp_path, capsys):
@@ -88,17 +87,17 @@ def test_sweep_requires_a_grid(tmp_path, capsys):
         "--out", str(tmp_path / "s"),
     ]
     assert main(args) == EXIT_OK
-    rows = read_cells_csv(tmp_path / "s" / "test1_cells.csv")
-    assert [row["omega_a"] for row in rows] == [0.0, 0.5, 1.0]
+    rows = csv_rows(tmp_path / "s" / "test1_cells.csv")
+    assert [float(row["omega_a"]) for row in rows] == [0.0, 0.5, 1.0]
 
 
 def test_grid_point_count_spans_unit_interval(tmp_path):
     out = tmp_path / "t1"
     args = ["test", "--id", "1", "--replications", "1", "--grid", "11", "--out", str(out)]
     assert main(args) == EXIT_OK
-    rows = read_cells_csv(out / "test1_cells.csv")
+    rows = csv_rows(out / "test1_cells.csv")
     assert len(rows) == 11
-    assert rows[0]["omega_a"] == 0.0 and rows[-1]["omega_a"] == 1.0
+    assert float(rows[0]["omega_a"]) == 0.0 and float(rows[-1]["omega_a"]) == 1.0
 
 
 def test_grid_values_validated(tmp_path, capsys):
@@ -118,9 +117,9 @@ def test_config_file_with_flag_override(tmp_path):
     out = tmp_path / "game"
     args = ["run", "--config", str(cfg), "--omega-a", "0.7", "--out", str(out)]
     assert main(args) == EXIT_OK
-    summary = read_game_summary_csv(out / "game_summary.csv")
-    assert summary["omega_a"] == 0.7  # the flag wins
-    assert len(read_round_csv(out / "game_rounds.csv")) == 5
+    (summary,) = csv_rows(out / "game_summary.csv")
+    assert float(summary["omega_a"]) == 0.7  # the flag wins
+    assert len(csv_rows(out / "game_rounds.csv")) == 5
 
 
 def test_json_config(tmp_path):
@@ -128,9 +127,9 @@ def test_json_config(tmp_path):
     cfg.write_text(json.dumps({"q": 8, "rounds": 4, "initial_demand": 2, "seed": 3}))
     out = tmp_path / "game"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    records = read_round_csv(out / "game_rounds.csv")
+    records = csv_rows(out / "game_rounds.csv")
     assert len(records) == 4
-    assert records[0].demand_a == 2
+    assert int(records[0]["demand_a"]) == 2
 
 
 def test_json_config_integer_keys_take_only_whole_numbers(tmp_path, capsys):
@@ -225,6 +224,19 @@ def test_run_refuses_a_q_too_large_for_memory(tmp_path, capsys):
     assert main([*args, "--out", str(out)]) == EXIT_CONFIG
     assert "q=1000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_refuses_a_non_finite_sigma(tmp_path, capsys):
+    cases = (
+        ["--agent-a", "heuristic", "--agent-b", "heuristic", "--sigma-b", "nan"],
+        ["--agent-a", "heuristic", "--agent-b", "heuristic", "--sigma-b", "inf"],
+        ["--agent-a", "mdp-heuristic", "--sigma-a", "nan"],
+    )
+    for i, flags in enumerate(cases):
+        out = tmp_path / f"g{i}"
+        assert main(["run", *flags, "--out", str(out)]) == EXIT_CONFIG, flags
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_prior_needs_learning_agent(tmp_path, capsys):

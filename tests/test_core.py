@@ -14,7 +14,6 @@ from ndglab import (
     Role,
     RoundRecord,
     chi,
-    profit,
     reward,
     reward_matrix,
     seat_view,
@@ -45,9 +44,10 @@ def test_demand_range_enforced():
 
 
 def test_profit_values():
-    assert profit(5, 5, 10) == 5
-    assert profit(6, 5, 10) == 0
-    assert profit(9, 1, 10) == 9
+    config = GameConfig()
+    assert RoundRecord.from_demands(2, 5, 5, config).profit_a == 5
+    assert RoundRecord.from_demands(2, 6, 5, config).profit_a == 0
+    assert RoundRecord.from_demands(2, 9, 1, config).profit_a == 9
 
 
 def test_reward_examples():
@@ -61,7 +61,7 @@ def test_reward_examples():
 
 @given(demands, demands)
 def test_zero_weight_reward_is_profit(a, b):
-    assert reward(a, b, 0.0, 10) == profit(a, b, 10)
+    assert reward(a, b, 0.0, 10) == a * chi(a, b, 10)
 
 
 @given(demands, demands)

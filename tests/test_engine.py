@@ -1,5 +1,6 @@
 """Game loop, named random streams, warm-up play, and CSV round trips."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,14 +21,11 @@ from ndglab import (
     run_game,
     uniform_table,
 )
-from ndglab.engine import (
-    read_game_summary_csv,
-    read_round_csv,
-    write_game_summary_csv,
-    write_round_csv,
-)
+from ndglab.engine import write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
+
+from oracles import csv_rows
 
 
 def _uniform_pair(config, tie_break="smallest"):
@@ -190,6 +188,19 @@ def test_success_rate_edges():
     assert all_bad.success_rate_pct == 0.0
 
 
+def test_rule_based_game_memory_does_not_grow_as_q_cubed():
+    # a game visits at most `rounds` states, so no (q-1)^3 table is needed to sample
+    config = GameConfig(q=200, initial_demand=50, seed=9)
+    tracemalloc.start()
+    try:
+        log = run_game(config, *_heuristic_pair(sigma_a=4.0, q=200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.records) == 60
+    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
 # --- CSV ---
 
 
@@ -201,14 +212,21 @@ def test_round_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "round,demand_a,demand_b,compatible,profit_a,profit_b,reward_a,reward_b,unclaimed"
     assert len(lines) == 13
-    assert read_round_csv(path) == list(log.records)
-
-
-def test_round_csv_header_checked(tmp_path):
-    path = tmp_path / "rounds.csv"
-    path.write_text("round,demand_a\n1,3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_round_csv(path)
+    read_back = [
+        RoundRecord(
+            t=int(row["round"]),
+            demand_a=int(row["demand_a"]),
+            demand_b=int(row["demand_b"]),
+            compatible=bool(int(row["compatible"])),
+            profit_a=int(row["profit_a"]),
+            profit_b=int(row["profit_b"]),
+            reward_a=float(row["reward_a"]),
+            reward_b=float(row["reward_b"]),
+            unclaimed=int(row["unclaimed"]),
+        )
+        for row in csv_rows(path)
+    ]
+    assert read_back == list(log.records)
 
 
 def test_summary_csv_round_trip(tmp_path):
@@ -219,16 +237,9 @@ def test_summary_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "omega_a,omega_b,seed,cum_profit_a,cum_profit_b,total,success_rate_pct"
     assert lines[1] == "0.30,0.80,12,298.00,298.00,596.00,100.00"
-    summary = read_game_summary_csv(path)
-    assert summary["seed"] == 12
-    assert summary["total"] == 596.0
-
-
-def test_summary_csv_header_checked(tmp_path):
-    path = tmp_path / "summary.csv"
-    path.write_text("omega_a,omega_b\n0.5,0.5\n")
-    with pytest.raises(ValueError, match="header"):
-        read_game_summary_csv(path)
+    (summary,) = csv_rows(path)
+    assert int(summary["seed"]) == 12
+    assert float(summary["total"]) == 596.0
 
 
 def _round_log_failing_at_row_2():

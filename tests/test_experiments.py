@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,13 +21,9 @@ from ndglab import (
     run_game,
     run_test,
 )
-from ndglab.experiments import (
-    _cell_seed_seqs,
-    build_agent,
-    read_cells_csv,
-    read_summary_csv,
-    run_cell,
-)
+from ndglab.experiments import _cell_seed_seqs, build_agent, run_cell
+
+from oracles import csv_rows
 
 SMALL = (0.0, 1.0)
 
@@ -70,6 +65,13 @@ def test_spec_validation():
 def test_agent_spec_validation():
     with pytest.raises(ValueError, match="sigma"):
         AgentSpec("heuristic")
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive sigma"):
+            AgentSpec("heuristic", sigma=sigma)
+        with pytest.raises(ValueError, match="finite positive sigma"):
+            AgentSpec("mdp", learning=True, prior="heuristic", sigma=sigma)
+        with pytest.raises(ValueError, match="finite positive sigma"):
+            AgentSpec("mdp", fixed_model="heuristic", sigma=sigma)
     with pytest.raises(ValueError, match="neither learn"):
         AgentSpec("heuristic", learning=True, sigma=1.0)
     with pytest.raises(ValueError, match="prior"):
@@ -181,23 +183,14 @@ def test_aggregate_treats_metrics_independently():
         aggregate([])
 
 
-def test_rep_level_means():
-    spec = benchmark_spec(1, replications=2, grid=SMALL)
-    result = run_test(spec)
-    means = result.rep_level_means("success_rate_pct")
-    assert means.shape == (2,)
-    manual = np.mean([c.success_rate_pct for c in result.cells], axis=0)
-    np.testing.assert_allclose(means, manual)
-
-
 def test_run_test_writes_and_protects_outputs(tmp_path):
     spec = benchmark_spec(3, replications=1, grid=SMALL)
     result = run_test(spec, out_dir=tmp_path)
-    rows = read_cells_csv(tmp_path / "test3_cells.csv")
+    rows = csv_rows(tmp_path / "test3_cells.csv")
     assert len(rows) == 4
-    assert all(row["profit_a_mean"] == 298.0 for row in rows)
-    summary = read_summary_csv(tmp_path / "test3_summary.csv")
-    assert summary["mean"]["total"] == 596.0
+    assert all(float(row["profit_a_mean"]) == 298.0 for row in rows)
+    summary = {row.pop("statistic"): row for row in csv_rows(tmp_path / "test3_summary.csv")}
+    assert float(summary["mean"]["total"]) == 596.0
     assert summary["min"] == summary["max"]
     with pytest.raises(FileExistsError, match="refusing to overwrite"):
         run_test(spec, out_dir=tmp_path)
@@ -228,12 +221,3 @@ def test_parallel_cells_match_serial(tmp_path, monkeypatch):
     assert (tmp_path / "serial" / "test4_cells.csv").read_bytes() == (
         tmp_path / "parallel" / "test4_cells.csv"
     ).read_bytes()
-
-
-def test_csv_headers_checked(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("omega_a,omega_b\n0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        read_cells_csv(bad)
-    with pytest.raises(ValueError, match="header"):
-        read_summary_csv(bad)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ndglab import (
@@ -10,7 +10,6 @@ from ndglab import (
     HeuristicModel,
     JointState,
     Role,
-    heuristic_distribution,
     heuristic_sample,
     heuristic_table,
     load_learner,
@@ -18,16 +17,24 @@ from ndglab import (
     save_learner,
     uniform_table,
 )
-from ndglab.opponent import (
-    _heuristic_cdf,
-    heuristic_mean,
-    holds_previous_demand,
-    proportional_mean,
-)
+from ndglab.opponent import _cdf_row
 
-from oracles import gaussian_row, reference_heuristic_sample
+from oracles import gaussian_row, reference_heuristic_distribution, reference_heuristic_sample
 
 demands = st.integers(1, 9)
+
+
+def rule_row(own, opp, sigma=1.0, q=10):
+    """Seat A's rule-based row after it demanded ``own`` against ``opp``."""
+    return heuristic_table(HeuristicModel(sigma=sigma, q=q), Role.A)[own - 1, opp - 1]
+
+
+def assert_centred_on(row, mu, sigma=1.0, q=10):
+    np.testing.assert_allclose(row, gaussian_row(mu, sigma, q), atol=1e-12, rtol=0)
+
+
+def leftover_share(own, opp, q=10):
+    return own + own / (own + opp) * (q - own - opp)
 
 
 # --- mean adjustment rule ---
@@ -35,42 +42,43 @@ demands = st.integers(1, 9)
 
 def test_mean_reaches_for_leftover():
     # compatible round: move toward the own share of what was left over
-    assert heuristic_mean(3, 3, 10) == 5.0
+    assert_centred_on(rule_row(3, 3), 5.0)
 
 
 def test_mean_backs_off_after_joint_overshoot():
-    assert heuristic_mean(6, 6, 10) == 5.0
+    assert_centred_on(rule_row(6, 6), 5.0)
 
 
 def test_mean_holds_when_modest_but_blocked():
-    assert heuristic_mean(3, 8, 10) == 3.0
-    assert heuristic_mean(5, 6, 10) == 5.0
+    assert_centred_on(rule_row(3, 8), 3.0)
+    assert_centred_on(rule_row(5, 6), 5.0)
 
 
 def test_hold_condition_boundaries():
-    assert holds_previous_demand(5, 6, 10)  # half of q still counts as modest
-    assert not holds_previous_demand(6, 5, 10)
-    assert not holds_previous_demand(5, 5, 10)  # exact split is a success
-    assert not holds_previous_demand(3, 7, 10)
-    assert holds_previous_demand(3, 8, 10)
+    assert_centred_on(rule_row(5, 6), 5.0)  # half of q still counts as modest
+    assert_centred_on(rule_row(6, 5), leftover_share(6, 5))
+    assert_centred_on(rule_row(5, 5), leftover_share(5, 5))  # exact split is a success
+    assert_centred_on(rule_row(3, 7), leftover_share(3, 7))
+    assert_centred_on(rule_row(3, 8), 3.0)
 
 
 @given(demands, demands)
 def test_hold_rule_iff(own, opp):
     expected = 2 * own <= 10 and own + opp > 10
-    assert holds_previous_demand(own, opp, 10) == expected
     if expected:
-        assert heuristic_mean(own, opp, 10) == float(own)
+        assert_centred_on(rule_row(own, opp), float(own))
     else:
-        assert heuristic_mean(own, opp, 10) == proportional_mean(own, opp, 10)
+        assert_centred_on(rule_row(own, opp), leftover_share(own, opp))
 
 
 @given(demands, demands)
 def test_proportional_means_allocate_everything(own, opp):
     # both seats' proportional targets always split q exactly
-    assert proportional_mean(own, opp, 10) + proportional_mean(opp, own, 10) == pytest.approx(
-        10.0, abs=1e-12
-    )
+    assume(not (2 * own <= 10 and own + opp > 10) and not (2 * opp <= 10 and own + opp > 10))
+    mu = leftover_share(own, opp)
+    model = HeuristicModel(sigma=1.0, q=10)
+    assert_centred_on(heuristic_table(model, Role.A)[own - 1, opp - 1], mu)
+    assert_centred_on(heuristic_table(model, Role.B)[own - 1, opp - 1], 10.0 - mu)
 
 
 # --- discretized Gaussian ---
@@ -88,35 +96,47 @@ def test_distribution_rows_are_normalized_and_positive():
 
 def test_distribution_matches_direct_summation():
     model = HeuristicModel(sigma=1.0, q=10)
-    probs = heuristic_distribution(model, JointState(6, 6), Role.B)
+    probs = heuristic_table(model, Role.B)[5, 5]
     np.testing.assert_allclose(probs, gaussian_row(5.0, 1.0, 10), atol=1e-12, rtol=0)
     assert probs[4] == pytest.approx(0.3990, abs=5e-4)
 
 
 def test_distribution_depends_on_seat():
     model = HeuristicModel(sigma=1.0, q=10)
-    s = JointState(3, 8)
-    # seat B held 8 of an 11 overshoot and scales back; seat A held 3 and holds
+    # state (3, 8): seat B held 8 of an 11 overshoot and scales back; seat A held 3 and holds
     np.testing.assert_allclose(
-        heuristic_distribution(model, s, Role.B),
+        heuristic_table(model, Role.B)[2, 7],
         gaussian_row(8 + 8 / 11 * (10 - 11), 1.0, 10),
         atol=1e-12,
         rtol=0,
     )
     np.testing.assert_allclose(
-        heuristic_distribution(model, s, Role.A), gaussian_row(3.0, 1.0, 10), atol=1e-12, rtol=0
+        heuristic_table(model, Role.A)[2, 7], gaussian_row(3.0, 1.0, 10), atol=1e-12, rtol=0
     )
 
 
 def test_nearly_zero_spread_degenerates_to_the_mean():
     model = HeuristicModel(sigma=1e-6, q=10)
-    probs = heuristic_distribution(model, JointState(3, 3), Role.A)
+    probs = heuristic_table(model, Role.A)[2, 2]
     assert probs[4] == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=100)
+@given(st.integers(2, 20), st.floats(1e-3, 100.0), st.sampled_from(Role))
+def test_table_matches_per_state_reference_bit_for_bit(q, sigma, role):
+    model = HeuristicModel(sigma=sigma, q=q)
+    rows = [
+        reference_heuristic_distribution(model, JointState(prev_a, prev_b), role)
+        for prev_a in range(1, q)
+        for prev_b in range(1, q)
+    ]
+    assert heuristic_table(model, role).tobytes() == np.stack(rows).tobytes()
+
+
 def test_model_rejects_bad_sigma():
-    with pytest.raises(ValueError, match="sigma"):
-        HeuristicModel(sigma=0.0, q=10)
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            HeuristicModel(sigma=sigma, q=10)
 
 
 def test_sampler_matches_distribution():
@@ -128,7 +148,7 @@ def test_sampler_matches_distribution():
     counts = np.zeros(9)
     for _ in range(n):
         counts[heuristic_sample(model, s, Role.B, rng) - 1] += 1
-    l1 = np.abs(counts / n - heuristic_distribution(model, s, Role.B)).sum()
+    l1 = np.abs(counts / n - heuristic_table(model, Role.B)[5, 5]).sum()
     assert l1 < 0.01
 
 
@@ -163,14 +183,16 @@ def test_sampler_rejects_out_of_range_states():
                 heuristic_sample(model, s, role, rng)
 
 
-def test_cdf_table_is_shared_and_read_only():
+def test_cdf_rows_are_shared_and_read_only():
     model = HeuristicModel(sigma=1.5, q=10)
-    cdf = _heuristic_cdf(model, Role.A)
-    assert _heuristic_cdf(HeuristicModel(sigma=1.5, q=10), Role.A) is cdf
-    assert not cdf.flags.writeable
+    row = _cdf_row(model, 3, 8)
+    assert _cdf_row(HeuristicModel(sigma=1.5, q=10), 3, 8) is row
+    assert not row.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        cdf[0, 0, 0] = 0.0
-    assert cdf.tobytes() == np.cumsum(heuristic_table(model, Role.A), axis=-1).tobytes()
+        row[0] = 0.0
+    # keyed on the modelled player's own view, so both seats share it
+    assert row.tobytes() == np.cumsum(heuristic_table(model, Role.A)[2, 7]).tobytes()
+    assert row.tobytes() == np.cumsum(heuristic_table(model, Role.B)[7, 2]).tobytes()
 
 
 def test_uniform_shapes():
@@ -249,22 +271,18 @@ def test_uniform_prior():
 def test_heuristic_prior_has_uniform_strength_rows():
     learner = make_prior("heuristic", 10, sigma=3.0)
     np.testing.assert_allclose(learner.counts.sum(axis=-1), 9.0, atol=1e-9, rtol=0)
-    model = HeuristicModel(sigma=3.0, q=10)
+    # state (6, 6): seat B backs off to the even split
     np.testing.assert_allclose(
-        learner.counts[5, 5],
-        9.0 * heuristic_distribution(model, JointState(6, 6), Role.B),
-        atol=1e-12,
-        rtol=0,
+        learner.counts[5, 5], 9.0 * np.array(gaussian_row(5.0, 3.0, 10)), atol=1e-12, rtol=0
     )
 
 
 def test_heuristic_prior_respects_modelled_seat():
     for_b = make_prior("heuristic", 10, sigma=1.0, opponent=Role.B)
     for_a = make_prior("heuristic", 10, sigma=1.0, opponent=Role.A)
-    model = HeuristicModel(sigma=1.0, q=10)
-    s = JointState(3, 8)
+    # state (3, 8): seat A held 3 of an 11 overshoot and holds
     np.testing.assert_allclose(
-        for_a.counts[2, 7], 9.0 * heuristic_distribution(model, s, Role.A), atol=1e-12, rtol=0
+        for_a.counts[2, 7], 9.0 * np.array(gaussian_row(3.0, 1.0, 10)), atol=1e-12, rtol=0
     )
     assert np.abs(for_a.counts[2, 7] - for_b.counts[2, 7]).sum() > 0.1
 
