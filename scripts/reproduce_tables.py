@@ -31,24 +31,25 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     reps = 1 if args.single_run else args.replications
-    ids = [int(part) for part in args.tests.split(",") if part.strip()]
-    base = GameConfig(seed=args.seed)
-    for test_id in ids:
-        spec = benchmark_spec(test_id, replications=reps, base=base, tie_break=args.tie_break)
-        out_dir = Path(args.out) / f"test{test_id}"
-        start = time.perf_counter()
-        try:
+    try:
+        ids = [int(part) for part in args.tests.split(",") if part.strip()]
+        base = GameConfig(seed=args.seed)
+        # every spec is built, and so checked, before the first sweep runs
+        specs = [benchmark_spec(k, replications=reps, base=base, tie_break=args.tie_break) for k in ids]
+        for spec in specs:
+            out_dir = Path(args.out) / f"test{spec.test_id}"
+            start = time.perf_counter()
             result = run_test(spec, out_dir=out_dir, force=args.force)
-        except FileExistsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - start
-        print(f"scenario {test_id}: {len(result.cells)} cells x {reps} replication(s), {elapsed:.1f}s")
-        print(f"  {'statistic':<10}" + "".join(f"{m:>18}" for m in METRICS))
-        for stat in ("min", "mean", "max"):
-            row = "".join(f"{result.summary[stat][m]:>18.2f}" for m in METRICS)
-            print(f"  {stat:<10}{row}")
-        print(f"  wrote {out_dir}/test{test_id}_cells.csv and test{test_id}_summary.csv")
+            elapsed = time.perf_counter() - start
+            print(f"scenario {spec.test_id}: {len(result.cells)} cells x {reps} replication(s), {elapsed:.1f}s")
+            print(f"  {'statistic':<10}" + "".join(f"{m:>18}" for m in METRICS))
+            for stat in ("min", "mean", "max"):
+                row = "".join(f"{result.summary[stat][m]:>18.2f}" for m in METRICS)
+                print(f"  {stat:<10}{row}")
+            print(f"  wrote {out_dir}/test{spec.test_id}_cells.csv and test{spec.test_id}_summary.csv")
+    except (ValueError, FileExistsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

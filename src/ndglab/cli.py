@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import GameConfig, Role, RoundRecord
 from .engine import RngPlan, pretrain, run_game, write_game_summary_csv, write_round_csv
-from .experiments import (
-    AgentSpec,
-    METRICS,
-    benchmark_spec,
-    build_agent,
-    run_test,
-)
+from .experiments import METRICS, WARMUP_ROUNDS, AgentSpec, benchmark_spec, build_agent, run_test
 from .opponent import (
     DirichletLearner,
     HeuristicModel,
@@ -40,7 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
-GAME_KEYS = ("q", "rounds", "horizon", "initial_demand", "omega_a", "omega_b", "seed")
+GAME_KEYS = tuple(f.name for f in fields(GameConfig))
 
 AGENT_CHOICES = ("mdp-uniform", "mdp-heuristic", "mdp-learning", "heuristic")
 
@@ -53,13 +47,13 @@ class ConfigError(ValueError):
 class CliConfig:
     """Effective settings after merging defaults, config file, and flags."""
 
-    q: int = 10
-    rounds: int = 60
-    horizon: int = 10
-    initial_demand: int = 3
-    omega_a: float = 0.5
-    omega_b: float = 0.5
-    seed: int = 0
+    q: int = GameConfig.q
+    rounds: int = GameConfig.rounds
+    horizon: int = GameConfig.horizon
+    initial_demand: int = GameConfig.initial_demand
+    omega_a: float = GameConfig.omega_a
+    omega_b: float = GameConfig.omega_b
+    seed: int = GameConfig.seed
     replications: int = 30
     tie_break: str = "smallest"
     out: str | None = None
@@ -174,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pre_p = sub.add_parser("pretrain", help="warm-up game; writes both learner states")
     add_common(pre_p)
-    pre_p.add_argument("--pretrain-rounds", type=int, default=30)
+    pre_p.add_argument("--pretrain-rounds", type=int, default=WARMUP_ROUNDS)
 
     val_p = sub.add_parser("validate", help="run the built-in oracle checks")
     add_common(val_p)
@@ -211,16 +205,6 @@ def _check_overwrite(paths, force: bool) -> None:
             raise ConfigError(f"refusing to overwrite {p} (pass --force)")
 
 
-def _agent_spec_from_choice(choice: str, sigma: float | None) -> AgentSpec:
-    if choice == "heuristic":
-        return AgentSpec("heuristic", sigma=sigma if sigma is not None else 1.0)
-    if choice == "mdp-heuristic":
-        return AgentSpec("mdp", fixed_model="heuristic", sigma=sigma if sigma is not None else 3.0)
-    if choice == "mdp-learning":
-        return AgentSpec("mdp", learning=True, prior="uniform")
-    return AgentSpec("mdp", fixed_model="uniform")
-
-
 def _cmd_run(args, config: CliConfig) -> int:
     game_config = config.game_config()
     out = _out_dir(config, "out/run")
@@ -233,7 +217,7 @@ def _cmd_run(args, config: CliConfig) -> int:
         (Role.A, args.agent_a, args.sigma_a, args.prior_a),
         (Role.B, args.agent_b, args.sigma_b, args.prior_b),
     ):
-        spec = _agent_spec_from_choice(choice, sigma)
+        spec = AgentSpec(choice, sigma)
         omega = game_config.omega_a if seat is Role.A else game_config.omega_b
         agent = build_agent(spec, seat, omega, game_config, config.tie_break)
         if prior_path:
@@ -260,17 +244,13 @@ def _cmd_run(args, config: CliConfig) -> int:
 
 def _cmd_test(args, config: CliConfig) -> int:
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
-    try:
-        spec = benchmark_spec(
-            args.id,
-            replications=config.replications,
-            base=config.game_config(),
-            tie_break=config.tie_break,
-            grid=grid,
-        )
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = benchmark_spec(
+        args.id,
+        replications=config.replications,
+        base=config.game_config(),
+        tie_break=config.tie_break,
+        grid=grid,
+    )
     default_dir = f"out/test{args.id}" if args.command == "test" else "out/sweep"
     out = _out_dir(config, default_dir)
     result = run_test(spec, out_dir=out, force=args.force)
@@ -289,7 +269,7 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     path_a = out / "learner_a.txt"
     path_b = out / "learner_b.txt"
     _check_overwrite([path_a, path_b], args.force)
-    learner_spec = AgentSpec("mdp", learning=True, prior="uniform")
+    learner_spec = AgentSpec("mdp-learning")
     agent_a = build_agent(learner_spec, Role.A, game_config.omega_a, game_config, config.tie_break)
     agent_b = build_agent(learner_spec, Role.B, game_config.omega_b, game_config, config.tie_break)
     learner_a, learner_b = pretrain(

@@ -1,11 +1,22 @@
 """Benchmark scenarios: five agent pairings swept over reward weights.
 
-1. Lookahead planner holding a fixed rule-structured model (sigma 3)
-   against the rule-based opponent (sigma 1); the planner weight is swept.
-2. Same pairing, but the planner learns the opponent from a uniform prior.
-3. Two non-learning planners holding uniform models; both weights swept.
-4. Two learning planners starting from uniform priors.
-5. Two learning planners whose priors come from a 30-round warm-up game.
+A player is an :class:`AgentSpec`, named by one of the kinds the CLI uses:
+
+- ``heuristic``: the rule-based sampler (sigma 1 unless given);
+- ``mdp-heuristic``: a planner holding a fixed rule-structured model of its
+  opponent (sigma 3 unless given);
+- ``mdp-uniform``: a planner holding a fixed uniform model;
+- ``mdp-learning``: a planner that learns from a uniform prior;
+- ``mdp-pretrained``: the same learner after a ``WARMUP_ROUNDS``-round
+  warm-up game against the other seat.
+
+The five scenarios (``SCENARIOS``):
+
+1. ``mdp-heuristic`` against ``heuristic``; the planner weight is swept.
+2. ``mdp-learning`` against ``heuristic``.
+3. ``mdp-uniform`` on both seats; both weights swept.
+4. ``mdp-learning`` on both seats.
+5. ``mdp-pretrained`` on both seats.
 
 Each grid cell runs a configurable number of seeded replications; per-cell
 results keep the raw per-replication metrics so summaries can be recomputed
@@ -48,53 +59,55 @@ __all__ = [
 DEFAULT_OMEGA_GRID = tuple(i / 10 for i in range(11))
 METRICS = ("profit_a", "profit_b", "total", "success_rate_pct")
 
-AGENT_KINDS = ("mdp", "heuristic")
-PRIOR_KINDS = ("uniform", "heuristic", "pretrained")
-FIXED_MODELS = ("uniform", "heuristic")
-
-
-def _check_sigma(sigma: float | None, owner: str) -> None:
-    if sigma is None or not 0 < sigma < math.inf:  # also refuses NaN
-        raise ValueError(f"{owner} needs a finite positive sigma, got {sigma}")
+# Agent kind -> default spread of the rule-based model it holds (None: it holds none).
+AGENT_KINDS = {
+    "heuristic": 1.0,
+    "mdp-heuristic": 3.0,
+    "mdp-uniform": None,
+    "mdp-learning": None,
+    "mdp-pretrained": None,
+}
+WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
+SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
+    1: ("mdp-heuristic", "heuristic"),
+    2: ("mdp-learning", "heuristic"),
+    3: ("mdp-uniform", "mdp-uniform"),
+    4: ("mdp-learning", "mdp-learning"),
+    5: ("mdp-pretrained", "mdp-pretrained"),
+}
 
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Declarative description of one player in a scenario."""
+    """One player: a kind from ``AGENT_KINDS`` and, for the two kinds that
+    hold a rule-based model, its spread ``sigma`` (the kind's default when
+    omitted).  Other kinds refuse a sigma."""
 
-    kind: str  # "mdp" | "heuristic"
-    learning: bool = False
-    prior: str | None = None  # for learning planners
-    fixed_model: str | None = None  # for non-learning planners
-    sigma: float | None = None  # spread of a heuristic agent, model, or prior
+    kind: str
+    sigma: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in AGENT_KINDS:
-            raise ValueError(f"kind must be one of {AGENT_KINDS}, got {self.kind!r}")
-        if self.kind == "heuristic":
-            if self.learning or self.prior or self.fixed_model:
-                raise ValueError("heuristic agents neither learn nor hold a model")
-            _check_sigma(self.sigma, "a heuristic agent")
+            raise ValueError(f"kind must be one of {tuple(AGENT_KINDS)}, got {self.kind!r}")
+        default = AGENT_KINDS[self.kind]
+        if default is None:
+            if self.sigma is not None:
+                raise ValueError(f"{self.kind} holds no rule-based model and takes no sigma, got {self.sigma}")
             return
-        if self.learning:
-            if self.prior not in PRIOR_KINDS:
-                raise ValueError(f"learning planner needs a prior in {PRIOR_KINDS}")
-            if self.fixed_model is not None:
-                raise ValueError("a learning planner cannot also hold a fixed model")
-            if self.prior == "heuristic":
-                _check_sigma(self.sigma, "a heuristic prior")
-        else:
-            if self.fixed_model not in FIXED_MODELS:
-                raise ValueError(f"non-learning planner needs a model in {FIXED_MODELS}")
-            if self.prior is not None:
-                raise ValueError("a non-learning planner takes no prior")
-            if self.fixed_model == "heuristic":
-                _check_sigma(self.sigma, "a heuristic-structured model")
+        sigma = default if self.sigma is None else self.sigma
+        if not 0 < sigma < math.inf:  # also refuses NaN
+            raise ValueError(f"{self.kind} needs a finite positive sigma, got {sigma}")
+        object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def learning(self) -> bool:
+        return self.kind in ("mdp-learning", "mdp-pretrained")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full sweep: two agent specs, the weight grid(s), and run settings."""
+    """A full sweep: two agent specs, the weight grid(s), and run settings,
+    checked when built (``dataclasses.replace`` checks again)."""
 
     test_id: int
     agent_a: AgentSpec
@@ -104,9 +117,8 @@ class ExperimentSpec:
     replications: int
     base: GameConfig
     tie_break: str = "smallest"
-    pretrain_rounds: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         grids = [("omega_grid_a", self.omega_grid_a)]
         if self.omega_grid_b is not None:
             grids.append(("omega_grid_b", self.omega_grid_b))
@@ -120,11 +132,12 @@ class ExperimentSpec:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
-        if self.pretrain_rounds < 0:
-            raise ValueError("pretrain_rounds must be non-negative")
-        needs_warmup = "pretrained" in (self.agent_a.prior, self.agent_b.prior)
-        if needs_warmup and self.pretrain_rounds == 0:
-            raise ValueError("a pretrained prior needs pretrain_rounds > 0")
+        if self.warms_up and not (self.agent_a.learning and self.agent_b.learning):
+            raise ValueError("mdp-pretrained needs mdp-learning or mdp-pretrained on both seats")
+
+    @property
+    def warms_up(self) -> bool:
+        return "mdp-pretrained" in (self.agent_a.kind, self.agent_b.kind)
 
     def cells(self) -> list[tuple[float, float]]:
         if self.omega_grid_b is None:
@@ -140,43 +153,29 @@ def benchmark_spec(
     tie_break: str = "smallest",
     grid: tuple[float, ...] | None = None,
 ) -> ExperimentSpec:
-    """Build one of the five built-in scenarios; ``grid`` overrides the sweep axis."""
+    """Build one of the five built-in scenarios; ``grid`` overrides the sweep axis.
+
+    Both weights are swept when seat B is a planner; against the rule-based
+    opponent only seat A's is.
+    """
+    if test_id not in SCENARIOS:
+        raise ValueError(f"unknown benchmark id {test_id}; expected 1..5")
+    kind_a, kind_b = SCENARIOS[test_id]
     base = base if base is not None else GameConfig()
     g = tuple(grid) if grid is not None else DEFAULT_OMEGA_GRID
-    planner_fixed_heuristic = AgentSpec("mdp", fixed_model="heuristic", sigma=3.0)
-    planner_fixed_uniform = AgentSpec("mdp", fixed_model="uniform")
-    planner_learn_uniform = AgentSpec("mdp", learning=True, prior="uniform")
-    planner_learn_pretrained = AgentSpec("mdp", learning=True, prior="pretrained")
-    rule_based = AgentSpec("heuristic", sigma=1.0)
-    if test_id == 1:
-        return ExperimentSpec(1, planner_fixed_heuristic, rule_based, g, None, replications, base, tie_break)
-    if test_id == 2:
-        return ExperimentSpec(2, planner_learn_uniform, rule_based, g, None, replications, base, tie_break)
-    if test_id == 3:
-        return ExperimentSpec(3, planner_fixed_uniform, planner_fixed_uniform, g, g, replications, base, tie_break)
-    if test_id == 4:
-        return ExperimentSpec(4, planner_learn_uniform, planner_learn_uniform, g, g, replications, base, tie_break)
-    if test_id == 5:
-        return ExperimentSpec(
-            5, planner_learn_pretrained, planner_learn_pretrained, g, g, replications, base, tie_break,
-            pretrain_rounds=30,
-        )
-    raise ValueError(f"unknown benchmark id {test_id}; expected 1..5")
+    grid_b = None if kind_b == "heuristic" else g
+    return ExperimentSpec(test_id, AgentSpec(kind_a), AgentSpec(kind_b), g, grid_b, replications, base, tie_break)
 
 
 def build_agent(spec: AgentSpec, role: Role, omega: float, config: GameConfig, tie_break: str):
-    """Instantiate one player.  Pretrained priors start uniform; the warm-up
-    game that fills them is run by the caller."""
+    """Instantiate one player.  An mdp-pretrained player starts uniform; the
+    warm-up game that trains it is run by the caller."""
     q = config.q
     if spec.kind == "heuristic":
         return HeuristicAgent(role, HeuristicModel(sigma=spec.sigma, q=q))
     if spec.learning:
-        if spec.prior == "heuristic":
-            learner = make_prior("heuristic", q, sigma=spec.sigma, opponent=role.other)
-        else:  # uniform, or pretrained before its warm-up
-            learner = make_prior("uniform", q)
-        return MdpAgent(role, omega, config.horizon, q, learner=learner, tie_break=tie_break)
-    if spec.fixed_model == "heuristic":
+        return MdpAgent(role, omega, config.horizon, q, learner=make_prior("uniform", q), tie_break=tie_break)
+    if spec.kind == "mdp-heuristic":
         model = heuristic_table(HeuristicModel(sigma=spec.sigma, q=q), role.other)
     else:
         model = uniform_table(q)
@@ -236,8 +235,8 @@ def run_cell(
         plan = RngPlan(seq)
         agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
         agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
-        if spec.pretrain_rounds and "pretrained" in (spec.agent_a.prior, spec.agent_b.prior):
-            pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)  # trains in place
+        if spec.warms_up:
+            pretrain(config, agent_a, agent_b, WARMUP_ROUNDS, plan)  # trains in place
         log = run_game(config, agent_a, agent_b, plan)
         total = float(log.cum_profit_a + log.cum_profit_b)
         games.append((float(log.cum_profit_a), float(log.cum_profit_b), total, log.success_rate_pct))
@@ -265,9 +264,8 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     """Run a whole sweep; optionally write its cells and summary CSV files.
 
     Bad settings and existing output files (unless ``force``) are refused
-    before any cell runs.
+    before any cell runs; ``ExperimentSpec`` checks its settings when built.
     """
-    spec.validate()
     if out_dir is not None:
         cells_path = Path(out_dir) / f"test{spec.test_id}_cells.csv"
         summary_path = Path(out_dir) / f"test{spec.test_id}_summary.csv"

@@ -1,6 +1,8 @@
 """Command line interface: subcommands, config handling, and exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 from ndglab import experiments, load_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
@@ -239,6 +241,19 @@ def test_run_refuses_a_non_finite_sigma(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_run_refuses_a_sigma_for_an_agent_without_a_rule_based_model(tmp_path, capsys):
+    cases = (
+        ["--agent-a", "mdp-uniform", "--sigma-a", "nan"],
+        ["--agent-a", "mdp-learning", "--sigma-a", "-5"],
+        ["--agent-b", "mdp-uniform", "--sigma-b", "2"],
+    )
+    for i, flags in enumerate(cases):
+        out = tmp_path / f"g{i}"
+        assert main(["run", *flags, "--out", str(out)]) == EXIT_CONFIG, flags
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_prior_needs_learning_agent(tmp_path, capsys):
     args = ["run", "--prior-a", "whatever.txt", "--out", str(tmp_path / "g")]
     assert main(args) == EXIT_CONFIG
@@ -250,3 +265,26 @@ def test_validate_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+def _reproduce_tables():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_tables_refuses_bad_input_before_any_sweep(tmp_path, capsys):
+    script = _reproduce_tables()
+    cases = (
+        (["--tests", "1,6", "--single-run"], "1..5"),
+        (["--tests", "6", "--single-run"], "1..5"),
+        (["--replications", "0"], "replications"),
+    )
+    for flags, reason in cases:
+        assert script.main([*flags, "--out", str(tmp_path)]) == EXIT_CONFIG, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+    assert not (tmp_path / "test1").exists()
+    assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,17 +12,22 @@ from ndglab import (
     CellResult,
     GameConfig,
     HeuristicAgent,
+    HeuristicModel,
     MdpAgent,
     RngPlan,
     Role,
     aggregate,
     benchmark_spec,
     experiments,
+    heuristic_table,
+    make_prior,
     pretrain,
     run_game,
     run_test,
+    uniform_table,
 )
-from ndglab.experiments import _cell_seed_seqs, build_agent, run_cell
+from ndglab.experiments import ExperimentSpec, _cell_seed_seqs, build_agent, run_cell
+from ndglab.planner import TIE_BREAKS
 
 from oracles import csv_rows
 
@@ -42,56 +48,79 @@ def test_scenario_shapes():
 
 def test_scenario_compositions():
     s1, s2, s3, s4, s5 = (benchmark_spec(k) for k in range(1, 6))
-    assert (s1.agent_a.kind, s1.agent_a.fixed_model, s1.agent_a.sigma) == ("mdp", "heuristic", 3.0)
+    assert (s1.agent_a.kind, s1.agent_a.sigma) == ("mdp-heuristic", 3.0)
     assert (s1.agent_b.kind, s1.agent_b.sigma) == ("heuristic", 1.0)
-    assert s2.agent_a.learning and s2.agent_a.prior == "uniform"
+    assert s2.agent_a.learning and s2.agent_a.kind == "mdp-learning"
     assert s2.agent_b == s1.agent_b
-    assert s3.agent_a == s3.agent_b == AgentSpec("mdp", fixed_model="uniform")
-    assert s4.agent_a.learning and s4.agent_a.prior == "uniform"
-    assert s5.agent_a.prior == "pretrained" and s5.pretrain_rounds == 30
+    assert s3.agent_a == s3.agent_b == AgentSpec("mdp-uniform")
+    assert s4.agent_a.learning and s4.agent_a.kind == "mdp-learning"
+    assert s5.agent_a.kind == s5.agent_b.kind == "mdp-pretrained" and s5.warms_up
+    assert experiments.WARMUP_ROUNDS == 30
     with pytest.raises(ValueError, match="1..5"):
         benchmark_spec(6)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="pretrain_rounds > 0"):
-        dataclasses.replace(benchmark_spec(5), pretrain_rounds=0).validate()
     with pytest.raises(ValueError, match="replications"):
-        benchmark_spec(1, replications=0).validate()
+        benchmark_spec(1, replications=0)
     with pytest.raises(ValueError, match="omega_grid_a"):
-        benchmark_spec(1, grid=(0.5, 1.5)).validate()
+        benchmark_spec(1, grid=(0.5, 1.5))
+    with pytest.raises(ValueError, match="replications"):
+        dataclasses.replace(benchmark_spec(1), replications=0)  # replace re-checks
+    with pytest.raises(ValueError, match="tie_break"):
+        benchmark_spec(3, tie_break="largest")
 
 
 def test_agent_spec_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        AgentSpec("heuristic")
-    for sigma in (0.0, float("nan"), float("inf")):
+    assert AgentSpec("heuristic") == AgentSpec("heuristic", 1.0)
+    assert AgentSpec("mdp-heuristic").sigma == 3.0
+    assert AgentSpec("mdp-heuristic", 0.5).sigma == 0.5
+    for sigma in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite positive sigma"):
             AgentSpec("heuristic", sigma=sigma)
         with pytest.raises(ValueError, match="finite positive sigma"):
-            AgentSpec("mdp", learning=True, prior="heuristic", sigma=sigma)
-        with pytest.raises(ValueError, match="finite positive sigma"):
-            AgentSpec("mdp", fixed_model="heuristic", sigma=sigma)
-    with pytest.raises(ValueError, match="neither learn"):
-        AgentSpec("heuristic", learning=True, sigma=1.0)
-    with pytest.raises(ValueError, match="prior"):
-        AgentSpec("mdp", learning=True)
-    with pytest.raises(ValueError, match="model"):
-        AgentSpec("mdp")
-    with pytest.raises(ValueError, match="kind"):
-        AgentSpec("tit-for-tat")
+            AgentSpec("mdp-heuristic", sigma=sigma)
+    for kind in ("mdp-uniform", "mdp-learning", "mdp-pretrained"):
+        assert AgentSpec(kind).sigma is None
+        for sigma in (1.0, -5.0, float("nan")):
+            with pytest.raises(ValueError, match="takes no sigma"):
+                AgentSpec(kind, sigma=sigma)
+    for kind in ("tit-for-tat", "mdp", "pretrained"):
+        with pytest.raises(ValueError, match="kind"):
+            AgentSpec(kind)
+    assert {f.name for f in dataclasses.fields(AgentSpec)} == {"kind", "sigma"}
 
 
 def test_build_agent_kinds():
     config = GameConfig()
-    rule = build_agent(AgentSpec("heuristic", sigma=1.0), Role.B, 0.5, config, "smallest")
-    assert isinstance(rule, HeuristicAgent)
-    fixed = build_agent(AgentSpec("mdp", fixed_model="uniform"), Role.A, 0.5, config, "smallest")
-    assert isinstance(fixed, MdpAgent) and not fixed.learning
-    learner = build_agent(
-        AgentSpec("mdp", learning=True, prior="heuristic", sigma=3.0), Role.A, 0.5, config, "smallest"
+    for tie_break in TIE_BREAKS:
+        for role in (Role.A, Role.B):
+            _check_agents(config, tie_break, role)
+    learner = MdpAgent(
+        Role.A, 0.5, config.horizon, config.q, learner=make_prior("heuristic", config.q, sigma=3.0)
     )
     assert learner.learning and learner.learner.counts.sum() == pytest.approx(729.0)
+
+
+def _check_agents(config, tie_break, role):
+    rule = build_agent(AgentSpec("heuristic"), role, 0.5, config, tie_break)
+    assert isinstance(rule, HeuristicAgent) and rule.role is role
+    assert rule.model == HeuristicModel(sigma=1.0, q=config.q) and rule.draws_randomness
+    for kind, learning in (
+        ("mdp-heuristic", False), ("mdp-uniform", False), ("mdp-learning", True), ("mdp-pretrained", True),
+    ):
+        planner = build_agent(AgentSpec(kind), role, 0.5, config, tie_break)
+        assert isinstance(planner, MdpAgent) and planner.role is role
+        assert planner.learning == learning
+        assert planner.draws_randomness == (tie_break == "random")
+        if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by run_cell
+            assert np.array_equal(planner.learner.counts, make_prior("uniform", config.q).counts)
+    # the held model is the rule-based opponent seen from the other seat
+    held = build_agent(AgentSpec("mdp-heuristic"), role, 0.5, config, tie_break)._model
+    assert np.array_equal(held, heuristic_table(HeuristicModel(3.0, config.q), role.other))
+    assert not np.array_equal(held, heuristic_table(HeuristicModel(3.0, config.q), role))
+    fixed = build_agent(AgentSpec("mdp-uniform"), role, 0.5, config, tie_break)._model
+    assert np.array_equal(fixed, uniform_table(config.q))
 
 
 def test_cell_is_deterministic_and_rep_stable():
@@ -110,8 +139,8 @@ def _play(spec, omega_a, omega_b, seed):
     plan = RngPlan(seed)
     agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
     agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
-    if spec.pretrain_rounds:
-        pretrain(config, agent_a, agent_b, spec.pretrain_rounds, plan)
+    if spec.warms_up:
+        pretrain(config, agent_a, agent_b, experiments.WARMUP_ROUNDS, plan)
     return run_game(config, agent_a, agent_b, plan)
 
 
@@ -210,6 +239,23 @@ def test_existing_outputs_are_refused_before_any_cell_runs(tmp_path, monkeypatch
         run_test(benchmark_spec(3, replications=1, grid=SMALL), out_dir=tmp_path)
     assert calls == []
     assert (tmp_path / "test3_cells.csv").read_text() == "old\n"
+
+
+def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    pretrained = AgentSpec("mdp-pretrained")
+    for kind in ("heuristic", "mdp-heuristic", "mdp-uniform"):
+        for seats in ((pretrained, AgentSpec(kind)), (AgentSpec(kind), pretrained)):
+            with pytest.raises(ValueError, match="mdp-pretrained needs"):
+                run_test(ExperimentSpec(5, *seats, SMALL, SMALL, 1, GameConfig()), out_dir=tmp_path)
+            with pytest.raises(ValueError, match="mdp-pretrained needs"):
+                dataclasses.replace(benchmark_spec(5), agent_b=seats[1], agent_a=seats[0])
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    mixed = ExperimentSpec(5, pretrained, AgentSpec("mdp-learning"), SMALL, SMALL, 1, GameConfig())
+    assert mixed.warms_up
 
 
 def test_parallel_cells_match_serial(tmp_path, monkeypatch):
