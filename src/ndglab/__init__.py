@@ -36,13 +36,7 @@ from .opponent import (
     save_learner,
     uniform_table,
 )
-from .planner import (
-    DecisionRule,
-    MdpAgent,
-    ValueTable,
-    backward_induction,
-    brute_force_value,
-)
+from .planner import MdpAgent, backward_induction, brute_force_value
 
 __version__ = "0.1.0"
 
@@ -75,9 +69,7 @@ __all__ = [
     "make_prior",
     "save_learner",
     "uniform_table",
-    "DecisionRule",
     "MdpAgent",
-    "ValueTable",
     "backward_induction",
     "brute_force_value",
     "__version__",

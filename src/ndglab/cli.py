@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, RoundRecord
-from .engine import RngPlan, pretrain, run_game, write_game_summary_csv, write_round_csv
-from .experiments import METRICS, WARMUP_ROUNDS, AgentSpec, benchmark_spec, build_agent, run_test
+from .core import GameConfig, Role, RoundRecord, refuse_overwrite
+from .engine import pretrain, run_game, write_game_summary_csv, write_round_csv
+from .experiments import WARMUP_ROUNDS, AgentSpec, benchmark_spec, build_agent, run_test, summary_rows
 from .opponent import (
     DirichletLearner,
     HeuristicModel,
@@ -199,18 +199,12 @@ def _out_dir(config: CliConfig, default: str) -> Path:
     return Path(config.out) if config.out else Path(default)
 
 
-def _check_overwrite(paths, force: bool) -> None:
-    for p in paths:
-        if Path(p).exists() and not force:
-            raise ConfigError(f"refusing to overwrite {p} (pass --force)")
-
-
 def _cmd_run(args, config: CliConfig) -> int:
     game_config = config.game_config()
     out = _out_dir(config, "out/run")
     rounds_path = out / "game_rounds.csv"
     summary_path = out / "game_summary.csv"
-    _check_overwrite([rounds_path, summary_path], args.force)
+    refuse_overwrite((rounds_path, summary_path), args.force)
 
     agents = {}
     for seat, choice, sigma, prior_path in (
@@ -229,7 +223,7 @@ def _cmd_run(args, config: CliConfig) -> int:
             )
         agents[seat] = agent
 
-    log = run_game(game_config, agents[Role.A], agents[Role.B], RngPlan(game_config.seed))
+    log = run_game(game_config, agents[Role.A], agents[Role.B])
     out.mkdir(parents=True, exist_ok=True)
     write_round_csv(log, rounds_path)
     write_game_summary_csv(log, summary_path)
@@ -255,9 +249,8 @@ def _cmd_test(args, config: CliConfig) -> int:
     out = _out_dir(config, default_dir)
     result = run_test(spec, out_dir=out, force=args.force)
     print(f"scenario {spec.test_id}: {len(result.cells)} cells x {spec.replications} replication(s)")
-    print("statistic," + ",".join(METRICS))
-    for stat in ("min", "mean", "max"):
-        print(stat + "," + ",".join(f"{result.summary[stat][m]:.2f}" for m in METRICS))
+    for row in summary_rows(result):
+        print(",".join(row))
     stem = out / f"test{spec.test_id}"
     print(f"wrote {stem}_cells.csv and {stem}_summary.csv")
     return EXIT_OK
@@ -268,13 +261,11 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     out = _out_dir(config, "out/pretrain")
     path_a = out / "learner_a.txt"
     path_b = out / "learner_b.txt"
-    _check_overwrite([path_a, path_b], args.force)
+    refuse_overwrite((path_a, path_b), args.force)
     learner_spec = AgentSpec("mdp-learning")
     agent_a = build_agent(learner_spec, Role.A, game_config.omega_a, game_config, config.tie_break)
     agent_b = build_agent(learner_spec, Role.B, game_config.omega_b, game_config, config.tie_break)
-    learner_a, learner_b = pretrain(
-        game_config, agent_a, agent_b, args.pretrain_rounds, RngPlan(game_config.seed)
-    )
+    learner_a, learner_b = pretrain(game_config, agent_a, agent_b, args.pretrain_rounds)
     out.mkdir(parents=True, exist_ok=True)
     save_learner(learner_a, path_a)
     save_learner(learner_b, path_b)
@@ -294,11 +285,11 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
             for omega in (0.0, 0.5, 1.0):
                 for _ in range(3):
                     model = rng.dirichlet(np.ones(n), size=(n, n))
-                    table, _ = backward_induction(model, omega, h, q)
+                    values, _ = backward_induction(model, omega, h, q)
                     own = int(rng.integers(1, q))
                     opp = int(rng.integers(1, q))
                     expect = brute_force_value(model, omega, h, q, (own, opp))
-                    worst = max(worst, abs(table.values[h, own - 1, opp - 1] - expect))
+                    worst = max(worst, abs(values[h, own - 1, opp - 1] - expect))
     checks.append(
         ("lookahead value matches exhaustive recursion", worst < 1e-9, f"max |diff| {worst:.2e}")
     )

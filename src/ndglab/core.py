@@ -8,7 +8,8 @@ by a weight ``omega``: 0 means pure profit seeking, 1 means caring only
 about splitting the full amount exactly.
 
 The module also holds :func:`atomic_write`, which every output file of the
-package is written through.
+package is written through, and :func:`refuse_overwrite`, which every
+command calls before its first write.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -120,10 +122,6 @@ class GameConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    @property
-    def n_demands(self) -> int:
-        return self.q - 1
-
 
 def chi(a: int, b: int, q: int) -> int:
     """1 if the two demands fit into ``q`` together, else 0.  Symmetric."""
@@ -152,12 +150,20 @@ def _payoff(a, b, c, omega: float, q: int):
     return a * (1.0 - omega) * c - omega * abs(q - (a + b))
 
 
+# A default sweep uses 11 weights and one q; at the q bound one matrix is 2 MiB.
+@lru_cache(maxsize=16)
 def reward_matrix(omega: float, q: int) -> np.ndarray:
-    """Reward of every demand pair, indexed ``[a - 1, b - 1]``."""
+    """Reward of every demand pair, indexed ``[a - 1, b - 1]``.
+
+    Built once per ``(omega, q)``; every caller shares the returned array,
+    which is therefore read-only.
+    """
     _check_weight(omega)
     a = np.arange(1, q)[:, None]
     b = np.arange(1, q)[None, :]
-    return _payoff(a, b, a + b <= q, omega, q)
+    matrix = _payoff(a, b, a + b <= q, omega, q)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -218,6 +224,13 @@ class GameLog:
             cum_profit_b=sum(r.profit_b for r in records),
             success_rate_pct=100.0 * compatible / len(records),
         )
+
+
+def refuse_overwrite(paths, force: bool) -> None:
+    """Raise ``FileExistsError`` for the first of ``paths`` that exists, unless ``force``."""
+    for p in paths:
+        if Path(p).exists() and not force:
+            raise FileExistsError(f"refusing to overwrite {p} (pass --force)")
 
 
 @contextmanager

@@ -98,22 +98,19 @@ def run_game(
     config: GameConfig,
     agent_a: Agent,
     agent_b: Agent,
-    rng: RngPlan | int | None = None,
-    *,
-    poll_b_first: bool = False,
+    rng: RngPlan | None = None,
 ) -> GameLog:
     """Play one full game and return its log.
 
-    ``rng`` may be an :class:`RngPlan`, a bare seed, or None (then the
-    config seed is used).  ``poll_b_first`` flips the order the two agents
-    are asked in; moves are simultaneous, so the outcome must not depend on
-    it, which the test suite asserts.
+    ``rng`` defaults to ``RngPlan(config.seed)``.  Moves are simultaneous:
+    A is asked before B, but neither sees the other's demand, so the order
+    cannot change the outcome, which the test suite asserts.
     """
     if getattr(agent_a, "role", None) is not Role.A:
         raise ValueError("agent_a must be configured with the A seat")
     if getattr(agent_b, "role", None) is not Role.B:
         raise ValueError("agent_b must be configured with the B seat")
-    plan = rng if isinstance(rng, RngPlan) else RngPlan(config.seed if rng is None else rng)
+    plan = rng if rng is not None else RngPlan(config.seed)
     agent_a.bind_rng(plan.agent_a)
     agent_b.bind_rng(plan.agent_b)
 
@@ -122,9 +119,6 @@ def run_game(
     for t in range(1, config.rounds + 1):
         if t == 1:
             demand_a = demand_b = config.initial_demand
-        elif poll_b_first:
-            demand_b = agent_b.act(state)
-            demand_a = agent_a.act(state)
         else:
             demand_a = agent_a.act(state)
             demand_b = agent_b.act(state)
@@ -139,14 +133,15 @@ def pretrain(
     config: GameConfig,
     agent_a,
     agent_b,
-    n_rounds: int = 30,
-    rng: RngPlan | int | None = None,
+    n_rounds: int,
+    rng: RngPlan | None = None,
 ) -> tuple[DirichletLearner, DirichletLearner]:
     """Warm-up game whose only output is the two agents' trained beliefs.
 
     Plays ``n_rounds`` under the usual game semantics with both (learning)
-    agents, on a random stream disjoint from the main game's, and returns
-    the two learners.  ``n_rounds = 0`` returns the priors untouched.
+    agents, on a random stream disjoint from the main game's (``rng``
+    defaults to ``RngPlan(config.seed)``), and returns the two learners.
+    ``n_rounds = 0`` returns the priors untouched.
     """
     if not (getattr(agent_a, "learning", False) and getattr(agent_b, "learning", False)):
         raise ValueError("pretraining needs two learning agents")
@@ -154,7 +149,7 @@ def pretrain(
         raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")
     if n_rounds == 0:
         return agent_a.learner, agent_b.learner
-    plan = rng if isinstance(rng, RngPlan) else RngPlan(config.seed if rng is None else rng)
+    plan = rng if rng is not None else RngPlan(config.seed)
     warmup_config = replace(config, rounds=n_rounds)
     run_game(warmup_config, agent_a, agent_b, plan.pretrain_plan())
     return agent_a.learner, agent_b.learner

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, atomic_write
+from .core import GameConfig, Role, atomic_write, refuse_overwrite
 from .engine import HeuristicAgent, RngPlan, pretrain, run_game
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
 from .planner import TIE_BREAKS, MdpAgent
@@ -53,6 +53,7 @@ __all__ = [
     "run_test",
     "aggregate",
     "write_cells_csv",
+    "summary_rows",
     "write_summary_csv",
 ]
 
@@ -269,9 +270,7 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     if out_dir is not None:
         cells_path = Path(out_dir) / f"test{spec.test_id}_cells.csv"
         summary_path = Path(out_dir) / f"test{spec.test_id}_summary.csv"
-        for p in (cells_path, summary_path):
-            if p.exists() and not force:
-                raise FileExistsError(f"refusing to overwrite {p} (pass --force)")
+        refuse_overwrite((cells_path, summary_path), force)
     threads = os.environ.get("NDG_THREADS", "1") or "1"
     try:
         workers = int(threads)
@@ -331,10 +330,13 @@ def write_cells_csv(result: SweepSummary, path) -> None:
             writer.writerow(row)
 
 
+def summary_rows(result: SweepSummary) -> list[list[str]]:
+    """The summary table as text rows: a header, then min, mean and max to two decimals."""
+    return [["statistic", *METRICS]] + [
+        [stat] + [f"{result.summary[stat][m]:.2f}" for m in METRICS] for stat in ("min", "mean", "max")
+    ]
+
+
 def write_summary_csv(result: SweepSummary, path) -> None:
-    """Three-row table (min/mean/max) with fixed two-decimal formatting."""
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", *METRICS])
-        for stat in ("min", "mean", "max"):
-            writer.writerow([stat] + [f"{result.summary[stat][m]:.2f}" for m in METRICS])
+        csv.writer(fh).writerows(summary_rows(result))

@@ -12,45 +12,25 @@ values roll back from a zero terminal stage:
 
 The opponent's demand depends on the current state only, so the own action
 deterministically becomes the first component of the next state.
+
+:func:`backward_induction` returns the pair ``(values, actions)`` as plain
+arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
+first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import JointState, Role, reward, reward_matrix, seat_view
 
 __all__ = [
-    "ValueTable",
-    "DecisionRule",
     "backward_induction",
     "brute_force_value",
     "MdpAgent",
 ]
 
 TIE_BREAKS = ("smallest", "random")
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Stage values ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h."""
-
-    values: np.ndarray
-    q: int
-    h: int
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """First-stage optimal demand per state: ``actions[own_prev - 1, opp_prev - 1]``."""
-
-    actions: np.ndarray
-    q: int
-
-    def demand_at(self, own_prev: int, opp_prev: int) -> int:
-        return int(self.actions[own_prev - 1, opp_prev - 1])
 
 
 # The tolerance of np.allclose(row_sum, 1.0, atol=1e-9) with its default
@@ -77,9 +57,8 @@ def backward_induction(
     *,
     tie_break: str = "smallest",
     rng: np.random.Generator | None = None,
-    rewards: np.ndarray | None = None,
-) -> tuple[ValueTable, DecisionRule]:
-    """Solve the h-stage lookahead and return values plus the first-stage rule.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the h-stage lookahead and return ``(values, actions)``.
 
     Args:
         model: conditional table ``model[own_prev-1, opp_prev-1, b-1]`` of the
@@ -90,8 +69,12 @@ def backward_induction(
         tie_break: ``"smallest"`` keeps the lowest maximizing demand;
             ``"random"`` draws uniformly among exactly-equal maximizers.
         rng: required for random tie-breaking.
-        rewards: optional precomputed ``reward_matrix(omega, q)`` to reuse
-            across repeated solves.
+
+    Returns:
+        ``values`` of shape ``(h + 1, q - 1, q - 1)``, indexed
+        ``[k, own_prev - 1, opp_prev - 1]`` with k stages to go, and
+        ``actions`` of shape ``(q - 1, q - 1)``, the first-stage optimal
+        demand indexed ``[own_prev - 1, opp_prev - 1]``.
 
     Raises:
         ValueError: on a malformed model, h < 1, or a bad tie-break setup.
@@ -104,7 +87,7 @@ def backward_induction(
         raise ValueError("random tie-breaking needs an rng")
     model = _validate_model(model, q)
     n = q - 1
-    gains = reward_matrix(omega, q) if rewards is None else np.asarray(rewards, dtype=float)
+    gains = reward_matrix(omega, q)
     by_demand = model.reshape(n * n, n).T.copy()  # (b, state)
 
     values = np.zeros((h + 1, n * n))
@@ -121,8 +104,7 @@ def backward_induction(
             ties = np.flatnonzero(column == column.max())
             if len(ties) > 1:
                 actions[i] = rng.choice(ties)
-    rule = DecisionRule(actions=(actions + 1).reshape(n, n).astype(int), q=q)
-    return ValueTable(values=values.reshape(h + 1, n, n), q=q, h=h), rule
+    return values.reshape(h + 1, n, n), (actions + 1).reshape(n, n)
 
 
 def brute_force_value(
@@ -193,8 +175,7 @@ class MdpAgent:
         self._model = _validate_model(model, q) if model is not None else None
         self.tie_break = tie_break
         self.rng: np.random.Generator | None = None
-        self._rewards = reward_matrix(omega, q)
-        self._rule: DecisionRule | None = None
+        self._rule: np.ndarray | None = None
         self._rule_version: int | None = None
 
     @property
@@ -215,7 +196,8 @@ class MdpAgent:
             return table
         return table.transpose(1, 0, 2)  # swap context axes into (own, opp) order
 
-    def current_rule(self) -> DecisionRule:
+    def current_rule(self) -> np.ndarray:
+        """First-stage demands ``[own_prev - 1, opp_prev - 1]`` for the current belief."""
         version = self.learner.version if self.learning else 0
         if version != self._rule_version:
             _, self._rule = backward_induction(
@@ -225,14 +207,13 @@ class MdpAgent:
                 self.q,
                 tie_break=self.tie_break,
                 rng=self.rng,
-                rewards=self._rewards,
             )
             self._rule_version = version
         return self._rule
 
     def act(self, state: JointState) -> int:
         own_prev, opp_prev = seat_view(state, self.role)
-        return self.current_rule().demand_at(own_prev, opp_prev)
+        return int(self.current_rule()[own_prev - 1, opp_prev - 1])
 
     def observe(self, state: JointState, opponent_demand: int) -> None:
         if self.learning:

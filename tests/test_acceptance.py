@@ -83,20 +83,20 @@ def test_02_solver_equals_exhaustive_policy_search():
             prob = table_prob(model)
             for h in (1, 2, 3):
                 for omega in (0.0, 0.5, 1.0):
-                    table, _ = backward_induction(model, omega, h, q)
+                    values, _ = backward_induction(model, omega, h, q)
                     # the stage rules the solver implies, stitched into one policy
                     policy = {}
                     for k in range(1, h + 1):
-                        _, rule = backward_induction(model, omega, k, q)
+                        _, actions = backward_induction(model, omega, k, q)
                         policy[k] = {
-                            (own, opp): rule.demand_at(own, opp)
+                            (own, opp): int(actions[own - 1, opp - 1])
                             for own in range(1, q)
                             for opp in range(1, q)
                         }
                     for own in range(1, q):
                         for opp in range(1, q):
                             best = tree_value(prob, omega, h, q, own, opp)
-                            got = table.values[h, own - 1, opp - 1]
+                            got = values[h, own - 1, opp - 1]
                             played = policy_value(prob, policy, omega, h, q, own, opp)
                             worst = max(worst, abs(got - best), abs(played - best))
     elapsed = time.perf_counter() - start

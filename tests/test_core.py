@@ -98,6 +98,13 @@ def test_reward_matrix_matches_scalar():
         reward_matrix(1.5, 10)
 
 
+def test_reward_matrix_is_built_once_and_read_only():
+    m = reward_matrix(0.3, 10)
+    assert reward_matrix(0.3, 10) is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.0
+
+
 def test_reward_rejects_bad_weight():
     with pytest.raises(ValueError, match="omega"):
         reward(3, 3, 1.5, 10)
@@ -118,7 +125,6 @@ def test_config_validation_names_fields():
         GameConfig(omega_b=1.1)
     with pytest.raises(ValueError, match="seed"):
         GameConfig(seed=-1)
-    assert GameConfig().n_demands == 9
 
 
 def test_config_refuses_q_whose_learner_table_exceeds_the_limit():

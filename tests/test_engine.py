@@ -85,10 +85,22 @@ def test_same_seed_reproduces_the_game():
 
 
 def test_poll_order_is_irrelevant():
+    # replay a played game asking B before A, each fresh agent on its own
+    # stream of the same plan: every demand must come out the same
     config = GameConfig(seed=11)
-    forward = run_game(config, *_heuristic_pair())
-    swapped = run_game(config, *_heuristic_pair(), poll_b_first=True)
-    assert forward.records == swapped.records
+    for make_pair in (_heuristic_pair, lambda: _learning_pair(config, tie_break="random")):
+        log = run_game(config, *make_pair())
+        agent_a, agent_b = make_pair()
+        plan = RngPlan(config.seed)
+        agent_a.bind_rng(plan.agent_a)
+        agent_b.bind_rng(plan.agent_b)
+        state = JointState(config.initial_demand, config.initial_demand)
+        for r in log.records:
+            if r.t > 1:
+                assert (agent_b.act(state), agent_a.act(state)) == (r.demand_b, r.demand_a)
+            agent_a.observe(state, r.demand_b)
+            agent_b.observe(state, r.demand_a)
+            state = JointState(r.demand_a, r.demand_b)
 
 
 def test_per_round_conservation():
@@ -144,10 +156,10 @@ def test_warmup_play_is_disjoint_and_reproducible():
     assert RngPlan(1).agent_a.random() != RngPlan(1).pretrain_plan().agent_a.random()
 
 
-def _learning_pair(config):
+def _learning_pair(config, tie_break="smallest"):
     return (
-        MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=DirichletLearner.uniform(config.q)),
-        MdpAgent(Role.B, config.omega_b, config.horizon, config.q, learner=DirichletLearner.uniform(config.q)),
+        MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
+        MdpAgent(Role.B, config.omega_b, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
     )
 
 
@@ -173,7 +185,7 @@ def test_pretrain_requires_learning_agents():
     config = GameConfig()
     agent_a, _ = _learning_pair(config)
     with pytest.raises(ValueError, match="learning"):
-        pretrain(config, agent_a, HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10)))
+        pretrain(config, agent_a, HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10)), n_rounds=30)
 
 
 def test_success_rate_edges():

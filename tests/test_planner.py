@@ -25,17 +25,17 @@ from oracles import (
 
 def test_uniform_model_profit_only_values():
     # the context-free model makes the value state independent: 25/9 per stage
-    table, rule = backward_induction(uniform_table(10), 0.0, 1, 10)
-    np.testing.assert_allclose(table.values[1], 25 / 9, atol=1e-12, rtol=0)
-    table, rule = backward_induction(uniform_table(10), 0.0, 10, 10)
-    np.testing.assert_allclose(table.values[10], 250 / 9, atol=1e-12, rtol=0)
-    assert np.all(rule.actions == 5)
+    values, actions = backward_induction(uniform_table(10), 0.0, 1, 10)
+    np.testing.assert_allclose(values[1], 25 / 9, atol=1e-12, rtol=0)
+    values, actions = backward_induction(uniform_table(10), 0.0, 10, 10)
+    np.testing.assert_allclose(values[10], 250 / 9, atol=1e-12, rtol=0)
+    assert np.all(actions == 5)
 
 
 def test_uniform_model_midpoint_demand_for_every_weight():
     for omega in (i / 10 for i in range(11)):
-        _, rule = backward_induction(uniform_table(10), omega, 10, 10)
-        assert np.all(rule.actions == 5), f"omega={omega}"
+        _, actions = backward_induction(uniform_table(10), omega, 10, 10)
+        assert np.all(actions == 5), f"omega={omega}"
 
 
 def test_one_step_values_match_scalar_oracle():
@@ -44,15 +44,15 @@ def test_one_step_values_match_scalar_oracle():
         model = random_model(rng, q)
         prob = table_prob(model)
         for omega in (0.0, 0.3, 1.0):
-            table, rule = backward_induction(model, omega, 1, q)
+            solved, actions = backward_induction(model, omega, 1, q)
             for own in range(1, q):
                 for opp in range(1, q):
                     values = one_step_action_values(prob, omega, q, own, opp)
-                    assert table.values[1, own - 1, opp - 1] == pytest.approx(
+                    assert solved[1, own - 1, opp - 1] == pytest.approx(
                         max(values), abs=1e-12
                     )
                     best = values.index(max(values)) + 1
-                    assert rule.demand_at(own, opp) == best
+                    assert actions[own - 1, opp - 1] == best
 
 
 def test_multi_stage_values_match_tree_oracle():
@@ -63,11 +63,11 @@ def test_multi_stage_values_match_tree_oracle():
             prob = table_prob(model)
             for omega in (0.0, 0.5, 1.0):
                 for h in (1, 2, 3):
-                    table, _ = backward_induction(model, omega, h, q)
+                    values, _ = backward_induction(model, omega, h, q)
                     for own in range(1, q):
                         for opp in range(1, q):
                             want = tree_value(prob, omega, h, q, own, opp)
-                            assert table.values[h, own - 1, opp - 1] == pytest.approx(
+                            assert values[h, own - 1, opp - 1] == pytest.approx(
                                 want, abs=1e-9
                             )
                             assert brute_force_value(
@@ -82,10 +82,10 @@ def test_values_match_literal_policy_enumeration():
     prob = table_prob(model)
     for omega in (0.0, 0.7):
         for h in (1, 2, 3):
-            table, _ = backward_induction(model, omega, h, 3)
+            values, _ = backward_induction(model, omega, h, 3)
             for own in (1, 2):
                 for opp in (1, 2):
-                    assert table.values[h, own - 1, opp - 1] == pytest.approx(
+                    assert values[h, own - 1, opp - 1] == pytest.approx(
                         exhaustive_policy_max(prob, omega, h, 3, own, opp), abs=1e-12
                     )
 
@@ -99,27 +99,27 @@ def _two_point_model():
 
 def test_exact_ties_resolve_to_the_smallest_demand():
     # against {4, 6} at full weight, demands 4, 5, 6 all score -1
-    table, rule = backward_induction(_two_point_model(), 1.0, 1, 10)
-    np.testing.assert_allclose(table.values[1], -1.0, atol=1e-12, rtol=0)
-    assert np.all(rule.actions == 4)
+    values, actions = backward_induction(_two_point_model(), 1.0, 1, 10)
+    np.testing.assert_allclose(values[1], -1.0, atol=1e-12, rtol=0)
+    assert np.all(actions == 4)
 
 
 def test_random_tie_breaking_draws_among_exact_ties():
     rng = np.random.default_rng(21)
     seen = set()
     for _ in range(30):
-        _, rule = backward_induction(_two_point_model(), 1.0, 1, 10, tie_break="random", rng=rng)
-        seen.update(np.unique(rule.actions).tolist())
+        _, actions = backward_induction(_two_point_model(), 1.0, 1, 10, tie_break="random", rng=rng)
+        seen.update(np.unique(actions).tolist())
     assert seen == {4, 5, 6}
 
 
 def _assert_same_solve(model, omega, h, q, tie_break="smallest", seed=None):
     rng = None if seed is None else np.random.default_rng(seed)
-    table, rule = backward_induction(model, omega, h, q, tie_break=tie_break, rng=rng)
+    got_values, got_actions = backward_induction(model, omega, h, q, tie_break=tie_break, rng=rng)
     rng = None if seed is None else np.random.default_rng(seed)
     values, actions = stage_loop_backward_induction(model, omega, h, q, tie_break, rng)
-    assert np.array_equal(table.values, values)
-    assert np.array_equal(rule.actions, actions)
+    assert np.array_equal(got_values, values)
+    assert np.array_equal(got_actions, actions)
 
 
 def test_solver_matches_stage_loop_bit_for_bit():
@@ -186,20 +186,20 @@ def test_agent_seat_b_transposes_the_context():
     rng = np.random.default_rng(17)
     table = random_model(rng, 10)
     agent = MdpAgent(Role.B, 0.4, 3, 10, model=table)
-    _, rule = backward_induction(table.transpose(1, 0, 2), 0.4, 3, 10)
+    _, actions = backward_induction(table.transpose(1, 0, 2), 0.4, 3, 10)
     for prev_a in range(1, 10):
         for prev_b in range(1, 10):
-            assert agent.act(JointState(prev_a, prev_b)) == rule.demand_at(prev_b, prev_a)
+            assert agent.act(JointState(prev_a, prev_b)) == actions[prev_b - 1, prev_a - 1]
 
 
 def test_agent_seat_a_uses_the_context_as_is():
     rng = np.random.default_rng(18)
     table = random_model(rng, 10)
     agent = MdpAgent(Role.A, 0.4, 3, 10, model=table)
-    _, rule = backward_induction(table, 0.4, 3, 10)
+    _, actions = backward_induction(table, 0.4, 3, 10)
     for prev_a in range(1, 10):
         for prev_b in range(1, 10):
-            assert agent.act(JointState(prev_a, prev_b)) == rule.demand_at(prev_a, prev_b)
+            assert agent.act(JointState(prev_a, prev_b)) == actions[prev_a - 1, prev_b - 1]
 
 
 def test_rule_is_cached_until_the_belief_changes():
@@ -230,8 +230,7 @@ def test_flooded_opponent_pushes_full_weight_demand_to_one():
     row[8] = 1.0
     model = np.tile(row, (9, 9, 1))
     agent = MdpAgent(Role.A, 1.0, 10, 10, model=model)
-    rule = agent.current_rule()
-    assert np.all(rule.actions == 1)
+    assert np.all(agent.current_rule() == 1)
 
 
 def test_agent_validation():
