@@ -12,7 +12,8 @@ import time
 from pathlib import Path
 
 from ndglab import GameConfig, benchmark_spec, run_test
-from ndglab.experiments import METRICS
+from ndglab.core import refuse_overwrite
+from ndglab.experiments import METRICS, output_paths
 from ndglab.planner import TIE_BREAKS
 
 
@@ -33,11 +34,16 @@ def main(argv=None) -> int:
     reps = 1 if args.single_run else args.replications
     try:
         ids = [int(part) for part in args.tests.split(",") if part.strip()]
+        repeated = sorted({k for k in ids if ids.count(k) > 1})
+        if repeated:
+            raise ValueError(f"scenario ids must not repeat, got {repeated[0]} more than once")
         base = GameConfig(seed=args.seed)
-        # every spec is built, and so checked, before the first sweep runs
+        # every spec is built and checked, and every output refused, before the first sweep runs
         specs = [benchmark_spec(k, replications=reps, base=base, tie_break=args.tie_break) for k in ids]
-        for spec in specs:
-            out_dir = Path(args.out) / f"test{spec.test_id}"
+        out_dirs = [Path(args.out) / f"test{spec.test_id}" for spec in specs]
+        for spec, out_dir in zip(specs, out_dirs):
+            refuse_overwrite(output_paths(spec, out_dir), args.force)
+        for spec, out_dir in zip(specs, out_dirs):
             start = time.perf_counter()
             result = run_test(spec, out_dir=out_dir, force=args.force)
             elapsed = time.perf_counter() - start

@@ -17,7 +17,15 @@ import numpy as np
 
 from .core import GameConfig, Role, RoundRecord, refuse_overwrite
 from .engine import pretrain, run_game, write_game_summary_csv, write_round_csv
-from .experiments import WARMUP_ROUNDS, AgentSpec, benchmark_spec, build_agent, run_test, summary_rows
+from .experiments import (
+    WARMUP_ROUNDS,
+    AgentSpec,
+    benchmark_spec,
+    build_agent,
+    output_paths,
+    run_test,
+    summary_rows,
+)
 from .opponent import (
     DirichletLearner,
     HeuristicModel,
@@ -251,8 +259,8 @@ def _cmd_test(args, config: CliConfig) -> int:
     print(f"scenario {spec.test_id}: {len(result.cells)} cells x {spec.replications} replication(s)")
     for row in summary_rows(result):
         print(",".join(row))
-    stem = out / f"test{spec.test_id}"
-    print(f"wrote {stem}_cells.csv and {stem}_summary.csv")
+    cells_path, summary_path = output_paths(spec, out)
+    print(f"wrote {cells_path} and {summary_path}")
     return EXIT_OK
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -199,30 +199,48 @@ class RoundRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameLog:
-    """Full trace of one game plus its headline statistics."""
+    """One game's demands plus its headline statistics.
+
+    ``demands[t - 1]`` is the ``(demand_a, demand_b)`` pair of round ``t``.
+    The statistics are scored from it in closed form when the log is
+    built; the per-round :attr:`records` only when something reads them.
+    """
 
     config: GameConfig
-    records: tuple[RoundRecord, ...]
-    cum_profit_a: int
-    cum_profit_b: int
-    success_rate_pct: float
+    demands: np.ndarray
+    cum_profit_a: int = field(init=False)
+    cum_profit_b: int = field(init=False)
+    success_rate_pct: float = field(init=False)
 
-    @classmethod
-    def from_records(cls, config: GameConfig, records) -> "GameLog":
-        records = tuple(records)
-        if len(records) != config.rounds:
+    def __post_init__(self) -> None:
+        config = self.config
+        demands = np.asarray(self.demands)
+        if demands.shape != (config.rounds, 2):
             raise ValueError(
-                f"expected {config.rounds} round records, got {len(records)}"
+                f"expected {config.rounds} rounds of two demands, got shape {demands.shape}"
             )
-        compatible = sum(1 for r in records if r.compatible)
-        return cls(
-            config=config,
-            records=records,
-            cum_profit_a=sum(r.profit_a for r in records),
-            cum_profit_b=sum(r.profit_b for r in records),
-            success_rate_pct=100.0 * compatible / len(records),
+        if not (demands.min() >= 1 and demands.max() <= config.q - 1):
+            raise ValueError(f"demands must lie in 1..{config.q - 1}")
+        c = demands.sum(axis=1) <= config.q
+        profit_a, profit_b = (demands * c[:, None]).sum(axis=0).tolist()
+        object.__setattr__(self, "demands", demands)
+        object.__setattr__(self, "cum_profit_a", profit_a)
+        object.__setattr__(self, "cum_profit_b", profit_b)
+        object.__setattr__(self, "success_rate_pct", 100.0 * int(c.sum()) / config.rounds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GameLog):
+            return NotImplemented
+        return self.config == other.config and np.array_equal(self.demands, other.demands)
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        """Every round in full, built on first read."""
+        return tuple(
+            RoundRecord.from_demands(t, demand_a, demand_b, self.config)
+            for t, (demand_a, demand_b) in enumerate(self.demands.tolist(), start=1)
         )
 
 

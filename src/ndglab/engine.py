@@ -1,10 +1,12 @@
-"""One repeated game: simultaneous moves, payoff accounting, learning updates.
+"""Repeated games: simultaneous moves, payoff accounting, learning updates.
 
 Round 1 always plays the preset opening pair from the config.  Every later
 round asks both agents for a demand at the current state (neither sees the
-other's current choice), pays out, lets both observe the opponent's demand
+other's current choice), records it, lets both observe the opponent's demand
 in the state the round was played at, and advances the state to the pair
-just played.
+just played.  :func:`run_games` steps several games together, round by
+round, so that their planners share one batched solve per round;
+:func:`run_game` is its one-game case.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import GameConfig, GameLog, JointState, Role, RoundRecord, atomic_write
+from .core import GameConfig, GameLog, JointState, Role, atomic_write
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
+from .planner import MdpAgent, solve_rules
 
 __all__ = [
     "RngPlan",
     "Agent",
     "HeuristicAgent",
     "run_game",
+    "run_games",
     "pretrain",
     "ROUND_FIELDS",
     "SUMMARY_FIELDS",
@@ -100,33 +104,69 @@ def run_game(
     agent_b: Agent,
     rng: RngPlan | None = None,
 ) -> GameLog:
-    """Play one full game and return its log.
+    """Play one full game and return its log: the one-game case of :func:`run_games`.
 
-    ``rng`` defaults to ``RngPlan(config.seed)``.  Moves are simultaneous:
-    A is asked before B, but neither sees the other's demand, so the order
-    cannot change the outcome, which the test suite asserts.
+    ``rng`` defaults to ``RngPlan(config.seed)``.
     """
-    if getattr(agent_a, "role", None) is not Role.A:
-        raise ValueError("agent_a must be configured with the A seat")
-    if getattr(agent_b, "role", None) is not Role.B:
-        raise ValueError("agent_b must be configured with the B seat")
     plan = rng if rng is not None else RngPlan(config.seed)
-    agent_a.bind_rng(plan.agent_a)
-    agent_b.bind_rng(plan.agent_b)
+    return run_games(config, [(agent_a, agent_b)], [plan])[0]
 
-    state = JointState(config.initial_demand, config.initial_demand)
-    records = []
-    for t in range(1, config.rounds + 1):
-        if t == 1:
-            demand_a = demand_b = config.initial_demand
-        else:
-            demand_a = agent_a.act(state)
-            demand_b = agent_b.act(state)
-        records.append(RoundRecord.from_demands(t, demand_a, demand_b, config))
-        agent_a.observe(state, demand_b)
-        agent_b.observe(state, demand_a)
-        state = JointState(demand_a, demand_b)
-    return GameLog.from_records(config, records)
+
+def run_games(config: GameConfig, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
+    """Play one game per ``(agent_a, agent_b)`` pair and plan, all in lockstep.
+
+    With ``warmup_rounds``, each pair first plays a warm-up game of that
+    length on its plan's :meth:`RngPlan.pretrain_plan` streams, again in
+    lockstep.  Every game of one call shares ``config``.
+    """
+    pairs = list(pairs)
+    plans = list(plans)
+    if warmup_rounds:
+        _warm_up(config, pairs, plans, warmup_rounds)
+    return [GameLog(config, demands) for demands in _play(config, pairs, plans)]
+
+
+def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
+    # Warm-up games train the agents in place, on streams disjoint from the main games'.
+    _play(replace(config, rounds=n_rounds), pairs, [plan.pretrain_plan() for plan in plans])
+
+
+def _play(config: GameConfig, pairs, plans) -> np.ndarray:
+    """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
+
+    Before each round, every planner whose belief moved is re-solved in one
+    batched solve.  Moves are simultaneous: A is asked before B, but neither
+    sees the other's demand, so the order cannot change the outcome, which
+    the test suite asserts.  Each agent draws only from its own stream, so
+    the order in which games interleave cannot move a draw either.
+    """
+    if len(plans) != len(pairs):
+        raise ValueError(f"need one plan per game, got {len(plans)} plans for {len(pairs)} games")
+    for (agent_a, agent_b), plan in zip(pairs, plans):
+        if getattr(agent_a, "role", None) is not Role.A:
+            raise ValueError("agent_a must be configured with the A seat")
+        if getattr(agent_b, "role", None) is not Role.B:
+            raise ValueError("agent_b must be configured with the B seat")
+        agent_a.bind_rng(plan.agent_a)
+        agent_b.bind_rng(plan.agent_b)
+    planners = [agent for pair in pairs for agent in pair if isinstance(agent, MdpAgent)]
+    demands = np.empty((len(pairs), config.rounds, 2), dtype=np.int64)
+    demands[:, 0] = config.initial_demand
+    states = [JointState(config.initial_demand, config.initial_demand)] * len(pairs)
+    for t in range(config.rounds):
+        if t:
+            solve_rules(planners)
+        for g, (agent_a, agent_b) in enumerate(pairs):
+            state = states[g]
+            if t:
+                demand_a, demand_b = agent_a.act(state), agent_b.act(state)
+                demands[g, t] = demand_a, demand_b
+            else:
+                demand_a = demand_b = config.initial_demand
+            agent_a.observe(state, demand_b)
+            agent_b.observe(state, demand_a)
+            states[g] = JointState(demand_a, demand_b)
+    return demands
 
 
 def pretrain(
@@ -150,8 +190,7 @@ def pretrain(
     if n_rounds == 0:
         return agent_a.learner, agent_b.learner
     plan = rng if rng is not None else RngPlan(config.seed)
-    warmup_config = replace(config, rounds=n_rounds)
-    run_game(warmup_config, agent_a, agent_b, plan.pretrain_plan())
+    _warm_up(config, [(agent_a, agent_b)], [plan], n_rounds)
     return agent_a.learner, agent_b.learner
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GameConfig, Role, atomic_write, refuse_overwrite
-from .engine import HeuristicAgent, RngPlan, pretrain, run_game
+from .engine import HeuristicAgent, RngPlan, run_games
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
 from .planner import TIE_BREAKS, MdpAgent
 
@@ -51,6 +51,7 @@ __all__ = [
     "build_agent",
     "run_cell",
     "run_test",
+    "output_paths",
     "aggregate",
     "write_cells_csv",
     "summary_rows",
@@ -225,25 +226,30 @@ def run_cell(
     omega_b: float,
     seed_seqs,
 ) -> CellResult:
-    """Run every replication of one grid cell.
+    """Run every replication of one grid cell, all games in lockstep.
 
     When neither agent draws randomness, every replication plays the same
-    game, so the first one is played and its metrics repeated.
+    game, so only the first one is played and its metrics repeated.
     """
     config = replace(spec.base, omega_a=omega_a, omega_b=omega_b)
+    plans = [RngPlan(seq) for seq in seed_seqs]
+
+    def pair():
+        return (
+            build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break),
+            build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break),
+        )
+
+    pairs = [pair() for _ in plans[:1]]
+    if pairs and (pairs[0][0].draws_randomness or pairs[0][1].draws_randomness):
+        pairs += [pair() for _ in plans[1:]]
+    logs = run_games(config, pairs, plans[: len(pairs)], WARMUP_ROUNDS if spec.warms_up else 0)
     games = []
-    for seq in seed_seqs:
-        plan = RngPlan(seq)
-        agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
-        agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
-        if spec.warms_up:
-            pretrain(config, agent_a, agent_b, WARMUP_ROUNDS, plan)  # trains in place
-        log = run_game(config, agent_a, agent_b, plan)
-        total = float(log.cum_profit_a + log.cum_profit_b)
-        games.append((float(log.cum_profit_a), float(log.cum_profit_b), total, log.success_rate_pct))
-        if not (agent_a.draws_randomness or agent_b.draws_randomness):
-            games *= len(seed_seqs)
-            break
+    for log in logs:
+        a, b = log.cum_profit_a, log.cum_profit_b
+        games.append((float(a), float(b), float(a + b), log.success_rate_pct))
+    if len(logs) < len(plans):
+        games *= len(plans)
     profits_a, profits_b, totals, successes = zip(*games) if games else ((),) * 4
     return CellResult(
         omega_a=omega_a,
@@ -261,6 +267,12 @@ def _cell_task(args) -> CellResult:
     return run_cell(spec, omega_a, omega_b, seqs)
 
 
+def output_paths(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
+    """The cells and summary CSV files a sweep of ``spec`` writes under ``out_dir``."""
+    stem = f"test{spec.test_id}"
+    return Path(out_dir) / f"{stem}_cells.csv", Path(out_dir) / f"{stem}_summary.csv"
+
+
 def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSummary:
     """Run a whole sweep; optionally write its cells and summary CSV files.
 
@@ -268,14 +280,15 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     before any cell runs; ``ExperimentSpec`` checks its settings when built.
     """
     if out_dir is not None:
-        cells_path = Path(out_dir) / f"test{spec.test_id}_cells.csv"
-        summary_path = Path(out_dir) / f"test{spec.test_id}_summary.csv"
+        cells_path, summary_path = output_paths(spec, out_dir)
         refuse_overwrite((cells_path, summary_path), force)
     threads = os.environ.get("NDG_THREADS", "1") or "1"
     try:
         workers = int(threads)
     except ValueError:
-        raise ValueError(f"NDG_THREADS must be an integer, got {threads!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NDG_THREADS must be a positive integer, got {threads!r}")
     tasks = [(spec, wa, wb, i) for i, (wa, wb) in enumerate(spec.cells())]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

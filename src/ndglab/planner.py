@@ -15,7 +15,9 @@ deterministically becomes the first component of the next state.
 
 :func:`backward_induction` returns the pair ``(values, actions)`` as plain
 arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
-first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.
+first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.  It is
+the one-item case of :func:`backward_induction_batch`, which stacks the same
+arrays along a leading axis, one item per planner.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .core import JointState, Role, reward, reward_matrix, seat_view
 
 __all__ = [
     "backward_induction",
+    "backward_induction_batch",
+    "solve_rules",
     "brute_force_value",
     "MdpAgent",
 ]
@@ -38,11 +42,12 @@ TIE_BREAKS = ("smallest", "random")
 _ROW_SUM_TOL = 1e-9 + 1e-5
 
 
-def _validate_model(model: np.ndarray, q: int) -> np.ndarray:
+def _validate_model(model: np.ndarray, q: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """``model`` as a float array of shape ``lead + (q-1,)*3`` whose rows are distributions."""
     n = q - 1
     model = np.asarray(model, dtype=float)
-    if model.shape != (n, n, n):
-        raise ValueError(f"model must have shape {(n, n, n)} for q={q}, got {model.shape}")
+    if model.shape != lead + (n, n, n):
+        raise ValueError(f"model must have shape {lead + (n, n, n)} for q={q}, got {model.shape}")
     # Written so that NaN fails both comparisons and inf fails the second.
     if not (model.min() >= 0.0 and np.abs(model.sum(axis=-1) - 1.0).max() <= _ROW_SUM_TOL):
         raise ValueError("every model row must be a distribution over demands")
@@ -59,6 +64,8 @@ def backward_induction(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the h-stage lookahead and return ``(values, actions)``.
+
+    The one-item case of :func:`backward_induction_batch`.
 
     Args:
         model: conditional table ``model[own_prev-1, opp_prev-1, b-1]`` of the
@@ -79,32 +86,67 @@ def backward_induction(
     Raises:
         ValueError: on a malformed model, h < 1, or a bad tie-break setup.
     """
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "random" and rng is None:
         raise ValueError("random tie-breaking needs an rng")
-    model = _validate_model(model, q)
-    n = q - 1
-    gains = reward_matrix(omega, q)
-    by_demand = model.reshape(n * n, n).T.copy()  # (b, state)
+    values, actions = backward_induction_batch(
+        _validate_model(model, q)[None], [omega], h, q, rngs=[rng if tie_break == "random" else None]
+    )
+    return values[0], actions[0]
 
-    values = np.zeros((h + 1, n * n))
+
+def backward_induction_batch(
+    models: np.ndarray,
+    omegas,
+    h: int,
+    q: int,
+    *,
+    rngs=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve B lookaheads at once, each with the bits of its own solve.
+
+    Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product, which
+    runs the same matrix product per item as a single solve, so values,
+    actions and tie draws equal B calls of :func:`backward_induction`.
+
+    Args:
+        models: B conditional tables stacked as ``(B, q-1, q-1, q-1)``.
+        omegas: the B planners' reward weights.
+        h: number of stages, at least 1.
+        q: amount being split.
+        rngs: None for smallest-demand ties throughout, or B entries: a
+            generator draws that item's ties uniformly, column by column in
+            state order; None keeps its smallest maximizing demand.
+
+    Returns:
+        ``values`` of shape ``(B, h + 1, q - 1, q - 1)`` and ``actions`` of
+        shape ``(B, q - 1, q - 1)``, each item indexed as in
+        :func:`backward_induction`.
+    """
+    if h < 1:
+        raise ValueError(f"horizon must be at least 1, got {h}")
+    count = len(omegas)
+    models = _validate_model(models, q, (count,))
+    n = q - 1
+    gains = np.stack([reward_matrix(omega, q) for omega in omegas])  # (B, a, b)
+    by_demand = models.reshape(count, n * n, n).transpose(0, 2, 1).copy()  # (B, b, state)
+
+    values = np.zeros((count, h + 1, n * n))
     q_vals = None
     for k in range(1, h + 1):
-        landing = gains + values[k - 1].reshape(n, n)  # total gain of finishing the stage at (a, b)
-        q_vals = landing @ by_demand  # (action, state)
-        q_vals.max(axis=0, out=values[k])
+        landing = gains + values[:, k - 1].reshape(count, n, n)  # total gain of finishing the stage at (a, b)
+        q_vals = landing @ by_demand  # (B, action, state)
+        q_vals.max(axis=1, out=values[:, k])
 
-    actions = q_vals.argmax(axis=0)  # first maximum = smallest maximizing demand
-    if tie_break == "random":
-        for i in range(n * n):
-            column = q_vals[:, i]
-            ties = np.flatnonzero(column == column.max())
-            if len(ties) > 1:
-                actions[i] = rng.choice(ties)
-    return values.reshape(h + 1, n, n), (actions + 1).reshape(n, n)
+    actions = q_vals.argmax(axis=1)  # first maximum = smallest maximizing demand
+    for i, rng in enumerate(rngs or ()):
+        if rng is None:
+            continue
+        tied = q_vals[i] == values[i, h]  # (action, state): every maximizer of each column
+        for column in np.flatnonzero(tied.sum(axis=0) > 1):
+            actions[i, column] = rng.choice(np.flatnonzero(tied[:, column]))
+    return values.reshape(count, h + 1, n, n), (actions + 1).reshape(count, n, n)
 
 
 def brute_force_value(
@@ -144,6 +186,9 @@ class MdpAgent:
     recomputed whenever the belief changes (receding horizon); with a fixed
     model the decision rule is solved once and cached.  Exactly one of
     ``model`` (a fixed conditional table) and ``learner`` must be given.
+    The game loop re-solves the stale rules of all its planners together
+    (:func:`solve_rules`); :meth:`current_rule` solves alone only when a
+    rule is read while still stale.
     """
 
     def __init__(
@@ -190,6 +235,11 @@ class MdpAgent:
     def bind_rng(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
+    @property
+    def belief_version(self) -> int:
+        """Changes whenever the model the rule is solved against changes."""
+        return self.learner.version if self.learning else 0
+
     def _seat_table(self) -> np.ndarray:
         table = self.learner.estimate_table() if self.learning else self._model
         if self.role is Role.A:
@@ -198,17 +248,8 @@ class MdpAgent:
 
     def current_rule(self) -> np.ndarray:
         """First-stage demands ``[own_prev - 1, opp_prev - 1]`` for the current belief."""
-        version = self.learner.version if self.learning else 0
-        if version != self._rule_version:
-            _, self._rule = backward_induction(
-                self._seat_table(),
-                self.omega,
-                self.horizon,
-                self.q,
-                tie_break=self.tie_break,
-                rng=self.rng,
-            )
-            self._rule_version = version
+        if self._rule_version != self.belief_version:
+            solve_rules([self])
         return self._rule
 
     def act(self, state: JointState) -> int:
@@ -218,3 +259,35 @@ class MdpAgent:
     def observe(self, state: JointState, opponent_demand: int) -> None:
         if self.learning:
             self.learner.update(state, opponent_demand)
+
+
+def solve_rules(agents) -> None:
+    """Bring the rule of every stale agent in ``agents`` up to date.
+
+    One batched solve per ``(horizon, q)`` covers them all.  A learner, and
+    an agent with random ties, gets an item of its own; with smallest ties,
+    agents holding the same fixed table, seat and weight share one item.
+    Random ties are drawn from each agent's own stream, so which agents
+    share a batch, and in what order, cannot move a draw.
+    """
+    batches: dict[tuple[int, int], dict] = {}
+    for agent in agents:
+        if agent._rule_version == agent.belief_version:
+            continue
+        if agent.tie_break == "random" and agent.rng is None:
+            raise ValueError("random tie-breaking needs an rng")
+        shared = not agent.learning and agent.tie_break == "smallest"
+        key = (id(agent._model), agent.role, agent.omega) if shared else id(agent)
+        batches.setdefault((agent.horizon, agent.q), {}).setdefault(key, []).append(agent)
+    for (h, q), items in batches.items():
+        groups = list(items.values())
+        _, actions = backward_induction_batch(
+            np.stack([group[0]._seat_table() for group in groups]),
+            [group[0].omega for group in groups],
+            h,
+            q,
+            rngs=[group[0].rng if group[0].tie_break == "random" else None for group in groups],
+        )
+        for group, rule in zip(groups, actions):
+            for agent in group:
+                agent._rule, agent._rule_version = rule, agent.belief_version

@@ -160,6 +160,26 @@ def reference_heuristic_sample(model, s, role, rng):
     return min(idx, model.q - 2) + 1
 
 
+def count_played_games(monkeypatch):
+    """Count the games a sweep hands to the game loop, which still plays them.
+
+    Patches ``experiments.run_games``, the name every sweep plays its games
+    through, and returns the list that receives each call's game count.
+    """
+    from ndglab import experiments
+
+    real = experiments.run_games
+    counts = []
+
+    def counting(config, pairs, plans, *args, **kwargs):
+        pairs = list(pairs)
+        counts.append(len(pairs))
+        return real(config, pairs, plans, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_games", counting)
+    return counts
+
+
 def csv_rows(path):
     """Rows of a written CSV file as dicts of strings, per the README's file formats."""
     with open(path, newline="") as fh:

@@ -4,10 +4,12 @@ import importlib.util
 import json
 from pathlib import Path
 
-from ndglab import experiments, load_learner
+import pytest
+
+from ndglab import load_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
 
-from oracles import csv_rows
+from oracles import count_played_games, csv_rows
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -155,13 +157,24 @@ def test_json_config_rejects_null_out(tmp_path, capsys, monkeypatch):
 
 
 def test_non_integer_thread_count_is_refused_before_any_cell(tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    played = count_played_games(monkeypatch)
     monkeypatch.setenv("NDG_THREADS", "two")
     args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0", "--out", str(tmp_path)]
     assert main(args) == EXIT_CONFIG
     assert "NDG_THREADS" in capsys.readouterr().err
-    assert calls == []
+    assert played == []
+    assert not tmp_path.joinpath("test3_cells.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_thread_count_below_one_is_refused_before_any_cell(tmp_path, capsys, monkeypatch, threads):
+    played = count_played_games(monkeypatch)
+    monkeypatch.setenv("NDG_THREADS", threads)
+    args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0", "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    assert f"NDG_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
+    assert played == []
+    assert not tmp_path.joinpath("test3_cells.csv").exists()
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -288,3 +301,27 @@ def test_reproduce_tables_refuses_bad_input_before_any_sweep(tmp_path, capsys):
         assert err.startswith("error:") and reason in err
     assert not (tmp_path / "test1").exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_tables_refuses_every_output_and_repeated_id_before_any_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    script = _reproduce_tables()
+    sweeps = []
+    real_run_test = script.run_test
+
+    def counting_run_test(spec, *args, **kwargs):
+        sweeps.append(spec.test_id)
+        return real_run_test(spec, *args, **kwargs)
+
+    monkeypatch.setattr(script, "run_test", counting_run_test)
+    (tmp_path / "test3").mkdir()
+    (tmp_path / "test3" / "test3_cells.csv").write_text("old\n")
+    for tests, reason in (("1,3", "refusing to overwrite"), ("1,1", "must not repeat")):
+        assert script.main(["--tests", tests, "--single-run", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert reason in capsys.readouterr().err
+    assert sweeps == []
+    assert [p.name for p in tmp_path.iterdir()] == ["test3"]
+    assert (tmp_path / "test3" / "test3_cells.csv").read_text() == "old\n"
+    assert script.main(["--tests", "1,3", "--single-run", "--force", "--out", str(tmp_path)]) == EXIT_OK
+    assert sweeps == [1, 3]

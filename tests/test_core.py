@@ -171,21 +171,39 @@ def test_round_record_rewards_are_the_scalar_rewards_bit_for_bit(q, data, omega_
 
 def test_game_log_totals():
     config = GameConfig(rounds=3)
-    records = [
+    log = GameLog(config, np.array([[3, 3], [7, 7], [6, 4]]))
+    assert log.records == (
         RoundRecord.from_demands(1, 3, 3, config),
         RoundRecord.from_demands(2, 7, 7, config),
         RoundRecord.from_demands(3, 6, 4, config),
-    ]
-    log = GameLog.from_records(config, records)
+    )
     assert log.cum_profit_a == 9
     assert log.cum_profit_b == 7
     assert log.success_rate_pct == pytest.approx(100.0 * 2 / 3)
 
 
+@given(st.integers(2, 40), st.data())
+def test_game_log_scores_from_demands_match_its_records(q, data):
+    rounds = data.draw(st.integers(1, 30))
+    pair = st.tuples(st.integers(1, q - 1), st.integers(1, q - 1))
+    demands = data.draw(st.lists(pair, min_size=rounds, max_size=rounds))
+    log = GameLog(GameConfig(q=q, rounds=rounds, initial_demand=1), np.array(demands))
+    records = log.records
+    assert [(r.demand_a, r.demand_b) for r in records] == demands
+    assert [r.t for r in records] == list(range(1, rounds + 1))
+    assert type(log.cum_profit_a) is int and log.cum_profit_a == sum(r.profit_a for r in records)
+    assert type(log.cum_profit_b) is int and log.cum_profit_b == sum(r.profit_b for r in records)
+    compatible = sum(1 for r in records if r.compatible)
+    assert log.success_rate_pct.hex() == (100.0 * compatible / rounds).hex()
+
+
 def test_game_log_length_checked():
     config = GameConfig(rounds=2)
-    with pytest.raises(ValueError, match="2 round records"):
-        GameLog.from_records(config, [RoundRecord.from_demands(1, 3, 3, config)])
+    with pytest.raises(ValueError, match="2 rounds"):
+        GameLog(config, np.array([[3, 3]]))
+    for out_of_range in (0, 10):
+        with pytest.raises(ValueError, match="1..9"):
+            GameLog(config, np.array([[3, 3], [3, out_of_range]]))
 
 
 def test_seat_view_and_roles():

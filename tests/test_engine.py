@@ -190,13 +190,9 @@ def test_pretrain_requires_learning_agents():
 
 def test_success_rate_edges():
     config = GameConfig(rounds=2)
-    all_good = GameLog.from_records(
-        config, [RoundRecord.from_demands(t, 5, 5, config) for t in (1, 2)]
-    )
+    all_good = GameLog(config, np.full((2, 2), 5))
     assert all_good.success_rate_pct == 100.0
-    all_bad = GameLog.from_records(
-        config, [RoundRecord.from_demands(t, 9, 9, config) for t in (1, 2)]
-    )
+    all_bad = GameLog(config, np.full((2, 2), 9))
     assert all_bad.success_rate_pct == 0.0
 
 

@@ -29,7 +29,7 @@ from ndglab import (
 from ndglab.experiments import ExperimentSpec, _cell_seed_seqs, build_agent, run_cell
 from ndglab.planner import TIE_BREAKS
 
-from oracles import csv_rows
+from oracles import count_played_games, csv_rows
 
 SMALL = (0.0, 1.0)
 
@@ -164,16 +164,10 @@ def test_planner_pairs_under_smallest_ties_replay_under_any_seed(test_id, wa, wb
     + [(k, "random", 3) for k in range(1, 6)],
 )
 def test_run_cell_plays_a_deterministic_cell_once(test_id, tie_break, games, monkeypatch):
-    calls = []
-
-    def counting_run_game(*args, **kwargs):
-        calls.append(args)
-        return run_game(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_game", counting_run_game)
+    played = count_played_games(monkeypatch)
     spec = benchmark_spec(test_id, replications=3, base=GameConfig(rounds=8), tie_break=tie_break)
     cell = run_cell(spec, 0.3, 0.7, _cell_seed_seqs(spec.base.seed, 4, 3))
-    assert len(calls) == games
+    assert sum(played) == games
     assert len(cell.total) == 3
     if games == 1:
         assert len(set(cell.total)) == 1
@@ -232,19 +226,17 @@ def test_run_test_writes_and_protects_outputs(tmp_path):
 
 def test_existing_outputs_are_refused_before_any_cell_runs(tmp_path, monkeypatch):
     (tmp_path / "test3_cells.csv").write_text("old\n")
-    calls = []
     monkeypatch.delenv("NDG_THREADS", raising=False)
-    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    played = count_played_games(monkeypatch)
     with pytest.raises(FileExistsError, match="refusing to overwrite"):
         run_test(benchmark_spec(3, replications=1, grid=SMALL), out_dir=tmp_path)
-    assert calls == []
+    assert played == []
     assert (tmp_path / "test3_cells.csv").read_text() == "old\n"
 
 
 def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch):
-    calls = []
     monkeypatch.delenv("NDG_THREADS", raising=False)
-    monkeypatch.setattr(experiments, "run_cell", lambda *args: calls.append(args))
+    played = count_played_games(monkeypatch)
     pretrained = AgentSpec("mdp-pretrained")
     for kind in ("heuristic", "mdp-heuristic", "mdp-uniform"):
         for seats in ((pretrained, AgentSpec(kind)), (AgentSpec(kind), pretrained)):
@@ -252,18 +244,21 @@ def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch
                 run_test(ExperimentSpec(5, *seats, SMALL, SMALL, 1, GameConfig()), out_dir=tmp_path)
             with pytest.raises(ValueError, match="mdp-pretrained needs"):
                 dataclasses.replace(benchmark_spec(5), agent_b=seats[1], agent_a=seats[0])
-    assert calls == []
+    assert played == []
     assert list(tmp_path.iterdir()) == []
     mixed = ExperimentSpec(5, pretrained, AgentSpec("mdp-learning"), SMALL, SMALL, 1, GameConfig())
     assert mixed.warms_up
 
 
 def test_parallel_cells_match_serial(tmp_path, monkeypatch):
-    spec = benchmark_spec(4, replications=1, grid=SMALL)
-    serial = run_test(spec, out_dir=tmp_path / "serial")
-    monkeypatch.setenv("NDG_THREADS", "2")
-    parallel = run_test(spec, out_dir=tmp_path / "parallel")
-    assert serial.cells == parallel.cells
-    assert (tmp_path / "serial" / "test4_cells.csv").read_bytes() == (
-        tmp_path / "parallel" / "test4_cells.csv"
-    ).read_bytes()
+    for test_id, tie_break, replications in ((4, "smallest", 1), (2, "random", 3), (5, "random", 3)):
+        spec = benchmark_spec(test_id, replications=replications, grid=SMALL, tie_break=tie_break)
+        monkeypatch.delenv("NDG_THREADS", raising=False)
+        serial = run_test(spec, out_dir=tmp_path / f"serial{test_id}")
+        monkeypatch.setenv("NDG_THREADS", "2")
+        parallel = run_test(spec, out_dir=tmp_path / f"parallel{test_id}")
+        assert serial.cells == parallel.cells
+        for name in (f"test{test_id}_cells.csv", f"test{test_id}_summary.csv"):
+            assert (tmp_path / f"serial{test_id}" / name).read_bytes() == (
+                tmp_path / f"parallel{test_id}" / name
+            ).read_bytes()

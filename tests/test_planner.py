@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndglab import (
     DirichletLearner,
@@ -12,6 +14,7 @@ from ndglab import (
     brute_force_value,
     uniform_table,
 )
+from ndglab.planner import TIE_BREAKS, backward_induction_batch, solve_rules
 
 from oracles import (
     exhaustive_policy_max,
@@ -143,9 +146,78 @@ def test_solver_matches_stage_loop_on_ties():
         _assert_same_solve(_two_point_model().transpose(1, 0, 2), 1.0, 3, 10, "random", seed=seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((3, 4, 5, 10)),
+    st.integers(1, 10),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("random", "uniform")),
+            st.sampled_from((0.0, 0.5, 1.0, 0.3)),
+            st.sampled_from(TIE_BREAKS),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
+    # uniform models at odd q tie in many columns, at q=3 in every column
+    rng = np.random.default_rng(seed)
+    models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
+    omegas = [omega for _, omega, _, _ in items]
+    rngs = [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s in items]
+    values, actions = backward_induction_batch(np.stack(models), omegas, h, q, rngs=rngs)
+    assert values.shape == (len(items), h + 1, q - 1, q - 1)
+    for i, (_, omega, tie, tie_seed) in enumerate(items):
+        tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
+        want_values, want_actions = backward_induction(models[i], omega, h, q, tie_break=tie, rng=tie_rng)
+        assert values[i].tobytes() == want_values.tobytes()
+        assert np.array_equal(actions[i], want_actions)
+        if tie == "random":  # the batch drew exactly what the solo solve drew from an equal stream
+            assert rngs[i].random() == tie_rng.random()
+        oracle_rng = np.random.default_rng(tie_seed) if tie == "random" else None
+        oracle_values, oracle_actions = stage_loop_backward_induction(models[i], omega, h, q, tie, oracle_rng)
+        assert values[i].tobytes() == oracle_values.tobytes()
+        assert np.array_equal(actions[i], oracle_actions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=6), st.sampled_from((Role.A, Role.B)))
+def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds, role):
+    # q=3 under a uniform model ties every column, so every column draws
+    def agent(seed):
+        planner = MdpAgent(role, 0.5, 2, 3, model=uniform_table(3), tie_break="random")
+        planner.bind_rng(np.random.default_rng(seed))
+        return planner
+
+    batch = [agent(seed) for seed in seeds]
+    solve_rules(batch)
+    for seed, planner in zip(seeds, batch):
+        alone = agent(seed)
+        assert np.array_equal(planner.current_rule(), alone.current_rule())
+        assert planner.rng.random() == alone.rng.random()  # each drew from its own stream only
+    assert len({id(planner.current_rule()) for planner in batch}) == len(batch)  # random ties never share
+
+
+def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
+    table = uniform_table(10)
+    agents = [MdpAgent(role, omega, 4, 10, model=table) for role in (Role.A, Role.B) for omega in (0.2, 0.2, 0.7)]
+    learners = [MdpAgent(Role.A, 0.2, 4, 10, learner=DirichletLearner.uniform(10)) for _ in range(2)]
+    solve_rules(agents + learners)
+    rules = [agent.current_rule() for agent in agents + learners]
+    assert rules[0] is rules[1] and rules[3] is rules[4]
+    assert len({id(rule) for rule in rules}) == 6
+    for agent, rule in zip(agents + learners, rules):
+        assert np.array_equal(rule, backward_induction(agent._seat_table(), agent.omega, 4, 10)[1])
+
+
 def test_random_tie_breaking_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="random")
+    with pytest.raises(ValueError, match="rng"):
+        MdpAgent(Role.A, 0.5, 1, 10, model=uniform_table(10), tie_break="random").current_rule()
 
 
 def test_model_validation():
