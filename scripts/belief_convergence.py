@@ -38,19 +38,33 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    truth = heuristic_table(HeuristicModel(sigma=args.sigma, q=10), Role.B)
+    try:
+        # every input is checked before the first game
+        lengths = []
+        for part in args.checkpoints.split(","):
+            if part.strip():
+                try:
+                    lengths.append(int(part))
+                except ValueError:
+                    raise ValueError(f"--checkpoints must be whole numbers, got {part.strip()!r}") from None
+        if not lengths:
+            raise ValueError("--checkpoints needs at least one game length")
+        opponent = HeuristicModel(sigma=args.sigma, q=10)
+        configs = [GameConfig(rounds=rounds, omega_a=args.omega, seed=args.seed) for rounds in lengths]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    truth = heuristic_table(opponent, Role.B)
     print(f"{'rounds':>8} {'contexts seen':>14} {'mean L1 (seen)':>15} {'success %':>10}")
-    for rounds in (int(part) for part in args.checkpoints.split(",")):
-        config = GameConfig(rounds=rounds, omega_a=args.omega, seed=args.seed)
+    for config in configs:
         learner = DirichletLearner.uniform(10)
         agent_a = MdpAgent(Role.A, args.omega, config.horizon, 10, learner=learner)
-        agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=args.sigma, q=10))
-        log = run_game(config, agent_a, agent_b)
+        log = run_game(config, agent_a, HeuristicAgent(Role.B, opponent))
         seen = learner.counts.sum(axis=-1) > 9  # more mass than the prior alone
         gap = np.abs(learner.estimate_table() - truth).sum(axis=-1)
         mean_gap = float(gap[seen].mean()) if seen.any() else float("nan")
         print(
-            f"{rounds:>8} {int(seen.sum()):>14} {mean_gap:>15.3f} {log.success_rate_pct:>10.2f}"
+            f"{config.rounds:>8} {int(seen.sum()):>14} {mean_gap:>15.3f} {log.success_rate_pct:>10.2f}"
         )
     return 0
 

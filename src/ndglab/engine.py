@@ -109,21 +109,33 @@ def run_game(
     ``rng`` defaults to ``RngPlan(config.seed)``.
     """
     plan = rng if rng is not None else RngPlan(config.seed)
-    return run_games(config, [(agent_a, agent_b)], [plan])[0]
+    return run_games([config], [(agent_a, agent_b)], [plan])[0]
 
 
-def run_games(config: GameConfig, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
-    """Play one game per ``(agent_a, agent_b)`` pair and plan, all in lockstep.
+def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
+    """Play one game per config, ``(agent_a, agent_b)`` pair and plan, all in lockstep.
 
-    With ``warmup_rounds``, each pair first plays a warm-up game of that
-    length on its plan's :meth:`RngPlan.pretrain_plan` streams, again in
-    lockstep.  Every game of one call shares ``config``.
+    Every game steps through the same rounds, so the configs must share
+    ``q``, ``rounds`` and ``initial_demand``; a sweep's configs differ only
+    in their weights.  With ``warmup_rounds``, each pair first plays a
+    warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
+    streams, again in lockstep.
     """
+    configs = list(configs)
     pairs = list(pairs)
     plans = list(plans)
+    if not len(configs) == len(pairs) == len(plans):
+        raise ValueError(
+            f"need one config and plan per game, got {len(configs)} configs "
+            f"and {len(plans)} plans for {len(pairs)} games"
+        )
+    if not configs:
+        return []
+    if len({(c.q, c.rounds, c.initial_demand) for c in configs}) > 1:
+        raise ValueError("games played in lockstep must share q, rounds and initial_demand")
     if warmup_rounds:
-        _warm_up(config, pairs, plans, warmup_rounds)
-    return [GameLog(config, demands) for demands in _play(config, pairs, plans)]
+        _warm_up(configs[0], pairs, plans, warmup_rounds)
+    return [GameLog(config, demands) for config, demands in zip(configs, _play(configs[0], pairs, plans))]
 
 
 def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
@@ -134,14 +146,13 @@ def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
 def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
-    Before each round, every planner whose belief moved is re-solved in one
+    Every game plays ``config``'s rounds from its opening demand.  Before
+    each round, every planner whose belief moved is re-solved in one
     batched solve.  Moves are simultaneous: A is asked before B, but neither
     sees the other's demand, so the order cannot change the outcome, which
     the test suite asserts.  Each agent draws only from its own stream, so
     the order in which games interleave cannot move a draw either.
     """
-    if len(plans) != len(pairs):
-        raise ValueError(f"need one plan per game, got {len(plans)} plans for {len(pairs)} games")
     for (agent_a, agent_b), plan in zip(pairs, plans):
         if getattr(agent_a, "role", None) is not Role.A:
             raise ValueError("agent_a must be configured with the A seat")
@@ -156,6 +167,8 @@ def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     for t in range(config.rounds):
         if t:
             solve_rules(planners)
+            if t == 1:  # a fixed model, once solved, never goes stale
+                planners = [agent for agent in planners if agent.learning]
         for g, (agent_a, agent_b) in enumerate(pairs):
             state = states[g]
             if t:

@@ -20,8 +20,12 @@ The five scenarios (``SCENARIOS``):
 
 Each grid cell runs a configurable number of seeded replications; per-cell
 results keep the raw per-replication metrics so summaries can be recomputed
-any way a caller needs.  Cells are independent work items and can run in
-parallel (capped by the ``NDG_THREADS`` environment variable).
+any way a caller needs.  A sweep plays only the games its cells need:
+a cell whose agents draw no randomness plays once, and reuses an equal or
+seat-swapped cell already played.  The games of all cells then run in
+lockstep, in consecutive chunks bounded by ``CHUNK_BYTES``, which can run in
+parallel (at least one chunk per worker, capped by the ``NDG_THREADS``
+environment variable).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .core import GameConfig, Role, atomic_write, refuse_overwrite
 from .engine import HeuristicAgent, RngPlan, run_games
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
-from .planner import TIE_BREAKS, MdpAgent
+from .planner import TIE_BREAKS, MdpAgent, solve_key
 
 __all__ = [
     "AgentSpec",
@@ -49,7 +53,6 @@ __all__ = [
     "METRICS",
     "benchmark_spec",
     "build_agent",
-    "run_cell",
     "run_test",
     "output_paths",
     "aggregate",
@@ -70,6 +73,12 @@ AGENT_KINDS = {
     "mdp-pretrained": None,
 }
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
+# Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
+# float64 each: one per planner.solve_key, so a learner's table, a
+# random-tie planner's model copy, or one shared fixed table per seat and
+# weight.  At q = 10 every default sweep fits in one run; at q = 60, two
+# items do.
+CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
     2: ("mdp-learning", "heuristic"),
@@ -211,60 +220,80 @@ class SweepSummary:
     summary: dict
 
 
-def _cell_seed_seqs(base_seed: int, cell_index: int, reps: int) -> list[np.random.SeedSequence]:
-    # Stateless derivation keyed on (cell, replication): stable under any
-    # execution order, so parallel and serial sweeps produce identical output.
-    return [
-        np.random.SeedSequence(entropy=base_seed, spawn_key=(cell_index, rep))
-        for rep in range(reps)
-    ]
-
-
-def run_cell(
-    spec: ExperimentSpec,
-    omega_a: float,
-    omega_b: float,
-    seed_seqs,
-) -> CellResult:
-    """Run every replication of one grid cell, all games in lockstep.
-
-    When neither agent draws randomness, every replication plays the same
-    game, so only the first one is played and its metrics repeated.
-    """
-    config = replace(spec.base, omega_a=omega_a, omega_b=omega_b)
-    plans = [RngPlan(seq) for seq in seed_seqs]
-
-    def pair():
-        return (
-            build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break),
-            build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break),
-        )
-
-    pairs = [pair() for _ in plans[:1]]
-    if pairs and (pairs[0][0].draws_randomness or pairs[0][1].draws_randomness):
-        pairs += [pair() for _ in plans[1:]]
-    logs = run_games(config, pairs, plans[: len(pairs)], WARMUP_ROUNDS if spec.warms_up else 0)
-    games = []
-    for log in logs:
-        a, b = log.cum_profit_a, log.cum_profit_b
-        games.append((float(a), float(b), float(a + b), log.success_rate_pct))
-    if len(logs) < len(plans):
-        games *= len(plans)
-    profits_a, profits_b, totals, successes = zip(*games) if games else ((),) * 4
-    return CellResult(
-        omega_a=omega_a,
-        omega_b=omega_b,
-        profit_a=profits_a,
-        profit_b=profits_b,
-        total=totals,
-        success_rate_pct=successes,
+def _pair(spec: ExperimentSpec, config: GameConfig):
+    """A fresh ``(agent_a, agent_b)`` pair for one game under ``config``."""
+    return (
+        build_agent(spec.agent_a, Role.A, config.omega_a, config, spec.tie_break),
+        build_agent(spec.agent_b, Role.B, config.omega_b, config, spec.tie_break),
     )
 
 
-def _cell_task(args) -> CellResult:
-    spec, omega_a, omega_b, cell_index = args
-    seqs = _cell_seed_seqs(spec.base.seed, cell_index, spec.replications)
-    return run_cell(spec, omega_a, omega_b, seqs)
+def _plan(spec: ExperimentSpec, weights, deterministic: bool):
+    """The games a sweep must play, and where each cell finds its results.
+
+    Returns ``games``, one ``(cell_index, config, rep)`` per game to play,
+    and per cell ``(first, swap)``: the cell's replications are the games
+    from index ``first`` on, with the two profits swapped when ``swap`` is
+    set.  When no agent draws randomness, every game of a cell
+    replays the same game under any seed, so a cell plays one game, and a
+    cell whose weights were already played reuses that game.  With equal
+    specs on both seats, so does its seat-swapped cell ``(omega_b,
+    omega_a)``: the game is the same with the seats' demands exchanged.
+    """
+    mirrored = deterministic and spec.agent_a == spec.agent_b
+    games, sources, played = [], [], {}
+    for i, (wa, wb) in enumerate(weights):
+        if (wa, wb) in played:
+            sources.append((played[wa, wb], False))
+        elif mirrored and (wb, wa) in played:
+            sources.append((played[wb, wa], True))
+        else:
+            sources.append((len(games), False))
+            if deterministic:
+                played[wa, wb] = len(games)
+            config = replace(spec.base, omega_a=wa, omega_b=wb)
+            games += [(i, config, rep) for rep in range(1 if deterministic else spec.replications)]
+    return games, sources
+
+
+def _play_part(task) -> list[tuple[float, float, float, float]]:
+    """Play one worker's share of a sweep's games; return each game's metrics.
+
+    The games run in consecutive lockstep chunks, built one game at a time:
+    a chunk is played as soon as the next game's solve items
+    (:func:`planner.solve_key`, ``(q - 1)**3`` float64 each) would take it
+    past ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by
+    itself.
+    """
+    spec, games = task
+    item_bytes = (spec.base.q - 1) ** 3 * 8
+    metrics, chunk, pairs, items = [], [], [], set()
+    for game in games:
+        pair = _pair(spec, game[1])
+        keys = {solve_key(agent) for agent in pair if isinstance(agent, MdpAgent)}
+        if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:
+            metrics += _play_chunk(spec, chunk, pairs)
+            chunk, pairs, items = [], [], set()
+        chunk.append(game)
+        pairs.append(pair)
+        items |= keys
+    return metrics + _play_chunk(spec, chunk, pairs)
+
+
+def _play_chunk(spec: ExperimentSpec, games, pairs) -> list[tuple[float, float, float, float]]:
+    """Play one chunk of a sweep's games, with their built pairs, in lockstep."""
+    # Stateless derivation keyed on (cell, replication): stable under any
+    # chunking and execution order, so parallel and serial sweeps agree.
+    plans = [
+        RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
+        for cell_index, _, rep in games
+    ]
+    logs = run_games([config for _, config, _ in games], pairs, plans, WARMUP_ROUNDS if spec.warms_up else 0)
+    metrics = []
+    for log in logs:
+        a, b = log.cum_profit_a, log.cum_profit_b
+        metrics.append((float(a), float(b), float(a + b), log.success_rate_pct))
+    return metrics
 
 
 def output_paths(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
@@ -276,8 +305,11 @@ def output_paths(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
 def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSummary:
     """Run a whole sweep; optionally write its cells and summary CSV files.
 
+    Only the games the results need are played (see :func:`_plan`), across
+    cells, in as few lockstep runs as ``CHUNK_BYTES`` and ``NDG_THREADS``
+    allow; every cell gets the same results as when played on its own.
     Bad settings and existing output files (unless ``force``) are refused
-    before any cell runs; ``ExperimentSpec`` checks its settings when built.
+    before any game runs; ``ExperimentSpec`` checks its settings when built.
     """
     if out_dir is not None:
         cells_path, summary_path = output_paths(spec, out_dir)
@@ -289,12 +321,29 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
         workers = 0
     if workers < 1:
         raise ValueError(f"NDG_THREADS must be a positive integer, got {threads!r}")
-    tasks = [(spec, wa, wb, i) for i, (wa, wb) in enumerate(spec.cells())]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            cells = tuple(pool.map(_cell_task, tasks))
+    weights = spec.cells()
+    # Randomness comes with an agent's kind and the tie-break, never its weight,
+    # so one built pair answers for every cell.
+    probe = _pair(spec, replace(spec.base, omega_a=weights[0][0], omega_b=weights[0][1]))
+    deterministic = not any(agent.draws_randomness for agent in probe)
+    del probe  # its learner tables need not outlive the plan
+    games, sources = _plan(spec, weights, deterministic)
+    bounds = [len(games) * k // workers for k in range(workers + 1)]
+    tasks = [(spec, games[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            metrics = [m for part in pool.map(_play_part, tasks) for m in part]
     else:
-        cells = tuple(_cell_task(t) for t in tasks)
+        metrics = [m for task in tasks for m in _play_part(task)]
+    reps = spec.replications
+    results = []
+    for (wa, wb), (first, swap) in zip(weights, sources):
+        played = metrics[first : first + 1] * reps if deterministic else metrics[first : first + reps]
+        profits_a, profits_b, totals, successes = zip(*played)
+        if swap:
+            profits_a, profits_b = profits_b, profits_a
+        results.append(CellResult(wa, wb, profits_a, profits_b, totals, successes))
+    cells = tuple(results)
     result = SweepSummary(spec=spec, cells=cells, summary=aggregate(cells))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

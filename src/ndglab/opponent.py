@@ -124,12 +124,18 @@ def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)
 def uniform_table(q: int) -> np.ndarray:
-    """Uniform conditional table: every context gets the uniform row."""
+    """Uniform conditional table: every context gets the uniform row.
+
+    Built once per ``q`` and shared, so read-only, like :func:`heuristic_table`.
+    """
     n = q - 1
     if n < 1:
         raise ValueError(f"q must be at least 2, got {q}")
-    return np.full((n, n, n), 1.0 / n)
+    table = np.full((n, n, n), 1.0 / n)
+    table.flags.writeable = False
+    return table
 
 
 class DirichletLearner:

@@ -29,6 +29,7 @@ from .core import JointState, Role, reward, reward_matrix, seat_view
 __all__ = [
     "backward_induction",
     "backward_induction_batch",
+    "solve_key",
     "solve_rules",
     "brute_force_value",
     "MdpAgent",
@@ -261,14 +262,24 @@ class MdpAgent:
             self.learner.update(state, opponent_demand)
 
 
+def solve_key(agent: MdpAgent):
+    """The batch item ``agent``'s rule is solved in: agents with equal keys share one.
+
+    With smallest ties, agents holding the same fixed table object, seat and
+    weight share an item.  A learner, and an agent with random ties, gets
+    an item of its own: its key is the agent itself.
+    """
+    if agent.learning or agent.tie_break == "random":
+        return agent
+    return (id(agent._model), agent.role, agent.omega)
+
+
 def solve_rules(agents) -> None:
     """Bring the rule of every stale agent in ``agents`` up to date.
 
-    One batched solve per ``(horizon, q)`` covers them all.  A learner, and
-    an agent with random ties, gets an item of its own; with smallest ties,
-    agents holding the same fixed table, seat and weight share one item.
-    Random ties are drawn from each agent's own stream, so which agents
-    share a batch, and in what order, cannot move a draw.
+    One batched solve per ``(horizon, q)`` covers them all, one item per
+    :func:`solve_key`.  Random ties are drawn from each agent's own stream,
+    so which agents share a batch, and in what order, cannot move a draw.
     """
     batches: dict[tuple[int, int], dict] = {}
     for agent in agents:
@@ -276,9 +287,7 @@ def solve_rules(agents) -> None:
             continue
         if agent.tie_break == "random" and agent.rng is None:
             raise ValueError("random tie-breaking needs an rng")
-        shared = not agent.learning and agent.tie_break == "smallest"
-        key = (id(agent._model), agent.role, agent.omega) if shared else id(agent)
-        batches.setdefault((agent.horizon, agent.q), {}).setdefault(key, []).append(agent)
+        batches.setdefault((agent.horizon, agent.q), {}).setdefault(solve_key(agent), []).append(agent)
     for (h, q), items in batches.items():
         groups = list(items.values())
         _, actions = backward_induction_batch(

@@ -163,18 +163,19 @@ def reference_heuristic_sample(model, s, role, rng):
 def count_played_games(monkeypatch):
     """Count the games a sweep hands to the game loop, which still plays them.
 
-    Patches ``experiments.run_games``, the name every sweep plays its games
-    through, and returns the list that receives each call's game count.
+    Patches ``experiments.run_games``, the one call through which a sweep
+    plays every lockstep chunk, and returns the list that receives each
+    call's game count.  Chunks played in worker processes are not counted.
     """
     from ndglab import experiments
 
     real = experiments.run_games
     counts = []
 
-    def counting(config, pairs, plans, *args, **kwargs):
+    def counting(configs, pairs, plans, *args, **kwargs):
         pairs = list(pairs)
         counts.append(len(pairs))
-        return real(config, pairs, plans, *args, **kwargs)
+        return real(configs, pairs, plans, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_games", counting)
     return counts

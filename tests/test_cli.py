@@ -280,16 +280,16 @@ def test_validate_passes(capsys):
     assert "[FAIL]" not in out
 
 
-def _reproduce_tables():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
-    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+def _script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_reproduce_tables_refuses_bad_input_before_any_sweep(tmp_path, capsys):
-    script = _reproduce_tables()
+    script = _script("reproduce_tables")
     cases = (
         (["--tests", "1,6", "--single-run"], "1..5"),
         (["--tests", "6", "--single-run"], "1..5"),
@@ -306,7 +306,7 @@ def test_reproduce_tables_refuses_bad_input_before_any_sweep(tmp_path, capsys):
 def test_reproduce_tables_refuses_every_output_and_repeated_id_before_any_sweep(
     tmp_path, capsys, monkeypatch
 ):
-    script = _reproduce_tables()
+    script = _script("reproduce_tables")
     sweeps = []
     real_run_test = script.run_test
 
@@ -325,3 +325,31 @@ def test_reproduce_tables_refuses_every_output_and_repeated_id_before_any_sweep(
     assert (tmp_path / "test3" / "test3_cells.csv").read_text() == "old\n"
     assert script.main(["--tests", "1,3", "--single-run", "--force", "--out", str(tmp_path)]) == EXIT_OK
     assert sweeps == [1, 3]
+
+
+def test_belief_convergence_refuses_bad_input_before_any_game(capsys, monkeypatch):
+    script = _script("belief_convergence")
+    games = []
+    real_run_game = script.run_game
+
+    def counting_run_game(config, *args):
+        games.append(config.rounds)
+        return real_run_game(config, *args)
+
+    monkeypatch.setattr(script, "run_game", counting_run_game)
+    cases = (
+        (["--checkpoints", "60,x"], "whole numbers"),
+        (["--checkpoints", "0"], "rounds"),
+        (["--checkpoints", ","], "at least one"),
+        (["--omega", "2"], "omega"),
+        (["--sigma", "nan"], "sigma"),
+        (["--seed", "-1"], "seed"),
+    )
+    for flags, reason in cases:
+        assert script.main(flags) == EXIT_CONFIG, flags
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and reason in captured.err, flags
+        assert captured.out == ""
+    assert games == []
+    assert script.main(["--checkpoints", "5,10"]) == EXIT_OK
+    assert games == [5, 10] and len(capsys.readouterr().out.splitlines()) == 3

@@ -21,7 +21,7 @@ from ndglab import (
     run_game,
     uniform_table,
 )
-from ndglab.engine import write_game_summary_csv, write_round_csv
+from ndglab.engine import run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
 
@@ -101,6 +101,18 @@ def test_poll_order_is_irrelevant():
             agent_a.observe(state, r.demand_b)
             agent_b.observe(state, r.demand_a)
             state = JointState(r.demand_a, r.demand_b)
+
+
+def test_lockstep_games_may_differ_only_in_their_weights():
+    configs = [GameConfig(rounds=12, omega_a=wa, omega_b=wb, seed=s) for wa, wb, s in ((0.0, 1.0, 1), (0.7, 0.2, 2))]
+    pairs = [_uniform_pair(config, "random") for config in configs]
+    logs = run_games(configs, pairs, [RngPlan(c.seed) for c in configs])
+    assert logs == [run_game(c, *_uniform_pair(c, "random")) for c in configs]
+    for other in (GameConfig(rounds=11), GameConfig(rounds=12, q=11), GameConfig(rounds=12, initial_demand=4)):
+        with pytest.raises(ValueError, match="must share q, rounds and initial_demand"):
+            run_games([configs[0], other], [_uniform_pair(c) for c in (configs[0], other)], [RngPlan(0)] * 2)
+    with pytest.raises(ValueError, match="one config and plan per game"):
+        run_games(configs, pairs, [RngPlan(0)])
 
 
 def test_per_round_conservation():

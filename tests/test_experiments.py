@@ -1,6 +1,7 @@
 """Benchmark scenarios, grid sweeps, and their CSV outputs."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from ndglab import (
     run_test,
     uniform_table,
 )
-from ndglab.experiments import ExperimentSpec, _cell_seed_seqs, build_agent, run_cell
-from ndglab.planner import TIE_BREAKS
+from ndglab.experiments import ExperimentSpec, build_agent
+from ndglab.planner import TIE_BREAKS, solve_key
 
 from oracles import count_played_games, csv_rows
 
@@ -113,8 +114,11 @@ def _check_agents(config, tie_break, role):
         assert isinstance(planner, MdpAgent) and planner.role is role
         assert planner.learning == learning
         assert planner.draws_randomness == (tie_break == "random")
-        if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by run_cell
+        if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by the sweep
             assert np.array_equal(planner.learner.counts, make_prior("uniform", config.q).counts)
+        # planners built for two games share a solve item only when smallest ties fix their model
+        again = build_agent(AgentSpec(kind), role, 0.5, config, tie_break)
+        assert (solve_key(planner) == solve_key(again)) == (tie_break == "smallest" and not learning)
     # the held model is the rule-based opponent seen from the other seat
     held = build_agent(AgentSpec("mdp-heuristic"), role, 0.5, config, tie_break)._model
     assert np.array_equal(held, heuristic_table(HeuristicModel(3.0, config.q), role.other))
@@ -124,13 +128,12 @@ def _check_agents(config, tie_break, role):
 
 
 def test_cell_is_deterministic_and_rep_stable():
-    spec = benchmark_spec(1, replications=3)
-    seqs = _cell_seed_seqs(spec.base.seed, 0, 3)
-    first = run_cell(spec, 0.0, 0.5, seqs)
-    again = run_cell(spec, 0.0, 0.5, seqs)
+    spec = benchmark_spec(1, replications=3, grid=(0.0,))
+    first = run_test(spec).cells[0]
+    again = run_test(spec).cells[0]
     assert first == again
     # each replication is seeded on its own: a shorter run is a prefix
-    short = run_cell(spec, 0.0, 0.5, seqs[:1])
+    short = run_test(dataclasses.replace(spec, replications=1)).cells[0]
     assert short.success_rate_pct == first.success_rate_pct[:1]
 
 
@@ -165,21 +168,116 @@ def test_planner_pairs_under_smallest_ties_replay_under_any_seed(test_id, wa, wb
 )
 def test_run_cell_plays_a_deterministic_cell_once(test_id, tie_break, games, monkeypatch):
     played = count_played_games(monkeypatch)
-    spec = benchmark_spec(test_id, replications=3, base=GameConfig(rounds=8), tie_break=tie_break)
-    cell = run_cell(spec, 0.3, 0.7, _cell_seed_seqs(spec.base.seed, 4, 3))
-    assert sum(played) == games
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    spec = benchmark_spec(
+        test_id, replications=3, base=GameConfig(rounds=8, omega_b=0.7), tie_break=tie_break, grid=(0.3,)
+    )
+    if spec.omega_grid_b is not None:
+        spec = dataclasses.replace(spec, omega_grid_b=(0.7,))
+    (cell,) = run_test(spec).cells
+    assert (cell.omega_a, cell.omega_b) == (0.3, 0.7)
+    assert played == [games]
     assert len(cell.total) == 3
     if games == 1:
         assert len(set(cell.total)) == 1
 
 
 def test_fixed_uniform_cell_is_exact():
-    spec = benchmark_spec(3, replications=2)
-    cell = run_cell(spec, 0.0, 1.0, _cell_seed_seqs(0, 10, 2))
+    spec = benchmark_spec(3, replications=2, grid=(0.0, 1.0))
+    cell = run_test(spec).cells[1]
+    assert (cell.omega_a, cell.omega_b) == (0.0, 1.0)
     assert cell.profit_a == (298.0, 298.0)
     assert cell.profit_b == (298.0, 298.0)
     assert cell.total == (596.0, 596.0)
     assert cell.success_rate_pct == (100.0, 100.0)
+
+
+def _unreused_cells(spec):
+    """Every cell of ``spec`` played on its own: one game per replication, nothing reused."""
+    cells = []
+    for i, (wa, wb) in enumerate(spec.cells()):
+        games = []
+        for rep in range(spec.replications):
+            log = _play(spec, wa, wb, np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(i, rep)))
+            a, b = log.cum_profit_a, log.cum_profit_b
+            games.append((float(a), float(b), float(a + b), log.success_rate_pct))
+        cells.append(CellResult(wa, wb, *zip(*games)))
+    return tuple(cells)
+
+
+_GRID = st.lists(st.sampled_from((0.0, 0.2, 0.5, 0.7, 1.0)), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((3, 4, 5)),
+    st.sampled_from(TIE_BREAKS),
+    _GRID,
+    st.one_of(st.none(), _GRID),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a, grid_b, reps, seed):
+    spec = benchmark_spec(
+        test_id, replications=reps, base=GameConfig(rounds=12, seed=seed), tie_break=tie_break, grid=tuple(grid_a)
+    )
+    if grid_b is not None:  # an unequal B grid
+        spec = dataclasses.replace(spec, omega_grid_b=tuple(grid_b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("NDG_THREADS", raising=False)
+        played = count_played_games(patch)
+        cells = run_test(spec).cells
+    assert cells == _unreused_cells(spec)
+    if tie_break == "random":  # random ties never reuse a game
+        assert sum(played) == len(cells) * reps
+    else:
+        weights = {(wa, wb) for wa, wb in spec.cells()}
+        assert sum(played) == len({tuple(sorted(w)) for w in weights})
+
+
+@pytest.mark.parametrize(
+    ("test_id", "grid", "tie_break", "replications", "played"),
+    [
+        (4, (0.0, 0.5, 1.0), "smallest", 3, [6]),
+        (4, None, "smallest", 30, [66]),
+        (4, (0.0, 0.5, 1.0), "random", 3, [27]),
+    ],
+)
+def test_a_sweep_plays_its_distinct_games_in_one_lockstep(test_id, grid, tie_break, replications, played, monkeypatch):
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    counts = count_played_games(monkeypatch)
+    run_test(benchmark_spec(test_id, replications=replications, grid=grid, tie_break=tie_break))
+    assert counts == played
+
+
+def test_repeated_random_grid_values_keep_their_own_seeds():
+    spec = benchmark_spec(4, replications=1, base=GameConfig(rounds=12), tie_break="random", grid=(0.5, 0.5))
+    cells = run_test(spec).cells
+    assert {(c.omega_a, c.omega_b) for c in cells} == {(0.5, 0.5)}
+    assert cells == _unreused_cells(spec)
+    assert len({(c.profit_a, c.profit_b) for c in cells}) > 1  # reusing one game would be wrong
+
+
+@pytest.mark.parametrize(
+    ("test_id", "tie_break", "q", "grid"),
+    [
+        pytest.param(2, "smallest", 60, (0.5,), id="learner"),
+        pytest.param(1, "random", 60, (0.5,), id="random-tie-planner"),
+        # 66 played games of a shared uniform table: 21 (seat, weight) items per chunk
+        pytest.param(3, "smallest", 30, None, id="shared-fixed-model"),
+    ],
+)
+def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, monkeypatch):
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    spec = benchmark_spec(test_id, replications=30, base=GameConfig(q=q, rounds=4), tie_break=tie_break, grid=grid)
+    tracemalloc.start()
+    try:
+        cells = run_test(spec).cells
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == len(spec.cells()) and all(len(cell.total) == 30 for cell in cells)
+    assert peak < 36 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 def _toy_cell(omega_a, profit_a, profit_b):
@@ -251,14 +349,23 @@ def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch
 
 
 def test_parallel_cells_match_serial(tmp_path, monkeypatch):
-    for test_id, tie_break, replications in ((4, "smallest", 1), (2, "random", 3), (5, "random", 3)):
-        spec = benchmark_spec(test_id, replications=replications, grid=SMALL, tie_break=tie_break)
+    cases = (
+        (4, "smallest", 1, (0.0, 0.5, 1.0)),  # mirrored cells reused
+        (4, "smallest", 1, SMALL),
+        (2, "random", 3, SMALL),
+        (5, "random", 3, SMALL),  # 12 games: 3 workers split them 4, 4, 4 across cells
+        (5, "random", 2, SMALL),  # 8 games: 3 workers split them 2, 3, 3 across cells
+    )
+    for test_id, tie_break, replications, grid in cases:
+        spec = benchmark_spec(test_id, replications=replications, grid=grid, tie_break=tie_break)
         monkeypatch.delenv("NDG_THREADS", raising=False)
-        serial = run_test(spec, out_dir=tmp_path / f"serial{test_id}")
-        monkeypatch.setenv("NDG_THREADS", "2")
-        parallel = run_test(spec, out_dir=tmp_path / f"parallel{test_id}")
-        assert serial.cells == parallel.cells
-        for name in (f"test{test_id}_cells.csv", f"test{test_id}_summary.csv"):
-            assert (tmp_path / f"serial{test_id}" / name).read_bytes() == (
-                tmp_path / f"parallel{test_id}" / name
-            ).read_bytes()
+        case = f"{test_id}{tie_break}{replications}x{len(grid)}"
+        serial_dir = tmp_path / f"serial{case}"
+        serial = run_test(spec, out_dir=serial_dir)
+        for threads in ("2", "3"):
+            monkeypatch.setenv("NDG_THREADS", threads)
+            parallel_dir = tmp_path / f"parallel{case}-{threads}"
+            parallel = run_test(spec, out_dir=parallel_dir)
+            assert serial.cells == parallel.cells
+            for name in (f"test{test_id}_cells.csv", f"test{test_id}_summary.csv"):
+                assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()

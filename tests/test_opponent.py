@@ -199,6 +199,14 @@ def test_uniform_shapes():
     np.testing.assert_array_equal(uniform_table(10), np.full((9, 9, 9), 1 / 9))
 
 
+def test_uniform_table_is_built_once_and_read_only():
+    table = uniform_table(10)
+    assert uniform_table(10) is table  # planners holding it share one solve item
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 0.0
+
+
 # --- Dirichlet learner ---
 
 
