@@ -34,6 +34,8 @@ def main(argv=None) -> int:
     reps = 1 if args.single_run else args.replications
     try:
         ids = [int(part) for part in args.tests.split(",") if part.strip()]
+        if not ids:
+            raise ValueError("--tests needs at least one scenario id")
         repeated = sorted({k for k in ids if ids.count(k) > 1})
         if repeated:
             raise ValueError(f"scenario ids must not repeat, got {repeated[0]} more than once")

@@ -10,10 +10,10 @@ from .core import (
     GameLog,
     JointState,
     Role,
-    RoundRecord,
     chi,
     reward,
     reward_matrix,
+    round_columns,
     seat_view,
 )
 from .engine import HeuristicAgent, RngPlan, pretrain, run_game
@@ -45,10 +45,10 @@ __all__ = [
     "GameLog",
     "JointState",
     "Role",
-    "RoundRecord",
     "chi",
     "reward",
     "reward_matrix",
+    "round_columns",
     "seat_view",
     "HeuristicAgent",
     "RngPlan",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, RoundRecord, refuse_overwrite
+from .core import GameConfig, Role, refuse_overwrite, round_columns
 from .engine import pretrain, run_game, write_game_summary_csv, write_round_csv
 from .experiments import (
     WARMUP_ROUNDS,
@@ -111,7 +111,7 @@ def load_config(path) -> CliConfig:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         try:
             setattr(config, key, _convert(key, value))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"bad value for {key!r} in {path}: {value!r}") from exc
     return config
 
@@ -214,24 +214,23 @@ def _cmd_run(args, config: CliConfig) -> int:
     summary_path = out / "game_summary.csv"
     refuse_overwrite((rounds_path, summary_path), args.force)
 
-    agents = {}
-    for seat, choice, sigma, prior_path in (
-        (Role.A, args.agent_a, args.sigma_a, args.prior_a),
-        (Role.B, args.agent_b, args.sigma_b, args.prior_b),
-    ):
-        spec = AgentSpec(choice, sigma)
-        omega = game_config.omega_a if seat is Role.A else game_config.omega_b
-        agent = build_agent(spec, seat, omega, game_config, config.tie_break)
-        if prior_path:
-            if choice != "mdp-learning":
-                raise ConfigError(f"--prior-{seat.value.lower()} needs an mdp-learning agent")
-            agent = MdpAgent(
-                seat, omega, game_config.horizon, game_config.q,
-                learner=load_learner(prior_path), tie_break=config.tie_break,
-            )
-        agents[seat] = agent
+    seats = (
+        (Role.A, AgentSpec(args.agent_a, args.sigma_a), args.prior_a, game_config.omega_a),
+        (Role.B, AgentSpec(args.agent_b, args.sigma_b), args.prior_b, game_config.omega_b),
+    )
+    for seat, spec, prior_path, _ in seats:  # checked before any agent is built
+        if prior_path and spec.kind != "mdp-learning":
+            raise ConfigError(f"--prior-{seat.value.lower()} needs an mdp-learning agent")
+    agents = []
+    for seat, spec, prior_path, omega in seats:
+        if prior_path:  # the loaded learner is the seat's only prior
+            learner = load_learner(prior_path)
+            horizon, q = game_config.horizon, game_config.q
+            agents.append(MdpAgent(seat, omega, horizon, q, learner=learner, tie_break=config.tie_break))
+        else:
+            agents.append(build_agent(spec, seat, omega, game_config, config.tie_break))
 
-    log = run_game(game_config, agents[Role.A], agents[Role.B])
+    log = run_game(game_config, *agents)
     out.mkdir(parents=True, exist_ok=True)
     write_round_csv(log, rounds_path)
     write_game_summary_csv(log, summary_path)
@@ -326,13 +325,13 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
         )
         a = int(rng.integers(1, q))
         b = int(rng.integers(1, q))
-        rec = RoundRecord.from_demands(1, a, b, config)
-        if rec.compatible:
-            ok = ok and rec.profit_a + rec.profit_b + rec.unclaimed == q
-            ok = ok and abs(rec.reward_a - (a - config.omega_a * (q - b))) < 1e-12
+        rec = {name: column.item() for name, column in round_columns(config, [[a, b]]).items()}
+        if rec["compatible"]:
+            ok = ok and rec["profit_a"] + rec["profit_b"] + rec["unclaimed"] == q
+            ok = ok and abs(rec["reward_a"] - (a - config.omega_a * (q - b))) < 1e-12
         else:
-            ok = ok and (rec.profit_a, rec.profit_b, rec.unclaimed) == (0, 0, q)
-            ok = ok and abs(rec.reward_a + config.omega_a * abs(q - a - b)) < 1e-12
+            ok = ok and (rec["profit_a"], rec["profit_b"], rec["unclaimed"]) == (0, 0, q)
+            ok = ok and abs(rec["reward_a"] + config.omega_a * abs(q - a - b)) < 1e-12
     checks.append(("payout bookkeeping conserves the full amount", ok, "1000 random rounds"))
     return checks
 

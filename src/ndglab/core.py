@@ -18,7 +18,7 @@ import enum
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,8 +28,8 @@ __all__ = [
     "Role",
     "JointState",
     "GameConfig",
-    "RoundRecord",
     "GameLog",
+    "round_columns",
     "check_demand",
     "chi",
     "reward",
@@ -166,37 +166,29 @@ def reward_matrix(omega: float, q: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything recorded about one played round."""
+def round_columns(config: GameConfig, demands) -> dict[str, np.ndarray]:
+    """Every round of a game's ``(rounds, 2)`` demands in ``1..q-1``, one array per column.
 
-    t: int
-    demand_a: int
-    demand_b: int
-    compatible: bool
-    profit_a: int
-    profit_b: int
-    reward_a: float
-    reward_b: float
-    unclaimed: int  # leftover when compatible, the whole of q otherwise
-
-    @classmethod
-    def from_demands(
-        cls, t: int, demand_a: int, demand_b: int, config: GameConfig
-    ) -> "RoundRecord":
-        c = chi(demand_a, demand_b, config.q)
-        q = config.q  # both omegas were checked when config was built
-        return cls(
-            t=t,
-            demand_a=demand_a,
-            demand_b=demand_b,
-            compatible=bool(c),
-            profit_a=demand_a * c,
-            profit_b=demand_b * c,
-            reward_a=_payoff(demand_a, demand_b, c, config.omega_a, q),
-            reward_b=_payoff(demand_b, demand_a, c, config.omega_b, q),
-            unclaimed=q - demand_a - demand_b if c else q,
-        )
+    ``compatible`` is 1 when the pair fits into ``q``; a seat's profit is its
+    demand then and 0 otherwise; each reward has the bits of :func:`reward`
+    under the seat's weight; ``unclaimed`` is the leftover of a compatible
+    round and the whole of ``q`` otherwise.
+    """
+    q = config.q
+    demands = np.asarray(demands)
+    a, b = demands[:, 0], demands[:, 1]
+    c = (a + b <= q).astype(np.int64)
+    return {
+        "round": np.arange(1, len(demands) + 1),
+        "demand_a": a,
+        "demand_b": b,
+        "compatible": c,
+        "profit_a": a * c,
+        "profit_b": b * c,
+        "reward_a": _payoff(a, b, c, config.omega_a, q),
+        "reward_b": _payoff(b, a, c, config.omega_b, q),
+        "unclaimed": np.where(c, q - a - b, q),
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +196,8 @@ class GameLog:
     """One game's demands plus its headline statistics.
 
     ``demands[t - 1]`` is the ``(demand_a, demand_b)`` pair of round ``t``.
-    The statistics are scored from it in closed form when the log is
-    built; the per-round :attr:`records` only when something reads them.
+    The statistics are scored from it in closed form when the log is built;
+    :func:`round_columns` scores every round in full.
     """
 
     config: GameConfig
@@ -234,14 +226,6 @@ class GameLog:
         if not isinstance(other, GameLog):
             return NotImplemented
         return self.config == other.config and np.array_equal(self.demands, other.demands)
-
-    @cached_property
-    def records(self) -> tuple[RoundRecord, ...]:
-        """Every round in full, built on first read."""
-        return tuple(
-            RoundRecord.from_demands(t, demand_a, demand_b, self.config)
-            for t, (demand_a, demand_b) in enumerate(self.demands.tolist(), start=1)
-        )
 
 
 def refuse_overwrite(paths, force: bool) -> None:

@@ -7,6 +7,10 @@ in the state the round was played at, and advances the state to the pair
 just played.  :func:`run_games` steps several games together, round by
 round, so that their planners share one batched solve per round;
 :func:`run_game` is its one-game case.
+
+The loop alone decides when rules are solved: every planner before round 2,
+then every learner, whose belief moves each round, before each later round.
+So agents reused for a second game play it as fresh agents would.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import GameConfig, GameLog, JointState, Role, atomic_write
+from .core import GameConfig, GameLog, JointState, Role, atomic_write, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
 from .planner import MdpAgent, solve_rules
 
@@ -65,9 +69,6 @@ class RngPlan:
 
 class Agent(Protocol):
     role: Role
-    # False promises that play never reads the stream bound by bind_rng, so
-    # the same config and agents replay the same game under any seed.
-    draws_randomness: bool
 
     def act(self, state: JointState) -> int: ...
 
@@ -78,8 +79,6 @@ class Agent(Protocol):
 
 class HeuristicAgent:
     """Non-optimizing player that samples its demand from its own rule-based model."""
-
-    draws_randomness = True
 
     def __init__(self, role: Role, model: HeuristicModel):
         self.role = role
@@ -147,10 +146,10 @@ def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
     Every game plays ``config``'s rounds from its opening demand.  Before
-    each round, every planner whose belief moved is re-solved in one
-    batched solve.  Moves are simultaneous: A is asked before B, but neither
-    sees the other's demand, so the order cannot change the outcome, which
-    the test suite asserts.  Each agent draws only from its own stream, so
+    round 2 every planner is solved, and before each later round every
+    learner, in one batched solve per round.  Moves are simultaneous: A is
+    asked before B, but neither sees the other's demand, so the order cannot
+    change the outcome, which the test suite asserts.  Each agent draws only from its own stream, so
     the order in which games interleave cannot move a draw either.
     """
     for (agent_a, agent_b), plan in zip(pairs, plans):
@@ -167,7 +166,7 @@ def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     for t in range(config.rounds):
         if t:
             solve_rules(planners)
-            if t == 1:  # a fixed model, once solved, never goes stale
+            if t == 1:  # a fixed model's rule holds for the rest of the game
                 planners = [agent for agent in planners if agent.learning]
         for g, (agent_a, agent_b) in enumerate(pairs):
             state = states[g]
@@ -233,23 +232,12 @@ SUMMARY_FIELDS = (
 
 
 def write_round_csv(log: GameLog, path) -> None:
+    """One row per round, the columns of :func:`core.round_columns`."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUND_FIELDS)
-        for r in log.records:
-            writer.writerow(
-                [
-                    r.t,
-                    r.demand_a,
-                    r.demand_b,
-                    int(r.compatible),
-                    r.profit_a,
-                    r.profit_b,
-                    r.reward_a,
-                    r.reward_b,
-                    r.unclaimed,
-                ]
-            )
+        columns = round_columns(log.config, log.demands)
+        writer.writerows(zip(*(columns[name].tolist() for name in ROUND_FIELDS)))
 
 
 def write_game_summary_csv(log: GameLog, path) -> None:

@@ -20,12 +20,11 @@ The five scenarios (``SCENARIOS``):
 
 Each grid cell runs a configurable number of seeded replications; per-cell
 results keep the raw per-replication metrics so summaries can be recomputed
-any way a caller needs.  A sweep plays only the games its cells need:
-a cell whose agents draw no randomness plays once, and reuses an equal or
-seat-swapped cell already played.  The games of all cells then run in
-lockstep, in consecutive chunks bounded by ``CHUNK_BYTES``, which can run in
-parallel (at least one chunk per worker, capped by the ``NDG_THREADS``
-environment variable).
+any way a caller needs.  A sweep plays only the games its cells need: a
+cell of a deterministic spec plays once, and reuses an equal or seat-swapped
+cell already played.  The games of all cells then run in lockstep, in
+consecutive chunks bounded by ``CHUNK_BYTES``, split into ``NDG_THREADS``
+parts that run in at most one worker process per CPU.
 """
 
 from __future__ import annotations
@@ -150,6 +149,12 @@ class ExperimentSpec:
     def warms_up(self) -> bool:
         return "mdp-pretrained" in (self.agent_a.kind, self.agent_b.kind)
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether every seed replays the same game: a rule-based seat always
+        draws from its stream, a planner only under random ties."""
+        return self.tie_break == "smallest" and "heuristic" not in (self.agent_a.kind, self.agent_b.kind)
+
     def cells(self) -> list[tuple[float, float]]:
         if self.omega_grid_b is None:
             return [(wa, self.base.omega_b) for wa in self.omega_grid_a]
@@ -220,27 +225,19 @@ class SweepSummary:
     summary: dict
 
 
-def _pair(spec: ExperimentSpec, config: GameConfig):
-    """A fresh ``(agent_a, agent_b)`` pair for one game under ``config``."""
-    return (
-        build_agent(spec.agent_a, Role.A, config.omega_a, config, spec.tie_break),
-        build_agent(spec.agent_b, Role.B, config.omega_b, config, spec.tie_break),
-    )
-
-
-def _plan(spec: ExperimentSpec, weights, deterministic: bool):
+def _plan(spec: ExperimentSpec, weights):
     """The games a sweep must play, and where each cell finds its results.
 
     Returns ``games``, one ``(cell_index, config, rep)`` per game to play,
     and per cell ``(first, swap)``: the cell's replications are the games
     from index ``first`` on, with the two profits swapped when ``swap`` is
-    set.  When no agent draws randomness, every game of a cell
-    replays the same game under any seed, so a cell plays one game, and a
-    cell whose weights were already played reuses that game.  With equal
-    specs on both seats, so does its seat-swapped cell ``(omega_b,
-    omega_a)``: the game is the same with the seats' demands exchanged.
+    set.  When the spec is deterministic, every game of a cell replays the
+    same game under any seed, so a cell plays one game, and a cell whose
+    weights were already played reuses that game.  With equal specs on both
+    seats, so does its seat-swapped cell ``(omega_b, omega_a)``: the game is
+    the same with the seats' demands exchanged.
     """
-    mirrored = deterministic and spec.agent_a == spec.agent_b
+    mirrored = spec.deterministic and spec.agent_a == spec.agent_b
     games, sources, played = [], [], {}
     for i, (wa, wb) in enumerate(weights):
         if (wa, wb) in played:
@@ -249,10 +246,10 @@ def _plan(spec: ExperimentSpec, weights, deterministic: bool):
             sources.append((played[wb, wa], True))
         else:
             sources.append((len(games), False))
-            if deterministic:
+            if spec.deterministic:
                 played[wa, wb] = len(games)
             config = replace(spec.base, omega_a=wa, omega_b=wb)
-            games += [(i, config, rep) for rep in range(1 if deterministic else spec.replications)]
+            games += [(i, config, rep) for rep in range(1 if spec.deterministic else spec.replications)]
     return games, sources
 
 
@@ -269,7 +266,11 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     item_bytes = (spec.base.q - 1) ** 3 * 8
     metrics, chunk, pairs, items = [], [], [], set()
     for game in games:
-        pair = _pair(spec, game[1])
+        config = game[1]
+        pair = (
+            build_agent(spec.agent_a, Role.A, config.omega_a, config, spec.tie_break),
+            build_agent(spec.agent_b, Role.B, config.omega_b, config, spec.tie_break),
+        )
         keys = {solve_key(agent) for agent in pair if isinstance(agent, MdpAgent)}
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:
             metrics += _play_chunk(spec, chunk, pairs)
@@ -322,23 +323,20 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     if workers < 1:
         raise ValueError(f"NDG_THREADS must be a positive integer, got {threads!r}")
     weights = spec.cells()
-    # Randomness comes with an agent's kind and the tie-break, never its weight,
-    # so one built pair answers for every cell.
-    probe = _pair(spec, replace(spec.base, omega_a=weights[0][0], omega_b=weights[0][1]))
-    deterministic = not any(agent.draws_randomness for agent in probe)
-    del probe  # its learner tables need not outlive the plan
-    games, sources = _plan(spec, weights, deterministic)
+    games, sources = _plan(spec, weights)
     bounds = [len(games) * k // workers for k in range(workers + 1)]
     tasks = [(spec, games[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    # The split alone fixes the outputs; the pool only bounds how many parts run at once.
+    processes = min(len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             metrics = [m for part in pool.map(_play_part, tasks) for m in part]
     else:
         metrics = [m for task in tasks for m in _play_part(task)]
     reps = spec.replications
     results = []
     for (wa, wb), (first, swap) in zip(weights, sources):
-        played = metrics[first : first + 1] * reps if deterministic else metrics[first : first + reps]
+        played = metrics[first : first + 1] * reps if spec.deterministic else metrics[first : first + reps]
         profits_a, profits_b, totals, successes = zip(*played)
         if swap:
             profits_a, profits_b = profits_b, profits_a

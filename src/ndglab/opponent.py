@@ -158,7 +158,6 @@ class DirichletLearner:
             raise ValueError("all counts must be finite and strictly positive")
         self.counts = counts
         self.q = q
-        self.version = 0  # bumped on every update; lets planners cache per belief state
 
     @classmethod
     def uniform(cls, q: int) -> "DirichletLearner":
@@ -171,7 +170,6 @@ class DirichletLearner:
         check_demand(context.prev_b, self.q, "context.prev_b")
         check_demand(observed, self.q, "observed")
         self.counts[context.prev_a - 1, context.prev_b - 1, observed - 1] += 1.0
-        self.version += 1
 
     def estimate_table(self) -> np.ndarray:
         """Point estimates for every context at once."""

@@ -183,13 +183,12 @@ def brute_force_value(
 class MdpAgent:
     """Lookahead player: plans ``horizon`` stages against its demand model.
 
-    With a learner attached, the model estimate is refreshed and the plan
-    recomputed whenever the belief changes (receding horizon); with a fixed
-    model the decision rule is solved once and cached.  Exactly one of
-    ``model`` (a fixed conditional table) and ``learner`` must be given.
-    The game loop re-solves the stale rules of all its planners together
-    (:func:`solve_rules`); :meth:`current_rule` solves alone only when a
-    rule is read while still stale.
+    Exactly one of ``model`` (a fixed conditional table) and ``learner``
+    must be given.  :attr:`rule` holds the first-stage demands
+    ``[own_prev - 1, opp_prev - 1]`` of the last solve; :func:`solve_rules`
+    sets it, and the game loop decides when: a learner's rule is re-solved
+    against its refreshed estimate every round (receding horizon), a fixed
+    model's once per game.
     """
 
     def __init__(
@@ -221,25 +220,14 @@ class MdpAgent:
         self._model = _validate_model(model, q) if model is not None else None
         self.tie_break = tie_break
         self.rng: np.random.Generator | None = None
-        self._rule: np.ndarray | None = None
-        self._rule_version: int | None = None
+        self.rule: np.ndarray | None = None
 
     @property
     def learning(self) -> bool:
         return self.learner is not None
 
-    @property
-    def draws_randomness(self) -> bool:
-        """Only random tie-breaking reads the bound stream."""
-        return self.tie_break == "random"
-
     def bind_rng(self, rng: np.random.Generator) -> None:
         self.rng = rng
-
-    @property
-    def belief_version(self) -> int:
-        """Changes whenever the model the rule is solved against changes."""
-        return self.learner.version if self.learning else 0
 
     def _seat_table(self) -> np.ndarray:
         table = self.learner.estimate_table() if self.learning else self._model
@@ -247,15 +235,11 @@ class MdpAgent:
             return table
         return table.transpose(1, 0, 2)  # swap context axes into (own, opp) order
 
-    def current_rule(self) -> np.ndarray:
-        """First-stage demands ``[own_prev - 1, opp_prev - 1]`` for the current belief."""
-        if self._rule_version != self.belief_version:
-            solve_rules([self])
-        return self._rule
-
     def act(self, state: JointState) -> int:
+        if self.rule is None:
+            raise RuntimeError("no rule solved; run_game solves one before play")
         own_prev, opp_prev = seat_view(state, self.role)
-        return int(self.current_rule()[own_prev - 1, opp_prev - 1])
+        return int(self.rule[own_prev - 1, opp_prev - 1])
 
     def observe(self, state: JointState, opponent_demand: int) -> None:
         if self.learning:
@@ -275,7 +259,7 @@ def solve_key(agent: MdpAgent):
 
 
 def solve_rules(agents) -> None:
-    """Bring the rule of every stale agent in ``agents`` up to date.
+    """Solve the rule of every agent in ``agents`` against its current model.
 
     One batched solve per ``(horizon, q)`` covers them all, one item per
     :func:`solve_key`.  Random ties are drawn from each agent's own stream,
@@ -283,8 +267,6 @@ def solve_rules(agents) -> None:
     """
     batches: dict[tuple[int, int], dict] = {}
     for agent in agents:
-        if agent._rule_version == agent.belief_version:
-            continue
         if agent.tie_break == "random" and agent.rng is None:
             raise ValueError("random tie-breaking needs an rng")
         batches.setdefault((agent.horizon, agent.q), {}).setdefault(solve_key(agent), []).append(agent)
@@ -299,4 +281,4 @@ def solve_rules(agents) -> None:
         )
         for group, rule in zip(groups, actions):
             for agent in group:
-                agent._rule, agent._rule_version = rule, agent.belief_version
+                agent.rule = rule

@@ -27,6 +27,7 @@ from ndglab import (
     heuristic_table,
     make_prior,
     reward,
+    round_columns,
     run_game,
     run_test,
     uniform_table,
@@ -236,12 +237,12 @@ def test_06_normalization_and_conservation():
                 HeuristicAgent(Role.B, HeuristicModel(sigma=sigma_b, q=q)),
             )
             assert 0.0 <= log.success_rate_pct <= 100.0
-            for r in log.records:
-                good = r.profit_a + r.profit_b + r.unclaimed == q
-                if not r.compatible:
-                    good = good and (r.profit_a, r.profit_b) == (0, 0) and r.unclaimed == q
-                conserved = conserved and good
-                rounds_checked += 1
+            cols = round_columns(config, log.demands)
+            good = cols["profit_a"] + cols["profit_b"] + cols["unclaimed"] == q
+            forfeit = (cols["profit_a"] == 0) & (cols["profit_b"] == 0) & (cols["unclaimed"] == q)
+            good &= (cols["compatible"] == 1) | forfeit  # a failed round pays nothing
+            conserved = conserved and bool(good.all())
+            rounds_checked += len(good)
     for omega in (0.0, 0.3, 0.5, 0.8, 1.0):
         config = GameConfig(omega_a=omega, omega_b=1.0 - omega, seed=17)
         log = run_game(
@@ -250,9 +251,9 @@ def test_06_normalization_and_conservation():
             MdpAgent(Role.B, 1.0 - omega, 10, 10, learner=DirichletLearner.uniform(10)),
         )
         assert 0.0 <= log.success_rate_pct <= 100.0
-        for r in log.records:
-            conserved = conserved and r.profit_a + r.profit_b + r.unclaimed == 10
-            rounds_checked += 1
+        cols = round_columns(config, log.demands)
+        conserved = conserved and bool(np.all(cols["profit_a"] + cols["profit_b"] + cols["unclaimed"] == 10))
+        rounds_checked += len(log.demands)
 
     ok = norm_err <= 1e-12 and non_negative and conserved and rounds_checked >= 10_000
     report(

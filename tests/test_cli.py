@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ndglab import load_learner
+from ndglab import DirichletLearner, load_learner, make_prior, save_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
 
 from oracles import count_played_games, csv_rows
@@ -138,10 +138,16 @@ def test_json_config(tmp_path):
 
 def test_json_config_integer_keys_take_only_whole_numbers(tmp_path, capsys):
     cfg = tmp_path / "game.json"
-    for raw in ({"q": 10.7}, {"rounds": True}, {"seed": False}):
-        cfg.write_text(json.dumps(raw))
+    # JSON reads 1e400 as inf, whose int() overflows: refused like "q = inf" in a key-value file
+    raws = [json.dumps(raw) for raw in ({"q": 10.7}, {"rounds": True}, {"seed": False})]
+    for text in raws + ['{"q": 1e400}', '{"seed": -1e400}']:
+        cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
-        assert f"bad value for {next(iter(raw))!r}" in capsys.readouterr().err
+        assert f"bad value for {next(iter(json.loads(text)))!r}" in capsys.readouterr().err
+    kv = tmp_path / "game.cfg"
+    kv.write_text("q = inf\n")
+    assert main(["run", "--config", str(kv), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert "bad value for 'q'" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
     cfg.write_text(json.dumps({"rounds": 4.0}))  # a whole number written as a float is fine
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_OK
@@ -273,6 +279,29 @@ def test_prior_needs_learning_agent(tmp_path, capsys):
     assert "mdp-learning" in capsys.readouterr().err
 
 
+def test_a_loaded_prior_is_the_only_prior_built(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "learner.txt"
+    save_learner(make_prior("heuristic", 10, sigma=2.0), path)
+    built = []
+    real = DirichletLearner.uniform.__func__
+
+    def counting(cls, q):
+        built.append(q)
+        return real(cls, q)
+
+    monkeypatch.setattr(DirichletLearner, "uniform", classmethod(counting))
+    args = ["run", "--agent-a", "mdp-learning", "--prior-a", str(path), "--agent-b", "heuristic", "--rounds", "5"]
+    assert main([*args, "--out", str(tmp_path / "g")]) == EXIT_OK
+    assert built == []
+    # a prior on the wrong kind is refused before the other seat's learner is built
+    args = ["run", "--agent-a", "mdp-learning", "--prior-b", str(path), "--agent-b", "mdp-uniform"]
+    assert main([*args, "--out", str(tmp_path / "h")]) == EXIT_CONFIG
+    assert "--prior-b needs an mdp-learning agent" in capsys.readouterr().err
+    assert built == []
+    assert main(["run", "--agent-a", "mdp-learning", "--rounds", "5", "--out", str(tmp_path / "i")]) == EXIT_OK
+    assert built == [10]  # the count sees a seat built without a loaded prior
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -294,6 +323,8 @@ def test_reproduce_tables_refuses_bad_input_before_any_sweep(tmp_path, capsys):
         (["--tests", "1,6", "--single-run"], "1..5"),
         (["--tests", "6", "--single-run"], "1..5"),
         (["--replications", "0"], "replications"),
+        (["--tests", "", "--single-run"], "at least one"),
+        (["--tests", " , ", "--single-run"], "at least one"),
     )
     for flags, reason in cases:
         assert script.main([*flags, "--out", str(tmp_path)]) == EXIT_CONFIG, flags

@@ -12,10 +12,10 @@ from ndglab import (
     GameLog,
     JointState,
     Role,
-    RoundRecord,
     chi,
     reward,
     reward_matrix,
+    round_columns,
     seat_view,
 )
 
@@ -43,11 +43,16 @@ def test_demand_range_enforced():
         chi(5, 10, 10)
 
 
+def _round(a, b, config):
+    """The columns of one round, as Python scalars."""
+    return {name: column.item() for name, column in round_columns(config, [[a, b]]).items()}
+
+
 def test_profit_values():
     config = GameConfig()
-    assert RoundRecord.from_demands(2, 5, 5, config).profit_a == 5
-    assert RoundRecord.from_demands(2, 6, 5, config).profit_a == 0
-    assert RoundRecord.from_demands(2, 9, 1, config).profit_a == 9
+    assert _round(5, 5, config)["profit_a"] == 5
+    assert _round(6, 5, config)["profit_a"] == 0
+    assert _round(9, 1, config)["profit_a"] == 9
 
 
 def test_reward_examples():
@@ -140,43 +145,45 @@ def test_config_is_frozen():
 
 
 def test_round_record_compatible():
-    rec = RoundRecord.from_demands(1, 3, 3, GameConfig())
-    assert (rec.profit_a, rec.profit_b, rec.unclaimed) == (3, 3, 4)
-    assert rec.compatible
-    assert rec.reward_a == reward(3, 3, 0.5, 10)
+    rec = _round(3, 3, GameConfig())
+    assert (rec["profit_a"], rec["profit_b"], rec["unclaimed"]) == (3, 3, 4)
+    assert rec["compatible"] == 1
+    assert rec["reward_a"] == reward(3, 3, 0.5, 10)
 
 
 def test_round_record_incompatible_forfeits_everything():
-    rec = RoundRecord.from_demands(2, 7, 7, GameConfig())
-    assert (rec.profit_a, rec.profit_b, rec.unclaimed) == (0, 0, 10)
-    assert not rec.compatible
+    rec = _round(7, 7, GameConfig())
+    assert (rec["profit_a"], rec["profit_b"], rec["unclaimed"]) == (0, 0, 10)
+    assert rec["compatible"] == 0
 
 
 def test_round_record_rewards_use_each_seat_weight():
     config = GameConfig(omega_a=0.2, omega_b=0.9)
-    rec = RoundRecord.from_demands(1, 4, 5, config)
-    assert rec.reward_a == reward(4, 5, 0.2, 10)
-    assert rec.reward_b == reward(5, 4, 0.9, 10)
+    rec = _round(4, 5, config)
+    assert rec["reward_a"] == reward(4, 5, 0.2, 10)
+    assert rec["reward_b"] == reward(5, 4, 0.9, 10)
 
 
 @given(st.integers(2, 30), st.data(), weights, weights)
 def test_round_record_rewards_are_the_scalar_rewards_bit_for_bit(q, data, omega_a, omega_b):
-    a = data.draw(st.integers(1, q - 1))
-    b = data.draw(st.integers(1, q - 1))
+    pair = st.tuples(st.integers(1, q - 1), st.integers(1, q - 1))
+    demands = data.draw(st.lists(pair, min_size=1, max_size=20))
     config = GameConfig(q=q, initial_demand=1, omega_a=omega_a, omega_b=omega_b)
-    rec = RoundRecord.from_demands(2, a, b, config)
-    assert rec.reward_a.hex() == reward(a, b, omega_a, q).hex()
-    assert rec.reward_b.hex() == reward(b, a, omega_b, q).hex()
+    columns = round_columns(config, np.array(demands))
+    for (a, b), reward_a, reward_b in zip(demands, columns["reward_a"].tolist(), columns["reward_b"].tolist()):
+        assert reward_a.hex() == reward(a, b, omega_a, q).hex()
+        assert reward_b.hex() == reward(b, a, omega_b, q).hex()
 
 
 def test_game_log_totals():
     config = GameConfig(rounds=3)
     log = GameLog(config, np.array([[3, 3], [7, 7], [6, 4]]))
-    assert log.records == (
-        RoundRecord.from_demands(1, 3, 3, config),
-        RoundRecord.from_demands(2, 7, 7, config),
-        RoundRecord.from_demands(3, 6, 4, config),
-    )
+    columns = round_columns(config, log.demands)
+    assert columns["round"].tolist() == [1, 2, 3]
+    assert columns["profit_a"].tolist() == [3, 0, 6]
+    assert columns["profit_b"].tolist() == [3, 0, 4]
+    assert columns["compatible"].tolist() == [1, 0, 1]
+    assert columns["unclaimed"].tolist() == [4, 10, 0]
     assert log.cum_profit_a == 9
     assert log.cum_profit_b == 7
     assert log.success_rate_pct == pytest.approx(100.0 * 2 / 3)
@@ -188,13 +195,18 @@ def test_game_log_scores_from_demands_match_its_records(q, data):
     pair = st.tuples(st.integers(1, q - 1), st.integers(1, q - 1))
     demands = data.draw(st.lists(pair, min_size=rounds, max_size=rounds))
     log = GameLog(GameConfig(q=q, rounds=rounds, initial_demand=1), np.array(demands))
-    records = log.records
-    assert [(r.demand_a, r.demand_b) for r in records] == demands
-    assert [r.t for r in records] == list(range(1, rounds + 1))
-    assert type(log.cum_profit_a) is int and log.cum_profit_a == sum(r.profit_a for r in records)
-    assert type(log.cum_profit_b) is int and log.cum_profit_b == sum(r.profit_b for r in records)
-    compatible = sum(1 for r in records if r.compatible)
+    columns = {name: column.tolist() for name, column in round_columns(log.config, log.demands).items()}
+    assert list(zip(columns["demand_a"], columns["demand_b"])) == demands
+    assert columns["round"] == list(range(1, rounds + 1))
+    assert type(log.cum_profit_a) is int and log.cum_profit_a == sum(columns["profit_a"])
+    assert type(log.cum_profit_b) is int and log.cum_profit_b == sum(columns["profit_b"])
+    compatible = sum(columns["compatible"])
     assert log.success_rate_pct.hex() == (100.0 * compatible / rounds).hex()
+    for a, b, c, profit_a, profit_b, unclaimed in zip(
+        *(columns[name] for name in ("demand_a", "demand_b", "compatible", "profit_a", "profit_b", "unclaimed"))
+    ):
+        assert c == (1 if a + b <= q else 0) == chi(a, b, q)
+        assert (profit_a, profit_b, unclaimed) == ((a, b, q - a - b) if c else (0, 0, q))
 
 
 def test_game_log_length_checked():

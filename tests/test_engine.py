@@ -16,14 +16,15 @@ from ndglab import (
     MdpAgent,
     Role,
     RngPlan,
-    RoundRecord,
     pretrain,
+    round_columns,
     run_game,
     uniform_table,
 )
-from ndglab.engine import run_games, write_game_summary_csv, write_round_csv
+from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
+from ndglab.planner import TIE_BREAKS, solve_rules
 
 from oracles import csv_rows
 
@@ -46,8 +47,8 @@ def test_fixed_uniform_agents_settle_on_the_even_split():
     # forced 3/3 opening, then 5/5 for the remaining 59 rounds
     config = GameConfig(omega_a=0.3, omega_b=0.8)
     log = run_game(config, *_uniform_pair(config))
-    assert (log.records[0].demand_a, log.records[0].demand_b) == (3, 3)
-    assert all(r.demand_a == r.demand_b == 5 for r in log.records[1:])
+    assert log.demands[0].tolist() == [3, 3]
+    assert np.all(log.demands[1:] == 5)
     assert log.cum_profit_a == 3 + 59 * 5 == 298
     assert log.cum_profit_b == 298
     assert log.success_rate_pct == 100.0
@@ -56,8 +57,8 @@ def test_fixed_uniform_agents_settle_on_the_even_split():
 def test_opening_round_is_forced():
     config = GameConfig(initial_demand=7, rounds=5)
     log = run_game(config, *_heuristic_pair())
-    assert (log.records[0].demand_a, log.records[0].demand_b) == (7, 7)
-    assert not log.records[0].compatible  # 14 > 10, still played and recorded
+    assert log.demands[0].tolist() == [7, 7]
+    assert round_columns(config, log.demands)["compatible"][0] == 0  # 14 > 10, still played and recorded
 
 
 def test_seat_roles_are_checked():
@@ -79,9 +80,9 @@ def test_same_seed_reproduces_the_game():
     config = GameConfig(seed=42)
     log1 = run_game(config, *_heuristic_pair())
     log2 = run_game(config, *_heuristic_pair())
-    assert log1.records == log2.records
+    assert np.array_equal(log1.demands, log2.demands)
     log3 = run_game(GameConfig(seed=43), *_heuristic_pair())
-    assert log3.records != log1.records
+    assert not np.array_equal(log3.demands, log1.demands)
 
 
 def test_poll_order_is_irrelevant():
@@ -94,13 +95,15 @@ def test_poll_order_is_irrelevant():
         plan = RngPlan(config.seed)
         agent_a.bind_rng(plan.agent_a)
         agent_b.bind_rng(plan.agent_b)
+        planners = [agent for agent in (agent_b, agent_a) if isinstance(agent, MdpAgent)]
         state = JointState(config.initial_demand, config.initial_demand)
-        for r in log.records:
-            if r.t > 1:
-                assert (agent_b.act(state), agent_a.act(state)) == (r.demand_b, r.demand_a)
-            agent_a.observe(state, r.demand_b)
-            agent_b.observe(state, r.demand_a)
-            state = JointState(r.demand_a, r.demand_b)
+        for t, (demand_a, demand_b) in enumerate(log.demands.tolist(), start=1):
+            if t > 1:
+                solve_rules(planners)
+                assert (agent_b.act(state), agent_a.act(state)) == (demand_b, demand_a)
+            agent_a.observe(state, demand_b)
+            agent_b.observe(state, demand_a)
+            state = JointState(demand_a, demand_b)
 
 
 def test_lockstep_games_may_differ_only_in_their_weights():
@@ -115,13 +118,25 @@ def test_lockstep_games_may_differ_only_in_their_weights():
         run_games(configs, pairs, [RngPlan(0)])
 
 
+def test_reused_agents_play_a_second_game_as_fresh_agents_would():
+    # q=3 under a uniform model ties every column, so each solve draws every
+    # demand of the rule; the second game must solve again, from its own streams
+    first, second = (GameConfig(q=3, initial_demand=1, rounds=12, seed=seed) for seed in (1, 2))
+    for tie_break in TIE_BREAKS:
+        pair = _uniform_pair(first, tie_break)
+        assert run_game(first, *pair) == run_game(first, *_uniform_pair(first, tie_break))
+        assert run_game(second, *pair) == run_game(second, *_uniform_pair(second, tie_break))
+
+
 def test_per_round_conservation():
     config = GameConfig(seed=5)
     log = run_game(config, *_heuristic_pair(sigma_a=2.0))
-    for r in log.records:
-        assert r.profit_a + r.profit_b + r.unclaimed == config.q
-        if not r.compatible:
-            assert (r.profit_a, r.profit_b, r.unclaimed) == (0, 0, config.q)
+    columns = round_columns(config, log.demands)
+    assert np.all(columns["profit_a"] + columns["profit_b"] + columns["unclaimed"] == config.q)
+    failed = columns["compatible"] == 0
+    assert failed.any()
+    assert np.all(columns["profit_a"][failed] == 0) and np.all(columns["profit_b"][failed] == 0)
+    assert np.all(columns["unclaimed"][failed] == config.q)
 
 
 def test_every_round_is_observed_at_its_own_state():
@@ -132,7 +147,7 @@ def test_every_round_is_observed_at_its_own_state():
     agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10))
     log = run_game(config, agent_a, agent_b)
     assert learner.counts.sum() == 729.0 + config.rounds
-    assert learner.counts[2, 2, log.records[0].demand_b - 1] >= 2.0
+    assert learner.counts[2, 2, log.demands[0, 1] - 1] >= 2.0
 
 
 def test_agent_streams_are_isolated():
@@ -151,7 +166,7 @@ def test_changing_one_weight_leaves_the_other_seat_draws_alone():
         agent_a = MdpAgent(Role.A, omega_a, config.horizon, config.q, model=uniform_table(10))
         agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10))
         logs.append(run_game(config, agent_a, agent_b))
-    assert [r.demand_b for r in logs[0].records] == [r.demand_b for r in logs[1].records]
+    assert np.array_equal(logs[0].demands[:, 1], logs[1].demands[:, 1])
 
 
 def test_plan_accepts_seed_sequences():
@@ -217,7 +232,7 @@ def test_rule_based_game_memory_does_not_grow_as_q_cubed():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(log.records) == 60
+    assert len(log.demands) == 60
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
@@ -232,21 +247,13 @@ def test_round_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "round,demand_a,demand_b,compatible,profit_a,profit_b,reward_a,reward_b,unclaimed"
     assert len(lines) == 13
-    read_back = [
-        RoundRecord(
-            t=int(row["round"]),
-            demand_a=int(row["demand_a"]),
-            demand_b=int(row["demand_b"]),
-            compatible=bool(int(row["compatible"])),
-            profit_a=int(row["profit_a"]),
-            profit_b=int(row["profit_b"]),
-            reward_a=float(row["reward_a"]),
-            reward_b=float(row["reward_b"]),
-            unclaimed=int(row["unclaimed"]),
-        )
-        for row in csv_rows(path)
-    ]
-    assert read_back == list(log.records)
+    rows = csv_rows(path)
+    columns = round_columns(config, log.demands)
+    for name in ROUND_FIELDS:
+        parse = float if name.startswith("reward") else int
+        assert [parse(row[name]) for row in rows] == columns[name].tolist(), name
+    assert [int(row["round"]) for row in rows] == list(range(1, 13))
+    assert [[int(row["demand_a"]), int(row["demand_b"])] for row in rows] == log.demands.tolist()
 
 
 def test_summary_csv_round_trip(tmp_path):
@@ -263,7 +270,7 @@ def test_summary_csv_round_trip(tmp_path):
 
 
 def _round_log_failing_at_row_2():
-    return SimpleNamespace(records=[RoundRecord.from_demands(1, 3, 3, GameConfig()), None])
+    return SimpleNamespace(config=GameConfig(), demands=np.array([[3, 3], [None, 3]], dtype=object))
 
 
 def _learner_failing_at_row_4():

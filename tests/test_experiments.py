@@ -106,14 +106,13 @@ def test_build_agent_kinds():
 def _check_agents(config, tie_break, role):
     rule = build_agent(AgentSpec("heuristic"), role, 0.5, config, tie_break)
     assert isinstance(rule, HeuristicAgent) and rule.role is role
-    assert rule.model == HeuristicModel(sigma=1.0, q=config.q) and rule.draws_randomness
+    assert rule.model == HeuristicModel(sigma=1.0, q=config.q)
     for kind, learning in (
         ("mdp-heuristic", False), ("mdp-uniform", False), ("mdp-learning", True), ("mdp-pretrained", True),
     ):
         planner = build_agent(AgentSpec(kind), role, 0.5, config, tie_break)
         assert isinstance(planner, MdpAgent) and planner.role is role
         assert planner.learning == learning
-        assert planner.draws_randomness == (tie_break == "random")
         if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by the sweep
             assert np.array_equal(planner.learner.counts, make_prior("uniform", config.q).counts)
         # planners built for two games share a solve item only when smallest ties fix their model
@@ -138,8 +137,9 @@ def test_cell_is_deterministic_and_rep_stable():
 
 
 def _play(spec, omega_a, omega_b, seed):
+    """One game of ``spec`` on fresh agents; ``seed`` is a seed or the RngPlan to play on."""
     config = dataclasses.replace(spec.base, omega_a=omega_a, omega_b=omega_b)
-    plan = RngPlan(seed)
+    plan = seed if isinstance(seed, RngPlan) else RngPlan(seed)
     agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
     agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
     if spec.warms_up:
@@ -159,6 +159,41 @@ def test_planner_pairs_under_smallest_ties_replay_under_any_seed(test_id, wa, wb
     # run_cell plays such a cell once and repeats its metrics
     spec = benchmark_spec(test_id, base=GameConfig(rounds=30))
     assert _play(spec, wa, wb, seed) == _play(spec, wa, wb, other)
+
+
+_KINDS = tuple(experiments.AGENT_KINDS)
+_SEATS = [  # every pairing a spec accepts: mdp-pretrained only beside another learner
+    (AgentSpec(a), AgentSpec(b))
+    for a in _KINDS
+    for b in _KINDS
+    if "mdp-pretrained" not in (a, b) or {a, b} <= {"mdp-learning", "mdp-pretrained"}
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SEATS),
+    st.sampled_from(TIE_BREAKS),
+    st.sampled_from((0.0, 0.3, 1.0)),
+    st.sampled_from((0.0, 0.7, 1.0)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_deterministic_spec_replays_its_game_under_any_seed(seats, tie_break, wa, wb, seed, other):
+    spec = ExperimentSpec(5, *seats, (wa,), (wb,), 1, GameConfig(rounds=20), tie_break)
+    assert spec.deterministic == (tie_break == "smallest" and AgentSpec("heuristic") not in seats)
+    plans = [RngPlan(seed), RngPlan(other)]
+    logs = [_play(spec, wa, wb, plan) for plan in plans]
+    for plan, fresh in zip(plans, (RngPlan(seed), RngPlan(other))):
+        # a seat drew iff its stream no longer starts where a fresh copy's does
+        drew = (plan.agent_a.random() != fresh.agent_a.random(), plan.agent_b.random() != fresh.agent_b.random())
+        for seat, seat_drew in zip(seats, drew):
+            if seat.kind == "heuristic":
+                assert seat_drew  # a rule-based seat always draws
+            elif spec.deterministic:
+                assert not seat_drew
+    if spec.deterministic:
+        assert np.array_equal(logs[0].demands, logs[1].demands)
 
 
 @pytest.mark.parametrize(
@@ -369,3 +404,40 @@ def test_parallel_cells_match_serial(tmp_path, monkeypatch):
             assert serial.cells == parallel.cells
             for name in (f"test{test_id}_cells.csv", f"test{test_id}_summary.csv"):
                 assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
+
+
+def test_thread_count_splits_the_games_but_the_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # a fake pool records its size and plays the parts serially: no process starts
+    sizes, parts = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            parts.append([len(games) for _, games in tasks])
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    spec = benchmark_spec(2, replications=3, grid=SMALL, tie_break="random")  # 6 games
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    run_test(spec, out_dir=tmp_path / "serial")
+    assert sizes == []
+    for threads, cpus, size, split in (("500", 2, 2, [1] * 6), ("3", 8, 3, [2, 2, 2]), ("4", 1, None, None)):
+        monkeypatch.setenv("NDG_THREADS", threads)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        parts.clear()
+        out = tmp_path / threads
+        run_test(spec, out_dir=out)
+        assert sizes == ([size] if size else [])  # one CPU plays every part in this process
+        assert parts == ([split] if split else [])
+        for name in ("test2_cells.csv", "test2_summary.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()

@@ -214,13 +214,11 @@ def test_uniform_learner_start():
     learner = DirichletLearner.uniform(10)
     assert learner.counts.sum() == 729.0
     np.testing.assert_array_equal(learner.estimate_table()[3, 3], np.full(9, 1 / 9))
-    assert learner.version == 0
 
 
 def test_update_moves_one_count():
     learner = DirichletLearner.uniform(10)
     learner.update(JointState(6, 6), 5)
-    assert learner.version == 1
     row = learner.estimate_table()[5, 5]
     assert row[4] == pytest.approx(0.2)
     assert row.sum() == pytest.approx(1.0)

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from ndglab import (
     DirichletLearner,
+    GameConfig,
+    HeuristicAgent,
+    HeuristicModel,
     JointState,
     MdpAgent,
     Role,
     backward_induction,
     brute_force_value,
+    run_game,
     uniform_table,
 )
+from ndglab import planner as planner_module
 from ndglab.planner import TIE_BREAKS, backward_induction_batch, solve_rules
 
 from oracles import (
@@ -196,9 +201,10 @@ def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds, role):
     solve_rules(batch)
     for seed, planner in zip(seeds, batch):
         alone = agent(seed)
-        assert np.array_equal(planner.current_rule(), alone.current_rule())
+        solve_rules([alone])
+        assert np.array_equal(planner.rule, alone.rule)
         assert planner.rng.random() == alone.rng.random()  # each drew from its own stream only
-    assert len({id(planner.current_rule()) for planner in batch}) == len(batch)  # random ties never share
+    assert len({id(planner.rule) for planner in batch}) == len(batch)  # random ties never share
 
 
 def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
@@ -206,7 +212,7 @@ def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
     agents = [MdpAgent(role, omega, 4, 10, model=table) for role in (Role.A, Role.B) for omega in (0.2, 0.2, 0.7)]
     learners = [MdpAgent(Role.A, 0.2, 4, 10, learner=DirichletLearner.uniform(10)) for _ in range(2)]
     solve_rules(agents + learners)
-    rules = [agent.current_rule() for agent in agents + learners]
+    rules = [agent.rule for agent in agents + learners]
     assert rules[0] is rules[1] and rules[3] is rules[4]
     assert len({id(rule) for rule in rules}) == 6
     for agent, rule in zip(agents + learners, rules):
@@ -217,7 +223,7 @@ def test_random_tie_breaking_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="random")
     with pytest.raises(ValueError, match="rng"):
-        MdpAgent(Role.A, 0.5, 1, 10, model=uniform_table(10), tie_break="random").current_rule()
+        solve_rules([MdpAgent(Role.A, 0.5, 1, 10, model=uniform_table(10), tie_break="random")])
 
 
 def test_model_validation():
@@ -258,6 +264,7 @@ def test_agent_seat_b_transposes_the_context():
     rng = np.random.default_rng(17)
     table = random_model(rng, 10)
     agent = MdpAgent(Role.B, 0.4, 3, 10, model=table)
+    solve_rules([agent])
     _, actions = backward_induction(table.transpose(1, 0, 2), 0.4, 3, 10)
     for prev_a in range(1, 10):
         for prev_b in range(1, 10):
@@ -268,30 +275,47 @@ def test_agent_seat_a_uses_the_context_as_is():
     rng = np.random.default_rng(18)
     table = random_model(rng, 10)
     agent = MdpAgent(Role.A, 0.4, 3, 10, model=table)
+    solve_rules([agent])
     _, actions = backward_induction(table, 0.4, 3, 10)
     for prev_a in range(1, 10):
         for prev_b in range(1, 10):
             assert agent.act(JointState(prev_a, prev_b)) == actions[prev_a - 1, prev_b - 1]
 
 
-def test_rule_is_cached_until_the_belief_changes():
-    agent = MdpAgent(Role.A, 0.5, 5, 10, learner=DirichletLearner.uniform(10))
-    first = agent.current_rule()
-    assert agent.current_rule() is first
-    agent.observe(JointState(3, 3), 7)
-    assert agent.current_rule() is not first
-
-
-def test_fixed_model_solves_once():
+def test_unsolved_agent_refuses_to_act():
     agent = MdpAgent(Role.A, 0.5, 5, 10, model=uniform_table(10))
-    rule = agent.current_rule()
-    agent.observe(JointState(3, 3), 7)  # ignored: nothing to learn
-    assert agent.current_rule() is rule
+    with pytest.raises(RuntimeError, match="no rule solved"):
+        agent.act(JointState(3, 3))
+    solve_rules([agent])
+    assert agent.act(JointState(3, 3)) == 5
+
+
+def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monkeypatch):
+    # the fixed planner weighs 0.2, the learner 0.7: each batch's weights name its items
+    batches = []
+    real = planner_module.backward_induction_batch
+
+    def counting(models, omegas, *args, **kwargs):
+        batches.append(sorted(omegas))
+        return real(models, omegas, *args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "backward_induction_batch", counting)
+    config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
+    fixed = MdpAgent(Role.A, 0.2, config.horizon, config.q, model=uniform_table(config.q))
+    learner = MdpAgent(Role.B, 0.7, config.horizon, config.q, learner=DirichletLearner.uniform(config.q))
+    for _ in range(2):  # agents reused for a second game are solved as fresh ones
+        batches.clear()
+        run_game(config, fixed, learner)
+        assert batches == [[0.2, 0.7]] + [[0.7]] * (config.rounds - 2)
+    batches.clear()
+    run_game(GameConfig(rounds=1), fixed, HeuristicAgent(Role.B, HeuristicModel(1.0, 10)))
+    assert batches == []  # the opening round is forced: nothing to solve
 
 
 def test_same_round_demands_are_identical_under_random_ties():
     agent = MdpAgent(Role.A, 1.0, 1, 10, model=_two_point_model(), tie_break="random")
     agent.bind_rng(np.random.default_rng(2))
+    solve_rules([agent])
     s = JointState(5, 5)
     assert agent.act(s) == agent.act(s)
 
@@ -302,7 +326,8 @@ def test_flooded_opponent_pushes_full_weight_demand_to_one():
     row[8] = 1.0
     model = np.tile(row, (9, 9, 1))
     agent = MdpAgent(Role.A, 1.0, 10, 10, model=model)
-    assert np.all(agent.current_rule() == 1)
+    solve_rules([agent])
+    assert np.all(agent.rule == 1)
 
 
 def test_agent_validation():
