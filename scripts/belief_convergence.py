@@ -15,7 +15,6 @@ import numpy as np
 from ndglab import (
     DirichletLearner,
     GameConfig,
-    HeuristicAgent,
     HeuristicModel,
     MdpAgent,
     Role,
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
     for config in configs:
         learner = DirichletLearner.uniform(10)
         agent_a = MdpAgent(Role.A, args.omega, config.horizon, 10, learner=learner)
-        log = run_game(config, agent_a, HeuristicAgent(Role.B, opponent))
+        log = run_game(config, agent_a, opponent)
         seen = learner.counts.sum(axis=-1) > 9  # more mass than the prior alone
         gap = np.abs(learner.estimate_table() - truth).sum(axis=-1)
         mean_gap = float(gap[seen].mean()) if seen.any() else float("nan")

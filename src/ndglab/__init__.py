@@ -8,15 +8,13 @@ weights over a grid and tabulates profits and agreement rates.
 from .core import (
     GameConfig,
     GameLog,
-    JointState,
     Role,
     chi,
     reward,
     reward_matrix,
     round_columns,
-    seat_view,
 )
-from .engine import HeuristicAgent, RngPlan, pretrain, run_game
+from .engine import RngPlan, pretrain, run_game
 from .experiments import (
     AgentSpec,
     CellResult,
@@ -43,14 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "GameConfig",
     "GameLog",
-    "JointState",
     "Role",
     "chi",
     "reward",
     "reward_matrix",
     "round_columns",
-    "seat_view",
-    "HeuristicAgent",
     "RngPlan",
     "pretrain",
     "run_game",

@@ -20,13 +20,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Role",
-    "JointState",
     "GameConfig",
     "GameLog",
     "round_columns",
@@ -34,7 +32,6 @@ __all__ = [
     "chi",
     "reward",
     "reward_matrix",
-    "seat_view",
 ]
 
 
@@ -47,20 +44,6 @@ class Role(enum.Enum):
     @property
     def other(self) -> "Role":
         return Role.B if self is Role.A else Role.A
-
-
-class JointState(NamedTuple):
-    """Previous-round demand pair ``(prev_a, prev_b)``: the state players condition on."""
-
-    prev_a: int
-    prev_b: int
-
-
-def seat_view(state: JointState, role: Role) -> tuple[int, int]:
-    """Return ``(own_prev, opp_prev)`` as seen from ``role``'s seat."""
-    if role is Role.A:
-        return state.prev_a, state.prev_b
-    return state.prev_b, state.prev_a
 
 
 def check_demand(value: int, q: int, name: str = "demand") -> None:

@@ -1,12 +1,13 @@
 """Repeated games: simultaneous moves, payoff accounting, learning updates.
 
 Round 1 always plays the preset opening pair from the config.  Every later
-round asks both agents for a demand at the current state (neither sees the
-other's current choice), records it, lets both observe the opponent's demand
-in the state the round was played at, and advances the state to the pair
-just played.  :func:`run_games` steps several games together, round by
-round, so that their planners share one batched solve per round;
-:func:`run_game` is its one-game case.
+round reads both seats' demands at the previous round's pair (neither sees
+the other's current choice), records them, and feeds each learner the
+opponent's demand in the state the round was played at.  A seat is an
+:class:`MdpAgent`, which plays its solved rule, or a :class:`HeuristicModel`,
+which samples.  :func:`run_games` steps several games together, round by
+round, over one ``(games, rounds, 2)`` demand array, so that their planners
+share one batched solve per round; :func:`run_game` is its one-game case.
 
 The loop alone decides when rules are solved: every planner before round 2,
 then every learner, whose belief moves each round, before each later round.
@@ -17,18 +18,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import replace
-from typing import Protocol
 
 import numpy as np
 
-from .core import GameConfig, GameLog, JointState, Role, atomic_write, round_columns
+from .core import GameConfig, GameLog, Role, atomic_write, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
 from .planner import MdpAgent, solve_rules
 
 __all__ = [
     "RngPlan",
-    "Agent",
-    "HeuristicAgent",
     "run_game",
     "run_games",
     "pretrain",
@@ -67,40 +65,10 @@ class RngPlan:
         return RngPlan(_child_seq(self.seed_seq, 2))
 
 
-class Agent(Protocol):
-    role: Role
-
-    def act(self, state: JointState) -> int: ...
-
-    def observe(self, state: JointState, opponent_demand: int) -> None: ...
-
-    def bind_rng(self, rng: np.random.Generator) -> None: ...
-
-
-class HeuristicAgent:
-    """Non-optimizing player that samples its demand from its own rule-based model."""
-
-    def __init__(self, role: Role, model: HeuristicModel):
-        self.role = role
-        self.model = model
-        self.rng: np.random.Generator | None = None
-
-    def bind_rng(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def act(self, state: JointState) -> int:
-        if self.rng is None:
-            raise RuntimeError("no rng bound; run_game binds one before play")
-        return heuristic_sample(self.model, state, self.role, self.rng)
-
-    def observe(self, state: JointState, opponent_demand: int) -> None:
-        pass
-
-
 def run_game(
     config: GameConfig,
-    agent_a: Agent,
-    agent_b: Agent,
+    agent_a: MdpAgent | HeuristicModel,
+    agent_b: MdpAgent | HeuristicModel,
     rng: RngPlan | None = None,
 ) -> GameLog:
     """Play one full game and return its log: the one-game case of :func:`run_games`.
@@ -116,7 +84,9 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
 
     Every game steps through the same rounds, so the configs must share
     ``q``, ``rounds`` and ``initial_demand``; a sweep's configs differ only
-    in their weights.  With ``warmup_rounds``, each pair first plays a
+    in their weights.  A seat holds an :class:`MdpAgent` or a
+    :class:`HeuristicModel` built for that ``q``; any other seat is refused
+    before the first round.  With ``warmup_rounds``, each pair first plays a
     warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
     streams, again in lockstep.
     """
@@ -142,42 +112,61 @@ def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
     _play(replace(config, rounds=n_rounds), pairs, [plan.pretrain_plan() for plan in plans])
 
 
+def _check_seats(config: GameConfig, pairs) -> None:
+    for pair in pairs:
+        for name, role, agent in zip(("agent_a", "agent_b"), Role, pair):
+            if isinstance(agent, MdpAgent):
+                if agent.role is not role:
+                    raise ValueError(f"{name} must be configured with the {role.value} seat")
+            elif not isinstance(agent, HeuristicModel):
+                raise ValueError(f"{name} must be an MdpAgent or a HeuristicModel, got {type(agent).__name__}")
+            if agent.q != config.q:
+                raise ValueError(f"{name} was built for q={agent.q}, the game has q={config.q}")
+
+
 def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
     Every game plays ``config``'s rounds from its opening demand.  Before
     round 2 every planner is solved, and before each later round every
-    learner, in one batched solve per round.  Moves are simultaneous: A is
-    asked before B, but neither sees the other's demand, so the order cannot
-    change the outcome, which the test suite asserts.  Each agent draws only from its own stream, so
-    the order in which games interleave cannot move a draw either.
+    learner, in one batched solve per round.  Each round then reads every
+    planner's demand from its rule at its game's previous pair, and samples
+    every rule-based seat with one :func:`heuristic_sample` call per distinct
+    model.  A rule-based seat draws only its demands, so its game's
+    uniforms are drawn up front as one ``rounds - 1`` block, with the bits
+    of one draw per round.  Each agent draws only from its own stream, so
+    neither the order of the seats nor how games interleave can move a draw.
     """
-    for (agent_a, agent_b), plan in zip(pairs, plans):
-        if getattr(agent_a, "role", None) is not Role.A:
-            raise ValueError("agent_a must be configured with the A seat")
-        if getattr(agent_b, "role", None) is not Role.B:
-            raise ValueError("agent_b must be configured with the B seat")
-        agent_a.bind_rng(plan.agent_a)
-        agent_b.bind_rng(plan.agent_b)
-    planners = [agent for pair in pairs for agent in pair if isinstance(agent, MdpAgent)]
-    demands = np.empty((len(pairs), config.rounds, 2), dtype=np.int64)
+    _check_seats(config, pairs)
+    rounds = config.rounds
+    demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
     demands[:, 0] = config.initial_demand
-    states = [JointState(config.initial_demand, config.initial_demand)] * len(pairs)
-    for t in range(config.rounds):
-        if t:
-            solve_rules(planners)
-            if t == 1:  # a fixed model's rule holds for the rest of the game
-                planners = [agent for agent in planners if agent.learning]
-        for g, (agent_a, agent_b) in enumerate(pairs):
-            state = states[g]
-            if t:
-                demand_a, demand_b = agent_a.act(state), agent_b.act(state)
-                demands[g, t] = demand_a, demand_b
+    planners, samplers = [], {}
+    for g, (pair, plan) in enumerate(zip(pairs, plans)):
+        for seat, (agent, rng) in enumerate(zip(pair, (plan.agent_a, plan.agent_b))):
+            if isinstance(agent, MdpAgent):
+                agent.rng = rng
+                planners.append((agent, g, seat))
             else:
-                demand_a = demand_b = config.initial_demand
-            agent_a.observe(state, demand_b)
-            agent_b.observe(state, demand_a)
-            states[g] = JointState(demand_a, demand_b)
+                samplers.setdefault(agent, []).append((g, seat, rng.random(rounds - 1)))
+    # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
+    samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
+    learners = [(agent.learner, g, seat) for agent, g, seat in planners if agent.learning]
+    every_planner = [agent for agent, _, _ in planners]
+    learning = [agent for agent in every_planner if agent.learning]
+    prev = demands[:, 0].tolist()
+    for t in range(rounds):
+        if t:
+            solve_rules(every_planner if t == 1 else learning)  # a fixed model's rule holds
+            for agent, g, seat in planners:
+                demands[g, t, seat] = agent.rule[prev[g][seat] - 1, prev[g][1 - seat] - 1]
+            for model, games, seats, uniforms in samplers:
+                own, opp = demands[games, t - 1, seats], demands[games, t - 1, 1 - seats]
+                demands[games, t, seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
+        now = demands[:, t].tolist()
+        for learner, g, seat in learners:
+            learner.update(*prev[g], now[g][1 - seat])
+        prev = now
     return demands
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GameConfig, Role, atomic_write, refuse_overwrite
-from .engine import HeuristicAgent, RngPlan, run_games
+from .engine import RngPlan, run_games
 from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
 from .planner import TIE_BREAKS, MdpAgent, solve_key
 
@@ -184,11 +184,12 @@ def benchmark_spec(
 
 
 def build_agent(spec: AgentSpec, role: Role, omega: float, config: GameConfig, tie_break: str):
-    """Instantiate one player.  An mdp-pretrained player starts uniform; the
-    warm-up game that trains it is run by the caller."""
+    """Instantiate one player: a rule-based seat is its model.  An
+    mdp-pretrained player starts uniform; the warm-up game that trains it is
+    run by the caller."""
     q = config.q
     if spec.kind == "heuristic":
-        return HeuristicAgent(role, HeuristicModel(sigma=spec.sigma, q=q))
+        return HeuristicModel(sigma=spec.sigma, q=q)
     if spec.learning:
         return MdpAgent(role, omega, config.horizon, q, learner=make_prior("uniform", q), tie_break=tie_break)
     if spec.kind == "mdp-heuristic":

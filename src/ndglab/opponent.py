@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import JointState, Role, atomic_write, check_demand, seat_view
+from .core import Role, atomic_write, check_demand
 
 __all__ = [
     "HeuristicModel",
@@ -87,28 +87,25 @@ def _rule_rows(model: HeuristicModel, own_prev, opp_prev) -> np.ndarray:
     return log_w
 
 
-def heuristic_sample(
-    model: HeuristicModel, s: JointState, role: Role, rng: np.random.Generator
-) -> int:
-    """Draw one demand from the rule-based model by inverse CDF.
+def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray:
+    """Draw demands from the rule-based model by inverse CDF, one per uniform.
 
-    A single uniform draw picks the first demand whose running probability
-    sum exceeds it; each state's running sums are built once and cached.
+    ``own_prev`` and ``opp_prev`` are the modelled player's and its
+    opponent's previous demands and ``u`` uniforms in ``[0, 1)``, all
+    broadcast together.  Each uniform picks the first demand whose running
+    probability sum exceeds it: the count of running sums at or below it,
+    as ``searchsorted(..., side="right")`` counts on a non-decreasing row.
+    Row by row the sums have the bits of one state's, so a block of draws
+    equals drawing one uniform per state in turn.
     """
-    own_prev, opp_prev = seat_view(s, role)
-    check_demand(own_prev, model.q, "own_prev")
-    check_demand(opp_prev, model.q, "opp_prev")
-    cdf = _cdf_row(model, own_prev, opp_prev)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, model.q - 2) + 1
-
-
-@lru_cache(maxsize=4096)
-def _cdf_row(model: HeuristicModel, own_prev: int, opp_prev: int) -> np.ndarray:
-    """Running sums of one state's rule-based row; shared and read-only."""
-    cdf = np.cumsum(_rule_rows(model, own_prev, opp_prev))
-    cdf.flags.writeable = False
-    return cdf
+    q = model.q
+    for name, prev in (("own_prev", own_prev), ("opp_prev", opp_prev)):
+        prev = np.asarray(prev)
+        outside = prev[(prev < 1) | (prev > q - 1)]
+        if outside.size:
+            raise ValueError(f"{name} must lie in 1..{q - 1}, got {outside[0]}")
+    cdf = np.cumsum(_rule_rows(model, own_prev, opp_prev), axis=-1)
+    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), q - 2) + 1
 
 
 @lru_cache(maxsize=4)  # near the q bound one table is about 1 GiB
@@ -119,7 +116,7 @@ def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
     array, which is therefore read-only.
     """
     prev_a, prev_b = np.ogrid[1 : model.q, 1 : model.q]
-    table = _rule_rows(model, *seat_view(JointState(prev_a, prev_b), role))
+    table = _rule_rows(model, *((prev_a, prev_b) if role is Role.A else (prev_b, prev_a)))
     table.flags.writeable = False
     return table
 
@@ -164,12 +161,12 @@ class DirichletLearner:
         n = q - 1
         return cls(np.ones((n, n, n)), q)
 
-    def update(self, context: JointState, observed: int) -> None:
-        """Record one observed demand in one context."""
-        check_demand(context.prev_a, self.q, "context.prev_a")
-        check_demand(context.prev_b, self.q, "context.prev_b")
+    def update(self, prev_a: int, prev_b: int, observed: int) -> None:
+        """Record one demand observed in context ``(prev_a, prev_b)``."""
+        check_demand(prev_a, self.q, "prev_a")
+        check_demand(prev_b, self.q, "prev_b")
         check_demand(observed, self.q, "observed")
-        self.counts[context.prev_a - 1, context.prev_b - 1, observed - 1] += 1.0
+        self.counts[prev_a - 1, prev_b - 1, observed - 1] += 1.0
 
     def estimate_table(self) -> np.ndarray:
         """Point estimates for every context at once."""

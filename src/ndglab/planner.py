@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JointState, Role, reward, reward_matrix, seat_view
+from .core import Role, reward, reward_matrix
 
 __all__ = [
     "backward_induction",
@@ -188,7 +188,8 @@ class MdpAgent:
     ``[own_prev - 1, opp_prev - 1]`` of the last solve; :func:`solve_rules`
     sets it, and the game loop decides when: a learner's rule is re-solved
     against its refreshed estimate every round (receding horizon), a fixed
-    model's once per game.
+    model's once per game.  The game loop plays the rule at each state,
+    feeds a learner every round, and sets :attr:`rng` to the agent's stream.
     """
 
     def __init__(
@@ -226,24 +227,11 @@ class MdpAgent:
     def learning(self) -> bool:
         return self.learner is not None
 
-    def bind_rng(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
     def _seat_table(self) -> np.ndarray:
         table = self.learner.estimate_table() if self.learning else self._model
         if self.role is Role.A:
             return table
         return table.transpose(1, 0, 2)  # swap context axes into (own, opp) order
-
-    def act(self, state: JointState) -> int:
-        if self.rule is None:
-            raise RuntimeError("no rule solved; run_game solves one before play")
-        own_prev, opp_prev = seat_view(state, self.role)
-        return int(self.rule[own_prev - 1, opp_prev - 1])
-
-    def observe(self, state: JointState, opponent_demand: int) -> None:
-        if self.learning:
-            self.learner.update(state, opponent_demand)
 
 
 def solve_key(agent: MdpAgent):

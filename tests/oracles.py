@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ndglab.core import seat_view
+from ndglab import HeuristicModel, backward_induction
 
 
 def scalar_reward(a, b, omega, q):
@@ -133,15 +133,14 @@ def stage_loop_backward_induction(model, omega, h, q, tie_break="smallest", rng=
     return values, (actions + 1).reshape(n, n)
 
 
-def reference_heuristic_distribution(model, s, role):
+def reference_heuristic_distribution(model, own_prev, opp_prev):
     """One state's rule-based row, built per state with the package's float operations.
 
-    The modelled player holds its previous demand after an incompatible
-    round in which it demanded at most half of ``q``; otherwise it moves to
-    its proportional share of the leftover.  The package builds every row at
-    once on numpy grids, which must give these bits.
+    The modelled player holds its previous demand ``own_prev`` after an
+    incompatible round in which it demanded at most half of ``q``; otherwise
+    it moves to its proportional share of the leftover.  The package builds
+    every row at once on numpy grids, which must give these bits.
     """
-    own_prev, opp_prev = seat_view(s, role)
     if 2 * own_prev <= model.q and own_prev + opp_prev > model.q:
         mu = float(own_prev)
     else:
@@ -153,11 +152,54 @@ def reference_heuristic_distribution(model, s, role):
     return weights / weights.sum()
 
 
-def reference_heuristic_sample(model, s, role, rng):
-    """The rule-based draw rebuilt from scratch: distribution, running sum, inverse CDF."""
-    cdf = np.cumsum(reference_heuristic_distribution(model, s, role))
+def reference_heuristic_sample(model, own_prev, opp_prev, rng):
+    """One rule-based draw rebuilt from scratch: distribution, running sum, inverse CDF."""
+    cdf = np.cumsum(reference_heuristic_distribution(model, own_prev, opp_prev))
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, model.q - 2) + 1
+
+
+def reference_game(config, seats, plan):
+    """One game replayed a round at a time and a seat at a time, from scalar parts.
+
+    Each of the two ``seats`` is a ``HeuristicModel``, drawn with
+    :func:`reference_heuristic_sample`, or a planner ``(table, tie_break)``
+    with the seat's weight from ``config``: ``table`` is a fixed
+    ``(prev_a, prev_b, demand)`` model, solved once before round 2, or None
+    for a learner from the uniform prior, re-solved every later round
+    against its counts.  Rules come from :func:`backward_induction` on the
+    seat's own view; random ties draw from the seat's stream of ``plan``.
+    Returns the demand pairs of every round.
+    """
+    q = config.q
+    streams = (plan.agent_a, plan.agent_b)
+    omegas = (config.omega_a, config.omega_b)
+    counts = [np.ones((q - 1,) * 3) for _ in seats]
+    rules = [None, None]
+    played = [(config.initial_demand, config.initial_demand)]
+    for t in range(1, config.rounds + 1):
+        prev = played[-1]
+        if t > 1:
+            demands = []
+            for seat, agent in enumerate(seats):
+                own, opp = prev[seat], prev[1 - seat]
+                if isinstance(agent, HeuristicModel):
+                    demands.append(reference_heuristic_sample(agent, own, opp, streams[seat]))
+                    continue
+                table, tie_break = agent
+                if table is None or rules[seat] is None:
+                    if table is None:
+                        table = counts[seat] / counts[seat].sum(axis=-1, keepdims=True)
+                    view = table if seat == 0 else table.transpose(1, 0, 2)
+                    rng = streams[seat] if tie_break == "random" else None
+                    _, rules[seat] = backward_induction(
+                        view, omegas[seat], config.horizon, q, tie_break=tie_break, rng=rng
+                    )
+                demands.append(int(rules[seat][own - 1, opp - 1]))
+            played.append(tuple(demands))
+        for seat in (0, 1):  # the opening round is observed too, at the opening pair
+            counts[seat][prev[0] - 1, prev[1] - 1, played[-1][1 - seat] - 1] += 1.0
+    return played
 
 
 def count_played_games(monkeypatch):

@@ -17,9 +17,7 @@ import pytest
 from ndglab import (
     DirichletLearner,
     GameConfig,
-    HeuristicAgent,
     HeuristicModel,
-    JointState,
     MdpAgent,
     Role,
     backward_induction,
@@ -183,10 +181,9 @@ def test_05_belief_converges_to_a_known_opponent():
         for idx, (pa, pb) in enumerate(contexts):
             row = target[pa - 1, pb - 1]
             draws = rng.choice(9, size=checkpoints[-1], p=row) + 1
-            s = JointState(pa, pb)
             cp = 0
             for i, d in enumerate(draws, start=1):
-                learner.update(s, int(d))
+                learner.update(pa, pb, int(d))
                 if cp < len(checkpoints) and i == checkpoints[cp]:
                     errs[idx, cp] = np.abs(learner.estimate_table()[pa - 1, pb - 1] - row).sum()
                     cp += 1
@@ -214,10 +211,7 @@ def test_06_normalization_and_conservation():
     learner = DirichletLearner.uniform(10)
     rng = np.random.default_rng(1)
     for _ in range(2_000):
-        learner.update(
-            JointState(int(rng.integers(1, 10)), int(rng.integers(1, 10))),
-            int(rng.integers(1, 10)),
-        )
+        learner.update(int(rng.integers(1, 10)), int(rng.integers(1, 10)), int(rng.integers(1, 10)))
     tables.append(learner.estimate_table())
     norm_err = max(float(np.abs(t.sum(axis=-1) - 1.0).max()) for t in tables)
     non_negative = all(float(t.min()) >= 0.0 for t in tables)
@@ -231,11 +225,7 @@ def test_06_normalization_and_conservation():
                 q=q, initial_demand=opening, seed=seed,
                 omega_a=(seed % 11) / 10, omega_b=((seed * 7) % 11) / 10,
             )
-            log = run_game(
-                config,
-                HeuristicAgent(Role.A, HeuristicModel(sigma=sigma_a, q=q)),
-                HeuristicAgent(Role.B, HeuristicModel(sigma=sigma_b, q=q)),
-            )
+            log = run_game(config, HeuristicModel(sigma=sigma_a, q=q), HeuristicModel(sigma=sigma_b, q=q))
             assert 0.0 <= log.success_rate_pct <= 100.0
             cols = round_columns(config, log.demands)
             good = cols["profit_a"] + cols["profit_b"] + cols["unclaimed"] == q

@@ -23,6 +23,15 @@ def test_help_exits_cleanly(capsys):
     assert "run" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [None, "run", "test", "sweep", "pretrain", "validate"])
+def test_help_text_matches_its_snapshot(command, capsys, monkeypatch):
+    # argparse wraps to COLUMNS; regenerate a snapshot only for a deliberate CLI change
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == EXIT_OK
+    snapshot = Path(__file__).parent / "data" / f"help_{command or 'ndglab'}.txt"
+    assert capsys.readouterr().out.encode() == snapshot.read_bytes()
+
+
 def test_run_writes_game_files(tmp_path, capsys):
     out = tmp_path / "game"
     assert main(["run", "--rounds", "5", "--out", str(out)]) == EXIT_OK

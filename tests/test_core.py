@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from ndglab import (
     GameConfig,
     GameLog,
-    JointState,
     Role,
     chi,
     reward,
     reward_matrix,
     round_columns,
-    seat_view,
 )
 
 demands = st.integers(1, 9)
@@ -218,9 +216,6 @@ def test_game_log_length_checked():
             GameLog(config, np.array([[3, 3], [3, out_of_range]]))
 
 
-def test_seat_view_and_roles():
-    s = JointState(4, 7)
-    assert seat_view(s, Role.A) == (4, 7)
-    assert seat_view(s, Role.B) == (7, 4)
+def test_each_role_names_the_other():
     assert Role.A.other is Role.B
     assert Role.B.other is Role.A

@@ -5,28 +5,30 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndglab import (
     DirichletLearner,
     GameConfig,
     GameLog,
-    HeuristicAgent,
     HeuristicModel,
-    JointState,
     MdpAgent,
     Role,
     RngPlan,
+    heuristic_table,
     pretrain,
     round_columns,
     run_game,
     uniform_table,
 )
+from ndglab import engine
 from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
-from ndglab.planner import TIE_BREAKS, solve_rules
+from ndglab.planner import TIE_BREAKS
 
-from oracles import csv_rows
+from oracles import csv_rows, reference_game
 
 
 def _uniform_pair(config, tie_break="smallest"):
@@ -37,10 +39,7 @@ def _uniform_pair(config, tie_break="smallest"):
 
 
 def _heuristic_pair(sigma_a=1.0, sigma_b=1.0, q=10):
-    return (
-        HeuristicAgent(Role.A, HeuristicModel(sigma=sigma_a, q=q)),
-        HeuristicAgent(Role.B, HeuristicModel(sigma=sigma_b, q=q)),
-    )
+    return HeuristicModel(sigma=sigma_a, q=q), HeuristicModel(sigma=sigma_b, q=q)
 
 
 def test_fixed_uniform_agents_settle_on_the_even_split():
@@ -63,17 +62,33 @@ def test_opening_round_is_forced():
 
 def test_seat_roles_are_checked():
     config = GameConfig()
-    agent_a, agent_b = _heuristic_pair()
+    agent_a, agent_b = _uniform_pair(config)
     with pytest.raises(ValueError, match="agent_a"):
         run_game(config, agent_b, agent_b)
     with pytest.raises(ValueError, match="agent_b"):
         run_game(config, agent_a, agent_a)
 
 
-def test_unbound_heuristic_agent_refuses_to_act():
-    agent, _ = _heuristic_pair()
-    with pytest.raises(RuntimeError, match="rng"):
-        agent.act(JointState(3, 3))
+def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
+    # a q=8 planner or a q=14 rule-based model in a q=10 game, or a seat of neither kind
+    def no_round_is_played(*args):
+        raise AssertionError("a round was played")
+
+    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
+    config = GameConfig(rounds=5)
+    rule = HeuristicModel(1.0, 10)
+    for seat, wrong, message in (
+        ("agent_a", MdpAgent(Role.A, 0.5, 10, 8, model=uniform_table(8)), "agent_a was built for q=8"),
+        ("agent_a", HeuristicModel(1.0, 14), "agent_a was built for q=14"),
+        ("agent_b", HeuristicModel(1.0, 14), "agent_b was built for q=14"),
+        ("agent_b", object(), "agent_b must be an MdpAgent or a HeuristicModel"),
+    ):
+        pair = (wrong, rule) if seat == "agent_a" else (rule, wrong)
+        with pytest.raises(ValueError, match=message):
+            run_game(config, *pair)
+        with pytest.raises(ValueError, match=message):  # also before a warm-up game
+            run_games([config], [pair], [RngPlan(0)], warmup_rounds=3)
 
 
 def test_same_seed_reproduces_the_game():
@@ -85,25 +100,68 @@ def test_same_seed_reproduces_the_game():
     assert not np.array_equal(log3.demands, log1.demands)
 
 
-def test_poll_order_is_irrelevant():
-    # replay a played game asking B before A, each fresh agent on its own
-    # stream of the same plan: every demand must come out the same
-    config = GameConfig(seed=11)
-    for make_pair in (_heuristic_pair, lambda: _learning_pair(config, tie_break="random")):
-        log = run_game(config, *make_pair())
-        agent_a, agent_b = make_pair()
-        plan = RngPlan(config.seed)
-        agent_a.bind_rng(plan.agent_a)
-        agent_b.bind_rng(plan.agent_b)
-        planners = [agent for agent in (agent_b, agent_a) if isinstance(agent, MdpAgent)]
-        state = JointState(config.initial_demand, config.initial_demand)
-        for t, (demand_a, demand_b) in enumerate(log.demands.tolist(), start=1):
-            if t > 1:
-                solve_rules(planners)
-                assert (agent_b.act(state), agent_a.act(state)) == (demand_b, demand_a)
-            agent_a.observe(state, demand_b)
-            agent_b.observe(state, demand_a)
-            state = JointState(demand_a, demand_b)
+SEATS = tuple(
+    [("rule", 1.0), ("rule", 2.5)]
+    + [(kind, tie_break) for kind in ("fixed-uniform", "fixed-heuristic", "learner") for tie_break in TIE_BREAKS]
+)
+# Every batch holds these games: two spreads on seat B, fixed planners on both
+# seats, learners and random-tie planners; Hypothesis adds more and shuffles them.
+CORE_GAMES = (
+    (("fixed-heuristic", "smallest"), ("rule", 1.0)),
+    (("fixed-heuristic", "random"), ("rule", 2.5)),
+    (("rule", 1.0), ("fixed-uniform", "smallest")),
+    (("rule", 2.5), ("fixed-uniform", "random")),
+    (("learner", "smallest"), ("rule", 1.0)),
+    (("learner", "random"), ("learner", "smallest")),
+)
+
+
+def _seat(spec, role, config):
+    """The agent a seat spec names, and the seat as ``oracles.reference_game`` reads it."""
+    kind, setting = spec
+    q = config.q
+    if kind == "rule":
+        model = HeuristicModel(sigma=setting, q=q)
+        return model, model
+    omega = config.omega_a if role is Role.A else config.omega_b
+    if kind == "learner":
+        agent = MdpAgent(role, omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=setting)
+        return agent, (None, setting)
+    table = uniform_table(q) if kind == "fixed-uniform" else heuristic_table(HeuristicModel(3.0, q), role.other)
+    return MdpAgent(role, omega, config.horizon, q, model=table, tie_break=setting), (table, setting)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from((3, 5, 10)),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.sampled_from(SEATS), st.sampled_from(SEATS)), max_size=4),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2**16),
+)
+def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, extra, order, seed):
+    # rule-based seats grouped by model, block-drawn uniforms, planners of every
+    # kind on either seat: each game equals itself alone and a scalar replay
+    games = list(CORE_GAMES) + extra
+    order.shuffle(games)
+    weights = (0.0, 0.3, 0.5, 1.0)
+    configs = [
+        GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1, seed=seed + g,
+                   omega_a=weights[g % 4], omega_b=weights[(g // 4) % 4])
+        for g in range(len(games))
+    ]
+
+    def build(config, game):
+        return [_seat(spec, role, config) for spec, role in zip(game, Role)]
+
+    pairs = [tuple(agent for agent, _ in build(config, game)) for config, game in zip(configs, games)]
+    logs = run_games(configs, pairs, [RngPlan(config.seed) for config in configs])
+    for config, game, log in zip(configs, games, logs):
+        (agent_a, seat_a), (agent_b, seat_b) = build(config, game)
+        assert log == run_game(config, agent_a, agent_b)
+        replay = reference_game(config, (seat_a, seat_b), RngPlan(config.seed))
+        assert log.demands.tolist() == [list(pair) for pair in replay]
 
 
 def test_lockstep_games_may_differ_only_in_their_weights():
@@ -144,8 +202,7 @@ def test_every_round_is_observed_at_its_own_state():
     config = GameConfig()
     learner = DirichletLearner.uniform(10)
     agent_a = MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=learner)
-    agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10))
-    log = run_game(config, agent_a, agent_b)
+    log = run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10))
     assert learner.counts.sum() == 729.0 + config.rounds
     assert learner.counts[2, 2, log.demands[0, 1] - 1] >= 2.0
 
@@ -164,8 +221,7 @@ def test_changing_one_weight_leaves_the_other_seat_draws_alone():
     for omega_a in (0.2, 0.9):
         config = GameConfig(omega_a=omega_a, seed=3)
         agent_a = MdpAgent(Role.A, omega_a, config.horizon, config.q, model=uniform_table(10))
-        agent_b = HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10))
-        logs.append(run_game(config, agent_a, agent_b))
+        logs.append(run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10)))
     assert np.array_equal(logs[0].demands[:, 1], logs[1].demands[:, 1])
 
 
@@ -212,7 +268,7 @@ def test_pretrain_requires_learning_agents():
     config = GameConfig()
     agent_a, _ = _learning_pair(config)
     with pytest.raises(ValueError, match="learning"):
-        pretrain(config, agent_a, HeuristicAgent(Role.B, HeuristicModel(sigma=1.0, q=10)), n_rounds=30)
+        pretrain(config, agent_a, HeuristicModel(sigma=1.0, q=10), n_rounds=30)
 
 
 def test_success_rate_edges():

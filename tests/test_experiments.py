@@ -12,7 +12,6 @@ from ndglab import (
     AgentSpec,
     CellResult,
     GameConfig,
-    HeuristicAgent,
     HeuristicModel,
     MdpAgent,
     RngPlan,
@@ -104,9 +103,7 @@ def test_build_agent_kinds():
 
 
 def _check_agents(config, tie_break, role):
-    rule = build_agent(AgentSpec("heuristic"), role, 0.5, config, tie_break)
-    assert isinstance(rule, HeuristicAgent) and rule.role is role
-    assert rule.model == HeuristicModel(sigma=1.0, q=config.q)
+    assert build_agent(AgentSpec("heuristic"), role, 0.5, config, tie_break) == HeuristicModel(sigma=1.0, q=config.q)
     for kind, learning in (
         ("mdp-heuristic", False), ("mdp-uniform", False), ("mdp-learning", True), ("mdp-pretrained", True),
     ):

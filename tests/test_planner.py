@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from ndglab import (
     DirichletLearner,
     GameConfig,
-    HeuristicAgent,
     HeuristicModel,
-    JointState,
     MdpAgent,
     Role,
     backward_induction,
@@ -79,7 +77,7 @@ def test_multi_stage_values_match_tree_oracle():
                                 want, abs=1e-9
                             )
                             assert brute_force_value(
-                                model, omega, h, q, JointState(own, opp)
+                                model, omega, h, q, (own, opp)
                             ) == pytest.approx(want, abs=1e-9)
 
 
@@ -194,7 +192,7 @@ def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds, role):
     # q=3 under a uniform model ties every column, so every column draws
     def agent(seed):
         planner = MdpAgent(role, 0.5, 2, 3, model=uniform_table(3), tie_break="random")
-        planner.bind_rng(np.random.default_rng(seed))
+        planner.rng = np.random.default_rng(seed)
         return planner
 
     batch = [agent(seed) for seed in seeds]
@@ -258,36 +256,30 @@ def test_agent_needs_exactly_one_model_source():
     assert MdpAgent(Role.A, 0.5, 10, 10, learner=DirichletLearner.uniform(10)).learning
 
 
+def _assert_plays_its_seat_view(agent, table):
+    # a long game against a wide rule-based opponent visits many states; each
+    # round's demand must be the seat's own-view rule at the previous pair
+    config = GameConfig(rounds=200, omega_a=0.4, omega_b=0.4, seed=5)
+    opponent = HeuristicModel(sigma=4.0, q=10)
+    seat = 0 if agent.role is Role.A else 1
+    log = run_game(config, *((agent, opponent) if seat == 0 else (opponent, agent)))
+    _, actions = backward_induction(table if seat == 0 else table.transpose(1, 0, 2), 0.4, 3, 10)
+    assert np.array_equal(agent.rule, actions)  # solved on the seat's view at every state
+    prev, now = log.demands[:-1], log.demands[1:]
+    assert np.array_equal(now[:, seat], actions[prev[:, seat] - 1, prev[:, 1 - seat] - 1])
+    assert len({tuple(pair) for pair in prev.tolist()}) > 20
+
+
 def test_agent_seat_b_transposes_the_context():
     # the shared table is indexed (prev_a, prev_b, demand); seat B plans on
     # the swapped context axes and reads states from its own side
-    rng = np.random.default_rng(17)
-    table = random_model(rng, 10)
-    agent = MdpAgent(Role.B, 0.4, 3, 10, model=table)
-    solve_rules([agent])
-    _, actions = backward_induction(table.transpose(1, 0, 2), 0.4, 3, 10)
-    for prev_a in range(1, 10):
-        for prev_b in range(1, 10):
-            assert agent.act(JointState(prev_a, prev_b)) == actions[prev_b - 1, prev_a - 1]
+    table = random_model(np.random.default_rng(17), 10)
+    _assert_plays_its_seat_view(MdpAgent(Role.B, 0.4, 3, 10, model=table), table)
 
 
 def test_agent_seat_a_uses_the_context_as_is():
-    rng = np.random.default_rng(18)
-    table = random_model(rng, 10)
-    agent = MdpAgent(Role.A, 0.4, 3, 10, model=table)
-    solve_rules([agent])
-    _, actions = backward_induction(table, 0.4, 3, 10)
-    for prev_a in range(1, 10):
-        for prev_b in range(1, 10):
-            assert agent.act(JointState(prev_a, prev_b)) == actions[prev_a - 1, prev_b - 1]
-
-
-def test_unsolved_agent_refuses_to_act():
-    agent = MdpAgent(Role.A, 0.5, 5, 10, model=uniform_table(10))
-    with pytest.raises(RuntimeError, match="no rule solved"):
-        agent.act(JointState(3, 3))
-    solve_rules([agent])
-    assert agent.act(JointState(3, 3)) == 5
+    table = random_model(np.random.default_rng(18), 10)
+    _assert_plays_its_seat_view(MdpAgent(Role.A, 0.4, 3, 10, model=table), table)
 
 
 def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monkeypatch):
@@ -308,16 +300,22 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
         run_game(config, fixed, learner)
         assert batches == [[0.2, 0.7]] + [[0.7]] * (config.rounds - 2)
     batches.clear()
-    run_game(GameConfig(rounds=1), fixed, HeuristicAgent(Role.B, HeuristicModel(1.0, 10)))
+    run_game(GameConfig(rounds=1), fixed, HeuristicModel(1.0, 10))
     assert batches == []  # the opening round is forced: nothing to solve
 
 
 def test_same_round_demands_are_identical_under_random_ties():
+    # every state ties 4, 5 and 6, drawn once per solve: a fixed planner is
+    # solved once per game, so within a game one state always gets one demand
     agent = MdpAgent(Role.A, 1.0, 1, 10, model=_two_point_model(), tie_break="random")
-    agent.bind_rng(np.random.default_rng(2))
-    solve_rules([agent])
-    s = JointState(5, 5)
-    assert agent.act(s) == agent.act(s)
+    opponent = HeuristicModel(sigma=2.0, q=10)
+    for seed in range(5):
+        demands = run_game(GameConfig(rounds=60, seed=seed), agent, opponent).demands
+        chosen = {}
+        for prev, demand in zip(demands[:-1].tolist(), demands[1:, 0].tolist()):
+            assert chosen.setdefault(tuple(prev), demand) == demand
+        assert len(chosen) < len(demands) - 1  # some state came back
+        assert set(chosen.values()) == {4, 5, 6}
 
 
 def test_flooded_opponent_pushes_full_weight_demand_to_one():
