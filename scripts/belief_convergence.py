@@ -17,7 +17,6 @@ from ndglab import (
     GameConfig,
     HeuristicModel,
     MdpAgent,
-    Role,
     heuristic_table,
     run_game,
 )
@@ -53,11 +52,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    truth = heuristic_table(opponent, Role.B)
+    truth = heuristic_table(opponent)
     print(f"{'rounds':>8} {'contexts seen':>14} {'mean L1 (seen)':>15} {'success %':>10}")
     for config in configs:
         learner = DirichletLearner.uniform(10)
-        agent_a = MdpAgent(Role.A, args.omega, config.horizon, 10, learner=learner)
+        agent_a = MdpAgent(args.omega, config.horizon, 10, learner=learner)
         log = run_game(config, agent_a, opponent)
         seen = learner.counts.sum(axis=-1) > 9  # more mass than the prior alone
         gap = np.abs(learner.estimate_table() - truth).sum(axis=-1)

@@ -2,8 +2,8 @@
 """Run the five benchmark scenarios and print their summary tables.
 
 Each scenario writes ``test<k>_cells.csv`` and ``test<k>_summary.csv`` under
-its own subdirectory of ``--out``.  The full run at 30 replications takes a
-couple of minutes; ``--single-run`` drops to one replication for a quick look.
+its own subdirectory of ``--out``.  The full run at 30 replications takes
+a few seconds; ``--single-run`` drops to one replication for a quick look.
 """
 
 import argparse

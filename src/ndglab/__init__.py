@@ -30,7 +30,6 @@ from .opponent import (
     heuristic_sample,
     heuristic_table,
     load_learner,
-    make_prior,
     save_learner,
     uniform_table,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "heuristic_sample",
     "heuristic_table",
     "load_learner",
-    "make_prior",
     "save_learner",
     "uniform_table",
     "MdpAgent",

@@ -224,11 +224,11 @@ def _cmd_run(args, config: CliConfig) -> int:
     agents = []
     for seat, spec, prior_path, omega in seats:
         if prior_path:  # the loaded learner is the seat's only prior
-            learner = load_learner(prior_path)
+            learner = load_learner(prior_path, seat)
             horizon, q = game_config.horizon, game_config.q
-            agents.append(MdpAgent(seat, omega, horizon, q, learner=learner, tie_break=config.tie_break))
+            agents.append(MdpAgent(omega, horizon, q, learner=learner, tie_break=config.tie_break))
         else:
-            agents.append(build_agent(spec, seat, omega, game_config, config.tie_break))
+            agents.append(build_agent(spec, omega, game_config, config.tie_break))
 
     log = run_game(game_config, *agents)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,12 +270,12 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     path_b = out / "learner_b.txt"
     refuse_overwrite((path_a, path_b), args.force)
     learner_spec = AgentSpec("mdp-learning")
-    agent_a = build_agent(learner_spec, Role.A, game_config.omega_a, game_config, config.tie_break)
-    agent_b = build_agent(learner_spec, Role.B, game_config.omega_b, game_config, config.tie_break)
+    agent_a = build_agent(learner_spec, game_config.omega_a, game_config, config.tie_break)
+    agent_b = build_agent(learner_spec, game_config.omega_b, game_config, config.tie_break)
     learner_a, learner_b = pretrain(game_config, agent_a, agent_b, args.pretrain_rounds)
     out.mkdir(parents=True, exist_ok=True)
-    save_learner(learner_a, path_a)
-    save_learner(learner_b, path_b)
+    save_learner(learner_a, path_a, Role.A)
+    save_learner(learner_b, path_b, Role.B)
     print(f"wrote {path_a} and {path_b} after {args.pretrain_rounds} warm-up rounds")
     return EXIT_OK
 
@@ -305,8 +305,7 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     q = 10
     tables = [uniform_table(q)]
     for sigma in (0.5, 1.0, 3.0):
-        for role in (Role.A, Role.B):
-            tables.append(heuristic_table(HeuristicModel(sigma=sigma, q=q), role))
+        tables.append(heuristic_table(HeuristicModel(sigma=sigma, q=q)))
     learner = DirichletLearner(rng.uniform(0.1, 5.0, size=(q - 1,) * 3), q)
     tables.append(learner.estimate_table())
     norm_err = max(float(np.abs(t.sum(axis=-1) - 1.0).max()) for t in tables)

@@ -41,10 +41,6 @@ class Role(enum.Enum):
     A = "A"
     B = "B"
 
-    @property
-    def other(self) -> "Role":
-        return Role.B if self is Role.A else Role.A
-
 
 def check_demand(value: int, q: int, name: str = "demand") -> None:
     if not 1 <= value <= q - 1:

@@ -3,11 +3,13 @@
 Round 1 always plays the preset opening pair from the config.  Every later
 round reads both seats' demands at the previous round's pair (neither sees
 the other's current choice), records them, and feeds each learner the
-opponent's demand in the state the round was played at.  A seat is an
-:class:`MdpAgent`, which plays its solved rule, or a :class:`HeuristicModel`,
-which samples.  :func:`run_games` steps several games together, round by
-round, over one ``(games, rounds, 2)`` demand array, so that their planners
-share one batched solve per round; :func:`run_game` is its one-game case.
+opponent's demand in the state the round was played at.  Each seat reads
+that state from its own side, as ``(own_prev, opp_prev)``, so no agent
+knows its seat.  A seat is an :class:`MdpAgent`, which plays its solved
+rule, or a :class:`HeuristicModel`, which samples.  :func:`run_games` steps
+several games together, round by round, over one ``(games, rounds, 2)``
+demand array, so that their planners share one batched solve per round;
+:func:`run_game` is its one-game case.
 
 The loop alone decides when rules are solved: every planner before round 2,
 then every learner, whose belief moves each round, before each later round.
@@ -21,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import GameConfig, GameLog, Role, atomic_write, round_columns
+from .core import GameConfig, GameLog, atomic_write, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
 from .planner import MdpAgent, solve_rules
 
@@ -85,8 +87,9 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     Every game steps through the same rounds, so the configs must share
     ``q``, ``rounds`` and ``initial_demand``; a sweep's configs differ only
     in their weights.  A seat holds an :class:`MdpAgent` or a
-    :class:`HeuristicModel` built for that ``q``; any other seat is refused
-    before the first round.  With ``warmup_rounds``, each pair first plays a
+    :class:`HeuristicModel` built for that ``q``, and an :class:`MdpAgent`
+    holds one seat of the batch; anything else is refused before the first
+    round.  With ``warmup_rounds``, each pair first plays a
     warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
     streams, again in lockstep.
     """
@@ -113,11 +116,13 @@ def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
 
 
 def _check_seats(config: GameConfig, pairs) -> None:
-    for pair in pairs:
-        for name, role, agent in zip(("agent_a", "agent_b"), Role, pair):
+    seated = {}  # each MdpAgent's first seat: its rule, stream and learner serve one seat
+    for g, pair in enumerate(pairs):
+        for name, agent in zip(("agent_a", "agent_b"), pair):
             if isinstance(agent, MdpAgent):
-                if agent.role is not role:
-                    raise ValueError(f"{name} must be configured with the {role.value} seat")
+                first = seated.setdefault(id(agent), (name, g))
+                if first != (name, g):
+                    raise ValueError(f"{name} of game {g} is the MdpAgent already seated as {first[0]} of game {first[1]}")
             elif not isinstance(agent, HeuristicModel):
                 raise ValueError(f"{name} must be an MdpAgent or a HeuristicModel, got {type(agent).__name__}")
             if agent.q != config.q:
@@ -165,7 +170,7 @@ def _play(config: GameConfig, pairs, plans) -> np.ndarray:
                 demands[games, t, seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
         now = demands[:, t].tolist()
         for learner, g, seat in learners:
-            learner.update(*prev[g], now[g][1 - seat])
+            learner.update(prev[g][seat], prev[g][1 - seat], now[g][1 - seat])
         prev = now
     return demands
 

@@ -38,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, atomic_write, refuse_overwrite
+from .core import GameConfig, atomic_write, refuse_overwrite
 from .engine import RngPlan, run_games
-from .opponent import HeuristicModel, heuristic_table, make_prior, uniform_table
+from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
 from .planner import TIE_BREAKS, MdpAgent, solve_key
 
 __all__ = [
@@ -74,9 +74,8 @@ AGENT_KINDS = {
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
 # float64 each: one per planner.solve_key, so a learner's table, a
-# random-tie planner's model copy, or one shared fixed table per seat and
-# weight.  At q = 10 every default sweep fits in one run; at q = 60, two
-# items do.
+# random-tie planner's model copy, or one shared fixed table per weight.
+# At q = 10 every default sweep fits in one run; at q = 60, two items do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
@@ -183,20 +182,20 @@ def benchmark_spec(
     return ExperimentSpec(test_id, AgentSpec(kind_a), AgentSpec(kind_b), g, grid_b, replications, base, tie_break)
 
 
-def build_agent(spec: AgentSpec, role: Role, omega: float, config: GameConfig, tie_break: str):
-    """Instantiate one player: a rule-based seat is its model.  An
-    mdp-pretrained player starts uniform; the warm-up game that trains it is
-    run by the caller."""
+def build_agent(spec: AgentSpec, omega: float, config: GameConfig, tie_break: str):
+    """Instantiate one player, fit for either seat: a rule-based seat is its
+    model.  An mdp-pretrained player starts uniform; the warm-up game that
+    trains it is run by the caller."""
     q = config.q
     if spec.kind == "heuristic":
         return HeuristicModel(sigma=spec.sigma, q=q)
     if spec.learning:
-        return MdpAgent(role, omega, config.horizon, q, learner=make_prior("uniform", q), tie_break=tie_break)
+        return MdpAgent(omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=tie_break)
     if spec.kind == "mdp-heuristic":
-        model = heuristic_table(HeuristicModel(sigma=spec.sigma, q=q), role.other)
+        model = heuristic_table(HeuristicModel(sigma=spec.sigma, q=q))
     else:
         model = uniform_table(q)
-    return MdpAgent(role, omega, config.horizon, q, model=model, tie_break=tie_break)
+    return MdpAgent(omega, config.horizon, q, model=model, tie_break=tie_break)
 
 
 @dataclass(frozen=True)
@@ -269,8 +268,8 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     for game in games:
         config = game[1]
         pair = (
-            build_agent(spec.agent_a, Role.A, config.omega_a, config, spec.tie_break),
-            build_agent(spec.agent_b, Role.B, config.omega_b, config, spec.tie_break),
+            build_agent(spec.agent_a, config.omega_a, config, spec.tie_break),
+            build_agent(spec.agent_b, config.omega_b, config, spec.tie_break),
         )
         keys = {solve_key(agent) for agent in pair if isinstance(agent, MdpAgent)}
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:

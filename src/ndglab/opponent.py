@@ -11,8 +11,9 @@ Three families, all conditional on the pair of previous-round demands:
 
 Distributions are plain numpy vectors of length ``q - 1`` where entry
 ``i`` is the probability of demand ``i + 1``.  Full conditional tables
-have shape ``(q - 1, q - 1, q - 1)`` indexed by
-``[prev_a - 1, prev_b - 1, demand - 1]``.
+have shape ``(q - 1, q - 1, q - 1)`` in their holder's own view, indexed
+``[own_prev - 1, opp_prev - 1, demand - 1]``, so one table serves a holder
+on either seat.  Only learner files keep the seat order ``(prev_a, prev_b)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "heuristic_table",
     "uniform_table",
     "DirichletLearner",
-    "make_prior",
     "save_learner",
     "load_learner",
 ]
@@ -109,14 +109,16 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
 
 
 @lru_cache(maxsize=4)  # near the q bound one table is about 1 GiB
-def heuristic_table(model: HeuristicModel, role: Role) -> np.ndarray:
-    """Full conditional table of ``role``'s next demand for every state.
+def heuristic_table(model: HeuristicModel) -> np.ndarray:
+    """Full conditional table of a rule-based opponent's next demand, in its holder's view.
 
-    Built once per ``(model, role)``; every caller shares the returned
-    array, which is therefore read-only.
+    ``table[own_prev - 1, opp_prev - 1]`` is the row after the holder
+    demanded ``own_prev`` and the opponent ``opp_prev``, so a holder on
+    either seat reads the same table.  Built once per model; every caller
+    shares the returned array, which is therefore read-only.
     """
-    prev_a, prev_b = np.ogrid[1 : model.q, 1 : model.q]
-    table = _rule_rows(model, *((prev_a, prev_b) if role is Role.A else (prev_b, prev_a)))
+    own_prev, opp_prev = np.ogrid[1 : model.q, 1 : model.q]
+    table = _rule_rows(model, opp_prev, own_prev)  # the opponent is the modelled player
     table.flags.writeable = False
     return table
 
@@ -138,10 +140,11 @@ def uniform_table(q: int) -> np.ndarray:
 class DirichletLearner:
     """Per-context positive counts over the opponent's next demand.
 
-    ``counts[prev_a - 1, prev_b - 1, d - 1]`` is the pseudo-count of demand
-    ``d`` in context ``(prev_a, prev_b)``.  Normalizing a row gives the
-    point estimate; adding one to a cell is the whole belief update, so any
-    permutation of the same observations lands on the same estimate.
+    ``counts[own_prev - 1, opp_prev - 1, d - 1]`` is the pseudo-count of
+    demand ``d`` after the holder demanded ``own_prev`` and the opponent
+    ``opp_prev``.  Normalizing a row gives the point estimate; adding one to
+    a cell is the whole belief update, so any permutation of the same
+    observations lands on the same estimate.
     """
 
     def __init__(self, counts: np.ndarray, q: int):
@@ -161,61 +164,35 @@ class DirichletLearner:
         n = q - 1
         return cls(np.ones((n, n, n)), q)
 
-    def update(self, prev_a: int, prev_b: int, observed: int) -> None:
-        """Record one demand observed in context ``(prev_a, prev_b)``."""
-        check_demand(prev_a, self.q, "prev_a")
-        check_demand(prev_b, self.q, "prev_b")
+    def update(self, own_prev: int, opp_prev: int, observed: int) -> None:
+        """Record one demand observed in context ``(own_prev, opp_prev)``."""
+        check_demand(own_prev, self.q, "own_prev")
+        check_demand(opp_prev, self.q, "opp_prev")
         check_demand(observed, self.q, "observed")
-        self.counts[prev_a - 1, prev_b - 1, observed - 1] += 1.0
+        self.counts[own_prev - 1, opp_prev - 1, observed - 1] += 1.0
 
     def estimate_table(self) -> np.ndarray:
         """Point estimates for every context at once."""
         return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
 
-def make_prior(
-    kind: str,
-    q: int,
-    *,
-    sigma: float | None = None,
-    opponent: Role = Role.B,
-) -> DirichletLearner:
-    """Build a learner's starting counts.
+def save_learner(learner: DirichletLearner, path, seat: Role) -> None:
+    """Write the counts of ``seat``'s learner as plain text.
 
-    Args:
-        kind: ``"uniform"`` puts one pseudo-count on every cell.
-            ``"heuristic"`` shapes each context row like the rule-based
-            distribution with the given ``sigma``, scaled to row mass
-            ``q - 1`` so it is exactly as weak as the uniform prior.
-            A warmed-up prior is a uniform one trained by
-            :func:`ndglab.engine.pretrain`.
-        q: amount being split; fixes the table dimensions.
-        sigma: spread for the heuristic prior.
-        opponent: which seat is being modelled; decides the heuristic
-            role mapping.
+    One ``prev_a prev_b v1 .. v_{q-1}`` row per context: the file keeps the
+    seat order ``(prev_a, prev_b)``, so seat B's context axes are swapped.
     """
-    if kind == "uniform":
-        return DirichletLearner.uniform(q)
-    if kind == "heuristic":
-        if sigma is None:
-            raise ValueError("heuristic prior needs sigma")
-        table = heuristic_table(HeuristicModel(sigma=sigma, q=q), opponent)
-        return DirichletLearner(table * (q - 1), q)
-    raise ValueError(f"unknown prior kind {kind!r}")
-
-
-def save_learner(learner: DirichletLearner, path) -> None:
-    """Write counts as plain text: one ``prev_a prev_b v1 .. v_{q-1}`` row per context."""
+    counts = learner.counts.transpose(1, 0, 2) if seat is Role.B else learner.counts
     with atomic_write(path) as fh:
         for prev_a in range(1, learner.q):
             for prev_b in range(1, learner.q):
-                row = learner.counts[prev_a - 1, prev_b - 1]
+                row = counts[prev_a - 1, prev_b - 1]
                 cells = [str(prev_a), str(prev_b)] + [repr(float(v)) for v in row]
                 fh.write(" ".join(cells) + "\n")
 
 
-def load_learner(path) -> DirichletLearner:
-    """Read counts written by :func:`save_learner`; q is inferred from the row width."""
+def load_learner(path, seat: Role) -> DirichletLearner:
+    """Read a file of :func:`save_learner` as ``seat``'s learner; q is inferred from the row width."""
     rows = [
         (lineno, line.split())
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
@@ -243,4 +220,4 @@ def load_learner(path) -> DirichletLearner:
             raise ValueError(f"context ({prev_a}, {prev_b}) listed twice in {path}")
         seen.add((prev_a, prev_b))
         counts[prev_a - 1, prev_b - 1] = row
-    return DirichletLearner(counts, q)
+    return DirichletLearner(counts.transpose(1, 0, 2) if seat is Role.B else counts, q)

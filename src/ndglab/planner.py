@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Role, reward, reward_matrix
+from .core import reward, reward_matrix
 
 __all__ = [
     "backward_induction",
@@ -183,18 +183,18 @@ def brute_force_value(
 class MdpAgent:
     """Lookahead player: plans ``horizon`` stages against its demand model.
 
-    Exactly one of ``model`` (a fixed conditional table) and ``learner``
-    must be given.  :attr:`rule` holds the first-stage demands
-    ``[own_prev - 1, opp_prev - 1]`` of the last solve; :func:`solve_rules`
-    sets it, and the game loop decides when: a learner's rule is re-solved
-    against its refreshed estimate every round (receding horizon), a fixed
-    model's once per game.  The game loop plays the rule at each state,
-    feeds a learner every round, and sets :attr:`rng` to the agent's stream.
+    Exactly one of ``model`` (a fixed conditional table in the agent's own
+    view) and ``learner`` must be given.  :attr:`rule` holds the first-stage
+    demands ``[own_prev - 1, opp_prev - 1]`` of the last solve;
+    :func:`solve_rules` sets it, and the game loop decides when: a learner's
+    rule is re-solved against its refreshed estimate every round (receding
+    horizon), a fixed model's once per game.  The game loop plays the rule
+    at each state, feeds a learner every round, and sets :attr:`rng` to the
+    agent's stream.
     """
 
     def __init__(
         self,
-        role: Role,
         omega: float,
         horizon: int,
         q: int,
@@ -213,7 +213,6 @@ class MdpAgent:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
         if learner is not None and learner.q != q:
             raise ValueError(f"learner was built for q={learner.q}, agent needs q={q}")
-        self.role = role
         self.omega = float(omega)
         self.horizon = horizon
         self.q = q
@@ -227,23 +226,20 @@ class MdpAgent:
     def learning(self) -> bool:
         return self.learner is not None
 
-    def _seat_table(self) -> np.ndarray:
-        table = self.learner.estimate_table() if self.learning else self._model
-        if self.role is Role.A:
-            return table
-        return table.transpose(1, 0, 2)  # swap context axes into (own, opp) order
+    def _table(self) -> np.ndarray:
+        return self.learner.estimate_table() if self.learning else self._model
 
 
 def solve_key(agent: MdpAgent):
     """The batch item ``agent``'s rule is solved in: agents with equal keys share one.
 
-    With smallest ties, agents holding the same fixed table object, seat and
-    weight share an item.  A learner, and an agent with random ties, gets
-    an item of its own: its key is the agent itself.
+    With smallest ties, agents holding the same fixed table object and
+    weight share an item, whichever seats they sit in.  A learner, and an
+    agent with random ties, gets an item of its own: its key is the agent.
     """
     if agent.learning or agent.tie_break == "random":
         return agent
-    return (id(agent._model), agent.role, agent.omega)
+    return (id(agent._model), agent.omega)
 
 
 def solve_rules(agents) -> None:
@@ -261,7 +257,7 @@ def solve_rules(agents) -> None:
     for (h, q), items in batches.items():
         groups = list(items.values())
         _, actions = backward_induction_batch(
-            np.stack([group[0]._seat_table() for group in groups]),
+            np.stack([group[0]._table() for group in groups]),
             [group[0].omega for group in groups],
             h,
             q,

@@ -19,11 +19,9 @@ from ndglab import (
     GameConfig,
     HeuristicModel,
     MdpAgent,
-    Role,
     backward_induction,
     benchmark_spec,
     heuristic_table,
-    make_prior,
     reward,
     round_columns,
     run_game,
@@ -169,7 +167,7 @@ def test_04_success_magnitudes_in_expected_windows(benchmarks):
 
 
 def test_05_belief_converges_to_a_known_opponent():
-    target = heuristic_table(HeuristicModel(sigma=2.0, q=10), Role.B)
+    target = heuristic_table(HeuristicModel(sigma=2.0, q=10))
     contexts = [(pa, pb) for pa in range(1, 10) for pb in range(1, 10)]
     checkpoints = (10, 100, 1_000, 10_000)
     curves = np.zeros((10, len(checkpoints)))
@@ -205,9 +203,7 @@ def test_05_belief_converges_to_a_known_opponent():
 def test_06_normalization_and_conservation():
     tables = [uniform_table(10)]
     for sigma in (0.5, 1.0, 2.0, 3.0):
-        for role in Role:
-            tables.append(heuristic_table(HeuristicModel(sigma=sigma, q=10), role))
-    tables.append(make_prior("heuristic", 10, sigma=3.0).estimate_table())
+        tables.append(heuristic_table(HeuristicModel(sigma=sigma, q=10)))
     learner = DirichletLearner.uniform(10)
     rng = np.random.default_rng(1)
     for _ in range(2_000):
@@ -237,8 +233,8 @@ def test_06_normalization_and_conservation():
         config = GameConfig(omega_a=omega, omega_b=1.0 - omega, seed=17)
         log = run_game(
             config,
-            MdpAgent(Role.A, omega, 10, 10, learner=DirichletLearner.uniform(10)),
-            MdpAgent(Role.B, 1.0 - omega, 10, 10, learner=DirichletLearner.uniform(10)),
+            MdpAgent(omega, 10, 10, learner=DirichletLearner.uniform(10)),
+            MdpAgent(1.0 - omega, 10, 10, learner=DirichletLearner.uniform(10)),
         )
         assert 0.0 <= log.success_rate_pct <= 100.0
         cols = round_columns(config, log.demands)

@@ -4,12 +4,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ndglab import DirichletLearner, load_learner, make_prior, save_learner
+from ndglab import DirichletLearner, GameConfig, RngPlan, Role, load_learner, save_learner
 from ndglab.cli import EXIT_CONFIG, EXIT_OK, main
 
-from oracles import count_played_games, csv_rows
+from oracles import count_played_games, csv_rows, reference_game
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -209,9 +210,9 @@ def test_pretrain_writes_loadable_learners(tmp_path, capsys):
     out = tmp_path / "warm"
     assert main(["pretrain", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    learner = load_learner(out / "learner_a.txt")
+    learner = load_learner(out / "learner_a.txt", Role.A)
     assert learner.counts.sum() == 729.0 + 30
-    assert load_learner(out / "learner_b.txt").counts.sum() == 729.0 + 30
+    assert load_learner(out / "learner_b.txt", Role.B).counts.sum() == 729.0 + 30
     # the saved state can seed a learning agent in a later run
     game_out = tmp_path / "game"
     args = [
@@ -219,6 +220,29 @@ def test_pretrain_writes_loadable_learners(tmp_path, capsys):
         "--agent-b", "heuristic", "--out", str(game_out),
     ]
     assert main(args) == EXIT_OK
+
+
+def test_pretrain_files_list_each_seats_counts_in_seat_order(tmp_path, capsys):
+    # every file row is `prev_a prev_b` and the counts of the other seat's next
+    # demand, rebuilt here from a scalar replay of the warm-up game; the
+    # weights make seat B's counts differ from their swap, so a file written
+    # in seat B's own view would show
+    out = tmp_path / "warm"
+    flags = ["--omega-a", "0.1", "--omega-b", "0.9", "--tie-break", "random", "--pretrain-rounds", "200", "--seed", "5"]
+    assert main(["pretrain", *flags, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    config = GameConfig(rounds=200, omega_a=0.1, omega_b=0.9, seed=5)
+    played = reference_game(config, ((None, "random"), (None, "random")), RngPlan(5).pretrain_plan())
+    expected = {"a": np.ones((9, 9, 9)), "b": np.ones((9, 9, 9))}
+    for (prev_a, prev_b), (demand_a, demand_b) in zip(played[:1] + played[:-1], played):
+        expected["a"][prev_a - 1, prev_b - 1, demand_b - 1] += 1.0
+        expected["b"][prev_a - 1, prev_b - 1, demand_a - 1] += 1.0
+    assert not np.array_equal(expected["b"], expected["b"].transpose(1, 0, 2))
+    contexts = [[prev_a, prev_b] for prev_a in range(1, 10) for prev_b in range(1, 10)]
+    for seat in "ab":
+        rows = [line.split() for line in (out / f"learner_{seat}.txt").read_text().splitlines()]
+        assert [[int(cell) for cell in row[:2]] for row in rows] == contexts
+        assert [[float(cell) for cell in row[2:]] for row in rows] == expected[seat].reshape(81, 9).tolist()
 
 
 def test_failed_pretrain_leaves_no_output_directory(tmp_path, capsys):
@@ -290,7 +314,7 @@ def test_prior_needs_learning_agent(tmp_path, capsys):
 
 def test_a_loaded_prior_is_the_only_prior_built(tmp_path, capsys, monkeypatch):
     path = tmp_path / "learner.txt"
-    save_learner(make_prior("heuristic", 10, sigma=2.0), path)
+    save_learner(DirichletLearner(np.full((9, 9, 9), 2.0), 10), path, Role.A)
     built = []
     real = DirichletLearner.uniform.__func__
 

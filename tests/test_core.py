@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ndglab import (
     GameConfig,
     GameLog,
-    Role,
     chi,
     reward,
     reward_matrix,
@@ -214,8 +213,3 @@ def test_game_log_length_checked():
     for out_of_range in (0, 10):
         with pytest.raises(ValueError, match="1..9"):
             GameLog(config, np.array([[3, 3], [3, out_of_range]]))
-
-
-def test_each_role_names_the_other():
-    assert Role.A.other is Role.B
-    assert Role.B.other is Role.A

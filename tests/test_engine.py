@@ -1,6 +1,7 @@
 """Game loop, named random streams, warm-up play, and CSV round trips."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,8 +34,8 @@ from oracles import csv_rows, reference_game
 
 def _uniform_pair(config, tie_break="smallest"):
     return (
-        MdpAgent(Role.A, config.omega_a, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
-        MdpAgent(Role.B, config.omega_b, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
+        MdpAgent(config.omega_a, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
+        MdpAgent(config.omega_b, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
     )
 
 
@@ -60,13 +61,23 @@ def test_opening_round_is_forced():
     assert round_columns(config, log.demands)["compatible"][0] == 0  # 14 > 10, still played and recorded
 
 
-def test_seat_roles_are_checked():
-    config = GameConfig()
-    agent_a, agent_b = _uniform_pair(config)
-    with pytest.raises(ValueError, match="agent_a"):
+def test_seat_roles_are_checked(monkeypatch):
+    # an MdpAgent's rule, stream and learner serve one seat of a batch: one
+    # agent on both seats of a game, or on a seat of each of two lockstep
+    # games, is refused before round 1 and before any warm-up game
+    def no_round_is_played(*args):
+        raise AssertionError("a round was played")
+
+    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    config = GameConfig(rounds=30)
+    agent_a, agent_b = _learning_pair(config)
+    with pytest.raises(ValueError, match="agent_b of game 0 is the MdpAgent already seated as agent_a of game 0"):
         run_game(config, agent_b, agent_b)
-    with pytest.raises(ValueError, match="agent_b"):
-        run_game(config, agent_a, agent_a)
+    rule = HeuristicModel(1.0, 10)  # a rule-based model draws nothing of its own and may repeat
+    for warmup_rounds in (0, 3):
+        with pytest.raises(ValueError, match="agent_a of game 1 is the MdpAgent already seated as agent_a of game 0"):
+            run_games([config] * 2, [(agent_a, rule), (agent_a, rule)], [RngPlan(1), RngPlan(2)], warmup_rounds)
+    assert agent_a.learner.counts.sum() == agent_b.learner.counts.sum() == 729.0  # nothing was observed
 
 
 def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
@@ -79,7 +90,7 @@ def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
     config = GameConfig(rounds=5)
     rule = HeuristicModel(1.0, 10)
     for seat, wrong, message in (
-        ("agent_a", MdpAgent(Role.A, 0.5, 10, 8, model=uniform_table(8)), "agent_a was built for q=8"),
+        ("agent_a", MdpAgent(0.5, 10, 8, model=uniform_table(8)), "agent_a was built for q=8"),
         ("agent_a", HeuristicModel(1.0, 14), "agent_a was built for q=14"),
         ("agent_b", HeuristicModel(1.0, 14), "agent_b was built for q=14"),
         ("agent_b", object(), "agent_b must be an MdpAgent or a HeuristicModel"),
@@ -116,19 +127,22 @@ CORE_GAMES = (
 )
 
 
-def _seat(spec, role, config):
-    """The agent a seat spec names, and the seat as ``oracles.reference_game`` reads it."""
+def _seat(spec, seat, config):
+    """The agent a seat spec names on seat 0 (A) or 1 (B), and the seat as
+    ``oracles.reference_game`` reads it."""
     kind, setting = spec
     q = config.q
     if kind == "rule":
         model = HeuristicModel(sigma=setting, q=q)
         return model, model
-    omega = config.omega_a if role is Role.A else config.omega_b
+    omega = (config.omega_a, config.omega_b)[seat]
     if kind == "learner":
-        agent = MdpAgent(role, omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=setting)
+        agent = MdpAgent(omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=setting)
         return agent, (None, setting)
-    table = uniform_table(q) if kind == "fixed-uniform" else heuristic_table(HeuristicModel(3.0, q), role.other)
-    return MdpAgent(role, omega, config.horizon, q, model=table, tie_break=setting), (table, setting)
+    table = uniform_table(q) if kind == "fixed-uniform" else heuristic_table(HeuristicModel(3.0, q))
+    # the agent holds its own view; the replay takes (prev_a, prev_b) tables and swaps seat B's itself
+    absolute = table if seat == 0 else table.transpose(1, 0, 2)
+    return MdpAgent(omega, config.horizon, q, model=table, tie_break=setting), (absolute, setting)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,7 +167,7 @@ def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, e
     ]
 
     def build(config, game):
-        return [_seat(spec, role, config) for spec, role in zip(game, Role)]
+        return [_seat(spec, seat, config) for seat, spec in enumerate(game)]
 
     pairs = [tuple(agent for agent, _ in build(config, game)) for config, game in zip(configs, games)]
     logs = run_games(configs, pairs, [RngPlan(config.seed) for config in configs])
@@ -162,6 +176,29 @@ def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, e
         assert log == run_game(config, agent_a, agent_b)
         replay = reference_game(config, (seat_a, seat_b), RngPlan(config.seed))
         assert log.demands.tolist() == [list(pair) for pair in replay]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((3, 5, 10)),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.tuples(st.sampled_from(SEATS), st.sampled_from(SEATS)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 2**16),
+)
+def test_swapping_the_seats_swaps_the_demand_columns(q, rounds, horizon, opening, game, weights, seed):
+    # the game is seat-symmetric: X against Y plays Y against X with the two
+    # weights and the two streams exchanged, demand columns swapped
+    config = GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1 + opening % (q - 1),
+                        omega_a=weights[0], omega_b=weights[1], seed=seed)
+    mirror = replace(config, omega_a=weights[1], omega_b=weights[0])
+    swapped = RngPlan(seed)
+    swapped.agent_a, swapped.agent_b = swapped.agent_b, swapped.agent_a
+    log = run_game(config, _seat(game[0], 0, config)[0], _seat(game[1], 1, config)[0], RngPlan(seed))
+    mirrored = run_game(mirror, _seat(game[1], 0, mirror)[0], _seat(game[0], 1, mirror)[0], swapped)
+    assert log.demands.tolist() == mirrored.demands[:, ::-1].tolist()
 
 
 def test_lockstep_games_may_differ_only_in_their_weights():
@@ -201,7 +238,7 @@ def test_every_round_is_observed_at_its_own_state():
     # 60 rounds feed exactly 60 observations, the opening one at (3, 3)
     config = GameConfig()
     learner = DirichletLearner.uniform(10)
-    agent_a = MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=learner)
+    agent_a = MdpAgent(config.omega_a, config.horizon, config.q, learner=learner)
     log = run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10))
     assert learner.counts.sum() == 729.0 + config.rounds
     assert learner.counts[2, 2, log.demands[0, 1] - 1] >= 2.0
@@ -220,7 +257,7 @@ def test_changing_one_weight_leaves_the_other_seat_draws_alone():
     logs = []
     for omega_a in (0.2, 0.9):
         config = GameConfig(omega_a=omega_a, seed=3)
-        agent_a = MdpAgent(Role.A, omega_a, config.horizon, config.q, model=uniform_table(10))
+        agent_a = MdpAgent(omega_a, config.horizon, config.q, model=uniform_table(10))
         logs.append(run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10)))
     assert np.array_equal(logs[0].demands[:, 1], logs[1].demands[:, 1])
 
@@ -241,8 +278,8 @@ def test_warmup_play_is_disjoint_and_reproducible():
 
 def _learning_pair(config, tie_break="smallest"):
     return (
-        MdpAgent(Role.A, config.omega_a, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
-        MdpAgent(Role.B, config.omega_b, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
+        MdpAgent(config.omega_a, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
+        MdpAgent(config.omega_b, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
     )
 
 
@@ -343,7 +380,7 @@ FAILING_WRITES = {
     ),
     "write_cells_csv": lambda path: write_cells_csv(SimpleNamespace(cells=[None]), path),
     "write_summary_csv": lambda path: write_summary_csv(SimpleNamespace(summary={}), path),
-    "save_learner": lambda path: save_learner(_learner_failing_at_row_4(), path),
+    "save_learner": lambda path: save_learner(_learner_failing_at_row_4(), path, Role.A),
 }
 
 

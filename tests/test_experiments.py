@@ -5,22 +5,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndglab import (
     AgentSpec,
     CellResult,
+    DirichletLearner,
     GameConfig,
     HeuristicModel,
     MdpAgent,
     RngPlan,
-    Role,
     aggregate,
     benchmark_spec,
     experiments,
     heuristic_table,
-    make_prior,
     pretrain,
     run_game,
     run_test,
@@ -94,33 +93,27 @@ def test_agent_spec_validation():
 def test_build_agent_kinds():
     config = GameConfig()
     for tie_break in TIE_BREAKS:
-        for role in (Role.A, Role.B):
-            _check_agents(config, tie_break, role)
-    learner = MdpAgent(
-        Role.A, 0.5, config.horizon, config.q, learner=make_prior("heuristic", config.q, sigma=3.0)
-    )
-    assert learner.learning and learner.learner.counts.sum() == pytest.approx(729.0)
+        _check_agents(config, tie_break)
 
 
-def _check_agents(config, tie_break, role):
-    assert build_agent(AgentSpec("heuristic"), role, 0.5, config, tie_break) == HeuristicModel(sigma=1.0, q=config.q)
+def _check_agents(config, tie_break):
+    assert build_agent(AgentSpec("heuristic"), 0.5, config, tie_break) == HeuristicModel(sigma=1.0, q=config.q)
     for kind, learning in (
         ("mdp-heuristic", False), ("mdp-uniform", False), ("mdp-learning", True), ("mdp-pretrained", True),
     ):
-        planner = build_agent(AgentSpec(kind), role, 0.5, config, tie_break)
-        assert isinstance(planner, MdpAgent) and planner.role is role
+        planner = build_agent(AgentSpec(kind), 0.5, config, tie_break)
+        assert isinstance(planner, MdpAgent) and planner.omega == 0.5
         assert planner.learning == learning
         if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by the sweep
-            assert np.array_equal(planner.learner.counts, make_prior("uniform", config.q).counts)
+            assert np.array_equal(planner.learner.counts, DirichletLearner.uniform(config.q).counts)
         # planners built for two games share a solve item only when smallest ties fix their model
-        again = build_agent(AgentSpec(kind), role, 0.5, config, tie_break)
+        again = build_agent(AgentSpec(kind), 0.5, config, tie_break)
         assert (solve_key(planner) == solve_key(again)) == (tie_break == "smallest" and not learning)
-    # the held model is the rule-based opponent seen from the other seat
-    held = build_agent(AgentSpec("mdp-heuristic"), role, 0.5, config, tie_break)._model
-    assert np.array_equal(held, heuristic_table(HeuristicModel(3.0, config.q), role.other))
-    assert not np.array_equal(held, heuristic_table(HeuristicModel(3.0, config.q), role))
-    fixed = build_agent(AgentSpec("mdp-uniform"), role, 0.5, config, tie_break)._model
-    assert np.array_equal(fixed, uniform_table(config.q))
+    # the held model is the shared rule-based table, in the holder's view on either seat
+    held = build_agent(AgentSpec("mdp-heuristic"), 0.5, config, tie_break)._model
+    assert held is heuristic_table(HeuristicModel(3.0, config.q))
+    fixed = build_agent(AgentSpec("mdp-uniform"), 0.5, config, tie_break)._model
+    assert fixed is uniform_table(config.q)
 
 
 def test_cell_is_deterministic_and_rep_stable():
@@ -137,8 +130,8 @@ def _play(spec, omega_a, omega_b, seed):
     """One game of ``spec`` on fresh agents; ``seed`` is a seed or the RngPlan to play on."""
     config = dataclasses.replace(spec.base, omega_a=omega_a, omega_b=omega_b)
     plan = seed if isinstance(seed, RngPlan) else RngPlan(seed)
-    agent_a = build_agent(spec.agent_a, Role.A, omega_a, config, spec.tie_break)
-    agent_b = build_agent(spec.agent_b, Role.B, omega_b, config, spec.tie_break)
+    agent_a = build_agent(spec.agent_a, omega_a, config, spec.tie_break)
+    agent_b = build_agent(spec.agent_b, omega_b, config, spec.tie_break)
     if spec.warms_up:
         pretrain(config, agent_a, agent_b, experiments.WARMUP_ROUNDS, plan)
     return run_game(config, agent_a, agent_b, plan)
@@ -248,11 +241,14 @@ _GRID = st.lists(st.sampled_from((0.0, 0.2, 0.5, 0.7, 1.0)), min_size=1, max_siz
     st.one_of(st.none(), _GRID),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(((10, 3), (7, 1))),
 )
-def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a, grid_b, reps, seed):
-    spec = benchmark_spec(
-        test_id, replications=reps, base=GameConfig(rounds=12, seed=seed), tie_break=tie_break, grid=tuple(grid_a)
-    )
+# at q=7 from a 1/1 opening, cells (0.0, 0.2) and (0.2, 0.0) pay the seats unequally
+@example(3, "smallest", [0.0, 0.2], None, 1, 0, (7, 1))
+def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a, grid_b, reps, seed, opening):
+    q, initial_demand = opening
+    base = GameConfig(q=q, rounds=12, initial_demand=initial_demand, seed=seed)
+    spec = benchmark_spec(test_id, replications=reps, base=base, tie_break=tie_break, grid=tuple(grid_a))
     if grid_b is not None:  # an unequal B grid
         spec = dataclasses.replace(spec, omega_grid_b=tuple(grid_b))
     with pytest.MonkeyPatch.context() as patch:
@@ -295,7 +291,7 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
     [
         pytest.param(2, "smallest", 60, (0.5,), id="learner"),
         pytest.param(1, "random", 60, (0.5,), id="random-tie-planner"),
-        # 66 played games of a shared uniform table: 21 (seat, weight) items per chunk
+        # 66 played games of a shared uniform table: one item per weight, 11 of the 21 a chunk holds
         pytest.param(3, "smallest", 30, None, id="shared-fixed-model"),
     ],
 )

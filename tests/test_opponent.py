@@ -12,7 +12,6 @@ from ndglab import (
     heuristic_sample,
     heuristic_table,
     load_learner,
-    make_prior,
     save_learner,
     uniform_table,
 )
@@ -22,8 +21,11 @@ demands = st.integers(1, 9)
 
 
 def rule_row(own, opp, sigma=1.0, q=10):
-    """Seat A's rule-based row after it demanded ``own`` against ``opp``."""
-    return heuristic_table(HeuristicModel(sigma=sigma, q=q), Role.A)[own - 1, opp - 1]
+    """The rule-based row after the modelled player demanded ``own`` against ``opp``.
+
+    The table is its holder's view, so the holder's own demand ``opp`` comes first.
+    """
+    return heuristic_table(HeuristicModel(sigma=sigma, q=q))[opp - 1, own - 1]
 
 
 def assert_centred_on(row, mu, sigma=1.0, q=10):
@@ -73,9 +75,9 @@ def test_proportional_means_allocate_everything(own, opp):
     # both seats' proportional targets always split q exactly
     assume(not (2 * own <= 10 and own + opp > 10) and not (2 * opp <= 10 and own + opp > 10))
     mu = leftover_share(own, opp)
-    model = HeuristicModel(sigma=1.0, q=10)
-    assert_centred_on(heuristic_table(model, Role.A)[own - 1, opp - 1], mu)
-    assert_centred_on(heuristic_table(model, Role.B)[own - 1, opp - 1], 10.0 - mu)
+    table = heuristic_table(HeuristicModel(sigma=1.0, q=10))
+    assert_centred_on(table[opp - 1, own - 1], mu)  # the player who demanded own
+    assert_centred_on(table[own - 1, opp - 1], 10.0 - mu)  # the player who demanded opp
 
 
 # --- discretized Gaussian ---
@@ -83,51 +85,49 @@ def test_proportional_means_allocate_everything(own, opp):
 
 def test_distribution_rows_are_normalized_and_positive():
     for sigma in (0.5, 1.0, 3.0):
-        model = HeuristicModel(sigma=sigma, q=10)
-        for role in Role:
-            table = heuristic_table(model, role)
-            assert table.shape == (9, 9, 9)
-            assert np.all(table > 0)
-            np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+        table = heuristic_table(HeuristicModel(sigma=sigma, q=10))
+        assert table.shape == (9, 9, 9)
+        assert np.all(table > 0)
+        np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
 
 
 def test_distribution_matches_direct_summation():
     model = HeuristicModel(sigma=1.0, q=10)
-    probs = heuristic_table(model, Role.B)[5, 5]
+    probs = heuristic_table(model)[5, 5]
     np.testing.assert_allclose(probs, gaussian_row(5.0, 1.0, 10), atol=1e-12, rtol=0)
     assert probs[4] == pytest.approx(0.3990, abs=5e-4)
 
 
 def test_distribution_depends_on_seat():
-    model = HeuristicModel(sigma=1.0, q=10)
-    # state (3, 8): seat B held 8 of an 11 overshoot and scales back; seat A held 3 and holds
+    table = heuristic_table(HeuristicModel(sigma=1.0, q=10))
+    # demands 3 and 8: the opponent that held 8 of an 11 overshoot scales
+    # back, whichever seat it sits in; the one that held 3 holds
     np.testing.assert_allclose(
-        heuristic_table(model, Role.B)[2, 7],
+        table[2, 7],
         gaussian_row(8 + 8 / 11 * (10 - 11), 1.0, 10),
         atol=1e-12,
         rtol=0,
     )
-    np.testing.assert_allclose(
-        heuristic_table(model, Role.A)[2, 7], gaussian_row(3.0, 1.0, 10), atol=1e-12, rtol=0
-    )
+    np.testing.assert_allclose(table[7, 2], gaussian_row(3.0, 1.0, 10), atol=1e-12, rtol=0)
 
 
 def test_nearly_zero_spread_degenerates_to_the_mean():
     model = HeuristicModel(sigma=1e-6, q=10)
-    probs = heuristic_table(model, Role.A)[2, 2]
+    probs = heuristic_table(model)[2, 2]
     assert probs[4] == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=100)
-@given(st.integers(2, 20), st.floats(1e-3, 100.0), st.sampled_from(Role))
-def test_table_matches_per_state_reference_bit_for_bit(q, sigma, role):
+@given(st.integers(2, 20), st.floats(1e-3, 100.0))
+def test_table_matches_per_state_reference_bit_for_bit(q, sigma):
+    # the holder's view: the modelled opponent's own previous demand is the second axis
     model = HeuristicModel(sigma=sigma, q=q)
     rows = [
-        reference_heuristic_distribution(model, *((prev_a, prev_b) if role is Role.A else (prev_b, prev_a)))
-        for prev_a in range(1, q)
-        for prev_b in range(1, q)
+        reference_heuristic_distribution(model, opp_prev, own_prev)
+        for own_prev in range(1, q)
+        for opp_prev in range(1, q)
     ]
-    assert heuristic_table(model, role).tobytes() == np.stack(rows).tobytes()
+    assert heuristic_table(model).tobytes() == np.stack(rows).tobytes()
 
 
 def test_model_rejects_bad_sigma():
@@ -137,11 +137,11 @@ def test_model_rejects_bad_sigma():
 
 
 def test_sampler_matches_distribution():
-    # spot check of the inverse-CDF sampler against exact frequencies, seat B at state (6, 6)
+    # spot check of the inverse-CDF sampler against exact frequencies at state (6, 6)
     model = HeuristicModel(sigma=1.0, q=10)
     n = 1_000_000
     draws = heuristic_sample(model, 6, 6, np.random.default_rng(7).random(n))
-    l1 = np.abs(np.bincount(draws, minlength=10)[1:] / n - heuristic_table(model, Role.B)[5, 5]).sum()
+    l1 = np.abs(np.bincount(draws, minlength=10)[1:] / n - heuristic_table(model)[5, 5]).sum()
     assert l1 < 0.01
 
 
@@ -161,16 +161,14 @@ def test_sampler_picks_the_first_demand_whose_running_sum_exceeds_the_uniform():
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(1e-3, 100.0),
-    st.sampled_from(Role),
     st.integers(0, 2**32),
     st.lists(st.tuples(st.integers(1, 19), st.integers(1, 19)), min_size=1, max_size=20),
 )
-def test_sampler_matches_reference_under_equal_seeds(sigma, role, seed, states):
+def test_sampler_matches_reference_under_equal_seeds(sigma, seed, states):
     # k draws in one call equal k scalar reference draws on an equal stream, at every q
     for q in range(2, 21):
         model = HeuristicModel(sigma=sigma, q=q)
-        prev_a, prev_b = (np.array(states).T - 1) % (q - 1) + 1  # wrapped into 1..q-1
-        own, opp = (prev_a, prev_b) if role is Role.A else (prev_b, prev_a)
+        own, opp = (np.array(states).T - 1) % (q - 1) + 1  # wrapped into 1..q-1
         draws = heuristic_sample(model, own, opp, np.random.default_rng(seed).random(len(states)))
         slow = np.random.default_rng(seed)
         want = [reference_heuristic_sample(model, o, p, slow) for o, p in zip(own.tolist(), opp.tolist())]
@@ -261,86 +259,59 @@ def test_counts_validation():
 
 
 def test_uniform_prior():
-    np.testing.assert_array_equal(make_prior("uniform", 10).counts, np.ones((9, 9, 9)))
-
-
-def test_heuristic_prior_has_uniform_strength_rows():
-    learner = make_prior("heuristic", 10, sigma=3.0)
-    np.testing.assert_allclose(learner.counts.sum(axis=-1), 9.0, atol=1e-9, rtol=0)
-    # state (6, 6): seat B backs off to the even split
-    np.testing.assert_allclose(
-        learner.counts[5, 5], 9.0 * np.array(gaussian_row(5.0, 3.0, 10)), atol=1e-12, rtol=0
-    )
-
-
-def test_heuristic_prior_respects_modelled_seat():
-    for_b = make_prior("heuristic", 10, sigma=1.0, opponent=Role.B)
-    for_a = make_prior("heuristic", 10, sigma=1.0, opponent=Role.A)
-    # state (3, 8): seat A held 3 of an 11 overshoot and holds
-    np.testing.assert_allclose(
-        for_a.counts[2, 7], 9.0 * np.array(gaussian_row(3.0, 1.0, 10)), atol=1e-12, rtol=0
-    )
-    assert np.abs(for_a.counts[2, 7] - for_b.counts[2, 7]).sum() > 0.1
+    np.testing.assert_array_equal(DirichletLearner.uniform(10).counts, np.ones((9, 9, 9)))
 
 
 def test_heuristic_table_is_built_once_and_read_only():
     model = HeuristicModel(sigma=2.5, q=10)
-    table = heuristic_table(model, Role.B)
-    assert heuristic_table(HeuristicModel(sigma=2.5, q=10), Role.B) is table
+    table = heuristic_table(model)
+    assert heuristic_table(HeuristicModel(sigma=2.5, q=10)) is table
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0, 0] = 1.0
-    before = table.copy()
-    learner = make_prior("heuristic", 10, sigma=2.5, opponent=Role.B)
-    learner.update(1, 1, 9)
-    np.testing.assert_array_equal(heuristic_table(model, Role.B), before)
-
-
-def test_heuristic_prior_needs_sigma():
-    with pytest.raises(ValueError, match="sigma"):
-        make_prior("heuristic", 10)
-
-
-def test_unknown_prior_kind():
-    with pytest.raises(ValueError, match="unknown prior kind"):
-        make_prior("flat", 10)
 
 
 # --- persistence ---
 
 
 def test_save_load_round_trip(tmp_path):
-    learner = make_prior("heuristic", 10, sigma=3.0)
+    # a file lists (prev_a, prev_b) contexts: seat A's own view, seat B's swapped
+    rng = np.random.default_rng(4)
+    learner = DirichletLearner(rng.uniform(0.1, 5.0, size=(9, 9, 9)), 10)
     learner.update(2, 7, 4)
     path = tmp_path / "learner.txt"
-    save_learner(learner, path)
-    loaded = load_learner(path)
-    assert loaded.q == 10
-    np.testing.assert_array_equal(loaded.counts, learner.counts)
+    for seat, row in ((Role.A, learner.counts[1, 6]), (Role.B, learner.counts[6, 1])):
+        save_learner(learner, path, seat)
+        line = path.read_text().splitlines()[(2 - 1) * 9 + (7 - 1)].split()
+        assert line[:2] == ["2", "7"] and [float(v) for v in line[2:]] == row.tolist()
+        loaded = load_learner(path, seat)
+        assert loaded.q == 10
+        np.testing.assert_array_equal(loaded.counts, learner.counts)
+    np.testing.assert_array_equal(load_learner(path, Role.A).counts, learner.counts.transpose(1, 0, 2))
 
 
 def test_load_infers_q(tmp_path):
     learner = DirichletLearner.uniform(6)
     path = tmp_path / "learner.txt"
-    save_learner(learner, path)
-    assert load_learner(path).q == 6
+    save_learner(learner, path, Role.A)
+    assert load_learner(path, Role.B).q == 6
 
 
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1 0.5 0.5\n")
     with pytest.raises(ValueError, match="rows"):
-        load_learner(path)
+        load_learner(path, Role.A)
     path.write_text("")
     with pytest.raises(ValueError, match="no learner rows"):
-        load_learner(path)
+        load_learner(path, Role.A)
     # q = 3 has contexts (1, 1), (1, 2), (2, 1), (2, 2), one row each
     path.write_text("1 1 1.0 1.0\n1 1 1.0 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
     with pytest.raises(ValueError, match=r"\(1, 1\) listed twice"):
-        load_learner(path)
+        load_learner(path, Role.A)
     path.write_text("1 1 1.0 1.0\n1 2 inf 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
     with pytest.raises(ValueError, match="finite"):
-        load_learner(path)
+        load_learner(path, Role.A)
     path.write_text("1 2 1.0 1.0\n\n1 1 x 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
     with pytest.raises(ValueError, match=r"bad\.txt:3: .*'x'"):
-        load_learner(path)
+        load_learner(path, Role.A)

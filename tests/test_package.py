@@ -1,9 +1,13 @@
-"""Package tooling: the public names each module declares."""
+"""Package tooling: the public names each module declares, and the names it imports."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import ndglab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_name_in_each_all_resolves():
@@ -15,3 +19,26 @@ def test_every_name_in_each_all_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def _unused_imports(path):
+    """Names a file imports but never reads: no load of the name, no string equal to it."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a re-export is named in __all__, a forward reference in a quoted annotation
+    used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter is installed; a leftover import outlives the code that needed it
+    files = sorted(path for part in ("src", "scripts", "tests") for path in (ROOT / part).rglob("*.py"))
+    assert ROOT / "src" / "ndglab" / "planner.py" in files
+    unused = {str(path.relative_to(ROOT)): names for path in files if (names := _unused_imports(path))}
+    assert not unused, f"unused imports: {unused}"

@@ -10,7 +10,6 @@ from ndglab import (
     GameConfig,
     HeuristicModel,
     MdpAgent,
-    Role,
     backward_induction,
     brute_force_value,
     run_game,
@@ -187,11 +186,11 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=2, max_size=6), st.sampled_from((Role.A, Role.B)))
-def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds, role):
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=6))
+def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
     # q=3 under a uniform model ties every column, so every column draws
     def agent(seed):
-        planner = MdpAgent(role, 0.5, 2, 3, model=uniform_table(3), tie_break="random")
+        planner = MdpAgent(0.5, 2, 3, model=uniform_table(3), tie_break="random")
         planner.rng = np.random.default_rng(seed)
         return planner
 
@@ -206,22 +205,24 @@ def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds, role):
 
 
 def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
+    # six planners that could sit on either seat hold one table at two weights: two items
     table = uniform_table(10)
-    agents = [MdpAgent(role, omega, 4, 10, model=table) for role in (Role.A, Role.B) for omega in (0.2, 0.2, 0.7)]
-    learners = [MdpAgent(Role.A, 0.2, 4, 10, learner=DirichletLearner.uniform(10)) for _ in range(2)]
+    agents = [MdpAgent(omega, 4, 10, model=table) for _ in range(2) for omega in (0.2, 0.2, 0.7)]
+    learners = [MdpAgent(0.2, 4, 10, learner=DirichletLearner.uniform(10)) for _ in range(2)]
     solve_rules(agents + learners)
     rules = [agent.rule for agent in agents + learners]
-    assert rules[0] is rules[1] and rules[3] is rules[4]
-    assert len({id(rule) for rule in rules}) == 6
+    assert all(rule is rules[0] for rule in rules[:2] + rules[3:5])
+    assert rules[2] is rules[5]
+    assert len({id(rule) for rule in rules}) == 4
     for agent, rule in zip(agents + learners, rules):
-        assert np.array_equal(rule, backward_induction(agent._seat_table(), agent.omega, 4, 10)[1])
+        assert np.array_equal(rule, backward_induction(agent._table(), agent.omega, 4, 10)[1])
 
 
 def test_random_tie_breaking_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="random")
     with pytest.raises(ValueError, match="rng"):
-        solve_rules([MdpAgent(Role.A, 0.5, 1, 10, model=uniform_table(10), tie_break="random")])
+        solve_rules([MdpAgent(0.5, 1, 10, model=uniform_table(10), tie_break="random")])
 
 
 def test_model_validation():
@@ -247,39 +248,34 @@ def test_model_validation():
 
 def test_agent_needs_exactly_one_model_source():
     with pytest.raises(ValueError, match="exactly one"):
-        MdpAgent(Role.A, 0.5, 10, 10)
+        MdpAgent(0.5, 10, 10)
     with pytest.raises(ValueError, match="exactly one"):
-        MdpAgent(
-            Role.A, 0.5, 10, 10, model=uniform_table(10), learner=DirichletLearner.uniform(10)
-        )
-    assert not MdpAgent(Role.A, 0.5, 10, 10, model=uniform_table(10)).learning
-    assert MdpAgent(Role.A, 0.5, 10, 10, learner=DirichletLearner.uniform(10)).learning
+        MdpAgent(0.5, 10, 10, model=uniform_table(10), learner=DirichletLearner.uniform(10))
+    assert not MdpAgent(0.5, 10, 10, model=uniform_table(10)).learning
+    assert MdpAgent(0.5, 10, 10, learner=DirichletLearner.uniform(10)).learning
 
 
-def _assert_plays_its_seat_view(agent, table):
+def _assert_plays_its_own_view(seat, table):
     # a long game against a wide rule-based opponent visits many states; each
-    # round's demand must be the seat's own-view rule at the previous pair
+    # round's demand must be the rule of the agent's own table at the previous
+    # pair read from its own side, as (own_prev, opp_prev)
     config = GameConfig(rounds=200, omega_a=0.4, omega_b=0.4, seed=5)
-    opponent = HeuristicModel(sigma=4.0, q=10)
-    seat = 0 if agent.role is Role.A else 1
+    agent, opponent = MdpAgent(0.4, 3, 10, model=table), HeuristicModel(sigma=4.0, q=10)
     log = run_game(config, *((agent, opponent) if seat == 0 else (opponent, agent)))
-    _, actions = backward_induction(table if seat == 0 else table.transpose(1, 0, 2), 0.4, 3, 10)
-    assert np.array_equal(agent.rule, actions)  # solved on the seat's view at every state
+    _, actions = backward_induction(table, 0.4, 3, 10)
+    assert np.array_equal(agent.rule, actions)  # solved on the table as held, at every state
     prev, now = log.demands[:-1], log.demands[1:]
     assert np.array_equal(now[:, seat], actions[prev[:, seat] - 1, prev[:, 1 - seat] - 1])
     assert len({tuple(pair) for pair in prev.tolist()}) > 20
 
 
 def test_agent_seat_b_transposes_the_context():
-    # the shared table is indexed (prev_a, prev_b, demand); seat B plans on
-    # the swapped context axes and reads states from its own side
-    table = random_model(np.random.default_rng(17), 10)
-    _assert_plays_its_seat_view(MdpAgent(Role.B, 0.4, 3, 10, model=table), table)
+    # seat B reads the (prev_a, prev_b) context as (prev_b, prev_a)
+    _assert_plays_its_own_view(1, random_model(np.random.default_rng(17), 10))
 
 
 def test_agent_seat_a_uses_the_context_as_is():
-    table = random_model(np.random.default_rng(18), 10)
-    _assert_plays_its_seat_view(MdpAgent(Role.A, 0.4, 3, 10, model=table), table)
+    _assert_plays_its_own_view(0, random_model(np.random.default_rng(18), 10))
 
 
 def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monkeypatch):
@@ -293,8 +289,8 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
 
     monkeypatch.setattr(planner_module, "backward_induction_batch", counting)
     config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
-    fixed = MdpAgent(Role.A, 0.2, config.horizon, config.q, model=uniform_table(config.q))
-    learner = MdpAgent(Role.B, 0.7, config.horizon, config.q, learner=DirichletLearner.uniform(config.q))
+    fixed = MdpAgent(0.2, config.horizon, config.q, model=uniform_table(config.q))
+    learner = MdpAgent(0.7, config.horizon, config.q, learner=DirichletLearner.uniform(config.q))
     for _ in range(2):  # agents reused for a second game are solved as fresh ones
         batches.clear()
         run_game(config, fixed, learner)
@@ -307,7 +303,7 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
 def test_same_round_demands_are_identical_under_random_ties():
     # every state ties 4, 5 and 6, drawn once per solve: a fixed planner is
     # solved once per game, so within a game one state always gets one demand
-    agent = MdpAgent(Role.A, 1.0, 1, 10, model=_two_point_model(), tie_break="random")
+    agent = MdpAgent(1.0, 1, 10, model=_two_point_model(), tie_break="random")
     opponent = HeuristicModel(sigma=2.0, q=10)
     for seed in range(5):
         demands = run_game(GameConfig(rounds=60, seed=seed), agent, opponent).demands
@@ -323,17 +319,17 @@ def test_flooded_opponent_pushes_full_weight_demand_to_one():
     row = np.zeros(9)
     row[8] = 1.0
     model = np.tile(row, (9, 9, 1))
-    agent = MdpAgent(Role.A, 1.0, 10, 10, model=model)
+    agent = MdpAgent(1.0, 10, 10, model=model)
     solve_rules([agent])
     assert np.all(agent.rule == 1)
 
 
 def test_agent_validation():
     with pytest.raises(ValueError, match="omega"):
-        MdpAgent(Role.A, 1.5, 10, 10, model=uniform_table(10))
+        MdpAgent(1.5, 10, 10, model=uniform_table(10))
     with pytest.raises(ValueError, match="horizon"):
-        MdpAgent(Role.A, 0.5, 0, 10, model=uniform_table(10))
+        MdpAgent(0.5, 0, 10, model=uniform_table(10))
     with pytest.raises(ValueError, match="tie_break"):
-        MdpAgent(Role.A, 0.5, 10, 10, model=uniform_table(10), tie_break="greedy")
+        MdpAgent(0.5, 10, 10, model=uniform_table(10), tie_break="greedy")
     with pytest.raises(ValueError, match="q=6"):
-        MdpAgent(Role.A, 0.5, 10, 10, learner=DirichletLearner.uniform(6))
+        MdpAgent(0.5, 10, 10, learner=DirichletLearner.uniform(6))
