@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         agent_a = MdpAgent(args.omega, config.horizon, 10, learner=learner)
         log = run_game(config, agent_a, opponent)
         seen = learner.counts.sum(axis=-1) > 9  # more mass than the prior alone
-        gap = np.abs(learner.estimate_table() - truth).sum(axis=-1)
+        gap = np.abs(learner.estimate - truth).sum(axis=-1)
         mean_gap = float(gap[seen].mean()) if seen.any() else float("nan")
         print(
             f"{config.rounds:>8} {int(seen.sum()):>14} {mean_gap:>15.3f} {log.success_rate_pct:>10.2f}"

@@ -306,8 +306,7 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     tables = [uniform_table(q)]
     for sigma in (0.5, 1.0, 3.0):
         tables.append(heuristic_table(HeuristicModel(sigma=sigma, q=q)))
-    learner = DirichletLearner(rng.uniform(0.1, 5.0, size=(q - 1,) * 3), q)
-    tables.append(learner.estimate_table())
+    tables.append(DirichletLearner(rng.uniform(0.1, 5.0, size=(q - 1,) * 3), q).estimate)
     norm_err = max(float(np.abs(t.sum(axis=-1) - 1.0).max()) for t in tables)
     non_negative = all(float(t.min()) >= 0.0 for t in tables)
     checks.append(

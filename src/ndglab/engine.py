@@ -88,10 +88,10 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     ``q``, ``rounds`` and ``initial_demand``; a sweep's configs differ only
     in their weights.  A seat holds an :class:`MdpAgent` or a
     :class:`HeuristicModel` built for that ``q``, and an :class:`MdpAgent`
-    holds one seat of the batch; anything else is refused before the first
-    round.  With ``warmup_rounds``, each pair first plays a
-    warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
-    streams, again in lockstep.
+    and its :class:`DirichletLearner` hold one seat of the batch; anything
+    else is refused before the first round.  With ``warmup_rounds``, each
+    pair first plays a warm-up game of that length on its plan's
+    :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
     """
     configs = list(configs)
     pairs = list(pairs)
@@ -116,13 +116,14 @@ def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
 
 
 def _check_seats(config: GameConfig, pairs) -> None:
-    seated = {}  # each MdpAgent's first seat: its rule, stream and learner serve one seat
+    seated = {}  # each MdpAgent's and learner's first seat: its rule, stream and counts serve one seat
     for g, pair in enumerate(pairs):
         for name, agent in zip(("agent_a", "agent_b"), pair):
             if isinstance(agent, MdpAgent):
-                first = seated.setdefault(id(agent), (name, g))
-                if first != (name, g):
-                    raise ValueError(f"{name} of game {g} is the MdpAgent already seated as {first[0]} of game {first[1]}")
+                for held in (agent, agent.learner) if agent.learning else (agent,):
+                    first = seated.setdefault(id(held), (name, g))
+                    if first != (name, g):
+                        raise ValueError(f"{name} of game {g} reuses the {type(held).__name__} of {first[0]} of game {first[1]}")
             elif not isinstance(agent, HeuristicModel):
                 raise ValueError(f"{name} must be an MdpAgent or a HeuristicModel, got {type(agent).__name__}")
             if agent.q != config.q:

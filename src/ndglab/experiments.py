@@ -73,9 +73,9 @@ AGENT_KINDS = {
 }
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
-# float64 each: one per planner.solve_key, so a learner's table, a
-# random-tie planner's model copy, or one shared fixed table per weight.
-# At q = 10 every default sweep fits in one run; at q = 60, two items do.
+# float64 each: one per planner.solve_key, so per learner (holding its counts
+# and estimate too), per random-tie planner, or per weight of a shared fixed
+# table.  At q = 10 every default sweep fits in one run; at q = 60, two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),

@@ -6,8 +6,8 @@ Three families, all conditional on the pair of previous-round demands:
   over the demand grid, centred on a simple adjustment of the modelled
   player's previous demand;
 * the uninformed uniform model;
-* a count-based conjugate learner whose per-context row means form the
-  current point estimate of the opponent's demand distribution.
+* a count-based conjugate learner that holds its per-context row means as
+  the current point estimate of the opponent's demand distribution.
 
 Distributions are plain numpy vectors of length ``q - 1`` where entry
 ``i`` is the probability of demand ``i + 1``.  Full conditional tables
@@ -142,13 +142,13 @@ class DirichletLearner:
 
     ``counts[own_prev - 1, opp_prev - 1, d - 1]`` is the pseudo-count of
     demand ``d`` after the holder demanded ``own_prev`` and the opponent
-    ``opp_prev``.  Normalizing a row gives the point estimate; adding one to
-    a cell is the whole belief update, so any permutation of the same
-    observations lands on the same estimate.
+    ``opp_prev``; :attr:`estimate` holds each row normalized, the point
+    estimate.  An update adds one to a cell and renormalizes its row in
+    place, so any order of the same observations lands on the same estimate.
     """
 
     def __init__(self, counts: np.ndarray, q: int):
-        counts = np.asarray(counts, dtype=float)
+        counts = np.array(counts, dtype=float, order="C")  # a copy: updates stay in the learner
         n = q - 1
         if counts.shape != (n, n, n):
             raise ValueError(
@@ -157,23 +157,28 @@ class DirichletLearner:
         if not np.all(np.isfinite(counts) & (counts > 0)):
             raise ValueError("all counts must be finite and strictly positive")
         self.counts = counts
+        self.estimate = counts / counts.sum(axis=-1, keepdims=True)
         self.q = q
 
     @classmethod
     def uniform(cls, q: int) -> "DirichletLearner":
-        n = q - 1
-        return cls(np.ones((n, n, n)), q)
+        return cls(np.ones((q - 1,) * 3), q)
 
     def update(self, own_prev: int, opp_prev: int, observed: int) -> None:
-        """Record one demand observed in context ``(own_prev, opp_prev)``."""
+        """Record one demand observed in context ``(own_prev, opp_prev)`` and refresh its row."""
         check_demand(own_prev, self.q, "own_prev")
         check_demand(opp_prev, self.q, "opp_prev")
         check_demand(observed, self.q, "observed")
-        self.counts[own_prev - 1, opp_prev - 1, observed - 1] += 1.0
+        row = self.counts[own_prev - 1, opp_prev - 1]
+        row[observed - 1] += 1.0
+        np.divide(row, row.sum(), out=self.estimate[own_prev - 1, opp_prev - 1])
 
-    def estimate_table(self) -> np.ndarray:
-        """Point estimates for every context at once."""
-        return self.counts / self.counts.sum(axis=-1, keepdims=True)
+
+def _seat_order(counts: np.ndarray, seat: Role) -> np.ndarray:
+    """``counts`` from ``seat``'s own view to the file's ``(prev_a, prev_b)`` order, or back."""
+    if not isinstance(seat, Role):
+        raise ValueError(f"seat must be a Role, got {seat!r}")
+    return counts.transpose(1, 0, 2) if seat is Role.B else counts
 
 
 def save_learner(learner: DirichletLearner, path, seat: Role) -> None:
@@ -182,7 +187,7 @@ def save_learner(learner: DirichletLearner, path, seat: Role) -> None:
     One ``prev_a prev_b v1 .. v_{q-1}`` row per context: the file keeps the
     seat order ``(prev_a, prev_b)``, so seat B's context axes are swapped.
     """
-    counts = learner.counts.transpose(1, 0, 2) if seat is Role.B else learner.counts
+    counts = _seat_order(learner.counts, seat)
     with atomic_write(path) as fh:
         for prev_a in range(1, learner.q):
             for prev_b in range(1, learner.q):
@@ -220,4 +225,4 @@ def load_learner(path, seat: Role) -> DirichletLearner:
             raise ValueError(f"context ({prev_a}, {prev_b}) listed twice in {path}")
         seen.add((prev_a, prev_b))
         counts[prev_a - 1, prev_b - 1] = row
-    return DirichletLearner(counts.transpose(1, 0, 2) if seat is Role.B else counts, q)
+    return DirichletLearner(_seat_order(counts, seat), q)

@@ -17,7 +17,7 @@ deterministically becomes the first component of the next state.
 arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
 first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.  It is
 the one-item case of :func:`backward_induction_batch`, which stacks the same
-arrays along a leading axis, one item per planner.
+arrays along a leading axis, one item per planner, and trusts its tables.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ TIE_BREAKS = ("smallest", "random")
 _ROW_SUM_TOL = 1e-9 + 1e-5
 
 
-def _validate_model(model: np.ndarray, q: int, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """``model`` as a float array of shape ``lead + (q-1,)*3`` whose rows are distributions."""
+def _validate_model(model: np.ndarray, q: int) -> np.ndarray:
+    """``model`` as a float array of shape ``(q-1,)*3`` whose rows are distributions."""
     n = q - 1
     model = np.asarray(model, dtype=float)
-    if model.shape != lead + (n, n, n):
-        raise ValueError(f"model must have shape {lead + (n, n, n)} for q={q}, got {model.shape}")
+    if model.shape != (n, n, n):
+        raise ValueError(f"model must have shape {(n, n, n)} for q={q}, got {model.shape}")
     # Written so that NaN fails both comparisons and inf fails the second.
     if not (model.min() >= 0.0 and np.abs(model.sum(axis=-1) - 1.0).max() <= _ROW_SUM_TOL):
         raise ValueError("every model row must be a distribution over demands")
@@ -92,13 +92,13 @@ def backward_induction(
     if tie_break == "random" and rng is None:
         raise ValueError("random tie-breaking needs an rng")
     values, actions = backward_induction_batch(
-        _validate_model(model, q)[None], [omega], h, q, rngs=[rng if tie_break == "random" else None]
+        [_validate_model(model, q)], [omega], h, q, rngs=[rng if tie_break == "random" else None]
     )
     return values[0], actions[0]
 
 
 def backward_induction_batch(
-    models: np.ndarray,
+    models,
     omegas,
     h: int,
     q: int,
@@ -112,8 +112,8 @@ def backward_induction_batch(
     actions and tie draws equal B calls of :func:`backward_induction`.
 
     Args:
-        models: B conditional tables stacked as ``(B, q-1, q-1, q-1)``.
-        omegas: the B planners' reward weights.
+        models: B tables, each a model of :func:`backward_induction`, trusted to be valid.
+        omegas: the B planners' reward weights, one per model.
         h: number of stages, at least 1.
         q: amount being split.
         rngs: None for smallest-demand ties throughout, or B entries: a
@@ -128,10 +128,9 @@ def backward_induction_batch(
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
     count = len(omegas)
-    models = _validate_model(models, q, (count,))
     n = q - 1
-    gains = np.stack([reward_matrix(omega, q) for omega in omegas])  # (B, a, b)
-    by_demand = models.reshape(count, n * n, n).transpose(0, 2, 1).copy()  # (B, b, state)
+    gains = np.stack([reward_matrix(omega, q) for _, omega in zip(models, omegas, strict=True)])  # (B, a, b)
+    by_demand = np.stack([model.reshape(n * n, n).T for model in models])  # (B, b, state)
 
     values = np.zeros((count, h + 1, n * n))
     q_vals = None
@@ -184,13 +183,13 @@ class MdpAgent:
     """Lookahead player: plans ``horizon`` stages against its demand model.
 
     Exactly one of ``model`` (a fixed conditional table in the agent's own
-    view) and ``learner`` must be given.  :attr:`rule` holds the first-stage
-    demands ``[own_prev - 1, opp_prev - 1]`` of the last solve;
-    :func:`solve_rules` sets it, and the game loop decides when: a learner's
-    rule is re-solved against its refreshed estimate every round (receding
-    horizon), a fixed model's once per game.  The game loop plays the rule
-    at each state, feeds a learner every round, and sets :attr:`rng` to the
-    agent's stream.
+    view, checked here) and ``learner`` must be given; :attr:`table` is that
+    model or the learner's estimate, refreshed in place.  :attr:`rule` holds
+    the first-stage demands ``[own_prev - 1, opp_prev - 1]`` of the last
+    solve; :func:`solve_rules` sets it, and the game loop decides when: a
+    learner's rule is re-solved against its refreshed estimate every round
+    (receding horizon), a fixed model's once per game.  The game loop plays
+    the rule at each state, feeds a learner and sets :attr:`rng` to its stream.
     """
 
     def __init__(
@@ -217,7 +216,7 @@ class MdpAgent:
         self.horizon = horizon
         self.q = q
         self.learner = learner
-        self._model = _validate_model(model, q) if model is not None else None
+        self.table = learner.estimate if learner is not None else _validate_model(model, q)
         self.tie_break = tie_break
         self.rng: np.random.Generator | None = None
         self.rule: np.ndarray | None = None
@@ -226,20 +225,15 @@ class MdpAgent:
     def learning(self) -> bool:
         return self.learner is not None
 
-    def _table(self) -> np.ndarray:
-        return self.learner.estimate_table() if self.learning else self._model
-
 
 def solve_key(agent: MdpAgent):
     """The batch item ``agent``'s rule is solved in: agents with equal keys share one.
 
-    With smallest ties, agents holding the same fixed table object and
-    weight share an item, whichever seats they sit in.  A learner, and an
-    agent with random ties, gets an item of its own: its key is the agent.
+    With smallest ties, agents holding the same table object and weight
+    share an item, whichever seats they sit in; a learner's table is its
+    own.  An agent with random ties gets an item of its own: the agent.
     """
-    if agent.learning or agent.tie_break == "random":
-        return agent
-    return (id(agent._model), agent.omega)
+    return agent if agent.tie_break == "random" else (id(agent.table), agent.omega)
 
 
 def solve_rules(agents) -> None:
@@ -257,7 +251,7 @@ def solve_rules(agents) -> None:
     for (h, q), items in batches.items():
         groups = list(items.values())
         _, actions = backward_induction_batch(
-            np.stack([group[0]._table() for group in groups]),
+            [group[0].table for group in groups],
             [group[0].omega for group in groups],
             h,
             q,

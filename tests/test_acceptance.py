@@ -183,7 +183,7 @@ def test_05_belief_converges_to_a_known_opponent():
             for i, d in enumerate(draws, start=1):
                 learner.update(pa, pb, int(d))
                 if cp < len(checkpoints) and i == checkpoints[cp]:
-                    errs[idx, cp] = np.abs(learner.estimate_table()[pa - 1, pb - 1] - row).sum()
+                    errs[idx, cp] = np.abs(learner.estimate[pa - 1, pb - 1] - row).sum()
                     cp += 1
         curves[seed] = errs.mean(axis=0)
         worst_final = max(worst_final, float(errs[:, -1].max()))
@@ -208,7 +208,7 @@ def test_06_normalization_and_conservation():
     rng = np.random.default_rng(1)
     for _ in range(2_000):
         learner.update(int(rng.integers(1, 10)), int(rng.integers(1, 10)), int(rng.integers(1, 10)))
-    tables.append(learner.estimate_table())
+    tables.append(learner.estimate)
     norm_err = max(float(np.abs(t.sum(axis=-1) - 1.0).max()) for t in tables)
     non_negative = all(float(t.min()) >= 0.0 for t in tables)
 

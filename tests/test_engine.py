@@ -63,21 +63,29 @@ def test_opening_round_is_forced():
 
 def test_seat_roles_are_checked(monkeypatch):
     # an MdpAgent's rule, stream and learner serve one seat of a batch: one
-    # agent on both seats of a game, or on a seat of each of two lockstep
-    # games, is refused before round 1 and before any warm-up game
+    # agent, or one learner held by two agents, on both seats of a game or on
+    # a seat of each of two lockstep games, is refused before round 1 and
+    # before any warm-up game
     def no_round_is_played(*args):
         raise AssertionError("a round was played")
 
     monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
     config = GameConfig(rounds=30)
     agent_a, agent_b = _learning_pair(config)
-    with pytest.raises(ValueError, match="agent_b of game 0 is the MdpAgent already seated as agent_a of game 0"):
+    with pytest.raises(ValueError, match="agent_b of game 0 reuses the MdpAgent of agent_a of game 0"):
         run_game(config, agent_b, agent_b)
     rule = HeuristicModel(1.0, 10)  # a rule-based model draws nothing of its own and may repeat
+    shared = DirichletLearner.uniform(10)
+    one, other = (MdpAgent(omega, config.horizon, 10, learner=shared) for omega in (0.3, 0.7))
     for warmup_rounds in (0, 3):
-        with pytest.raises(ValueError, match="agent_a of game 1 is the MdpAgent already seated as agent_a of game 0"):
+        with pytest.raises(ValueError, match="agent_a of game 1 reuses the MdpAgent of agent_a of game 0"):
             run_games([config] * 2, [(agent_a, rule), (agent_a, rule)], [RngPlan(1), RngPlan(2)], warmup_rounds)
-    assert agent_a.learner.counts.sum() == agent_b.learner.counts.sum() == 729.0  # nothing was observed
+        with pytest.raises(ValueError, match="agent_b of game 0 reuses the DirichletLearner of agent_a of game 0"):
+            run_games([config], [(one, other)], [RngPlan(1)], warmup_rounds)
+        with pytest.raises(ValueError, match="agent_b of game 1 reuses the DirichletLearner of agent_a of game 0"):
+            run_games([config] * 2, [(one, rule), (rule, other)], [RngPlan(1), RngPlan(2)], warmup_rounds)
+    for learner in (agent_a.learner, agent_b.learner, shared):
+        assert learner.counts.sum() == 729.0  # nothing was observed
 
 
 def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):

@@ -110,9 +110,9 @@ def _check_agents(config, tie_break):
         again = build_agent(AgentSpec(kind), 0.5, config, tie_break)
         assert (solve_key(planner) == solve_key(again)) == (tie_break == "smallest" and not learning)
     # the held model is the shared rule-based table, in the holder's view on either seat
-    held = build_agent(AgentSpec("mdp-heuristic"), 0.5, config, tie_break)._model
+    held = build_agent(AgentSpec("mdp-heuristic"), 0.5, config, tie_break).table
     assert held is heuristic_table(HeuristicModel(3.0, config.q))
-    fixed = build_agent(AgentSpec("mdp-uniform"), 0.5, config, tie_break)._model
+    fixed = build_agent(AgentSpec("mdp-uniform"), 0.5, config, tie_break).table
     assert fixed is uniform_table(config.q)
 
 

@@ -1,8 +1,11 @@
 """Rule-based opponent model and the Dirichlet belief over its demands."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ndglab import (
@@ -202,17 +205,17 @@ def test_uniform_table_is_built_once_and_read_only():
 def test_uniform_learner_start():
     learner = DirichletLearner.uniform(10)
     assert learner.counts.sum() == 729.0
-    np.testing.assert_array_equal(learner.estimate_table()[3, 3], np.full(9, 1 / 9))
+    np.testing.assert_array_equal(learner.estimate[3, 3], np.full(9, 1 / 9))
 
 
 def test_update_moves_one_count():
     learner = DirichletLearner.uniform(10)
     learner.update(6, 6, 5)
-    row = learner.estimate_table()[5, 5]
+    row = learner.estimate[5, 5]
     assert row[4] == pytest.approx(0.2)
     assert row.sum() == pytest.approx(1.0)
     # other contexts untouched
-    np.testing.assert_array_equal(learner.estimate_table()[0, 0], np.full(9, 1 / 9))
+    np.testing.assert_array_equal(learner.estimate[0, 0], np.full(9, 1 / 9))
 
 
 @settings(max_examples=30)
@@ -227,12 +230,51 @@ def test_update_order_is_exchangeable(observations):
     np.testing.assert_array_equal(forward.counts, backward.counts)
 
 
-def test_estimate_table_is_normalized():
+def test_estimate_rows_are_normalized():
     learner = DirichletLearner.uniform(10)
     rng = np.random.default_rng(3)
     for _ in range(500):
         learner.update(rng.integers(1, 10), rng.integers(1, 10), rng.integers(1, 10))
-    np.testing.assert_allclose(learner.estimate_table().sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(learner.estimate.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.sampled_from(("uniform", "random", "loaded-B")),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example(60, "loaded-B", 300, 0)
+def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, seed):
+    # each update refreshes one row; the held estimate must equal normalizing every row again
+    rng = np.random.default_rng(seed)
+    n = q - 1
+    if start == "uniform":
+        learner = DirichletLearner.uniform(q)
+    else:
+        learner = DirichletLearner(rng.uniform(0.1, 5.0, size=(n, n, n)), q)
+    if start == "loaded-B":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_learner(learner, Path(tmp) / "learner.txt", Role.A)
+            learner = load_learner(Path(tmp) / "learner.txt", Role.B)
+    contexts = rng.integers(1, q, size=(3, 2))  # few contexts, so rows take repeated updates
+    for i, observed in zip(rng.integers(0, 3, size=n_updates), rng.integers(1, q, size=n_updates)):
+        learner.update(int(contexts[i, 0]), int(contexts[i, 1]), int(observed))
+    counts = learner.counts
+    assert learner.estimate.tobytes() == (counts / counts.sum(-1, keepdims=True)).tobytes()
+
+
+def test_a_learner_keeps_its_own_copy_of_the_counts():
+    # updates never write into the caller's array, so a shared read-only table can seed a learner
+    counts = np.ones((9, 9, 9))
+    learner = DirichletLearner(counts, 10)
+    learner.update(2, 3, 4)
+    assert counts.sum() == 729.0 and learner.counts.sum() == 730.0
+    shared = heuristic_table(HeuristicModel(sigma=1.0, q=10))
+    seeded = DirichletLearner(shared, 10)
+    seeded.update(2, 3, 4)
+    assert seeded.counts[1, 2, 3] == shared[1, 2, 3] + 1.0
 
 
 def test_estimate_converges_on_synthetic_data():
@@ -241,7 +283,7 @@ def test_estimate_converges_on_synthetic_data():
     learner = DirichletLearner.uniform(10)
     for d in rng.choice(9, size=10_000, p=target) + 1:
         learner.update(2, 9, int(d))
-    assert np.abs(learner.estimate_table()[1, 8] - target).sum() < 0.05
+    assert np.abs(learner.estimate[1, 8] - target).sum() < 0.05
 
 
 def test_counts_validation():
@@ -288,6 +330,17 @@ def test_save_load_round_trip(tmp_path):
         assert loaded.q == 10
         np.testing.assert_array_equal(loaded.counts, learner.counts)
     np.testing.assert_array_equal(load_learner(path, Role.A).counts, learner.counts.transpose(1, 0, 2))
+
+
+def test_learner_files_refuse_a_seat_that_is_not_a_role(tmp_path):
+    learner = DirichletLearner.uniform(4)
+    path = tmp_path / "learner.txt"
+    with pytest.raises(ValueError, match="seat must be a Role, got 'B'"):
+        save_learner(learner, path, "B")
+    assert not path.exists()
+    save_learner(learner, path, Role.B)
+    with pytest.raises(ValueError, match="seat must be a Role, got 'B'"):
+        load_learner(path, "B")
 
 
 def test_load_infers_q(tmp_path):

@@ -170,7 +170,7 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
     models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
     omegas = [omega for _, omega, _, _ in items]
     rngs = [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s in items]
-    values, actions = backward_induction_batch(np.stack(models), omegas, h, q, rngs=rngs)
+    values, actions = backward_induction_batch(models, omegas, h, q, rngs=rngs)
     assert values.shape == (len(items), h + 1, q - 1, q - 1)
     for i, (_, omega, tie, tie_seed) in enumerate(items):
         tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
@@ -215,7 +215,7 @@ def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
     assert rules[2] is rules[5]
     assert len({id(rule) for rule in rules}) == 4
     for agent, rule in zip(agents + learners, rules):
-        assert np.array_equal(rule, backward_induction(agent._table(), agent.omega, 4, 10)[1])
+        assert np.array_equal(rule, backward_induction(agent.table, agent.omega, 4, 10)[1])
 
 
 def test_random_tie_breaking_needs_rng():
@@ -226,19 +226,29 @@ def test_random_tie_breaking_needs_rng():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="shape"):
-        backward_induction(np.ones((9, 9)), 0.5, 1, 10)
+    # the solver and a fixed-model agent refuse the same tables: the batch
+    # trusts an agent's table, so its construction is the only gate
+    def refused(model, match):
+        with pytest.raises(ValueError, match=match):
+            backward_induction(model, 0.5, 1, 10)
+        with pytest.raises(ValueError, match=match):
+            MdpAgent(0.5, 1, 10, model=model)
+
+    refused(np.ones((9, 9)), "shape")
+    refused(uniform_table(9), "shape")
     u = 1 / 9
     for first_two in ((np.nan, u), (np.inf, u), (-0.1, 2 * u + 0.1), (u + 0.5, u), (u + 2e-5, u)):
         bad = uniform_table(10).copy()
         bad[0, 0, :2] = first_two
-        with pytest.raises(ValueError, match="distribution"):
-            backward_induction(bad, 0.5, 1, 10)
+        refused(bad, "distribution")
     near = uniform_table(10).copy()
     near[0, 0, 0] += 5e-6  # inside the tolerance of 1e-9 + 1e-5
     backward_induction(near, 0.5, 1, 10)
+    assert MdpAgent(0.5, 1, 10, model=near).table is near
     with pytest.raises(ValueError, match="horizon"):
         backward_induction(uniform_table(10), 0.5, 0, 10)
+    with pytest.raises(ValueError, match="longer"):  # two weights would share the one model
+        backward_induction_batch([uniform_table(10)], [0.2, 0.7], 1, 10)
     with pytest.raises(ValueError, match="tie_break"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="largest")
 
