@@ -16,7 +16,6 @@ from ndglab import (
     DirichletLearner,
     GameConfig,
     HeuristicModel,
-    MdpAgent,
     heuristic_table,
     run_game,
 )
@@ -55,9 +54,8 @@ def main(argv=None) -> int:
     truth = heuristic_table(opponent)
     print(f"{'rounds':>8} {'contexts seen':>14} {'mean L1 (seen)':>15} {'success %':>10}")
     for config in configs:
-        learner = DirichletLearner.uniform(10)
-        agent_a = MdpAgent(args.omega, config.horizon, 10, learner=learner)
-        log = run_game(config, agent_a, opponent)
+        learner = DirichletLearner.uniform(10)  # seat A plans under the config's weight and horizon
+        log = run_game(config, learner, opponent)
         seen = learner.counts.sum(axis=-1) > 9  # more mass than the prior alone
         gap = np.abs(learner.estimate - truth).sum(axis=-1)
         mean_gap = float(gap[seen].mean()) if seen.any() else float("nan")

@@ -12,9 +12,8 @@ import time
 from pathlib import Path
 
 from ndglab import GameConfig, benchmark_spec, run_test
-from ndglab.core import refuse_overwrite
+from ndglab.core import TIE_BREAKS, refuse_overwrite
 from ndglab.experiments import METRICS, output_paths
-from ndglab.planner import TIE_BREAKS
 
 
 def parse_args(argv=None):
@@ -39,9 +38,9 @@ def main(argv=None) -> int:
         repeated = sorted({k for k in ids if ids.count(k) > 1})
         if repeated:
             raise ValueError(f"scenario ids must not repeat, got {repeated[0]} more than once")
-        base = GameConfig(seed=args.seed)
+        base = GameConfig(seed=args.seed, tie_break=args.tie_break)
         # every spec is built and checked, and every output refused, before the first sweep runs
-        specs = [benchmark_spec(k, replications=reps, base=base, tie_break=args.tie_break) for k in ids]
+        specs = [benchmark_spec(k, replications=reps, base=base) for k in ids]
         out_dirs = [Path(args.out) / f"test{spec.test_id}" for spec in specs]
         for spec, out_dir in zip(specs, out_dirs):
             refuse_overwrite(output_paths(spec, out_dir), args.force)

@@ -33,7 +33,7 @@ from .opponent import (
     save_learner,
     uniform_table,
 )
-from .planner import MdpAgent, backward_induction, brute_force_value
+from .planner import backward_induction, brute_force_value
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "load_learner",
     "save_learner",
     "uniform_table",
-    "MdpAgent",
     "backward_induction",
     "brute_force_value",
     "__version__",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, Role, refuse_overwrite, round_columns
+from .core import TIE_BREAKS, GameConfig, Role, refuse_overwrite, round_columns
 from .engine import pretrain, run_game, write_game_summary_csv, write_round_csv
 from .experiments import (
     WARMUP_ROUNDS,
@@ -34,7 +34,7 @@ from .opponent import (
     save_learner,
     uniform_table,
 )
-from .planner import TIE_BREAKS, MdpAgent, backward_induction, brute_force_value
+from .planner import backward_induction, brute_force_value
 
 __all__ = ["CliConfig", "load_config", "main"]
 
@@ -62,8 +62,8 @@ class CliConfig:
     omega_a: float = GameConfig.omega_a
     omega_b: float = GameConfig.omega_b
     seed: int = GameConfig.seed
+    tie_break: str = GameConfig.tie_break
     replications: int = 30
-    tie_break: str = "smallest"
     out: str | None = None
 
     def game_config(self) -> GameConfig:
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> CliConfig:
     config = load_config(args.config) if getattr(args, "config", None) else CliConfig()
-    for key in (*GAME_KEYS, "tie_break", "out"):
+    for key in (*GAME_KEYS, "out"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
@@ -197,8 +197,6 @@ def _merge_config(args: argparse.Namespace) -> CliConfig:
         raise ConfigError(str(exc)) from exc
     if config.replications < 1:
         raise ConfigError(f"replications must be at least 1, got {config.replications}")
-    if config.tie_break not in TIE_BREAKS:
-        raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, got {config.tie_break!r}")
     return config
 
 
@@ -215,20 +213,14 @@ def _cmd_run(args, config: CliConfig) -> int:
     refuse_overwrite((rounds_path, summary_path), args.force)
 
     seats = (
-        (Role.A, AgentSpec(args.agent_a, args.sigma_a), args.prior_a, game_config.omega_a),
-        (Role.B, AgentSpec(args.agent_b, args.sigma_b), args.prior_b, game_config.omega_b),
+        (Role.A, AgentSpec(args.agent_a, args.sigma_a), args.prior_a),
+        (Role.B, AgentSpec(args.agent_b, args.sigma_b), args.prior_b),
     )
-    for seat, spec, prior_path, _ in seats:  # checked before any agent is built
+    for seat, spec, prior_path in seats:  # checked before any agent is built
         if prior_path and spec.kind != "mdp-learning":
             raise ConfigError(f"--prior-{seat.value.lower()} needs an mdp-learning agent")
-    agents = []
-    for seat, spec, prior_path, omega in seats:
-        if prior_path:  # the loaded learner is the seat's only prior
-            learner = load_learner(prior_path, seat)
-            horizon, q = game_config.horizon, game_config.q
-            agents.append(MdpAgent(omega, horizon, q, learner=learner, tie_break=config.tie_break))
-        else:
-            agents.append(build_agent(spec, omega, game_config, config.tie_break))
+    # the loaded learner is the seat's only prior
+    agents = [load_learner(path, seat) if path else build_agent(spec, game_config.q) for seat, spec, path in seats]
 
     log = run_game(game_config, *agents)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,7 +241,6 @@ def _cmd_test(args, config: CliConfig) -> int:
         args.id,
         replications=config.replications,
         base=config.game_config(),
-        tie_break=config.tie_break,
         grid=grid,
     )
     default_dir = f"out/test{args.id}" if args.command == "test" else "out/sweep"
@@ -269,10 +260,8 @@ def _cmd_pretrain(args, config: CliConfig) -> int:
     path_a = out / "learner_a.txt"
     path_b = out / "learner_b.txt"
     refuse_overwrite((path_a, path_b), args.force)
-    learner_spec = AgentSpec("mdp-learning")
-    agent_a = build_agent(learner_spec, game_config.omega_a, game_config, config.tie_break)
-    agent_b = build_agent(learner_spec, game_config.omega_b, game_config, config.tie_break)
-    learner_a, learner_b = pretrain(game_config, agent_a, agent_b, args.pretrain_rounds)
+    learner_a, learner_b = (DirichletLearner.uniform(game_config.q) for _ in range(2))
+    pretrain(game_config, learner_a, learner_b, args.pretrain_rounds)
     out.mkdir(parents=True, exist_ok=True)
     save_learner(learner_a, path_a, Role.A)
     save_learner(learner_b, path_b, Role.B)

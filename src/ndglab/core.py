@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "TIE_BREAKS",
     "Role",
     "GameConfig",
     "GameLog",
@@ -52,6 +53,8 @@ def _check_weight(value: float, name: str = "omega") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+TIE_BREAKS = ("smallest", "random")
+
 # Largest learner table GameConfig accepts: (q - 1)**3 float64 counts, so q <= 513.
 MAX_TABLE_BYTES = 1 << 30
 
@@ -64,11 +67,13 @@ class GameConfig:
         q: total amount split each round, in integer money units.  Demands
             are integers in ``1..q-1``.
         rounds: number of rounds played, including the forced opening round.
-        horizon: lookahead depth used by planning agents.
+        horizon: lookahead depth of every planner.
         initial_demand: both players open with this demand in round 1.
         omega_a: player A's reward weight in ``[0, 1]``.
         omega_b: player B's reward weight in ``[0, 1]``.
         seed: master seed for every random stream of the game.
+        tie_break: how every planner resolves exactly tied demands, one of
+            ``TIE_BREAKS``: the smallest, or a draw from the seat's stream.
     """
 
     q: int = 10
@@ -78,6 +83,7 @@ class GameConfig:
     omega_a: float = 0.5
     omega_b: float = 0.5
     seed: int = 0
+    tie_break: str = "smallest"
 
     def __post_init__(self) -> None:
         if self.q < 2:
@@ -100,6 +106,8 @@ class GameConfig:
         _check_weight(self.omega_b, "omega_b")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.tie_break not in TIE_BREAKS:
+            raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {self.tie_break!r}")
 
 
 def chi(a: int, b: int, q: int) -> int:

@@ -4,28 +4,29 @@ Round 1 always plays the preset opening pair from the config.  Every later
 round reads both seats' demands at the previous round's pair (neither sees
 the other's current choice), records them, and feeds each learner the
 opponent's demand in the state the round was played at.  Each seat reads
-that state from its own side, as ``(own_prev, opp_prev)``, so no agent
-knows its seat.  A seat is an :class:`MdpAgent`, which plays its solved
-rule, or a :class:`HeuristicModel`, which samples.  :func:`run_games` steps
-several games together, round by round, over one ``(games, rounds, 2)``
-demand array, so that their planners share one batched solve per round;
+that state from its own side, as ``(own_prev, opp_prev)``, so no seat
+knows its side.  A seat is what its player knows of the opponent: a fixed
+model table or a :class:`DirichletLearner`, planned against under the
+weight, horizon and tie rule of the game's config, or a
+:class:`HeuristicModel`, which samples.  :func:`run_games` steps several
+games together, round by round, over one ``(games, rounds, 2)`` demand
+array, so that their planners share one batched solve per round;
 :func:`run_game` is its one-game case.
 
 The loop alone decides when rules are solved: every planner before round 2,
 then every learner, whose belief moves each round, before each later round.
-So agents reused for a second game play it as fresh agents would.
+So seats reused for a second game play it as fresh seats would.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import replace
 
 import numpy as np
 
 from .core import GameConfig, GameLog, atomic_write, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
-from .planner import MdpAgent, solve_rules
+from .planner import _validate_model, solve_rules
 
 __all__ = [
     "RngPlan",
@@ -49,7 +50,7 @@ def _child_seq(seq: np.random.SeedSequence, index: int) -> np.random.SeedSequenc
 class RngPlan:
     """Named deterministic random streams for one game.
 
-    Same seed, same configuration: bit-identical game.  Each agent gets its
+    Same seed, same configuration: bit-identical game.  Each seat gets its
     own child stream, so changing one player's settings cannot shift the
     other player's draws; a further child seeds an optional warm-up game.
     """
@@ -67,12 +68,7 @@ class RngPlan:
         return RngPlan(_child_seq(self.seed_seq, 2))
 
 
-def run_game(
-    config: GameConfig,
-    agent_a: MdpAgent | HeuristicModel,
-    agent_b: MdpAgent | HeuristicModel,
-    rng: RngPlan | None = None,
-) -> GameLog:
+def run_game(config: GameConfig, agent_a, agent_b, rng: RngPlan | None = None) -> GameLog:
     """Play one full game and return its log: the one-game case of :func:`run_games`.
 
     ``rng`` defaults to ``RngPlan(config.seed)``.
@@ -84,14 +80,15 @@ def run_game(
 def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     """Play one game per config, ``(agent_a, agent_b)`` pair and plan, all in lockstep.
 
-    Every game steps through the same rounds, so the configs must share
-    ``q``, ``rounds`` and ``initial_demand``; a sweep's configs differ only
-    in their weights.  A seat holds an :class:`MdpAgent` or a
-    :class:`HeuristicModel` built for that ``q``, and an :class:`MdpAgent`
-    and its :class:`DirichletLearner` hold one seat of the batch; anything
-    else is refused before the first round.  With ``warmup_rounds``, each
-    pair first plays a warm-up game of that length on its plan's
-    :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
+    Every game steps through the same rounds and solves, so the configs must
+    share ``q``, ``rounds``, ``initial_demand``, ``horizon`` and
+    ``tie_break``; a sweep's configs differ only in their weights.  A seat
+    holds a fixed model table, a :class:`DirichletLearner` or a
+    :class:`HeuristicModel` for that ``q``; a learner holds one seat of the
+    batch, and each game has a plan of its own.  Anything else is refused
+    before the first round.  With ``warmup_rounds``, each pair first plays a
+    warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
+    streams, again in lockstep.
     """
     configs = list(configs)
     pairs = list(pairs)
@@ -103,69 +100,94 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
         )
     if not configs:
         return []
-    if len({(c.q, c.rounds, c.initial_demand) for c in configs}) > 1:
-        raise ValueError("games played in lockstep must share q, rounds and initial_demand")
+    if len({(c.q, c.rounds, c.initial_demand, c.horizon, c.tie_break) for c in configs}) > 1:
+        raise ValueError("games played in lockstep must share q, rounds, initial_demand, horizon and tie_break")
+    if len(set(map(id, plans))) < len(plans):
+        raise ValueError("every game needs an RngPlan of its own")
     if warmup_rounds:
-        _warm_up(configs[0], pairs, plans, warmup_rounds)
-    return [GameLog(config, demands) for config, demands in zip(configs, _play(configs[0], pairs, plans))]
+        _warm_up(configs, pairs, plans, warmup_rounds)
+    demands = _play(configs, pairs, plans, configs[0].rounds)
+    return [GameLog(config, game) for config, game in zip(configs, demands)]
 
 
-def _warm_up(config: GameConfig, pairs, plans, n_rounds: int) -> None:
-    # Warm-up games train the agents in place, on streams disjoint from the main games'.
-    _play(replace(config, rounds=n_rounds), pairs, [plan.pretrain_plan() for plan in plans])
+def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
+    # Warm-up games train the learners in place, on streams disjoint from the main games'.
+    _play(configs, pairs, [plan.pretrain_plan() for plan in plans], n_rounds)
 
 
-def _check_seats(config: GameConfig, pairs) -> None:
-    seated = {}  # each MdpAgent's and learner's first seat: its rule, stream and counts serve one seat
+def _check_seats(config: GameConfig, pairs) -> dict:
+    """Refuse a bad seat; return each distinct fixed table, checked once, by its ``id``."""
+    tables, learners = {}, {}  # a learner's counts serve one seat
     for g, pair in enumerate(pairs):
-        for name, agent in zip(("agent_a", "agent_b"), pair):
-            if isinstance(agent, MdpAgent):
-                for held in (agent, agent.learner) if agent.learning else (agent,):
-                    first = seated.setdefault(id(held), (name, g))
-                    if first != (name, g):
-                        raise ValueError(f"{name} of game {g} reuses the {type(held).__name__} of {first[0]} of game {first[1]}")
-            elif not isinstance(agent, HeuristicModel):
-                raise ValueError(f"{name} must be an MdpAgent or a HeuristicModel, got {type(agent).__name__}")
-            if agent.q != config.q:
-                raise ValueError(f"{name} was built for q={agent.q}, the game has q={config.q}")
+        for name, seat in zip(("agent_a", "agent_b"), pair):
+            if isinstance(seat, np.ndarray):
+                if id(seat) not in tables:
+                    tables[id(seat)] = _validate_model(seat, config.q)
+                continue
+            if isinstance(seat, DirichletLearner):
+                first = learners.setdefault(id(seat), (name, g))
+                if first != (name, g):
+                    raise ValueError(f"{name} of game {g} reuses the DirichletLearner of {first[0]} of game {first[1]}")
+            elif not isinstance(seat, HeuristicModel):
+                raise ValueError(
+                    f"{name} must be a model table, a DirichletLearner or a HeuristicModel, got {type(seat).__name__}"
+                )
+            if seat.q != config.q:
+                raise ValueError(f"{name} was built for q={seat.q}, the game has q={config.q}")
+    return tables
 
 
-def _play(config: GameConfig, pairs, plans) -> np.ndarray:
+def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
-    Every game plays ``config``'s rounds from its opening demand.  Before
-    round 2 every planner is solved, and before each later round every
-    learner, in one batched solve per round.  Each round then reads every
-    planner's demand from its rule at its game's previous pair, and samples
-    every rule-based seat with one :func:`heuristic_sample` call per distinct
-    model.  A rule-based seat draws only its demands, so its game's
-    uniforms are drawn up front as one ``rounds - 1`` block, with the bits
-    of one draw per round.  Each agent draws only from its own stream, so
-    neither the order of the seats nor how games interleave can move a draw.
+    Every game plays ``rounds`` from its opening demand.  A planner plans
+    under its game's weight for its seat and the shared horizon and tie
+    rule.  Before round 2 every planner is solved, and before each later
+    round every learner, in one batched solve per round.  Each round then
+    reads every planner's demand from its rule at its game's previous pair,
+    and samples every rule-based seat with one :func:`heuristic_sample` call
+    per distinct model.  A rule-based seat draws only its demands, so its
+    game's uniforms are drawn up front as one ``rounds - 1`` block, with the
+    bits of one draw per round.  Each seat draws only from its own stream,
+    so neither the order of the seats nor how games interleave can move a
+    draw.
     """
-    _check_seats(config, pairs)
-    rounds = config.rounds
+    config = configs[0]
+    tables = _check_seats(config, pairs)
+    h, q = config.horizon, config.q
     demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
     demands[:, 0] = config.initial_demand
-    planners, samplers = [], {}
-    for g, (pair, plan) in enumerate(zip(pairs, plans)):
-        for seat, (agent, rng) in enumerate(zip(pair, (plan.agent_a, plan.agent_b))):
-            if isinstance(agent, MdpAgent):
-                agent.rng = rng
-                planners.append((agent, g, seat))
+    random_ties = config.tie_break == "random"
+    fixed, learning, learners, samplers = [], [], [], {}  # planners as ((g, seat), (table, omega, rng))
+    for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
+        seats = zip(pair, (game.omega_a, game.omega_b), (plan.agent_a, plan.agent_b))
+        for seat, (held, omega, rng) in enumerate(seats):
+            if isinstance(held, HeuristicModel):
+                samplers.setdefault(held, []).append((g, seat, rng.random(rounds - 1)))
+                continue
+            stream = rng if random_ties else None
+            if isinstance(held, DirichletLearner):
+                learners.append((held, g, seat))
+                learning.append(((g, seat), (held.estimate, omega, stream)))
             else:
-                samplers.setdefault(agent, []).append((g, seat, rng.random(rounds - 1)))
+                fixed.append(((g, seat), (tables[id(held)], omega, stream)))
     # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
-    learners = [(agent.learner, g, seat) for agent, g, seat in planners if agent.learning]
-    every_planner = [agent for agent, _, _ in planners]
-    learning = [agent for agent in every_planner if agent.learning]
+    # Fixed planners first, so a round replaces the learners' rules as one slice.
+    # The solve inputs hold for the whole run: a learner's estimate is refreshed in place.
+    places = [place for place, _ in fixed + learning]
+    every_input = list(zip(*(inputs for _, inputs in fixed + learning)))
+    learner_input = list(zip(*(inputs for _, inputs in learning)))
+    rules = []
     prev = demands[:, 0].tolist()
     for t in range(rounds):
+        if t == 1 and places:
+            rules = solve_rules(*every_input, h, q)
+        elif t > 1 and learners:  # a fixed model's rule holds
+            rules[len(fixed):] = solve_rules(*learner_input, h, q)
         if t:
-            solve_rules(every_planner if t == 1 else learning)  # a fixed model's rule holds
-            for agent, g, seat in planners:
-                demands[g, t, seat] = agent.rule[prev[g][seat] - 1, prev[g][1 - seat] - 1]
+            for (g, seat), rule in zip(places, rules):
+                demands[g, t, seat] = rule[prev[g][seat] - 1, prev[g][1 - seat] - 1]
             for model, games, seats, uniforms in samplers:
                 own, opp = demands[games, t - 1, seats], demands[games, t - 1, 1 - seats]
                 demands[games, t, seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
@@ -176,29 +198,22 @@ def _play(config: GameConfig, pairs, plans) -> np.ndarray:
     return demands
 
 
-def pretrain(
-    config: GameConfig,
-    agent_a,
-    agent_b,
-    n_rounds: int,
-    rng: RngPlan | None = None,
-) -> tuple[DirichletLearner, DirichletLearner]:
-    """Warm-up game whose only output is the two agents' trained beliefs.
+def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan | None = None):
+    """Warm-up game that trains two learners in place; returns ``(agent_a, agent_b)``.
 
-    Plays ``n_rounds`` under the usual game semantics with both (learning)
-    agents, on a random stream disjoint from the main game's (``rng``
-    defaults to ``RngPlan(config.seed)``), and returns the two learners.
-    ``n_rounds = 0`` returns the priors untouched.
+    Plays ``n_rounds`` under the usual game semantics, with the weights,
+    horizon and tie rule of ``config``, between the two
+    :class:`DirichletLearner` seats, on a random stream disjoint from the
+    main game's (``rng`` defaults to ``RngPlan(config.seed)``).
+    ``n_rounds = 0`` leaves them untouched.
     """
-    if not (getattr(agent_a, "learning", False) and getattr(agent_b, "learning", False)):
-        raise ValueError("pretraining needs two learning agents")
+    if not (isinstance(agent_a, DirichletLearner) and isinstance(agent_b, DirichletLearner)):
+        raise ValueError("pretraining needs a DirichletLearner on both seats")
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")
-    if n_rounds == 0:
-        return agent_a.learner, agent_b.learner
-    plan = rng if rng is not None else RngPlan(config.seed)
-    _warm_up(config, [(agent_a, agent_b)], [plan], n_rounds)
-    return agent_a.learner, agent_b.learner
+    if n_rounds:
+        _warm_up([config], [(agent_a, agent_b)], [rng if rng is not None else RngPlan(config.seed)], n_rounds)
+    return agent_a, agent_b
 
 
 # === CSV serialization ===

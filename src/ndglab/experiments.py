@@ -1,6 +1,8 @@
 """Benchmark scenarios: five agent pairings swept over reward weights.
 
-A player is an :class:`AgentSpec`, named by one of the kinds the CLI uses:
+A player is an :class:`AgentSpec`, named by one of the kinds the CLI uses;
+:func:`build_agent` turns it into a seat, and every planner plans under the
+weight, horizon and tie rule of its game's config:
 
 - ``heuristic``: the rule-based sampler (sigma 1 unless given);
 - ``mdp-heuristic``: a planner holding a fixed rule-structured model of its
@@ -41,7 +43,7 @@ import numpy as np
 from .core import GameConfig, atomic_write, refuse_overwrite
 from .engine import RngPlan, run_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
-from .planner import TIE_BREAKS, MdpAgent, solve_key
+from .planner import solve_key
 
 __all__ = [
     "AgentSpec",
@@ -74,8 +76,9 @@ AGENT_KINDS = {
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
 # float64 each: one per planner.solve_key, so per learner (holding its counts
-# and estimate too), per random-tie planner, or per weight of a shared fixed
-# table.  At q = 10 every default sweep fits in one run; at q = 60, two do.
+# and estimate too), per seat stream under random ties, or per weight of a
+# shared fixed table.  At q = 10 every default sweep fits in one run; at
+# q = 60, two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
@@ -116,7 +119,8 @@ class AgentSpec:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full sweep: two agent specs, the weight grid(s), and run settings,
-    checked when built (``dataclasses.replace`` checks again)."""
+    checked when built (``dataclasses.replace`` checks again).  ``base``
+    holds every other game setting, the horizon and tie rule included."""
 
     test_id: int
     agent_a: AgentSpec
@@ -125,7 +129,6 @@ class ExperimentSpec:
     omega_grid_b: tuple[float, ...] | None  # None: one-dimensional sweep over A only
     replications: int
     base: GameConfig
-    tie_break: str = "smallest"
 
     def __post_init__(self) -> None:
         grids = [("omega_grid_a", self.omega_grid_a)]
@@ -139,8 +142,6 @@ class ExperimentSpec:
                     raise ValueError(f"{name} values must lie in [0, 1], got {w}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if self.warms_up and not (self.agent_a.learning and self.agent_b.learning):
             raise ValueError("mdp-pretrained needs mdp-learning or mdp-pretrained on both seats")
 
@@ -152,7 +153,7 @@ class ExperimentSpec:
     def deterministic(self) -> bool:
         """Whether every seed replays the same game: a rule-based seat always
         draws from its stream, a planner only under random ties."""
-        return self.tie_break == "smallest" and "heuristic" not in (self.agent_a.kind, self.agent_b.kind)
+        return self.base.tie_break == "smallest" and "heuristic" not in (self.agent_a.kind, self.agent_b.kind)
 
     def cells(self) -> list[tuple[float, float]]:
         if self.omega_grid_b is None:
@@ -165,7 +166,6 @@ def benchmark_spec(
     *,
     replications: int = 30,
     base: GameConfig | None = None,
-    tie_break: str = "smallest",
     grid: tuple[float, ...] | None = None,
 ) -> ExperimentSpec:
     """Build one of the five built-in scenarios; ``grid`` overrides the sweep axis.
@@ -179,23 +179,22 @@ def benchmark_spec(
     base = base if base is not None else GameConfig()
     g = tuple(grid) if grid is not None else DEFAULT_OMEGA_GRID
     grid_b = None if kind_b == "heuristic" else g
-    return ExperimentSpec(test_id, AgentSpec(kind_a), AgentSpec(kind_b), g, grid_b, replications, base, tie_break)
+    return ExperimentSpec(test_id, AgentSpec(kind_a), AgentSpec(kind_b), g, grid_b, replications, base)
 
 
-def build_agent(spec: AgentSpec, omega: float, config: GameConfig, tie_break: str):
-    """Instantiate one player, fit for either seat: a rule-based seat is its
-    model.  An mdp-pretrained player starts uniform; the warm-up game that
-    trains it is run by the caller."""
-    q = config.q
+def build_agent(spec: AgentSpec, q: int):
+    """One player's seat, fit for either side: a rule-based seat is its
+    model, a fixed-model planner the shared table it plans against, and a
+    learning planner its :class:`DirichletLearner`.  An mdp-pretrained
+    player starts uniform; the warm-up game that trains it is run by the
+    caller."""
     if spec.kind == "heuristic":
         return HeuristicModel(sigma=spec.sigma, q=q)
     if spec.learning:
-        return MdpAgent(omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=tie_break)
+        return DirichletLearner.uniform(q)
     if spec.kind == "mdp-heuristic":
-        model = heuristic_table(HeuristicModel(sigma=spec.sigma, q=q))
-    else:
-        model = uniform_table(q)
-    return MdpAgent(omega, config.horizon, q, model=model, tie_break=tie_break)
+        return heuristic_table(HeuristicModel(sigma=spec.sigma, q=q))
+    return uniform_table(q)
 
 
 @dataclass(frozen=True)
@@ -263,33 +262,31 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     itself.
     """
     spec, games = task
-    item_bytes = (spec.base.q - 1) ** 3 * 8
-    metrics, chunk, pairs, items = [], [], [], set()
-    for game in games:
-        config = game[1]
-        pair = (
-            build_agent(spec.agent_a, config.omega_a, config, spec.tie_break),
-            build_agent(spec.agent_b, config.omega_b, config, spec.tie_break),
-        )
-        keys = {solve_key(agent) for agent in pair if isinstance(agent, MdpAgent)}
+    q = spec.base.q
+    item_bytes = (q - 1) ** 3 * 8
+    random_ties = spec.base.tie_break == "random"
+    metrics, chunk, items = [], [], set()
+    for cell_index, config, rep in games:
+        pair = (build_agent(spec.agent_a, q), build_agent(spec.agent_b, q))
+        # Stateless derivation keyed on (cell, replication): stable under any
+        # chunking and execution order, so parallel and serial sweeps agree.
+        plan = RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
+        keys = {
+            solve_key(getattr(seat, "estimate", seat), omega, rng if random_ties else None)
+            for seat, omega, rng in zip(pair, (config.omega_a, config.omega_b), (plan.agent_a, plan.agent_b))
+            if not isinstance(seat, HeuristicModel)
+        }
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:
-            metrics += _play_chunk(spec, chunk, pairs)
-            chunk, pairs, items = [], [], set()
-        chunk.append(game)
-        pairs.append(pair)
+            metrics += _play_chunk(spec, chunk)
+            chunk, items = [], set()
+        chunk.append((config, pair, plan))
         items |= keys
-    return metrics + _play_chunk(spec, chunk, pairs)
+    return metrics + _play_chunk(spec, chunk)
 
 
-def _play_chunk(spec: ExperimentSpec, games, pairs) -> list[tuple[float, float, float, float]]:
-    """Play one chunk of a sweep's games, with their built pairs, in lockstep."""
-    # Stateless derivation keyed on (cell, replication): stable under any
-    # chunking and execution order, so parallel and serial sweeps agree.
-    plans = [
-        RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
-        for cell_index, _, rep in games
-    ]
-    logs = run_games([config for _, config, _ in games], pairs, plans, WARMUP_ROUNDS if spec.warms_up else 0)
+def _play_chunk(spec: ExperimentSpec, chunk) -> list[tuple[float, float, float, float]]:
+    """Play one chunk of a sweep's games, as ``(config, pair, plan)``, in lockstep."""
+    logs = run_games(*zip(*chunk), WARMUP_ROUNDS if spec.warms_up else 0)
     metrics = []
     for log in logs:
         a, b = log.cum_profit_a, log.cum_profit_b

@@ -1,4 +1,4 @@
-"""Finite-horizon lookahead against a demand model, and the agent built on it.
+"""Finite-horizon lookahead against a demand model.
 
 The solver works from the planning player's own seat: a state is the pair
 ``(own_prev, opp_prev)`` and the model gives the opponent's next demand
@@ -18,13 +18,15 @@ arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
 first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.  It is
 the one-item case of :func:`backward_induction_batch`, which stacks the same
 arrays along a leading axis, one item per planner, and trusts its tables.
+A planner is a model table with the weight, horizon and tie rule of its
+game's config; :func:`solve_rules` solves many at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import reward, reward_matrix
+from .core import TIE_BREAKS, reward, reward_matrix
 
 __all__ = [
     "backward_induction",
@@ -32,10 +34,7 @@ __all__ = [
     "solve_key",
     "solve_rules",
     "brute_force_value",
-    "MdpAgent",
 ]
-
-TIE_BREAKS = ("smallest", "random")
 
 
 # The tolerance of np.allclose(row_sum, 1.0, atol=1e-9) with its default
@@ -179,84 +178,27 @@ def brute_force_value(
     return best(own, opp, h)
 
 
-class MdpAgent:
-    """Lookahead player: plans ``horizon`` stages against its demand model.
+def solve_key(table, omega: float, rng):
+    """The batch item a planner's rule is solved in: planners with equal keys share one.
 
-    Exactly one of ``model`` (a fixed conditional table in the agent's own
-    view, checked here) and ``learner`` must be given; :attr:`table` is that
-    model or the learner's estimate, refreshed in place.  :attr:`rule` holds
-    the first-stage demands ``[own_prev - 1, opp_prev - 1]`` of the last
-    solve; :func:`solve_rules` sets it, and the game loop decides when: a
-    learner's rule is re-solved against its refreshed estimate every round
-    (receding horizon), a fixed model's once per game.  The game loop plays
-    the rule at each state, feeds a learner and sets :attr:`rng` to its stream.
+    Under smallest ties (``rng`` None), planners holding the same table
+    object and weight share an item, whichever seats they sit in; a
+    learner's table is its own.  Under random ties each seat's item is its
+    own stream.
     """
-
-    def __init__(
-        self,
-        omega: float,
-        horizon: int,
-        q: int,
-        *,
-        model: np.ndarray | None = None,
-        learner=None,
-        tie_break: str = "smallest",
-    ):
-        if (model is None) == (learner is None):
-            raise ValueError("pass exactly one of model= (fixed) or learner=")
-        if not 0.0 <= omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {omega}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-        if learner is not None and learner.q != q:
-            raise ValueError(f"learner was built for q={learner.q}, agent needs q={q}")
-        self.omega = float(omega)
-        self.horizon = horizon
-        self.q = q
-        self.learner = learner
-        self.table = learner.estimate if learner is not None else _validate_model(model, q)
-        self.tie_break = tie_break
-        self.rng: np.random.Generator | None = None
-        self.rule: np.ndarray | None = None
-
-    @property
-    def learning(self) -> bool:
-        return self.learner is not None
+    return (id(table), omega) if rng is None else rng
 
 
-def solve_key(agent: MdpAgent):
-    """The batch item ``agent``'s rule is solved in: agents with equal keys share one.
+def solve_rules(tables, omegas, rngs, h: int, q: int) -> list[np.ndarray]:
+    """The rule of each planner ``(tables[i], omegas[i], rngs[i])``, solved at horizon ``h``.
 
-    With smallest ties, agents holding the same table object and weight
-    share an item, whichever seats they sit in; a learner's table is its
-    own.  An agent with random ties gets an item of its own: the agent.
+    One batched solve covers them all, one item per :func:`solve_key`.
+    Each rule holds the first-stage demands ``[own_prev - 1, opp_prev - 1]``.
+    A planner with an ``rng`` draws its ties from it, so which planners
+    share a batch, and in what order, cannot move a draw.
     """
-    return agent if agent.tie_break == "random" else (id(agent.table), agent.omega)
-
-
-def solve_rules(agents) -> None:
-    """Solve the rule of every agent in ``agents`` against its current model.
-
-    One batched solve per ``(horizon, q)`` covers them all, one item per
-    :func:`solve_key`.  Random ties are drawn from each agent's own stream,
-    so which agents share a batch, and in what order, cannot move a draw.
-    """
-    batches: dict[tuple[int, int], dict] = {}
-    for agent in agents:
-        if agent.tie_break == "random" and agent.rng is None:
-            raise ValueError("random tie-breaking needs an rng")
-        batches.setdefault((agent.horizon, agent.q), {}).setdefault(solve_key(agent), []).append(agent)
-    for (h, q), items in batches.items():
-        groups = list(items.values())
-        _, actions = backward_induction_batch(
-            [group[0].table for group in groups],
-            [group[0].omega for group in groups],
-            h,
-            q,
-            rngs=[group[0].rng if group[0].tie_break == "random" else None for group in groups],
-        )
-        for group, rule in zip(groups, actions):
-            for agent in group:
-                agent.rule = rule
+    items = {}  # key -> (item index, table, omega, rng) of its first planner
+    slots = [items.setdefault(solve_key(t, w, r), (len(items), t, w, r))[0] for t, w, r in zip(tables, omegas, rngs)]
+    _, tables, omegas, rngs = zip(*items.values())
+    rules = list(backward_induction_batch(tables, omegas, h, q, rngs=rngs)[1])
+    return [rules[slot] for slot in slots]  # planners sharing an item share its rule object

@@ -163,9 +163,9 @@ def reference_game(config, seats, plan):
     """One game replayed a round at a time and a seat at a time, from scalar parts.
 
     Each of the two ``seats`` is a ``HeuristicModel``, drawn with
-    :func:`reference_heuristic_sample`, or a planner ``(table, tie_break)``
-    with the seat's weight from ``config``: ``table`` is a fixed
-    ``(prev_a, prev_b, demand)`` model, solved once before round 2, or None
+    :func:`reference_heuristic_sample`, or a planner under the seat's weight
+    and the horizon and tie rule of ``config``: a fixed
+    ``(prev_a, prev_b, demand)`` table, solved once before round 2, or None
     for a learner from the uniform prior, re-solved every later round
     against its counts.  Rules come from :func:`backward_induction` on the
     seat's own view; random ties draw from the seat's stream of ``plan``.
@@ -186,14 +186,14 @@ def reference_game(config, seats, plan):
                 if isinstance(agent, HeuristicModel):
                     demands.append(reference_heuristic_sample(agent, own, opp, streams[seat]))
                     continue
-                table, tie_break = agent
+                table = agent
                 if table is None or rules[seat] is None:
                     if table is None:
                         table = counts[seat] / counts[seat].sum(axis=-1, keepdims=True)
                     view = table if seat == 0 else table.transpose(1, 0, 2)
-                    rng = streams[seat] if tie_break == "random" else None
+                    rng = streams[seat] if config.tie_break == "random" else None
                     _, rules[seat] = backward_induction(
-                        view, omegas[seat], config.horizon, q, tie_break=tie_break, rng=rng
+                        view, omegas[seat], config.horizon, q, tie_break=config.tie_break, rng=rng
                     )
                 demands.append(int(rules[seat][own - 1, opp - 1]))
             played.append(tuple(demands))

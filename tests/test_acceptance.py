@@ -18,7 +18,6 @@ from ndglab import (
     DirichletLearner,
     GameConfig,
     HeuristicModel,
-    MdpAgent,
     backward_induction,
     benchmark_spec,
     heuristic_table,
@@ -231,11 +230,7 @@ def test_06_normalization_and_conservation():
             rounds_checked += len(good)
     for omega in (0.0, 0.3, 0.5, 0.8, 1.0):
         config = GameConfig(omega_a=omega, omega_b=1.0 - omega, seed=17)
-        log = run_game(
-            config,
-            MdpAgent(omega, 10, 10, learner=DirichletLearner.uniform(10)),
-            MdpAgent(1.0 - omega, 10, 10, learner=DirichletLearner.uniform(10)),
-        )
+        log = run_game(config, DirichletLearner.uniform(10), DirichletLearner.uniform(10))
         assert 0.0 <= log.success_rate_pct <= 100.0
         cols = round_columns(config, log.demands)
         conserved = conserved and bool(np.all(cols["profit_a"] + cols["profit_b"] + cols["unclaimed"] == 10))

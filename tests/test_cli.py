@@ -231,8 +231,8 @@ def test_pretrain_files_list_each_seats_counts_in_seat_order(tmp_path, capsys):
     flags = ["--omega-a", "0.1", "--omega-b", "0.9", "--tie-break", "random", "--pretrain-rounds", "200", "--seed", "5"]
     assert main(["pretrain", *flags, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    config = GameConfig(rounds=200, omega_a=0.1, omega_b=0.9, seed=5)
-    played = reference_game(config, ((None, "random"), (None, "random")), RngPlan(5).pretrain_plan())
+    config = GameConfig(rounds=200, omega_a=0.1, omega_b=0.9, seed=5, tie_break="random")
+    played = reference_game(config, (None, None), RngPlan(5).pretrain_plan())
     expected = {"a": np.ones((9, 9, 9)), "b": np.ones((9, 9, 9))}
     for (prev_a, prev_b), (demand_a, demand_b) in zip(played[:1] + played[:-1], played):
         expected["a"][prev_a - 1, prev_b - 1, demand_b - 1] += 1.0

@@ -127,6 +127,8 @@ def test_config_validation_names_fields():
         GameConfig(omega_b=1.1)
     with pytest.raises(ValueError, match="seed"):
         GameConfig(seed=-1)
+    with pytest.raises(ValueError, match="tie_break"):
+        GameConfig(tie_break="greedy")
 
 
 def test_config_refuses_q_whose_learner_table_exceeds_the_limit():

@@ -14,7 +14,6 @@ from ndglab import (
     GameConfig,
     GameLog,
     HeuristicModel,
-    MdpAgent,
     Role,
     RngPlan,
     heuristic_table,
@@ -27,16 +26,13 @@ from ndglab import engine
 from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
-from ndglab.planner import TIE_BREAKS
+from ndglab.core import TIE_BREAKS
 
-from oracles import csv_rows, reference_game
+from oracles import csv_rows, random_model, reference_game
 
 
-def _uniform_pair(config, tie_break="smallest"):
-    return (
-        MdpAgent(config.omega_a, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
-        MdpAgent(config.omega_b, config.horizon, config.q, model=uniform_table(config.q), tie_break=tie_break),
-    )
+def _uniform_pair(config):
+    return uniform_table(config.q), uniform_table(config.q)
 
 
 def _heuristic_pair(sigma_a=1.0, sigma_b=1.0, q=10):
@@ -62,34 +58,52 @@ def test_opening_round_is_forced():
 
 
 def test_seat_roles_are_checked(monkeypatch):
-    # an MdpAgent's rule, stream and learner serve one seat of a batch: one
-    # agent, or one learner held by two agents, on both seats of a game or on
-    # a seat of each of two lockstep games, is refused before round 1 and
-    # before any warm-up game
+    # a learner's counts serve one seat of a batch: one learner on both seats
+    # of a game or on a seat of each of two lockstep games is refused before
+    # round 1 and before any warm-up game
     def no_round_is_played(*args):
         raise AssertionError("a round was played")
 
     monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
     config = GameConfig(rounds=30)
-    agent_a, agent_b = _learning_pair(config)
-    with pytest.raises(ValueError, match="agent_b of game 0 reuses the MdpAgent of agent_a of game 0"):
-        run_game(config, agent_b, agent_b)
     rule = HeuristicModel(1.0, 10)  # a rule-based model draws nothing of its own and may repeat
     shared = DirichletLearner.uniform(10)
-    one, other = (MdpAgent(omega, config.horizon, 10, learner=shared) for omega in (0.3, 0.7))
+    plans = [RngPlan(1), RngPlan(2)]
     for warmup_rounds in (0, 3):
-        with pytest.raises(ValueError, match="agent_a of game 1 reuses the MdpAgent of agent_a of game 0"):
-            run_games([config] * 2, [(agent_a, rule), (agent_a, rule)], [RngPlan(1), RngPlan(2)], warmup_rounds)
         with pytest.raises(ValueError, match="agent_b of game 0 reuses the DirichletLearner of agent_a of game 0"):
-            run_games([config], [(one, other)], [RngPlan(1)], warmup_rounds)
+            run_games([config], [(shared, shared)], plans[:1], warmup_rounds)
+        with pytest.raises(ValueError, match="agent_a of game 1 reuses the DirichletLearner of agent_a of game 0"):
+            run_games([config] * 2, [(shared, rule), (shared, rule)], plans, warmup_rounds)
         with pytest.raises(ValueError, match="agent_b of game 1 reuses the DirichletLearner of agent_a of game 0"):
-            run_games([config] * 2, [(one, rule), (rule, other)], [RngPlan(1), RngPlan(2)], warmup_rounds)
-    for learner in (agent_a.learner, agent_b.learner, shared):
-        assert learner.counts.sum() == 729.0  # nothing was observed
+            run_games([config] * 2, [(shared, rule), (rule, shared)], plans, warmup_rounds)
+    assert shared.counts.sum() == 729.0  # nothing was observed
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("make_table", [lambda: uniform_table(3), lambda: random_model(np.random.default_rng(3), 3)])
+def test_one_table_on_many_seats_plays_as_its_copies(tie_break, make_table):
+    # a table holds nothing a game changes: on both seats of a game, and on a
+    # seat of each of two lockstep games, it plays as independent copies;
+    # q=3 under a uniform model ties every column, so random ties draw
+    table = make_table()
+    configs = [
+        GameConfig(q=3, rounds=15, initial_demand=1, omega_a=wa, omega_b=wb, seed=s, tie_break=tie_break)
+        for wa, wb, s in ((0.2, 0.2, 1), (0.2, 0.7, 2), (0.7, 0.2, 3))
+    ]
+    rule = HeuristicModel(1.0, 3)
+
+    def play(first, second, third):
+        pairs = [(first, second), (third, rule), (rule, third)]
+        return run_games(configs, pairs, [RngPlan(c.seed) for c in configs])
+
+    shared = play(table, table, table)
+    assert shared == play(table.copy(), table.copy(), table.copy())
+    assert shared[0] == run_game(configs[0], table.copy(), table.copy())
 
 
 def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
-    # a q=8 planner or a q=14 rule-based model in a q=10 game, or a seat of neither kind
+    # a q=8 learner or a q=14 rule-based model in a q=10 game, or a seat of no
+    # known kind; test_planner checks the fixed tables
     def no_round_is_played(*args):
         raise AssertionError("a round was played")
 
@@ -98,10 +112,11 @@ def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
     config = GameConfig(rounds=5)
     rule = HeuristicModel(1.0, 10)
     for seat, wrong, message in (
-        ("agent_a", MdpAgent(0.5, 10, 8, model=uniform_table(8)), "agent_a was built for q=8"),
+        ("agent_a", DirichletLearner.uniform(8), "agent_a was built for q=8"),
+        ("agent_b", DirichletLearner.uniform(6), "agent_b was built for q=6"),
         ("agent_a", HeuristicModel(1.0, 14), "agent_a was built for q=14"),
         ("agent_b", HeuristicModel(1.0, 14), "agent_b was built for q=14"),
-        ("agent_b", object(), "agent_b must be an MdpAgent or a HeuristicModel"),
+        ("agent_b", object(), "agent_b must be a model table, a DirichletLearner or a HeuristicModel"),
     ):
         pair = (wrong, rule) if seat == "agent_a" else (rule, wrong)
         with pytest.raises(ValueError, match=message):
@@ -119,38 +134,31 @@ def test_same_seed_reproduces_the_game():
     assert not np.array_equal(log3.demands, log1.demands)
 
 
-SEATS = tuple(
-    [("rule", 1.0), ("rule", 2.5)]
-    + [(kind, tie_break) for kind in ("fixed-uniform", "fixed-heuristic", "learner") for tie_break in TIE_BREAKS]
-)
+SEATS = (("rule", 1.0), ("rule", 2.5), ("fixed-uniform", None), ("fixed-heuristic", 3.0), ("learner", None))
 # Every batch holds these games: two spreads on seat B, fixed planners on both
-# seats, learners and random-tie planners; Hypothesis adds more and shuffles them.
+# seats, and learners; Hypothesis adds more and shuffles them.
 CORE_GAMES = (
-    (("fixed-heuristic", "smallest"), ("rule", 1.0)),
-    (("fixed-heuristic", "random"), ("rule", 2.5)),
-    (("rule", 1.0), ("fixed-uniform", "smallest")),
-    (("rule", 2.5), ("fixed-uniform", "random")),
-    (("learner", "smallest"), ("rule", 1.0)),
-    (("learner", "random"), ("learner", "smallest")),
+    (("fixed-heuristic", 3.0), ("rule", 1.0)),
+    (("fixed-heuristic", 3.0), ("rule", 2.5)),
+    (("rule", 1.0), ("fixed-uniform", None)),
+    (("rule", 2.5), ("fixed-uniform", None)),
+    (("learner", None), ("rule", 1.0)),
+    (("learner", None), ("learner", None)),
 )
 
 
-def _seat(spec, seat, config):
-    """The agent a seat spec names on seat 0 (A) or 1 (B), and the seat as
+def _seat(spec, seat, q):
+    """The seat a spec names on seat 0 (A) or 1 (B), and the seat as
     ``oracles.reference_game`` reads it."""
-    kind, setting = spec
-    q = config.q
+    kind, sigma = spec
     if kind == "rule":
-        model = HeuristicModel(sigma=setting, q=q)
+        model = HeuristicModel(sigma=sigma, q=q)
         return model, model
-    omega = (config.omega_a, config.omega_b)[seat]
     if kind == "learner":
-        agent = MdpAgent(omega, config.horizon, q, learner=DirichletLearner.uniform(q), tie_break=setting)
-        return agent, (None, setting)
-    table = uniform_table(q) if kind == "fixed-uniform" else heuristic_table(HeuristicModel(3.0, q))
-    # the agent holds its own view; the replay takes (prev_a, prev_b) tables and swaps seat B's itself
-    absolute = table if seat == 0 else table.transpose(1, 0, 2)
-    return MdpAgent(omega, config.horizon, q, model=table, tie_break=setting), (absolute, setting)
+        return DirichletLearner.uniform(q), None
+    table = uniform_table(q) if kind == "fixed-uniform" else heuristic_table(HeuristicModel(sigma, q))
+    # the seat holds its own view; the replay takes (prev_a, prev_b) tables and swaps seat B's itself
+    return table, table if seat == 0 else table.transpose(1, 0, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,31 +166,32 @@ def _seat(spec, seat, config):
     st.sampled_from((3, 5, 10)),
     st.integers(1, 8),
     st.integers(1, 4),
+    st.sampled_from(TIE_BREAKS),
     st.lists(st.tuples(st.sampled_from(SEATS), st.sampled_from(SEATS)), max_size=4),
     st.randoms(use_true_random=False),
     st.integers(0, 2**16),
 )
-def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, extra, order, seed):
+def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, tie_break, extra, order, seed):
     # rule-based seats grouped by model, block-drawn uniforms, planners of every
     # kind on either seat: each game equals itself alone and a scalar replay
     games = list(CORE_GAMES) + extra
     order.shuffle(games)
     weights = (0.0, 0.3, 0.5, 1.0)
     configs = [
-        GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1, seed=seed + g,
+        GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1, seed=seed + g, tie_break=tie_break,
                    omega_a=weights[g % 4], omega_b=weights[(g // 4) % 4])
         for g in range(len(games))
     ]
 
-    def build(config, game):
-        return [_seat(spec, seat, config) for seat, spec in enumerate(game)]
+    def build(game):
+        return [_seat(spec, seat, q) for seat, spec in enumerate(game)]
 
-    pairs = [tuple(agent for agent, _ in build(config, game)) for config, game in zip(configs, games)]
+    pairs = [tuple(held for held, _ in build(game)) for game in games]
     logs = run_games(configs, pairs, [RngPlan(config.seed) for config in configs])
     for config, game, log in zip(configs, games, logs):
-        (agent_a, seat_a), (agent_b, seat_b) = build(config, game)
-        assert log == run_game(config, agent_a, agent_b)
-        replay = reference_game(config, (seat_a, seat_b), RngPlan(config.seed))
+        (seat_a, replay_a), (seat_b, replay_b) = build(game)
+        assert log == run_game(config, seat_a, seat_b)
+        replay = reference_game(config, (replay_a, replay_b), RngPlan(config.seed))
         assert log.demands.tolist() == [list(pair) for pair in replay]
 
 
@@ -192,43 +201,56 @@ def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, e
     st.integers(1, 12),
     st.integers(1, 4),
     st.integers(1, 9),
+    st.sampled_from(TIE_BREAKS),
     st.tuples(st.sampled_from(SEATS), st.sampled_from(SEATS)),
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     st.integers(0, 2**16),
 )
-def test_swapping_the_seats_swaps_the_demand_columns(q, rounds, horizon, opening, game, weights, seed):
+def test_swapping_the_seats_swaps_the_demand_columns(q, rounds, horizon, opening, tie_break, game, weights, seed):
     # the game is seat-symmetric: X against Y plays Y against X with the two
     # weights and the two streams exchanged, demand columns swapped
     config = GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1 + opening % (q - 1),
-                        omega_a=weights[0], omega_b=weights[1], seed=seed)
+                        omega_a=weights[0], omega_b=weights[1], seed=seed, tie_break=tie_break)
     mirror = replace(config, omega_a=weights[1], omega_b=weights[0])
     swapped = RngPlan(seed)
     swapped.agent_a, swapped.agent_b = swapped.agent_b, swapped.agent_a
-    log = run_game(config, _seat(game[0], 0, config)[0], _seat(game[1], 1, config)[0], RngPlan(seed))
-    mirrored = run_game(mirror, _seat(game[1], 0, mirror)[0], _seat(game[0], 1, mirror)[0], swapped)
+    log = run_game(config, _seat(game[0], 0, q)[0], _seat(game[1], 1, q)[0], RngPlan(seed))
+    mirrored = run_game(mirror, _seat(game[1], 0, q)[0], _seat(game[0], 1, q)[0], swapped)
     assert log.demands.tolist() == mirrored.demands[:, ::-1].tolist()
 
 
 def test_lockstep_games_may_differ_only_in_their_weights():
-    configs = [GameConfig(rounds=12, omega_a=wa, omega_b=wb, seed=s) for wa, wb, s in ((0.0, 1.0, 1), (0.7, 0.2, 2))]
-    pairs = [_uniform_pair(config, "random") for config in configs]
+    configs = [
+        GameConfig(rounds=12, omega_a=wa, omega_b=wb, seed=s, tie_break="random")
+        for wa, wb, s in ((0.0, 1.0, 1), (0.7, 0.2, 2))
+    ]
+    pairs = [_uniform_pair(config) for config in configs]
     logs = run_games(configs, pairs, [RngPlan(c.seed) for c in configs])
-    assert logs == [run_game(c, *_uniform_pair(c, "random")) for c in configs]
-    for other in (GameConfig(rounds=11), GameConfig(rounds=12, q=11), GameConfig(rounds=12, initial_demand=4)):
-        with pytest.raises(ValueError, match="must share q, rounds and initial_demand"):
-            run_games([configs[0], other], [_uniform_pair(c) for c in (configs[0], other)], [RngPlan(0)] * 2)
+    assert logs == [run_game(c, *_uniform_pair(c)) for c in configs]
+    base = GameConfig(rounds=12)
+    for other in (
+        replace(base, rounds=11), replace(base, q=11), replace(base, initial_demand=4),
+        replace(base, horizon=3), replace(base, tie_break="random"),
+    ):
+        with pytest.raises(ValueError, match="must share q, rounds, initial_demand, horizon and tie_break"):
+            run_games([base, other], [_uniform_pair(c) for c in (base, other)], [RngPlan(0), RngPlan(1)])
     with pytest.raises(ValueError, match="one config and plan per game"):
         run_games(configs, pairs, [RngPlan(0)])
+    plan = RngPlan(0)  # two games on one plan would share their seats' streams
+    with pytest.raises(ValueError, match="RngPlan of its own"):
+        run_games(configs, pairs, [plan, plan])
 
 
 def test_reused_agents_play_a_second_game_as_fresh_agents_would():
     # q=3 under a uniform model ties every column, so each solve draws every
     # demand of the rule; the second game must solve again, from its own streams
-    first, second = (GameConfig(q=3, initial_demand=1, rounds=12, seed=seed) for seed in (1, 2))
     for tie_break in TIE_BREAKS:
-        pair = _uniform_pair(first, tie_break)
-        assert run_game(first, *pair) == run_game(first, *_uniform_pair(first, tie_break))
-        assert run_game(second, *pair) == run_game(second, *_uniform_pair(second, tie_break))
+        first, second = (
+            GameConfig(q=3, initial_demand=1, rounds=12, seed=seed, tie_break=tie_break) for seed in (1, 2)
+        )
+        pair = _uniform_pair(first)
+        for config in (first, second):
+            assert run_game(config, *pair) == run_game(config, *(table.copy() for table in pair))
 
 
 def test_per_round_conservation():
@@ -246,8 +268,7 @@ def test_every_round_is_observed_at_its_own_state():
     # 60 rounds feed exactly 60 observations, the opening one at (3, 3)
     config = GameConfig()
     learner = DirichletLearner.uniform(10)
-    agent_a = MdpAgent(config.omega_a, config.horizon, config.q, learner=learner)
-    log = run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10))
+    log = run_game(config, learner, HeuristicModel(sigma=1.0, q=10))
     assert learner.counts.sum() == 729.0 + config.rounds
     assert learner.counts[2, 2, log.demands[0, 1] - 1] >= 2.0
 
@@ -265,8 +286,7 @@ def test_changing_one_weight_leaves_the_other_seat_draws_alone():
     logs = []
     for omega_a in (0.2, 0.9):
         config = GameConfig(omega_a=omega_a, seed=3)
-        agent_a = MdpAgent(omega_a, config.horizon, config.q, model=uniform_table(10))
-        logs.append(run_game(config, agent_a, HeuristicModel(sigma=1.0, q=10)))
+        logs.append(run_game(config, uniform_table(10), HeuristicModel(sigma=1.0, q=10)))
     assert np.array_equal(logs[0].demands[:, 1], logs[1].demands[:, 1])
 
 
@@ -284,11 +304,8 @@ def test_warmup_play_is_disjoint_and_reproducible():
     assert RngPlan(1).agent_a.random() != RngPlan(1).pretrain_plan().agent_a.random()
 
 
-def _learning_pair(config, tie_break="smallest"):
-    return (
-        MdpAgent(config.omega_a, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
-        MdpAgent(config.omega_b, config.horizon, config.q, learner=DirichletLearner.uniform(config.q), tie_break=tie_break),
-    )
+def _learning_pair(config):
+    return DirichletLearner.uniform(config.q), DirichletLearner.uniform(config.q)
 
 
 def test_pretrain_returns_warmed_up_beliefs():
@@ -305,14 +322,14 @@ def test_pretrain_zero_rounds_is_a_no_op():
     config = GameConfig()
     agent_a, agent_b = _learning_pair(config)
     learner_a, learner_b = pretrain(config, agent_a, agent_b, n_rounds=0)
-    assert learner_a is agent_a.learner
+    assert learner_a is agent_a
     assert learner_a.counts.sum() == 729.0
 
 
 def test_pretrain_requires_learning_agents():
     config = GameConfig()
     agent_a, _ = _learning_pair(config)
-    with pytest.raises(ValueError, match="learning"):
+    with pytest.raises(ValueError, match="DirichletLearner on both seats"):
         pretrain(config, agent_a, HeuristicModel(sigma=1.0, q=10), n_rounds=30)
 
 

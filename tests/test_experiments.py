@@ -14,7 +14,6 @@ from ndglab import (
     DirichletLearner,
     GameConfig,
     HeuristicModel,
-    MdpAgent,
     RngPlan,
     aggregate,
     benchmark_spec,
@@ -25,8 +24,8 @@ from ndglab import (
     run_test,
     uniform_table,
 )
+from ndglab.core import TIE_BREAKS
 from ndglab.experiments import ExperimentSpec, build_agent
-from ndglab.planner import TIE_BREAKS, solve_key
 
 from oracles import count_played_games, csv_rows
 
@@ -66,8 +65,6 @@ def test_spec_validation():
         benchmark_spec(1, grid=(0.5, 1.5))
     with pytest.raises(ValueError, match="replications"):
         dataclasses.replace(benchmark_spec(1), replications=0)  # replace re-checks
-    with pytest.raises(ValueError, match="tie_break"):
-        benchmark_spec(3, tie_break="largest")
 
 
 def test_agent_spec_validation():
@@ -91,29 +88,16 @@ def test_agent_spec_validation():
 
 
 def test_build_agent_kinds():
-    config = GameConfig()
-    for tie_break in TIE_BREAKS:
-        _check_agents(config, tie_break)
-
-
-def _check_agents(config, tie_break):
-    assert build_agent(AgentSpec("heuristic"), 0.5, config, tie_break) == HeuristicModel(sigma=1.0, q=config.q)
-    for kind, learning in (
-        ("mdp-heuristic", False), ("mdp-uniform", False), ("mdp-learning", True), ("mdp-pretrained", True),
-    ):
-        planner = build_agent(AgentSpec(kind), 0.5, config, tie_break)
-        assert isinstance(planner, MdpAgent) and planner.omega == 0.5
-        assert planner.learning == learning
-        if learning:  # a fresh uniform prior; mdp-pretrained is warmed up by the sweep
-            assert np.array_equal(planner.learner.counts, DirichletLearner.uniform(config.q).counts)
-        # planners built for two games share a solve item only when smallest ties fix their model
-        again = build_agent(AgentSpec(kind), 0.5, config, tie_break)
-        assert (solve_key(planner) == solve_key(again)) == (tie_break == "smallest" and not learning)
-    # the held model is the shared rule-based table, in the holder's view on either seat
-    held = build_agent(AgentSpec("mdp-heuristic"), 0.5, config, tie_break).table
-    assert held is heuristic_table(HeuristicModel(3.0, config.q))
-    fixed = build_agent(AgentSpec("mdp-uniform"), 0.5, config, tie_break).table
-    assert fixed is uniform_table(config.q)
+    q = GameConfig().q
+    assert build_agent(AgentSpec("heuristic"), q) == HeuristicModel(sigma=1.0, q=q)
+    for kind in ("mdp-learning", "mdp-pretrained"):
+        # a fresh uniform prior per seat; mdp-pretrained is warmed up by the sweep
+        learner = build_agent(AgentSpec(kind), q)
+        assert isinstance(learner, DirichletLearner) and learner is not build_agent(AgentSpec(kind), q)
+        assert np.array_equal(learner.counts, DirichletLearner.uniform(q).counts)
+    # a fixed-model planner is the shared table it plans against, in the holder's view on either seat
+    assert build_agent(AgentSpec("mdp-heuristic"), q) is heuristic_table(HeuristicModel(3.0, q))
+    assert build_agent(AgentSpec("mdp-uniform"), q) is uniform_table(q)
 
 
 def test_cell_is_deterministic_and_rep_stable():
@@ -130,8 +114,8 @@ def _play(spec, omega_a, omega_b, seed):
     """One game of ``spec`` on fresh agents; ``seed`` is a seed or the RngPlan to play on."""
     config = dataclasses.replace(spec.base, omega_a=omega_a, omega_b=omega_b)
     plan = seed if isinstance(seed, RngPlan) else RngPlan(seed)
-    agent_a = build_agent(spec.agent_a, omega_a, config, spec.tie_break)
-    agent_b = build_agent(spec.agent_b, omega_b, config, spec.tie_break)
+    agent_a = build_agent(spec.agent_a, config.q)
+    agent_b = build_agent(spec.agent_b, config.q)
     if spec.warms_up:
         pretrain(config, agent_a, agent_b, experiments.WARMUP_ROUNDS, plan)
     return run_game(config, agent_a, agent_b, plan)
@@ -170,7 +154,7 @@ _SEATS = [  # every pairing a spec accepts: mdp-pretrained only beside another l
     st.integers(0, 2**32 - 1),
 )
 def test_a_deterministic_spec_replays_its_game_under_any_seed(seats, tie_break, wa, wb, seed, other):
-    spec = ExperimentSpec(5, *seats, (wa,), (wb,), 1, GameConfig(rounds=20), tie_break)
+    spec = ExperimentSpec(5, *seats, (wa,), (wb,), 1, GameConfig(rounds=20, tie_break=tie_break))
     assert spec.deterministic == (tie_break == "smallest" and AgentSpec("heuristic") not in seats)
     plans = [RngPlan(seed), RngPlan(other)]
     logs = [_play(spec, wa, wb, plan) for plan in plans]
@@ -195,7 +179,7 @@ def test_run_cell_plays_a_deterministic_cell_once(test_id, tie_break, games, mon
     played = count_played_games(monkeypatch)
     monkeypatch.delenv("NDG_THREADS", raising=False)
     spec = benchmark_spec(
-        test_id, replications=3, base=GameConfig(rounds=8, omega_b=0.7), tie_break=tie_break, grid=(0.3,)
+        test_id, replications=3, base=GameConfig(rounds=8, omega_b=0.7, tie_break=tie_break), grid=(0.3,)
     )
     if spec.omega_grid_b is not None:
         spec = dataclasses.replace(spec, omega_grid_b=(0.7,))
@@ -247,8 +231,8 @@ _GRID = st.lists(st.sampled_from((0.0, 0.2, 0.5, 0.7, 1.0)), min_size=1, max_siz
 @example(3, "smallest", [0.0, 0.2], None, 1, 0, (7, 1))
 def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a, grid_b, reps, seed, opening):
     q, initial_demand = opening
-    base = GameConfig(q=q, rounds=12, initial_demand=initial_demand, seed=seed)
-    spec = benchmark_spec(test_id, replications=reps, base=base, tie_break=tie_break, grid=tuple(grid_a))
+    base = GameConfig(q=q, rounds=12, initial_demand=initial_demand, seed=seed, tie_break=tie_break)
+    spec = benchmark_spec(test_id, replications=reps, base=base, grid=tuple(grid_a))
     if grid_b is not None:  # an unequal B grid
         spec = dataclasses.replace(spec, omega_grid_b=tuple(grid_b))
     with pytest.MonkeyPatch.context() as patch:
@@ -274,12 +258,12 @@ def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a
 def test_a_sweep_plays_its_distinct_games_in_one_lockstep(test_id, grid, tie_break, replications, played, monkeypatch):
     monkeypatch.delenv("NDG_THREADS", raising=False)
     counts = count_played_games(monkeypatch)
-    run_test(benchmark_spec(test_id, replications=replications, grid=grid, tie_break=tie_break))
+    run_test(benchmark_spec(test_id, replications=replications, grid=grid, base=GameConfig(tie_break=tie_break)))
     assert counts == played
 
 
 def test_repeated_random_grid_values_keep_their_own_seeds():
-    spec = benchmark_spec(4, replications=1, base=GameConfig(rounds=12), tie_break="random", grid=(0.5, 0.5))
+    spec = benchmark_spec(4, replications=1, base=GameConfig(rounds=12, tie_break="random"), grid=(0.5, 0.5))
     cells = run_test(spec).cells
     assert {(c.omega_a, c.omega_b) for c in cells} == {(0.5, 0.5)}
     assert cells == _unreused_cells(spec)
@@ -297,7 +281,7 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
 )
 def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, monkeypatch):
     monkeypatch.delenv("NDG_THREADS", raising=False)
-    spec = benchmark_spec(test_id, replications=30, base=GameConfig(q=q, rounds=4), tie_break=tie_break, grid=grid)
+    spec = benchmark_spec(test_id, replications=30, base=GameConfig(q=q, rounds=4, tie_break=tie_break), grid=grid)
     tracemalloc.start()
     try:
         cells = run_test(spec).cells
@@ -385,7 +369,7 @@ def test_parallel_cells_match_serial(tmp_path, monkeypatch):
         (5, "random", 2, SMALL),  # 8 games: 3 workers split them 2, 3, 3 across cells
     )
     for test_id, tie_break, replications, grid in cases:
-        spec = benchmark_spec(test_id, replications=replications, grid=grid, tie_break=tie_break)
+        spec = benchmark_spec(test_id, replications=replications, grid=grid, base=GameConfig(tie_break=tie_break))
         monkeypatch.delenv("NDG_THREADS", raising=False)
         case = f"{test_id}{tie_break}{replications}x{len(grid)}"
         serial_dir = tmp_path / f"serial{case}"
@@ -419,7 +403,7 @@ def test_thread_count_splits_the_games_but_the_pool_is_capped_at_the_cpu_count(t
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-    spec = benchmark_spec(2, replications=3, grid=SMALL, tie_break="random")  # 6 games
+    spec = benchmark_spec(2, replications=3, grid=SMALL, base=GameConfig(tie_break="random"))  # 6 games
     monkeypatch.delenv("NDG_THREADS", raising=False)
     run_test(spec, out_dir=tmp_path / "serial")
     assert sizes == []

@@ -1,8 +1,10 @@
-"""Package tooling: the public names each module declares, and the names it imports."""
+"""Package tooling: the public names each module declares, the names it imports,
+and the README's API example."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import ndglab
@@ -42,3 +44,13 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert ROOT / "src" / "ndglab" / "planner.py" in files
     unused = {str(path.relative_to(ROOT)): names for path in files if (names := _unused_imports(path))}
     assert not unused, f"unused imports: {unused}"
+
+
+def test_the_readme_api_example_runs():
+    # the inline run_game example of the README's Python API section, as written
+    section = (ROOT / "README.md").read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"`(run_game\([^`]*\))`", section)
+    namespace = {}
+    exec("from ndglab import *", namespace)
+    log = eval(example, namespace)
+    assert isinstance(log, ndglab.GameLog) and log.demands.shape == (log.config.rounds, 2)

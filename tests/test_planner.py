@@ -1,4 +1,4 @@
-"""Finite-horizon lookahead solver and the agent wrapped around it."""
+"""Finite-horizon lookahead solver, and planners played under their game's config."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,17 @@ from ndglab import (
     DirichletLearner,
     GameConfig,
     HeuristicModel,
-    MdpAgent,
+    RngPlan,
     backward_induction,
     brute_force_value,
     run_game,
     uniform_table,
 )
+from ndglab import engine
 from ndglab import planner as planner_module
-from ndglab.planner import TIE_BREAKS, backward_induction_batch, solve_rules
+from ndglab.core import TIE_BREAKS
+from ndglab.engine import run_games
+from ndglab.planner import backward_induction_batch, solve_rules
 
 from oracles import (
     exhaustive_policy_max,
@@ -189,50 +192,54 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=6))
 def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
     # q=3 under a uniform model ties every column, so every column draws
-    def agent(seed):
-        planner = MdpAgent(0.5, 2, 3, model=uniform_table(3), tie_break="random")
-        planner.rng = np.random.default_rng(seed)
-        return planner
-
-    batch = [agent(seed) for seed in seeds]
-    solve_rules(batch)
-    for seed, planner in zip(seeds, batch):
-        alone = agent(seed)
-        solve_rules([alone])
-        assert np.array_equal(planner.rule, alone.rule)
-        assert planner.rng.random() == alone.rng.random()  # each drew from its own stream only
-    assert len({id(planner.rule) for planner in batch}) == len(batch)  # random ties never share
+    table = uniform_table(3)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    batch = solve_rules([table] * len(seeds), [0.5] * len(seeds), rngs, 2, 3)
+    for seed, rng, rule in zip(seeds, rngs, batch):
+        alone_rng = np.random.default_rng(seed)
+        (alone,) = solve_rules([table], [0.5], [alone_rng], 2, 3)
+        assert np.array_equal(rule, alone)
+        assert rng.random() == alone_rng.random()  # each drew from its own stream only
+    assert len({id(rule) for rule in batch}) == len(batch)  # random ties never share
 
 
 def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
     # six planners that could sit on either seat hold one table at two weights: two items
     table = uniform_table(10)
-    agents = [MdpAgent(omega, 4, 10, model=table) for _ in range(2) for omega in (0.2, 0.2, 0.7)]
-    learners = [MdpAgent(0.2, 4, 10, learner=DirichletLearner.uniform(10)) for _ in range(2)]
-    solve_rules(agents + learners)
-    rules = [agent.rule for agent in agents + learners]
+    tables = [table] * 6 + [DirichletLearner.uniform(10).estimate for _ in range(2)]
+    omegas = [0.2, 0.2, 0.7] * 2 + [0.2, 0.2]
+    rules = solve_rules(tables, omegas, [None] * len(tables), 4, 10)
     assert all(rule is rules[0] for rule in rules[:2] + rules[3:5])
     assert rules[2] is rules[5]
     assert len({id(rule) for rule in rules}) == 4
-    for agent, rule in zip(agents + learners, rules):
-        assert np.array_equal(rule, backward_induction(agent.table, agent.omega, 4, 10)[1])
+    for model, omega, rule in zip(tables, omegas, rules):
+        assert np.array_equal(rule, backward_induction(model, omega, 4, 10)[1])
 
 
 def test_random_tie_breaking_needs_rng():
     with pytest.raises(ValueError, match="rng"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="random")
-    with pytest.raises(ValueError, match="rng"):
-        solve_rules([MdpAgent(0.5, 1, 10, model=uniform_table(10), tie_break="random")])
 
 
-def test_model_validation():
-    # the solver and a fixed-model agent refuse the same tables: the batch
-    # trusts an agent's table, so its construction is the only gate
+def test_model_validation(monkeypatch):
+    # the solver and a fixed-table seat refuse the same tables: the batch
+    # trusts a seat's table, so the seat check before round 1 is the only gate
+    def no_round_is_played(*args):
+        raise AssertionError("a round was played")
+
+    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
+    config = GameConfig(rounds=5)
+    opponent = HeuristicModel(1.0, 10)
+
     def refused(model, match):
         with pytest.raises(ValueError, match=match):
             backward_induction(model, 0.5, 1, 10)
-        with pytest.raises(ValueError, match=match):
-            MdpAgent(0.5, 1, 10, model=model)
+        for pair in ((model, opponent), (opponent, model)):
+            with pytest.raises(ValueError, match=match):
+                run_game(config, *pair)
+            with pytest.raises(ValueError, match=match):  # also before a warm-up game
+                run_games([config], [pair], [RngPlan(0)], warmup_rounds=3)
 
     refused(np.ones((9, 9)), "shape")
     refused(uniform_table(9), "shape")
@@ -241,10 +248,11 @@ def test_model_validation():
         bad = uniform_table(10).copy()
         bad[0, 0, :2] = first_two
         refused(bad, "distribution")
+    monkeypatch.undo()
     near = uniform_table(10).copy()
     near[0, 0, 0] += 5e-6  # inside the tolerance of 1e-9 + 1e-5
     backward_induction(near, 0.5, 1, 10)
-    assert MdpAgent(0.5, 1, 10, model=near).table is near
+    assert run_game(config, near, opponent).demands.shape == (5, 2)
     with pytest.raises(ValueError, match="horizon"):
         backward_induction(uniform_table(10), 0.5, 0, 10)
     with pytest.raises(ValueError, match="longer"):  # two weights would share the one model
@@ -253,30 +261,25 @@ def test_model_validation():
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="largest")
 
 
-# --- agent ---
-
-
-def test_agent_needs_exactly_one_model_source():
-    with pytest.raises(ValueError, match="exactly one"):
-        MdpAgent(0.5, 10, 10)
-    with pytest.raises(ValueError, match="exactly one"):
-        MdpAgent(0.5, 10, 10, model=uniform_table(10), learner=DirichletLearner.uniform(10))
-    assert not MdpAgent(0.5, 10, 10, model=uniform_table(10)).learning
-    assert MdpAgent(0.5, 10, 10, learner=DirichletLearner.uniform(10)).learning
+# --- planners in a game ---
 
 
 def _assert_plays_its_own_view(seat, table):
     # a long game against a wide rule-based opponent visits many states; each
-    # round's demand must be the rule of the agent's own table at the previous
-    # pair read from its own side, as (own_prev, opp_prev)
-    config = GameConfig(rounds=200, omega_a=0.4, omega_b=0.4, seed=5)
-    agent, opponent = MdpAgent(0.4, 3, 10, model=table), HeuristicModel(sigma=4.0, q=10)
-    log = run_game(config, *((agent, opponent) if seat == 0 else (opponent, agent)))
-    _, actions = backward_induction(table, 0.4, 3, 10)
-    assert np.array_equal(agent.rule, actions)  # solved on the table as held, at every state
-    prev, now = log.demands[:-1], log.demands[1:]
-    assert np.array_equal(now[:, seat], actions[prev[:, seat] - 1, prev[:, 1 - seat] - 1])
-    assert len({tuple(pair) for pair in prev.tolist()}) > 20
+    # round's demand must be the rule of the seat's table, solved under the
+    # config's weight and horizon, at the previous pair read from its own
+    # side, as (own_prev, opp_prev); two configs solve two different rules
+    opponent = HeuristicModel(sigma=4.0, q=10)
+    rules = []
+    for omega, horizon in ((0.4, 1), (0.9, 3)):
+        config = GameConfig(rounds=200, horizon=horizon, omega_a=omega, omega_b=omega, seed=5)
+        log = run_game(config, *((table, opponent) if seat == 0 else (opponent, table)))
+        _, actions = backward_induction(table, (config.omega_a, config.omega_b)[seat], config.horizon, 10)
+        prev, now = log.demands[:-1], log.demands[1:]
+        assert np.array_equal(now[:, seat], actions[prev[:, seat] - 1, prev[:, 1 - seat] - 1])
+        assert len({tuple(pair) for pair in prev.tolist()}) > 20
+        rules.append(actions)
+    assert not np.array_equal(*rules)
 
 
 def test_agent_seat_b_transposes_the_context():
@@ -299,9 +302,8 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
 
     monkeypatch.setattr(planner_module, "backward_induction_batch", counting)
     config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
-    fixed = MdpAgent(0.2, config.horizon, config.q, model=uniform_table(config.q))
-    learner = MdpAgent(0.7, config.horizon, config.q, learner=DirichletLearner.uniform(config.q))
-    for _ in range(2):  # agents reused for a second game are solved as fresh ones
+    fixed, learner = uniform_table(config.q), DirichletLearner.uniform(config.q)
+    for _ in range(2):  # seats reused for a second game are solved as fresh ones
         batches.clear()
         run_game(config, fixed, learner)
         assert batches == [[0.2, 0.7]] + [[0.7]] * (config.rounds - 2)
@@ -313,10 +315,10 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
 def test_same_round_demands_are_identical_under_random_ties():
     # every state ties 4, 5 and 6, drawn once per solve: a fixed planner is
     # solved once per game, so within a game one state always gets one demand
-    agent = MdpAgent(1.0, 1, 10, model=_two_point_model(), tie_break="random")
-    opponent = HeuristicModel(sigma=2.0, q=10)
+    table, opponent = _two_point_model(), HeuristicModel(sigma=2.0, q=10)
     for seed in range(5):
-        demands = run_game(GameConfig(rounds=60, seed=seed), agent, opponent).demands
+        config = GameConfig(rounds=60, horizon=1, omega_a=1.0, seed=seed, tie_break="random")
+        demands = run_game(config, table, opponent).demands
         chosen = {}
         for prev, demand in zip(demands[:-1].tolist(), demands[1:, 0].tolist()):
             assert chosen.setdefault(tuple(prev), demand) == demand
@@ -329,17 +331,5 @@ def test_flooded_opponent_pushes_full_weight_demand_to_one():
     row = np.zeros(9)
     row[8] = 1.0
     model = np.tile(row, (9, 9, 1))
-    agent = MdpAgent(1.0, 10, 10, model=model)
-    solve_rules([agent])
-    assert np.all(agent.rule == 1)
-
-
-def test_agent_validation():
-    with pytest.raises(ValueError, match="omega"):
-        MdpAgent(1.5, 10, 10, model=uniform_table(10))
-    with pytest.raises(ValueError, match="horizon"):
-        MdpAgent(0.5, 0, 10, model=uniform_table(10))
-    with pytest.raises(ValueError, match="tie_break"):
-        MdpAgent(0.5, 10, 10, model=uniform_table(10), tie_break="greedy")
-    with pytest.raises(ValueError, match="q=6"):
-        MdpAgent(0.5, 10, 10, learner=DirichletLearner.uniform(6))
+    (rule,) = solve_rules([model], [1.0], [None], 10, 10)
+    assert np.all(rule == 1)
