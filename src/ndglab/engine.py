@@ -10,23 +10,25 @@ model table or a :class:`DirichletLearner`, planned against under the
 weight, horizon and tie rule of the game's config, or a
 :class:`HeuristicModel`, which samples.  :func:`run_games` steps several
 games together, round by round, over one ``(games, rounds, 2)`` demand
-array, so that their planners share one batched solve per round;
-:func:`run_game` is its one-game case.
+array, so that their planners share batched solves and their learners one
+:func:`observe` call per round; :func:`run_game` is its one-game case.
 
-The loop alone decides when rules are solved: every planner before round 2,
-then every learner, whose belief moves each round, before each later round.
+The loop alone decides when rules are solved: every fixed planner before
+round 2, every learner, whose belief moves each round, before each later
+round, from stacked copies of the learners written back when the run ends.
 So seats reused for a second game play it as fresh seats would.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 
 import numpy as np
 
 from .core import GameConfig, GameLog, atomic_write, round_columns
-from .opponent import DirichletLearner, HeuristicModel, heuristic_sample
-from .planner import _validate_model, solve_rules
+from .opponent import DirichletLearner, HeuristicModel, heuristic_sample, observe
+from .planner import _validate_model, backward_induction_batch, solve_rules, solver_inputs
 
 __all__ = [
     "RngPlan",
@@ -53,15 +55,17 @@ class RngPlan:
     Same seed, same configuration: bit-identical game.  Each seat gets its
     own child stream, so changing one player's settings cannot shift the
     other player's draws; a further child seeds an optional warm-up game.
+    A seat's stream is built when it is first read.
     """
+
+    agent_a = cached_property(lambda self: np.random.default_rng(_child_seq(self.seed_seq, 0)))
+    agent_b = cached_property(lambda self: np.random.default_rng(_child_seq(self.seed_seq, 1)))
 
     def __init__(self, seed: int | np.random.SeedSequence):
         if isinstance(seed, np.random.SeedSequence):
             self.seed_seq = seed
         else:
             self.seed_seq = np.random.SeedSequence(int(seed))
-        self.agent_a = np.random.default_rng(_child_seq(self.seed_seq, 0))
-        self.agent_b = np.random.default_rng(_child_seq(self.seed_seq, 1))
 
     def pretrain_plan(self) -> "RngPlan":
         """A fresh plan for the warm-up game, disjoint from this plan's streams."""
@@ -140,17 +144,14 @@ def _check_seats(config: GameConfig, pairs) -> dict:
 def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
-    Every game plays ``rounds`` from its opening demand.  A planner plans
-    under its game's weight for its seat and the shared horizon and tie
-    rule.  Before round 2 every planner is solved, and before each later
-    round every learner, in one batched solve per round.  Each round then
-    reads every planner's demand from its rule at its game's previous pair,
-    and samples every rule-based seat with one :func:`heuristic_sample` call
-    per distinct model.  A rule-based seat draws only its demands, so its
-    game's uniforms are drawn up front as one ``rounds - 1`` block, with the
-    bits of one draw per round.  Each seat draws only from its own stream,
-    so neither the order of the seats nor how games interleave can move a
-    draw.
+    Planners use their game's weight and the shared horizon and tie rule.
+    Fixed planners are solved in one batch before round 2, learners in one
+    before every later round.  A round gathers every planner's demand from
+    the stacked rules and samples each rule-based model once, from uniforms
+    drawn up front per seat with the bits of one draw per round.  Each seat
+    draws only from its own stream, read only if it draws, so seat order and
+    interleaving cannot move a draw.  Learners are copied into stacked run
+    arrays, fed by one :func:`observe` per round and copied back at the end.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
@@ -158,43 +159,48 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
     demands[:, 0] = config.initial_demand
     random_ties = config.tie_break == "random"
-    fixed, learning, learners, samplers = [], [], [], {}  # planners as ((g, seat), (table, omega, rng))
+    fixed, learning, samplers = [], [], {}  # planners as (g, seat, table or learner, omega, stream)
     for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
-        seats = zip(pair, (game.omega_a, game.omega_b), (plan.agent_a, plan.agent_b))
-        for seat, (held, omega, rng) in enumerate(seats):
+        for seat, (held, omega, name) in enumerate(zip(pair, (game.omega_a, game.omega_b), ("agent_a", "agent_b"))):
             if isinstance(held, HeuristicModel):
-                samplers.setdefault(held, []).append((g, seat, rng.random(rounds - 1)))
+                samplers.setdefault(held, []).append((g, seat, getattr(plan, name).random(rounds - 1)))
                 continue
-            stream = rng if random_ties else None
+            stream = getattr(plan, name) if random_ties else None
             if isinstance(held, DirichletLearner):
-                learners.append((held, g, seat))
-                learning.append(((g, seat), (held.estimate, omega, stream)))
+                learning.append((g, seat, held, omega, stream))
             else:
-                fixed.append(((g, seat), (tables[id(held)], omega, stream)))
+                fixed.append((g, seat, tables[id(held)], omega, stream))
     # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
     # Fixed planners first, so a round replaces the learners' rules as one slice.
-    # The solve inputs hold for the whole run: a learner's estimate is refreshed in place.
-    places = [place for place, _ in fixed + learning]
-    every_input = list(zip(*(inputs for _, inputs in fixed + learning)))
-    learner_input = list(zip(*(inputs for _, inputs in learning)))
-    rules = []
-    prev = demands[:, 0].tolist()
+    games, seats = np.array([(g, seat) for g, seat, *_ in fixed + learning], dtype=np.intp).reshape(-1, 2).T
+    planners, rules = np.arange(len(games)), np.empty((len(games), q - 1, q - 1), dtype=np.intp)
+    learners = counts = estimate = ()
+    if learning:
+        _, _, learners, omegas, streams = zip(*learning)
+        by_demand, gains = solver_inputs([learner.estimate for learner in learners], omegas, q)
+        counts = np.stack([learner.counts for learner in learners])
+        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each learner's view
+        learner_games, learner_seats = games[len(fixed) :], seats[len(fixed) :]
     for t in range(rounds):
-        if t == 1 and places:
-            rules = solve_rules(*every_input, h, q)
-        elif t > 1 and learners:  # a fixed model's rule holds
-            rules[len(fixed):] = solve_rules(*learner_input, h, q)
         if t:
-            for (g, seat), rule in zip(places, rules):
-                demands[g, t, seat] = rule[prev[g][seat] - 1, prev[g][1 - seat] - 1]
-            for model, games, seats, uniforms in samplers:
-                own, opp = demands[games, t - 1, seats], demands[games, t - 1, 1 - seats]
-                demands[games, t, seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
-        now = demands[:, t].tolist()
-        for learner, g, seat in learners:
-            learner.update(prev[g][seat], prev[g][1 - seat], now[g][1 - seat])
-        prev = now
+            if t == 1 and fixed:  # a fixed model's rule holds for the run
+                _, _, *inputs = zip(*fixed)
+                rules[: len(fixed)] = solve_rules(*inputs, h, q)
+            if learning:
+                rules[len(fixed) :] = backward_induction_batch(by_demand, gains, h, rngs=streams)
+            before = demands[:, t - 1]
+            demands[games, t, seats] = rules[planners, before[games, seats] - 1, before[games, 1 - seats] - 1]
+            for model, model_games, model_seats, uniforms in samplers:
+                own, opp = before[model_games, model_seats], before[model_games, 1 - model_seats]
+                demands[model_games, t, model_seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
+        if learning:  # the opening round is observed too, at the opening pair
+            state = max(t - 1, 0)
+            own, opp = demands[learner_games, state, learner_seats], demands[learner_games, state, 1 - learner_seats]
+            observe(counts, estimate, own, opp, demands[learner_games, t, 1 - learner_seats])
+    for learner, run_counts, run_estimate in zip(learners, counts, estimate):
+        learner.counts[...] = run_counts
+        learner.estimate[...] = run_estimate
     return demands
 
 

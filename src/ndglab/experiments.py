@@ -75,10 +75,10 @@ AGENT_KINDS = {
 }
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
-# float64 each: one per planner.solve_key, so per learner (holding its counts
-# and estimate too), per seat stream under random ties, or per weight of a
-# shared fixed table.  At q = 10 every default sweep fits in one run; at
-# q = 60, two do.
+# float64 each: one per planner.solve_key, so per seat stream under random
+# ties, per weight of a shared fixed table, or per learner, which during a run
+# also holds its counts and estimate and the run's copies of both.  At q = 10
+# every default sweep fits in one run; at q = 60, two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
@@ -271,9 +271,9 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
         # Stateless derivation keyed on (cell, replication): stable under any
         # chunking and execution order, so parallel and serial sweeps agree.
         plan = RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
-        keys = {
-            solve_key(getattr(seat, "estimate", seat), omega, rng if random_ties else None)
-            for seat, omega, rng in zip(pair, (config.omega_a, config.omega_b), (plan.agent_a, plan.agent_b))
+        keys = {  # a seat's stream is read only where it names the item
+            solve_key(getattr(seat, "estimate", seat), omega, getattr(plan, name) if random_ties else None)
+            for seat, omega, name in zip(pair, (config.omega_a, config.omega_b), ("agent_a", "agent_b"))
             if not isinstance(seat, HeuristicModel)
         }
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:

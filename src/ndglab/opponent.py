@@ -33,6 +33,7 @@ __all__ = [
     "heuristic_table",
     "uniform_table",
     "DirichletLearner",
+    "observe",
     "save_learner",
     "load_learner",
 ]
@@ -165,13 +166,30 @@ class DirichletLearner:
         return cls(np.ones((q - 1,) * 3), q)
 
     def update(self, own_prev: int, opp_prev: int, observed: int) -> None:
-        """Record one demand observed in context ``(own_prev, opp_prev)`` and refresh its row."""
+        """Record one demand observed in context ``(own_prev, opp_prev)``: :func:`observe`, checked."""
         check_demand(own_prev, self.q, "own_prev")
         check_demand(opp_prev, self.q, "opp_prev")
         check_demand(observed, self.q, "observed")
-        row = self.counts[own_prev - 1, opp_prev - 1]
-        row[observed - 1] += 1.0
-        np.divide(row, row.sum(), out=self.estimate[own_prev - 1, opp_prev - 1])
+        observe(self.counts, self.estimate, own_prev, opp_prev, observed)
+
+
+def observe(counts, estimate, own_prev, opp_prev, observed) -> None:
+    """Add one count per observation and refresh each touched estimate row once.
+
+    ``counts`` and ``estimate`` hold one learner or learners stacked along
+    leading axes.  The demands, trusted to lie in ``1..q-1``, broadcast to
+    a shape that starts with those axes; further axes hold a block of
+    observations per learner.  Repeated cells add as single updates would,
+    and a touched row gets the bits of ``row / row.sum()``.
+    """
+    own, opp, obs = np.broadcast_arrays(own_prev, opp_prev, observed)
+    row = (*np.indices(own.shape, sparse=True)[: counts.ndim - 3], own - 1, opp - 1)
+    np.add.at(counts, (*row, obs - 1), 1.0)
+    touched = np.zeros(counts.shape[:-1], dtype=bool)
+    touched[row] = True
+    rows = np.unravel_index(np.flatnonzero(touched), touched.shape)
+    fresh = counts[rows]
+    estimate[rows] = fresh / fresh.sum(axis=-1, keepdims=True)
 
 
 def _seat_order(counts: np.ndarray, seat: Role) -> np.ndarray:

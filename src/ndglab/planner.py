@@ -16,9 +16,9 @@ deterministically becomes the first component of the next state.
 :func:`backward_induction` returns the pair ``(values, actions)`` as plain
 arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
 first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.  It is
-the one-item case of :func:`backward_induction_batch`, which stacks the same
-arrays along a leading axis, one item per planner, and trusts its tables.
-A planner is a model table with the weight, horizon and tie rule of its
+the one-item case of :func:`backward_induction_batch`, which solves many
+planners stacked by :func:`solver_inputs` and trusts their tables.  A
+planner is a model table with the weight, horizon and tie rule of its
 game's config; :func:`solve_rules` solves many at once.
 """
 
@@ -31,6 +31,7 @@ from .core import TIE_BREAKS, reward, reward_matrix
 __all__ = [
     "backward_induction",
     "backward_induction_batch",
+    "solver_inputs",
     "solve_key",
     "solve_rules",
     "brute_force_value",
@@ -65,7 +66,7 @@ def backward_induction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the h-stage lookahead and return ``(values, actions)``.
 
-    The one-item case of :func:`backward_induction_batch`.
+    The one-item case of :func:`backward_induction_batch`, keeping every stage.
 
     Args:
         model: conditional table ``model[own_prev-1, opp_prev-1, b-1]`` of the
@@ -90,62 +91,69 @@ def backward_induction(
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "random" and rng is None:
         raise ValueError("random tie-breaking needs an rng")
-    values, actions = backward_induction_batch(
-        [_validate_model(model, q)], [omega], h, q, rngs=[rng if tie_break == "random" else None]
-    )
-    return values[0], actions[0]
+    inputs = solver_inputs([_validate_model(model, q)], [omega], q)
+    values = np.zeros((1, h + 1, (q - 1) ** 2)) if h >= 1 else None  # the batch refuses h < 1
+    actions = backward_induction_batch(*inputs, h, rngs=[rng if tie_break == "random" else None], values=values)
+    return values[0].reshape(h + 1, q - 1, q - 1), actions[0]
 
 
-def backward_induction_batch(
-    models,
-    omegas,
-    h: int,
-    q: int,
-    *,
-    rngs=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve B lookaheads at once, each with the bits of its own solve.
+def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs ``(by_demand, gains)`` of :func:`backward_induction_batch`, stacked.
 
-    Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product, which
-    runs the same matrix product per item as a single solve, so values,
-    actions and tie draws equal B calls of :func:`backward_induction`.
+    Planner ``i`` gives ``tables[i]`` as ``[b - 1, (own_prev - 1) * (q - 1) + opp_prev - 1]``
+    and the reward matrix of ``omegas[i]``.
+    """
+    n = q - 1
+    by_demand = np.stack([table.reshape(n * n, n).T for table in tables])
+    gains = np.stack([reward_matrix(omega, q) for omega in omegas])
+    return by_demand, gains
+
+
+def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None) -> np.ndarray:
+    """Solve B lookaheads at once, each with the bits of its own solve; return their actions.
+
+    Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product into a
+    reused buffer, which runs the same matrix product per item as a single
+    solve, so values, actions and tie draws equal B calls of
+    :func:`backward_induction`.
 
     Args:
-        models: B tables, each a model of :func:`backward_induction`, trusted to be valid.
-        omegas: the B planners' reward weights, one per model.
+        by_demand, gains: B models, trusted to be valid, and B reward
+            matrices, stacked by :func:`solver_inputs`.
         h: number of stages, at least 1.
-        q: amount being split.
         rngs: None for smallest-demand ties throughout, or B entries: a
             generator draws that item's ties uniformly, column by column in
             state order; None keeps its smallest maximizing demand.
+        values: None, or a zeroed ``(B, h + 1, (q - 1)**2)`` array that
+            receives every stage's values; without it the loop holds only
+            the stage it reads and the stage it writes.
 
     Returns:
-        ``values`` of shape ``(B, h + 1, q - 1, q - 1)`` and ``actions`` of
-        shape ``(B, q - 1, q - 1)``, each item indexed as in
+        ``actions`` of shape ``(B, q - 1, q - 1)``, indexed as in
         :func:`backward_induction`.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
-    count = len(omegas)
-    n = q - 1
-    gains = np.stack([reward_matrix(omega, q) for _, omega in zip(models, omegas, strict=True)])  # (B, a, b)
-    by_demand = np.stack([model.reshape(n * n, n).T for model in models])  # (B, b, state)
-
-    values = np.zeros((count, h + 1, n * n))
-    q_vals = None
+    count, n, _ = gains.shape
+    if by_demand.shape != (count, n, n * n):
+        raise ValueError(f"need one {(n, n * n)} model per reward matrix, got {by_demand.shape} for {gains.shape}")
+    stages = np.zeros((2, count, n * n)) if values is None else values.swapaxes(0, 1)
+    landing = np.empty((count, n, n))  # total gain of finishing the stage at (a, b)
+    q_vals = np.empty((count, n, n * n))  # (B, action, state)
     for k in range(1, h + 1):
-        landing = gains + values[:, k - 1].reshape(count, n, n)  # total gain of finishing the stage at (a, b)
-        q_vals = landing @ by_demand  # (B, action, state)
-        q_vals.max(axis=1, out=values[:, k])
+        np.add(gains, stages[(k - 1) % len(stages)].reshape(count, n, n), out=landing)
+        np.matmul(landing, by_demand, out=q_vals)
+        q_vals.max(axis=1, out=stages[k % len(stages)])
 
+    best = stages[h % len(stages)]
     actions = q_vals.argmax(axis=1)  # first maximum = smallest maximizing demand
     for i, rng in enumerate(rngs or ()):
         if rng is None:
             continue
-        tied = q_vals[i] == values[i, h]  # (action, state): every maximizer of each column
+        tied = q_vals[i] == best[i]  # (action, state): every maximizer of each column
         for column in np.flatnonzero(tied.sum(axis=0) > 1):
             actions[i, column] = rng.choice(np.flatnonzero(tied[:, column]))
-    return values.reshape(count, h + 1, n, n), (actions + 1).reshape(count, n, n)
+    return (actions + 1).reshape(count, n, n)
 
 
 def brute_force_value(
@@ -182,9 +190,8 @@ def solve_key(table, omega: float, rng):
     """The batch item a planner's rule is solved in: planners with equal keys share one.
 
     Under smallest ties (``rng`` None), planners holding the same table
-    object and weight share an item, whichever seats they sit in; a
-    learner's table is its own.  Under random ties each seat's item is its
-    own stream.
+    object and weight share an item, whichever seats they sit in; under
+    random ties each seat's item is its own stream.
     """
     return (id(table), omega) if rng is None else rng
 
@@ -200,5 +207,5 @@ def solve_rules(tables, omegas, rngs, h: int, q: int) -> list[np.ndarray]:
     items = {}  # key -> (item index, table, omega, rng) of its first planner
     slots = [items.setdefault(solve_key(t, w, r), (len(items), t, w, r))[0] for t, w, r in zip(tables, omegas, rngs)]
     _, tables, omegas, rngs = zip(*items.values())
-    rules = list(backward_induction_batch(tables, omegas, h, q, rngs=rngs)[1])
+    rules = list(backward_induction_batch(*solver_inputs(tables, omegas, q), h, rngs=rngs))
     return [rules[slot] for slot in slots]  # planners sharing an item share its rule object

@@ -28,6 +28,7 @@ from ndglab import (
     uniform_table,
 )
 from ndglab.cli import EXIT_OK, main
+from ndglab.opponent import observe
 
 from oracles import bootstrap_lower, policy_value, random_model, table_prob, tree_value
 
@@ -178,12 +179,11 @@ def test_05_belief_converges_to_a_known_opponent():
         for idx, (pa, pb) in enumerate(contexts):
             row = target[pa - 1, pb - 1]
             draws = rng.choice(9, size=checkpoints[-1], p=row) + 1
-            cp = 0
-            for i, d in enumerate(draws, start=1):
-                learner.update(pa, pb, int(d))
-                if cp < len(checkpoints) and i == checkpoints[cp]:
-                    errs[idx, cp] = np.abs(learner.estimate[pa - 1, pb - 1] - row).sum()
-                    cp += 1
+            # the draws between two checkpoints go in as one block: integer
+            # counts make each checkpoint's estimate that of single updates
+            for cp, (start, stop) in enumerate(zip((0,) + checkpoints, checkpoints)):
+                observe(learner.counts, learner.estimate, pa, pb, draws[start:stop])
+                errs[idx, cp] = np.abs(learner.estimate[pa - 1, pb - 1] - row).sum()
         curves[seed] = errs.mean(axis=0)
         worst_final = max(worst_final, float(errs[:, -1].max()))
     curve = curves.mean(axis=0)

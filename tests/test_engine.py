@@ -273,6 +273,82 @@ def test_every_round_is_observed_at_its_own_state():
     assert learner.counts[2, 2, log.demands[0, 1] - 1] >= 2.0
 
 
+def _replay_observations(learner, seat, logs):
+    """Feed ``learner`` one scalar update per round of each game log, for the learner on ``seat``."""
+    for demands in logs:
+        for t, now in enumerate(demands.tolist()):
+            state = demands[max(t - 1, 0)].tolist()
+            learner.update(state[seat], state[1 - seat], now[1 - seat])
+    return learner
+
+
+@pytest.mark.parametrize("warmup_rounds", (0, 7))
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_each_learner_gets_back_a_scalar_replay_of_its_games(warmup_rounds, tie_break):
+    # the run updates stacked copies of the learners and copies them back: each
+    # learner then holds one scalar update per round of its warm-up game and
+    # its game, in counts and estimate, whatever else shares the run
+    q = 6
+    configs = [
+        GameConfig(q=q, rounds=9, initial_demand=2, omega_a=wa, omega_b=wb, seed=s, tie_break=tie_break)
+        for wa, wb, s in ((0.2, 0.9, 1), (0.5, 0.5, 2), (1.0, 0.0, 3), (0.7, 0.3, 4))
+    ]
+
+    def pairs():
+        rule = HeuristicModel(1.5, q)
+        return [
+            (DirichletLearner.uniform(q), rule),
+            (rule, DirichletLearner.uniform(q)),
+            (DirichletLearner.uniform(q), DirichletLearner.uniform(q)),
+            (uniform_table(q), DirichletLearner.uniform(q)),
+        ]
+
+    played = pairs()
+    logs = run_games(configs, played, [RngPlan(c.seed) for c in configs], warmup_rounds)
+    warm_ups = [[] for _ in configs]
+    if warmup_rounds:  # the warm-up games, played again from fresh seats on the same streams
+        warm_configs = [replace(c, rounds=warmup_rounds) for c in configs]
+        warm_logs = run_games(warm_configs, pairs(), [RngPlan(c.seed).pretrain_plan() for c in configs])
+        warm_ups = [[log.demands] for log in warm_logs]
+    checked = 0
+    for pair, log, warm_up in zip(played, logs, warm_ups):
+        for seat, held in enumerate(pair):
+            if isinstance(held, DirichletLearner):
+                replay = _replay_observations(DirichletLearner.uniform(q), seat, warm_up + [log.demands])
+                assert held.counts.tobytes() == replay.counts.tobytes()
+                assert held.estimate.tobytes() == replay.estimate.tobytes()
+                checked += 1
+    assert checked == 5
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_a_learner_reused_for_a_second_run_plays_it_as_a_fresh_copy_would(tie_break):
+    # nothing of the first run's arrays survives into the second but what the
+    # learner itself holds
+    first, second = (GameConfig(rounds=25, seed=seed, tie_break=tie_break) for seed in (1, 2))
+    rule = HeuristicModel(1.0, 10)
+    learner = DirichletLearner.uniform(10)
+    run_game(first, learner, rule)
+    copy = DirichletLearner(learner.counts, 10)
+    assert run_game(second, rule, learner) == run_game(second, rule, copy)
+    assert learner.counts.tobytes() == copy.counts.tobytes()
+    assert learner.estimate.tobytes() == copy.estimate.tobytes()
+
+
+def test_a_plan_builds_a_seat_stream_only_when_it_is_read():
+    # under smallest ties a fixed planner draws nothing, so its stream is never
+    # built; a stream first read late draws what one built with the plan draws
+    config = GameConfig(rounds=12, seed=11)
+    plan = RngPlan(11)
+    run_game(config, uniform_table(10), HeuristicModel(1.0, 10), plan)
+    assert "agent_a" not in vars(plan) and "agent_b" in vars(plan)
+    eager = RngPlan(11)
+    assert eager.agent_a is not eager.agent_b  # both streams built before any draw
+    eager.agent_b.random(config.rounds - 1)  # the rule-based seat's draws: one block of rounds - 1
+    assert plan.agent_a.random(8).tolist() == eager.agent_a.random(8).tolist()
+    assert plan.agent_b.random(8).tolist() == eager.agent_b.random(8).tolist()
+
+
 def test_agent_streams_are_isolated():
     plan = RngPlan(42)
     reference = RngPlan(42)

@@ -270,6 +270,31 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
     assert len({(c.profit_a, c.profit_b) for c in cells}) > 1  # reusing one game would be wrong
 
 
+def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
+    # a rule-based seat always draws, a planner only under random ties; no
+    # other seat's stream is built
+    built = []
+    real = experiments.run_games
+
+    def recording(configs, pairs, plans, *args):
+        plans = list(plans)
+        logs = real(configs, pairs, plans, *args)
+        built.extend([name for name in ("agent_a", "agent_b") if name in vars(plan)] for plan in plans)
+        return logs
+
+    monkeypatch.setattr(experiments, "run_games", recording)
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    for test_id, tie_break, streams in (
+        (1, "smallest", ["agent_b"]),
+        (4, "smallest", []),
+        (3, "random", ["agent_a", "agent_b"]),
+    ):
+        built.clear()
+        base = GameConfig(rounds=5, tie_break=tie_break)
+        run_test(benchmark_spec(test_id, replications=2, base=base, grid=(0.0, 1.0)))
+        assert built and all(names == streams for names in built), (test_id, tie_break, built)
+
+
 @pytest.mark.parametrize(
     ("test_id", "tie_break", "q", "grid"),
     [
@@ -277,6 +302,8 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
         pytest.param(1, "random", 60, (0.5,), id="random-tie-planner"),
         # 66 played games of a shared uniform table: one item per weight, 11 of the 21 a chunk holds
         pytest.param(3, "smallest", 30, None, id="shared-fixed-model"),
+        # two learners per game, each also held twice in the run's stacked arrays
+        pytest.param(4, "smallest", 60, (0.5,), id="learner-vs-learner"),
     ],
 )
 def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, monkeypatch):

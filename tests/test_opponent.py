@@ -18,6 +18,7 @@ from ndglab import (
     save_learner,
     uniform_table,
 )
+from ndglab.opponent import observe
 from oracles import gaussian_row, reference_heuristic_distribution, reference_heuristic_sample
 
 demands = st.integers(1, 9)
@@ -263,6 +264,54 @@ def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, see
         learner.update(int(contexts[i, 0]), int(contexts[i, 1]), int(observed))
     counts = learner.counts
     assert learner.estimate.tobytes() == (counts / counts.sum(-1, keepdims=True)).tobytes()
+
+
+def _single_updates(counts, observations):
+    """The learner update written out one observation at a time: the reference for blocks."""
+    counts = counts.copy()
+    estimate = counts / counts.sum(axis=-1, keepdims=True)
+    for own, opp, observed in observations:
+        row = counts[own - 1, opp - 1]
+        row[observed - 1] += 1.0
+        np.divide(row, row.sum(), out=estimate[own - 1, opp - 1])
+    return counts, estimate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 3),
+    st.integers(1, 30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_block_observe_equals_single_updates_bit_for_bit(q, n_learners, block, fractional, seed):
+    # stacked learners each take a block drawn from two contexts and two
+    # demands, so blocks repeat contexts and cells; fractional counts make
+    # the order of the additions and of the row sums show in the bits
+    rng = np.random.default_rng(seed)
+    n = q - 1
+    start = rng.uniform(0.1, 5.0, size=(n_learners, n, n, n)) if fractional else np.ones((n_learners, n, n, n))
+    contexts = rng.integers(1, q, size=(n_learners, 2, 2))
+    pick = rng.integers(0, 2, size=(n_learners, block))
+    own = np.take_along_axis(contexts[:, :, 0], pick, axis=1)
+    opp = np.take_along_axis(contexts[:, :, 1], pick, axis=1)
+    observed = rng.integers(1, min(q, 3), size=(n_learners, block))
+    counts = start.copy()
+    estimate = counts / counts.sum(axis=-1, keepdims=True)
+    observe(counts, estimate, own, opp, observed)
+    for i in range(n_learners):
+        observations = list(zip(own[i].tolist(), opp[i].tolist(), observed[i].tolist()))
+        want_counts, want_estimate = _single_updates(start[i], observations)
+        learner = DirichletLearner(start[i], q)
+        for own_prev, opp_prev, demand in observations:
+            learner.update(own_prev, opp_prev, demand)
+        alone = DirichletLearner(start[i], q)  # one learner's block, on its own tables
+        observe(alone.counts, alone.estimate, own[i], opp[i], observed[i])
+        for got in (counts[i], learner.counts, alone.counts):
+            assert got.tobytes() == want_counts.tobytes()
+        for got in (estimate[i], learner.estimate, alone.estimate):
+            assert got.tobytes() == want_estimate.tobytes()
 
 
 def test_a_learner_keeps_its_own_copy_of_the_counts():

@@ -12,6 +12,7 @@ from ndglab import (
     RngPlan,
     backward_induction,
     brute_force_value,
+    reward_matrix,
     run_game,
     uniform_table,
 )
@@ -19,7 +20,7 @@ from ndglab import engine
 from ndglab import planner as planner_module
 from ndglab.core import TIE_BREAKS
 from ndglab.engine import run_games
-from ndglab.planner import backward_induction_batch, solve_rules
+from ndglab.planner import backward_induction_batch, solve_rules, solver_inputs
 
 from oracles import (
     exhaustive_policy_max,
@@ -172,16 +173,25 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
     rng = np.random.default_rng(seed)
     models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
     omegas = [omega for _, omega, _, _ in items]
-    rngs = [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s in items]
-    values, actions = backward_induction_batch(models, omegas, h, q, rngs=rngs)
-    assert values.shape == (len(items), h + 1, q - 1, q - 1)
+
+    def streams():
+        return [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s in items]
+
+    n = q - 1
+    inputs = solver_inputs(models, omegas, q)
+    rngs, lean_rngs = streams(), streams()
+    values = np.zeros((len(items), h + 1, n * n))
+    actions = backward_induction_batch(*inputs, h, rngs=rngs, values=values)
+    # without a values buffer the loop keeps two rolling stages and must solve the same
+    assert np.array_equal(backward_induction_batch(*inputs, h, rngs=lean_rngs), actions)
+    values = values.reshape(len(items), h + 1, n, n)
     for i, (_, omega, tie, tie_seed) in enumerate(items):
         tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
         want_values, want_actions = backward_induction(models[i], omega, h, q, tie_break=tie, rng=tie_rng)
         assert values[i].tobytes() == want_values.tobytes()
         assert np.array_equal(actions[i], want_actions)
-        if tie == "random":  # the batch drew exactly what the solo solve drew from an equal stream
-            assert rngs[i].random() == tie_rng.random()
+        if tie == "random":  # both batches drew exactly what the solo solve drew from an equal stream
+            assert rngs[i].random() == lean_rngs[i].random() == tie_rng.random()
         oracle_rng = np.random.default_rng(tie_seed) if tie == "random" else None
         oracle_values, oracle_actions = stage_loop_backward_induction(models[i], omega, h, q, tie, oracle_rng)
         assert values[i].tobytes() == oracle_values.tobytes()
@@ -255,8 +265,9 @@ def test_model_validation(monkeypatch):
     assert run_game(config, near, opponent).demands.shape == (5, 2)
     with pytest.raises(ValueError, match="horizon"):
         backward_induction(uniform_table(10), 0.5, 0, 10)
-    with pytest.raises(ValueError, match="longer"):  # two weights would share the one model
-        backward_induction_batch([uniform_table(10)], [0.2, 0.7], 1, 10)
+    by_demand, gains = solver_inputs([uniform_table(10)] * 2, [0.2, 0.7], 10)
+    with pytest.raises(ValueError, match="one .* model per reward matrix"):  # two weights would share one model
+        backward_induction_batch(by_demand[:1], gains, 1)
     with pytest.raises(ValueError, match="tie_break"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="largest")
 
@@ -292,21 +303,23 @@ def test_agent_seat_a_uses_the_context_as_is():
 
 
 def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monkeypatch):
-    # the fixed planner weighs 0.2, the learner 0.7: each batch's weights name its items
+    # the fixed planner weighs 0.2, the learner 0.7: each batch's reward matrices
+    # name its items; round 2 solves the fixed planners, then the learners
     batches = []
     real = planner_module.backward_induction_batch
 
-    def counting(models, omegas, *args, **kwargs):
-        batches.append(sorted(omegas))
-        return real(models, omegas, *args, **kwargs)
+    def counting(by_demand, gains, *args, **kwargs):
+        batches.append([w for g in gains for w in (0.2, 0.7) if np.array_equal(g, reward_matrix(w, 10))])
+        return real(by_demand, gains, *args, **kwargs)
 
-    monkeypatch.setattr(planner_module, "backward_induction_batch", counting)
+    monkeypatch.setattr(planner_module, "backward_induction_batch", counting)  # solve_rules calls it here
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
     config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
     fixed, learner = uniform_table(config.q), DirichletLearner.uniform(config.q)
     for _ in range(2):  # seats reused for a second game are solved as fresh ones
         batches.clear()
         run_game(config, fixed, learner)
-        assert batches == [[0.2, 0.7]] + [[0.7]] * (config.rounds - 2)
+        assert batches == [[0.2]] + [[0.7]] * (config.rounds - 1)
     batches.clear()
     run_game(GameConfig(rounds=1), fixed, HeuristicModel(1.0, 10))
     assert batches == []  # the opening round is forced: nothing to solve
