@@ -13,10 +13,11 @@ games together, round by round, over one ``(games, rounds, 2)`` demand
 array, so that their planners share batched solves and their learners one
 :func:`observe` call per round; :func:`run_game` is its one-game case.
 
-The loop alone decides when rules are solved: every fixed planner before
-round 2, every learner, whose belief moves each round, before each later
-round, from stacked copies of the learners written back when the run ends.
-So seats reused for a second game play it as fresh seats would.
+The loop alone decides when rules are solved: every fixed planner's full
+rule once, before round 2; every learner, whose belief moves each round,
+before each later round, at the one state it plays there only, from stacked
+copies of the learners written back when the run ends.  So seats reused for
+a second game play it as fresh seats would.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     holds a fixed model table, a :class:`DirichletLearner` or a
     :class:`HeuristicModel` for that ``q``; a learner holds one seat of the
     batch, and each game has a plan of its own.  Anything else is refused
-    before the first round.  With ``warmup_rounds``, each pair first plays a
-    warm-up game of that length on its plan's :meth:`RngPlan.pretrain_plan`
-    streams, again in lockstep.
+    before the first round.  With ``warmup_rounds``, a non-negative int, each
+    pair first plays a warm-up game of that length on its plan's
+    :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
     """
+    if isinstance(warmup_rounds, bool) or not isinstance(warmup_rounds, (int, np.integer)) or warmup_rounds < 0:
+        raise ValueError(f"warmup_rounds must be a non-negative int, got {warmup_rounds!r}")
     configs = list(configs)
     pairs = list(pairs)
     plans = list(plans)
@@ -145,9 +148,10 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
     Planners use their game's weight and the shared horizon and tie rule.
-    Fixed planners are solved in one batch before round 2, learners in one
-    before every later round.  A round gathers every planner's demand from
-    the stacked rules and samples each rule-based model once, from uniforms
+    Fixed planners are solved in one batch before round 2, and a round
+    gathers their demands from the stacked rules.  Learners are solved in
+    one batch every later round, which returns each one's demand at the
+    state it plays.  A round samples each rule-based model once, from uniforms
     drawn up front per seat with the bits of one draw per round.  Each seat
     draws only from its own stream, read only if it draws, so seat order and
     interleaving cannot move a draw.  Learners are copied into stacked run
@@ -172,36 +176,46 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
                 fixed.append((g, seat, tables[id(held)], omega, stream))
     # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
-    # Fixed planners first, so a round replaces the learners' rules as one slice.
-    games, seats = np.array([(g, seat) for g, seat, *_ in fixed + learning], dtype=np.intp).reshape(-1, 2).T
-    planners, rules = np.arange(len(games)), np.empty((len(games), q - 1, q - 1), dtype=np.intp)
+    fixed_games, fixed_seats = _seat_arrays(fixed)
+    planners, rules = np.arange(len(fixed)), np.empty((len(fixed), q - 1, q - 1), dtype=np.intp)
     learners = counts = estimate = ()
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
         by_demand, gains = solver_inputs([learner.estimate for learner in learners], omegas, q)
         counts = np.stack([learner.counts for learner in learners])
         estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each learner's view
-        learner_games, learner_seats = games[len(fixed) :], seats[len(fixed) :]
+        learner_games, learner_seats = _seat_arrays(learning)
     for t in range(rounds):
+        if learning:  # each learner's state from its side; the opening round is played at the opening pair
+            state = max(t - 1, 0)
+            own_prev = demands[learner_games, state, learner_seats]
+            opp_prev = demands[learner_games, state, 1 - learner_seats]
         if t:
             if t == 1 and fixed:  # a fixed model's rule holds for the run
                 _, _, *inputs = zip(*fixed)
-                rules[: len(fixed)] = solve_rules(*inputs, h, q)
-            if learning:
-                rules[len(fixed) :] = backward_induction_batch(by_demand, gains, h, rngs=streams)
+                rules[...] = solve_rules(*inputs, h, q)
             before = demands[:, t - 1]
-            demands[games, t, seats] = rules[planners, before[games, seats] - 1, before[games, 1 - seats] - 1]
+            own, opp = before[fixed_games, fixed_seats], before[fixed_games, 1 - fixed_seats]
+            demands[fixed_games, t, fixed_seats] = rules[planners, own - 1, opp - 1]
+            if learning:  # a learner acts only at the state it plays, so only that state's demand is read
+                states = (own_prev - 1) * (q - 1) + opp_prev - 1
+                demands[learner_games, t, learner_seats] = backward_induction_batch(
+                    by_demand, gains, h, rngs=streams, states=states
+                )
             for model, model_games, model_seats, uniforms in samplers:
                 own, opp = before[model_games, model_seats], before[model_games, 1 - model_seats]
                 demands[model_games, t, model_seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
-        if learning:  # the opening round is observed too, at the opening pair
-            state = max(t - 1, 0)
-            own, opp = demands[learner_games, state, learner_seats], demands[learner_games, state, 1 - learner_seats]
-            observe(counts, estimate, own, opp, demands[learner_games, t, 1 - learner_seats])
+        if learning:
+            observe(counts, estimate, own_prev, opp_prev, demands[learner_games, t, 1 - learner_seats])
     for learner, run_counts, run_estimate in zip(learners, counts, estimate):
         learner.counts[...] = run_counts
         learner.estimate[...] = run_estimate
     return demands
+
+
+def _seat_arrays(planners) -> tuple[np.ndarray, np.ndarray]:
+    """The games and seats of planners given as ``(g, seat, ...)``, as two index arrays."""
+    return np.array([(g, seat) for g, seat, *_ in planners], dtype=np.intp).reshape(-1, 2).T
 
 
 def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan | None = None):

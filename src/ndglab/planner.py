@@ -18,8 +18,11 @@ arrays: ``values[k, own_prev - 1, opp_prev - 1]`` for k = 0..h, and the
 first-stage optimal demand ``actions[own_prev - 1, opp_prev - 1]``.  It is
 the one-item case of :func:`backward_induction_batch`, which solves many
 planners stacked by :func:`solver_inputs` and trusts their tables.  A
-planner is a model table with the weight, horizon and tie rule of its
-game's config; :func:`solve_rules` solves many at once.
+planner re-plans every round and acts only on its first-stage demand at the
+state it is in, so the batch can return just that demand per item, with the
+bits of the full rule.  A planner is a model table with the weight, horizon
+and tie rule of its game's config; :func:`solve_rules` solves the full rules
+of many at once.
 """
 
 from __future__ import annotations
@@ -109,13 +112,16 @@ def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
     return by_demand, gains
 
 
-def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None) -> np.ndarray:
+def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None, states=None) -> np.ndarray:
     """Solve B lookaheads at once, each with the bits of its own solve; return their actions.
 
     Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product into a
     reused buffer, which runs the same matrix product per item as a single
     solve, so values, actions and tie draws equal B calls of
-    :func:`backward_induction`.
+    :func:`backward_induction`.  The last stage keeps that full product even
+    when only one state is read: a matrix-vector product over one column
+    may round differently from the same column of the full product, and
+    one flipped last bit can move an exact tie.
 
     Args:
         by_demand, gains: B models, trusted to be valid, and B reward
@@ -126,11 +132,17 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None
             state order; None keeps its smallest maximizing demand.
         values: None, or a zeroed ``(B, h + 1, (q - 1)**2)`` array that
             receives every stage's values; without it the loop holds only
-            the stage it reads and the stage it writes.
+            the stage it reads and the stage it writes, and leaves the first
+            stage's maxima uncomputed unless an item draws its ties.
+        states: None, or B flat states ``(own_prev - 1) * (q - 1) + opp_prev - 1``,
+            one per item: the only state whose action that item returns.  An
+            item that draws its ties still draws them over every column, so
+            its stream moves exactly as in a full solve.
 
     Returns:
         ``actions`` of shape ``(B, q - 1, q - 1)``, indexed as in
-        :func:`backward_induction`.
+        :func:`backward_induction`; with ``states``, shape ``(B,)``, each
+        equal to the full solve's action at its state, bit for bit.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
@@ -140,20 +152,25 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None
     stages = np.zeros((2, count, n * n)) if values is None else values.swapaxes(0, 1)
     landing = np.empty((count, n, n))  # total gain of finishing the stage at (a, b)
     q_vals = np.empty((count, n, n * n))  # (B, action, state)
+    draws = [(i, rng) for i, rng in enumerate(rngs or ()) if rng is not None]
     for k in range(1, h + 1):
         np.add(gains, stages[(k - 1) % len(stages)].reshape(count, n, n), out=landing)
         np.matmul(landing, by_demand, out=q_vals)
-        q_vals.max(axis=1, out=stages[k % len(stages)])
+        if k < h or values is not None or draws:  # otherwise the first stage is read only through its argmax
+            q_vals.max(axis=1, out=stages[k % len(stages)])
 
     best = stages[h % len(stages)]
-    actions = q_vals.argmax(axis=1)  # first maximum = smallest maximizing demand
-    for i, rng in enumerate(rngs or ()):
-        if rng is None:
-            continue
+    # first maximum = smallest maximizing demand
+    actions = q_vals.argmax(axis=1) if states is None else q_vals[np.arange(count), :, states].argmax(axis=1)
+    for i, rng in draws:
         tied = q_vals[i] == best[i]  # (action, state): every maximizer of each column
         for column in np.flatnonzero(tied.sum(axis=0) > 1):
-            actions[i, column] = rng.choice(np.flatnonzero(tied[:, column]))
-    return (actions + 1).reshape(count, n, n)
+            action = rng.choice(np.flatnonzero(tied[:, column]))
+            if states is None:
+                actions[i, column] = action
+            elif column == states[i]:
+                actions[i] = action
+    return (actions + 1).reshape(count, n, n) if states is None else actions + 1
 
 
 def brute_force_value(

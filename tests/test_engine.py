@@ -380,6 +380,16 @@ def test_warmup_play_is_disjoint_and_reproducible():
     assert RngPlan(1).agent_a.random() != RngPlan(1).pretrain_plan().agent_a.random()
 
 
+@pytest.mark.parametrize("warmup_rounds", (-1, 2.5, True, "3", None))
+def test_a_bad_warmup_length_is_refused_before_round_1(warmup_rounds):
+    # -1 used to die inside numpy on a negative dimension and 2.5 on a float index
+    config = GameConfig(rounds=5)
+    pair = _learning_pair(config)
+    with pytest.raises(ValueError, match=f"warmup_rounds must be a non-negative int, got {warmup_rounds!r}"):
+        run_games([config], [pair], [RngPlan(0)], warmup_rounds)
+    assert [learner.counts.sum() for learner in pair] == [729.0, 729.0]  # nothing was observed
+
+
 def _learning_pair(config):
     return DirichletLearner.uniform(config.q), DirichletLearner.uniform(config.q)
 

@@ -27,6 +27,7 @@ from ndglab import (
 from ndglab.core import TIE_BREAKS
 from ndglab.experiments import ExperimentSpec, build_agent
 
+import memory_sweeps
 from oracles import count_played_games, csv_rows
 
 SMALL = (0.0, 1.0)
@@ -296,15 +297,7 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("test_id", "tie_break", "q", "grid"),
-    [
-        pytest.param(2, "smallest", 60, (0.5,), id="learner"),
-        pytest.param(1, "random", 60, (0.5,), id="random-tie-planner"),
-        # 66 played games of a shared uniform table: one item per weight, 11 of the 21 a chunk holds
-        pytest.param(3, "smallest", 30, None, id="shared-fixed-model"),
-        # two learners per game, each also held twice in the run's stacked arrays
-        pytest.param(4, "smallest", 60, (0.5,), id="learner-vs-learner"),
-    ],
+    ("test_id", "tie_break", "q", "grid"), [pytest.param(*sweep, id=name) for name, *sweep in memory_sweeps.SWEEPS]
 )
 def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, monkeypatch):
     monkeypatch.delenv("NDG_THREADS", raising=False)
@@ -316,7 +309,7 @@ def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, 
     finally:
         tracemalloc.stop()
     assert len(cells) == len(spec.cells()) and all(len(cell.total) == 30 for cell in cells)
-    assert peak < 36 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    assert peak < memory_sweeps.BOUND_MIB * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
 
 
 def _toy_cell(omega_a, profit_a, profit_b):

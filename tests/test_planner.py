@@ -198,6 +198,43 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
         assert np.array_equal(actions[i], oracle_actions)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(1, 10),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("random", "uniform")),
+            st.sampled_from((0.0, 0.5, 1.0, 0.3)),
+            st.sampled_from(TIE_BREAKS),
+            st.integers(0, 3),
+            st.integers(0, 35),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_solve_read_at_one_state_per_item_equals_the_full_solve_there(q, h, items, seed):
+    # uniform models at odd q tie in many columns, at q=3 in every column; an
+    # item that draws its ties draws them over every column, read or not
+    rng = np.random.default_rng(seed)
+    models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
+    inputs = solver_inputs(models, [omega for _, omega, *_ in items], q)
+    states = np.array([state % (q - 1) ** 2 for *_, state in items])
+
+    def streams():
+        return [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s, _ in items]
+
+    full_rngs, read_rngs = streams(), streams()
+    full = backward_induction_batch(*inputs, h, rngs=full_rngs)
+    read = backward_induction_batch(*inputs, h, rngs=read_rngs, states=states)
+    assert read.tobytes() == full.reshape(len(items), -1)[np.arange(len(items)), states].tobytes()
+    for full_rng, read_rng in zip(full_rngs, read_rngs):
+        if full_rng is not None:
+            assert read_rng.bit_generator.state == full_rng.bit_generator.state
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=6))
 def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
@@ -304,13 +341,15 @@ def test_agent_seat_a_uses_the_context_as_is():
 
 def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monkeypatch):
     # the fixed planner weighs 0.2, the learner 0.7: each batch's reward matrices
-    # name its items; round 2 solves the fixed planners, then the learners
-    batches = []
+    # name its items; round 2 solves the fixed planners, then the learners; a
+    # learner's batch reads only the state it plays, seen from its own seat
+    batches, read = [], []
     real = planner_module.backward_induction_batch
 
-    def counting(by_demand, gains, *args, **kwargs):
+    def counting(by_demand, gains, *args, states=None, **kwargs):
         batches.append([w for g in gains for w in (0.2, 0.7) if np.array_equal(g, reward_matrix(w, 10))])
-        return real(by_demand, gains, *args, **kwargs)
+        read.append(None if states is None else states.tolist())
+        return real(by_demand, gains, *args, states=states, **kwargs)
 
     monkeypatch.setattr(planner_module, "backward_induction_batch", counting)  # solve_rules calls it here
     monkeypatch.setattr(engine, "backward_induction_batch", counting)
@@ -318,8 +357,11 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
     fixed, learner = uniform_table(config.q), DirichletLearner.uniform(config.q)
     for _ in range(2):  # seats reused for a second game are solved as fresh ones
         batches.clear()
-        run_game(config, fixed, learner)
+        read.clear()
+        log = run_game(config, fixed, learner)
         assert batches == [[0.2]] + [[0.7]] * (config.rounds - 1)
+        played = [[(own - 1) * 9 + opp - 1] for opp, own in log.demands[:-1].tolist()]
+        assert read == [None] + played
     batches.clear()
     run_game(GameConfig(rounds=1), fixed, HeuristicModel(1.0, 10))
     assert batches == []  # the opening round is forced: nothing to solve
