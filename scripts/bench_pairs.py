@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare a parent commit with the working tree and write ``BENCH_<number>.json``.
 
-    python3 scripts/bench_pairs.py --parent HEAD --number N --claim learner-vs-rule
+    python3 scripts/bench_pairs.py --parent HEAD --number N --claim selfplay-learning
 
 The parent side is a clean copy of ``--parent`` made with ``git archive``
 in a temporary directory; the change side is the working tree itself.
@@ -19,8 +19,9 @@ its own side's ``src``, with ``NDG_THREADS=1``:
 - the traced peaks of the sweeps in ``tests/memory_sweeps.py``, whose bound
   the ``tracemalloc`` tests assert;
 - the five default scenarios at 30 replications, median of three passes;
-- warm ``learner-vs-rule`` sweeps: pairs of processes, in alternating order,
-  that each time several sweeps after one untimed sweep.
+- warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
+  when no claim is given): pairs of processes, in alternating order, that
+  each time several sweeps after one untimed sweep.
 
 A full run takes about 35 minutes on two cores.  Run it on
 an otherwise idle machine: both sides share it, one after the other.
@@ -191,7 +192,8 @@ def main(argv=None) -> int:
             for side in SIDES:
                 scenarios[side].append(probe(trees[side], {"kind": "scenarios"}))
         warm = {side: [] for side in SIDES}
-        warm_argv = WORKLOADS["learner-vs-rule"].argv(0)
+        warm_workload = args.claim or "learner-vs-rule"
+        warm_argv = WORKLOADS[warm_workload].argv(0)
         for pair in range(WARM_PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 warm[side].append(probe(trees[side], {"kind": "warm", "argv": warm_argv, "sweeps": WARM_SWEEPS}))
@@ -229,7 +231,8 @@ def main(argv=None) -> int:
             **{f"{side}_median_total": round(statistics.median(scenarios[side]), 2) for side in SIDES},
             "passes": SCENARIO_PASSES,
         },
-        "warm_in_process_learner_vs_rule": {
+        "warm_in_process": {
+            "workload": warm_workload,
             "pairs": WARM_PAIRS,
             "sweeps_per_process": WARM_SWEEPS,
             **{f"{side}_median_s": round(statistics.median(warm[side]), 4) for side in SIDES},

@@ -16,13 +16,16 @@ array, so that their planners share batched solves and their learners one
 The loop alone decides when rules are solved: every fixed planner's full
 rule once, before round 2; every learner, whose belief moves each round,
 before each later round, at the one state it plays there only, from stacked
-copies of the learners written back when the run ends.  So seats reused for
-a second game play it as fresh seats would.
+copies of the learners written back when the run ends.  Under smallest ties
+learners that hold one belief at one weight share one copy and one solve,
+until what they observe parts them.  So seats reused for a second game play
+it as fresh seats would.
 """
 
 from __future__ import annotations
 
 import csv
+import zlib
 from functools import cached_property
 
 import numpy as np
@@ -95,8 +98,7 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     pair first plays a warm-up game of that length on its plan's
     :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
     """
-    if isinstance(warmup_rounds, bool) or not isinstance(warmup_rounds, (int, np.integer)) or warmup_rounds < 0:
-        raise ValueError(f"warmup_rounds must be a non-negative int, got {warmup_rounds!r}")
+    _check_round_count(warmup_rounds, "warmup_rounds")
     configs = list(configs)
     pairs = list(pairs)
     plans = list(plans)
@@ -115,6 +117,12 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
         _warm_up(configs, pairs, plans, warmup_rounds)
     demands = _play(configs, pairs, plans, configs[0].rounds)
     return [GameLog(config, game) for config, game in zip(configs, demands)]
+
+
+def _check_round_count(value, name: str) -> None:
+    """Refuse a round count ``name`` that is not a non-negative int, before any round."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
 def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
@@ -149,13 +157,22 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
 
     Planners use their game's weight and the shared horizon and tie rule.
     Fixed planners are solved in one batch before round 2, and a round
-    gathers their demands from the stacked rules.  Learners are solved in
-    one batch every later round, which returns each one's demand at the
-    state it plays.  A round samples each rule-based model once, from uniforms
-    drawn up front per seat with the bits of one draw per round.  Each seat
-    draws only from its own stream, read only if it draws, so seat order and
-    interleaving cannot move a draw.  Learners are copied into stacked run
-    arrays, fed by one :func:`observe` per round and copied back at the end.
+    gathers their demands from the stacked rules.  A round samples each
+    rule-based model once, from uniforms drawn up front per seat with the
+    bits of one draw per round.  Each seat draws only from its own stream,
+    read only if it draws, so seat order and interleaving cannot move a draw.
+
+    Learners are copied into stacked run arrays with one row per distinct
+    belief, each learner holding the index of its row.  Under smallest ties
+    learners share a row when they start with equal weights and bit-equal
+    counts and estimates; they then play the same demands, so by induction
+    they share their state as long as they observe the same demands.  Every
+    later round solves one batch item per row, at its state, and hands each
+    learner its row's demand.  Before :func:`observe` feeds each row once, a
+    row splits where its learners observed different demands; rows never
+    merge, and once every learner is alone in its row no split is looked
+    for.  Under random ties each learner draws its own ties, so keeps a row
+    of its own.  Each learner gets its row back when the run ends.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
@@ -178,18 +195,26 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
     fixed_games, fixed_seats = _seat_arrays(fixed)
     planners, rules = np.arange(len(fixed)), np.empty((len(fixed), q - 1, q - 1), dtype=np.intp)
-    learners = counts = estimate = ()
+    learners = row_of = ()
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
-        by_demand, gains = solver_inputs([learner.estimate for learner in learners], omegas, q)
-        counts = np.stack([learner.counts for learner in learners])
-        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each learner's view
         learner_games, learner_seats = _seat_arrays(learning)
+        # Under random ties each learner draws its own ties, so it keeps a row of its own.
+        row_of, lead = (np.arange(len(learners)),) * 2 if random_ties else _belief_rows(learners, omegas)
+        # The first `rows` rows are live, one per distinct belief, led by any of its learners;
+        # the rest hold the other learners, as room for rows to split into.
+        rows, leads = len(lead), set(lead.tolist())
+        order = [*lead.tolist(), *(i for i in range(len(learners)) if i not in leads)]
+        by_demand, gains = solver_inputs([learners[i].estimate for i in order], [omegas[i] for i in order], q)
+        counts = np.stack([learners[i].counts for i in order])
+        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each row's view
+        row_games, row_seats = learner_games[lead], learner_seats[lead]
+        streams = streams if random_ties else None
     for t in range(rounds):
-        if learning:  # each learner's state from its side; the opening round is played at the opening pair
+        if learning:  # each row's state from its side; the opening round is played at the opening pair
             state = max(t - 1, 0)
-            own_prev = demands[learner_games, state, learner_seats]
-            opp_prev = demands[learner_games, state, 1 - learner_seats]
+            own_prev = demands[row_games, state, row_seats]
+            opp_prev = demands[row_games, state, 1 - row_seats]
         if t:
             if t == 1 and fixed:  # a fixed model's rule holds for the run
                 _, _, *inputs = zip(*fixed)
@@ -197,20 +222,62 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             before = demands[:, t - 1]
             own, opp = before[fixed_games, fixed_seats], before[fixed_games, 1 - fixed_seats]
             demands[fixed_games, t, fixed_seats] = rules[planners, own - 1, opp - 1]
-            if learning:  # a learner acts only at the state it plays, so only that state's demand is read
+            if learning:  # a row acts only at the state it plays, so only that state's demand is read
                 states = (own_prev - 1) * (q - 1) + opp_prev - 1
-                demands[learner_games, t, learner_seats] = backward_induction_batch(
-                    by_demand, gains, h, rngs=streams, states=states
-                )
+                played = backward_induction_batch(by_demand[:rows], gains[:rows], h, rngs=streams, states=states)
+                demands[learner_games, t, learner_seats] = played[row_of]
             for model, model_games, model_seats, uniforms in samplers:
                 own, opp = before[model_games, model_seats], before[model_games, 1 - model_seats]
                 demands[model_games, t, model_seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
         if learning:
-            observe(counts, estimate, own_prev, opp_prev, demands[learner_games, t, 1 - learner_seats])
-    for learner, run_counts, run_estimate in zip(learners, counts, estimate):
-        learner.counts[...] = run_counts
-        learner.estimate[...] = run_estimate
+            observed = demands[learner_games, t, 1 - learner_seats]
+            if rows < len(learners) and (observed[lead[row_of]] != observed).any():
+                row_of, lead, parents = _split_rows(row_of, observed, q)
+                rows = len(parents)
+                for array in (counts, by_demand, gains):  # one at a time, so one array's copy is held at most
+                    array[:rows] = array[parents]
+                own_prev, opp_prev = own_prev[parents], opp_prev[parents]
+                row_games, row_seats = learner_games[lead], learner_seats[lead]
+            observe(counts[:rows], estimate[:rows], own_prev, opp_prev, observed[lead])
+    for learner, row in zip(learners, row_of):
+        learner.counts[...] = counts[row]
+        learner.estimate[...] = estimate[row]
     return demands
+
+
+def _belief_rows(learners, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Each learner's run row and each row's first learner, rows numbered in order of first use.
+
+    Learners share a row when they hold equal weights and bit-equal counts
+    and estimates.  Each table is hashed once, in place; a hash match is
+    confirmed in full, so a collision cannot merge two beliefs.
+    """
+    rows, row_of, lead = {}, [], []  # (omega, hash of counts) -> the rows it names
+    for i, (learner, omega) in enumerate(zip(learners, omegas)):
+        same = rows.setdefault((omega, zlib.crc32(learner.counts)), [])
+        for row in same:
+            held = learners[lead[row]]
+            if np.array_equal(held.counts, learner.counts) and np.array_equal(held.estimate, learner.estimate):
+                break
+        else:
+            row = len(lead)
+            same.append(row)
+            lead.append(i)
+        row_of.append(row)
+    return np.array(row_of, dtype=np.intp), np.array(lead, dtype=np.intp)
+
+
+def _split_rows(row_of, observed, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-key rows by ``(row, observed demand)``: each learner's new row, a learner
+    leading each new row, and the old row each new row continues."""
+    key = row_of * q + observed
+    used = np.zeros((row_of.max() + 1) * q, dtype=bool)
+    used[key] = True
+    lead = np.empty(len(used), dtype=np.intp)
+    lead[key] = np.arange(len(key))  # a learner of each key: any of them, since they share their belief
+    renumber = np.cumsum(used) - 1
+    lead = lead[used]
+    return renumber[key], lead, row_of[lead]
 
 
 def _seat_arrays(planners) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +296,7 @@ def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan |
     """
     if not (isinstance(agent_a, DirichletLearner) and isinstance(agent_b, DirichletLearner)):
         raise ValueError("pretraining needs a DirichletLearner on both seats")
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")
+    _check_round_count(n_rounds, "n_rounds")
     if n_rounds:
         _warm_up([config], [(agent_a, agent_b)], [rng if rng is not None else RngPlan(config.seed)], n_rounds)
     return agent_a, agent_b

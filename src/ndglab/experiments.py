@@ -77,8 +77,11 @@ WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
 # float64 each: one per planner.solve_key, so per seat stream under random
 # ties, per weight of a shared fixed table, or per learner, which during a run
-# also holds its counts and estimate and the run's copies of both.  At q = 10
-# every default sweep fits in one run; at q = 60, two do.
+# also holds its counts and estimate and the run's copies of both.  Learners
+# are counted by identity, though a run solves learners of one weight and one
+# belief as one item until their observations part them: the count stays a
+# safe upper bound, since a run holds a stacked row for every learner.  At
+# q = 10 every default sweep fits in one run; at q = 60, two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),

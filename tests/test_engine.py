@@ -195,6 +195,91 @@ def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, t
         assert log.demands.tolist() == [list(pair) for pair in replay]
 
 
+def _prior(k, q):
+    """Starting counts ``k``: uniform, or one of two fixed random tables."""
+    shape = (q - 1,) * 3
+    return np.ones(shape) if k == 0 else np.random.default_rng(k).integers(1, 4, shape).astype(float)
+
+
+BELIEF_SEATS = (("learner", 0), ("learner", 1), ("learner", 2), ("rule", 1.0), ("fixed-uniform", None))
+# Every batch holds these games: equal beliefs at two weights on seat A, two
+# rule-based opponents that make equal beliefs part, self-play between equal
+# and between unequal beliefs, and a learner on seat B; Hypothesis adds more.
+BELIEF_GAMES = (
+    (("learner", 0), ("rule", 1.0), 0.0, 0.5),
+    (("learner", 0), ("rule", 1.0), 1.0, 0.5),
+    (("learner", 0), ("rule", 1.0), 1.0, 0.5),
+    (("learner", 1), ("learner", 1), 0.5, 0.5),
+    (("learner", 1), ("learner", 2), 0.5, 0.5),
+    (("fixed-uniform", None), ("learner", 0), 0.5, 0.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((3, 5, 10)),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.sampled_from(TIE_BREAKS),
+    st.lists(
+        st.tuples(*(st.sampled_from(BELIEF_SEATS),) * 2, *(st.sampled_from((0.0, 0.5, 1.0)),) * 2), max_size=4
+    ),
+    st.randoms(use_true_random=False),
+    st.integers(0, 2**16),
+)
+def test_learners_sharing_a_belief_play_each_game_as_it_is_played_alone(
+    q, rounds, horizon, tie_break, extra, order, seed
+):
+    # learners of equal weight and equal counts share one run row until what
+    # they observe parts them: their demands and the learners they hand back
+    # equal each game played alone, bit for bit, on either seat and tie rule
+    games = list(BELIEF_GAMES) + extra
+    order.shuffle(games)
+    configs = [
+        GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1, seed=seed + g, tie_break=tie_break,
+                   omega_a=wa, omega_b=wb)
+        for g, (_, _, wa, wb) in enumerate(games)
+    ]
+
+    def build(game):
+        seats = []
+        for kind, arg in game[:2]:
+            if kind == "learner":
+                seats.append(DirichletLearner(_prior(arg, q), q))
+            else:
+                seats.append(HeuristicModel(arg, q) if kind == "rule" else uniform_table(q))
+        return tuple(seats)
+
+    pairs = [build(game) for game in games]
+    logs = run_games(configs, pairs, [RngPlan(config.seed) for config in configs])
+    for config, game, pair, log in zip(configs, games, pairs, logs):
+        alone = build(game)
+        assert log == run_game(config, *alone)
+        for held, fresh in zip(pair, alone):
+            if isinstance(held, DirichletLearner):
+                assert held.counts.tobytes() == fresh.counts.tobytes()
+                assert held.estimate.tobytes() == fresh.estimate.tobytes()
+
+
+@pytest.mark.parametrize(("tie_break", "items"), (("smallest", 1), ("random", 2)))
+def test_a_symmetric_self_play_game_solves_one_item_per_round(tie_break, items, monkeypatch):
+    # two learners of one weight and one belief share a row all game; under
+    # random ties each draws its own ties, so each keeps its own item
+    sizes = []
+    real = engine.backward_induction_batch
+
+    def counting(by_demand, gains, *args, **kwargs):
+        sizes.append(len(gains))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
+    config = GameConfig(rounds=12, tie_break=tie_break)
+    log = run_game(config, *_learning_pair(config))
+    assert sizes == [items] * (config.rounds - 1)
+    if tie_break == "smallest":  # one row plays both seats
+        assert np.array_equal(log.demands[:, 0], log.demands[:, 1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from((3, 5, 10)),
@@ -392,6 +477,16 @@ def test_a_bad_warmup_length_is_refused_before_round_1(warmup_rounds):
 
 def _learning_pair(config):
     return DirichletLearner.uniform(config.q), DirichletLearner.uniform(config.q)
+
+
+@pytest.mark.parametrize("n_rounds", (-1, 2.5, True, "3", None))
+def test_a_bad_pretrain_length_is_refused_before_round_1(n_rounds):
+    # 2.5 and True used to die inside numpy with a TypeError
+    config = GameConfig(rounds=5)
+    pair = _learning_pair(config)
+    with pytest.raises(ValueError, match=f"n_rounds must be a non-negative int, got {n_rounds!r}"):
+        pretrain(config, *pair, n_rounds=n_rounds)
+    assert [learner.counts.sum() for learner in pair] == [729.0, 729.0]  # nothing was observed
 
 
 def test_pretrain_returns_warmed_up_beliefs():

@@ -24,6 +24,7 @@ from ndglab import (
     run_test,
     uniform_table,
 )
+from ndglab import engine
 from ndglab.core import TIE_BREAKS
 from ndglab.experiments import ExperimentSpec, build_agent
 
@@ -263,6 +264,22 @@ def test_a_sweep_plays_its_distinct_games_in_one_lockstep(test_id, grid, tie_bre
     assert counts == played
 
 
+def test_the_selfplay_learning_sweep_solves_each_distinct_belief_once_per_round(monkeypatch):
+    # the selfplay-learning benchmark workload at benchmark seed 0: six played
+    # games, twelve learners, 59 solved rounds; one item per learner would be 708
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    sizes = []
+    real = engine.backward_induction_batch
+
+    def counting(by_demand, gains, *args, **kwargs):
+        sizes.append(len(gains))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
+    run_test(benchmark_spec(4, replications=3, grid=(0.65, 0.7, 1.0), base=GameConfig(seed=1062076350)))
+    assert len(sizes) == 59 and sum(sizes) == 351
+
+
 def test_repeated_random_grid_values_keep_their_own_seeds():
     spec = benchmark_spec(4, replications=1, base=GameConfig(rounds=12, tie_break="random"), grid=(0.5, 0.5))
     cells = run_test(spec).cells
@@ -297,9 +314,9 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("test_id", "tie_break", "q", "grid"), [pytest.param(*sweep, id=name) for name, *sweep in memory_sweeps.SWEEPS]
+    ("name", "test_id", "tie_break", "q", "grid"), [pytest.param(*sweep, id=sweep[0]) for sweep in memory_sweeps.SWEEPS]
 )
-def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, monkeypatch):
+def test_sweep_memory_stays_within_the_chunk_bound(name, test_id, tie_break, q, grid, monkeypatch):
     monkeypatch.delenv("NDG_THREADS", raising=False)
     spec = benchmark_spec(test_id, replications=30, base=GameConfig(q=q, rounds=4, tie_break=tie_break), grid=grid)
     tracemalloc.start()
@@ -310,6 +327,8 @@ def test_sweep_memory_stays_within_the_chunk_bound(test_id, tie_break, q, grid, 
         tracemalloc.stop()
     assert len(cells) == len(spec.cells()) and all(len(cell.total) == 30 for cell in cells)
     assert peak < memory_sweeps.BOUND_MIB * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    bound = memory_sweeps.CASE_BOUND_MIB.get(name, memory_sweeps.BOUND_MIB)
+    assert peak < bound * 2**20, f"peak traced memory {peak / 2**20:.2f} MiB, over this case's {bound} MiB"
 
 
 def _toy_cell(omega_a, profit_a, profit_b):
