@@ -30,6 +30,7 @@ __all__ = [
     "GameLog",
     "round_columns",
     "check_demand",
+    "check_int",
     "chi",
     "reward",
     "reward_matrix",
@@ -46,6 +47,16 @@ class Role(enum.Enum):
 def check_demand(value: int, q: int, name: str = "demand") -> None:
     if not 1 <= value <= q - 1:
         raise ValueError(f"{name} must lie in 1..{q - 1}, got {value}")
+
+
+def check_int(value, name: str, least: int = 0) -> None:
+    """Refuse ``value`` for ``name`` unless it is an int, numpy's included, of at least ``least``.
+
+    A bool is refused, and so is a float even when it is whole.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        what = "a non-negative int" if least == 0 else f"an int of at least {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _check_weight(value: float, name: str = "omega") -> None:
@@ -86,26 +97,20 @@ class GameConfig:
     tie_break: str = "smallest"
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+        for name, least in (("q", 2), ("rounds", 1), ("horizon", 1), ("initial_demand", 1), ("seed", 0)):
+            check_int(getattr(self, name), name, least)
         table_bytes = (self.q - 1) ** 3 * 8
         if table_bytes > MAX_TABLE_BYTES:
             raise ValueError(
                 f"q={self.q} would need {table_bytes / 2**30:.2f} GiB for one "
                 f"learner table, over the {MAX_TABLE_BYTES / 2**30:g} GiB limit"
             )
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
-        if not 1 <= self.initial_demand <= self.q - 1:
+        if self.initial_demand > self.q - 1:
             raise ValueError(
                 f"initial_demand must lie in 1..{self.q - 1}, got {self.initial_demand}"
             )
         _check_weight(self.omega_a, "omega_a")
         _check_weight(self.omega_b, "omega_b")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {self.tie_break!r}")
 

@@ -13,13 +13,14 @@ games together, round by round, over one ``(games, rounds, 2)`` demand
 array, so that their planners share batched solves and their learners one
 :func:`observe` call per round; :func:`run_game` is its one-game case.
 
-The loop alone decides when rules are solved: every fixed planner's full
-rule once, before round 2; every learner, whose belief moves each round,
-before each later round, at the one state it plays there only, from stacked
-copies of the learners written back when the run ends.  Under smallest ties
-learners that hold one belief at one weight share one copy and one solve,
-until what they observe parts them.  So seats reused for a second game play
-it as fresh seats would.
+The loop alone decides when rules are solved, and which planners share a
+solve: every fixed planner's full rule once, before round 2; every learner,
+whose belief moves each round, before each later round, at the one state it
+plays there only, from stacked copies of the learners written back when the
+run ends.  Under smallest ties planners that hold bit-equal tables at one
+weight share one row and one solve, a learner until what it observes parts
+it from the rest; under random ties each planner keeps its own.  So seats
+reused for a second game play it as fresh seats would.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GameConfig, GameLog, atomic_write, round_columns
+from .core import GameConfig, GameLog, atomic_write, check_int, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample, observe
-from .planner import _validate_model, backward_induction_batch, solve_rules, solver_inputs
+from .planner import _validate_model, backward_induction_batch, solver_inputs
 
 __all__ = [
     "RngPlan",
@@ -98,7 +99,7 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
     pair first plays a warm-up game of that length on its plan's
     :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
     """
-    _check_round_count(warmup_rounds, "warmup_rounds")
+    check_int(warmup_rounds, "warmup_rounds")
     configs = list(configs)
     pairs = list(pairs)
     plans = list(plans)
@@ -117,12 +118,6 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
         _warm_up(configs, pairs, plans, warmup_rounds)
     demands = _play(configs, pairs, plans, configs[0].rounds)
     return [GameLog(config, game) for config, game in zip(configs, demands)]
-
-
-def _check_round_count(value, name: str) -> None:
-    """Refuse a round count ``name`` that is not a non-negative int, before any round."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
 def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
@@ -156,23 +151,23 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
     Planners use their game's weight and the shared horizon and tie rule.
-    Fixed planners are solved in one batch before round 2, and a round
-    gathers their demands from the stacked rules.  A round samples each
-    rule-based model once, from uniforms drawn up front per seat with the
-    bits of one draw per round.  Each seat draws only from its own stream,
-    read only if it draws, so seat order and interleaving cannot move a draw.
+    Each planner holds the index of a run row, which :func:`_planner_rows`
+    assigns the same way for fixed planners and learners.  Fixed rows are
+    solved in one batch before round 2, one rule per row, and a round
+    gathers each fixed planner's demand from its row's rule.  A round
+    samples each rule-based model once, from uniforms drawn up front per
+    seat with the bits of one draw per round.  Each seat draws only from its
+    own stream, read only if it draws, so seat order and interleaving cannot
+    move a draw.
 
-    Learners are copied into stacked run arrays with one row per distinct
-    belief, each learner holding the index of its row.  Under smallest ties
-    learners share a row when they start with equal weights and bit-equal
-    counts and estimates; they then play the same demands, so by induction
+    Learners are copied into stacked run arrays, one row per distinct
+    belief.  Learners sharing a row play the same demands, so by induction
     they share their state as long as they observe the same demands.  Every
     later round solves one batch item per row, at its state, and hands each
     learner its row's demand.  Before :func:`observe` feeds each row once, a
     row splits where its learners observed different demands; rows never
     merge, and once every learner is alone in its row no split is looked
-    for.  Under random ties each learner draws its own ties, so keeps a row
-    of its own.  Each learner gets its row back when the run ends.
+    for.  Each learner gets its row back when the run ends.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
@@ -194,13 +189,13 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
     fixed_games, fixed_seats = _seat_arrays(fixed)
-    planners, rules = np.arange(len(fixed)), np.empty((len(fixed), q - 1, q - 1), dtype=np.intp)
+    fixed_row, fixed_lead = _planner_rows([(omega, table) for _, _, table, omega, _ in fixed], random_ties)
+    rules = np.empty((0, q - 1, q - 1), dtype=np.intp)  # one rule per fixed row, solved before round 2
     learners = row_of = ()
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
         learner_games, learner_seats = _seat_arrays(learning)
-        # Under random ties each learner draws its own ties, so it keeps a row of its own.
-        row_of, lead = (np.arange(len(learners)),) * 2 if random_ties else _belief_rows(learners, omegas)
+        row_of, lead = _planner_rows([(w, held.counts, held.estimate) for held, w in zip(learners, omegas)], random_ties)
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
         # the rest hold the other learners, as room for rows to split into.
         rows, leads = len(lead), set(lead.tolist())
@@ -209,7 +204,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         counts = np.stack([learners[i].counts for i in order])
         estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each row's view
         row_games, row_seats = learner_games[lead], learner_seats[lead]
-        streams = streams if random_ties else None
+        streams = streams if random_ties else None  # under random ties rows never split, so stay in order
     for t in range(rounds):
         if learning:  # each row's state from its side; the opening round is played at the opening pair
             state = max(t - 1, 0)
@@ -217,11 +212,11 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             opp_prev = demands[row_games, state, 1 - row_seats]
         if t:
             if t == 1 and fixed:  # a fixed model's rule holds for the run
-                _, _, *inputs = zip(*fixed)
-                rules[...] = solve_rules(*inputs, h, q)
+                _, _, held, weights, rngs = zip(*(fixed[i] for i in fixed_lead))
+                rules = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs)
             before = demands[:, t - 1]
             own, opp = before[fixed_games, fixed_seats], before[fixed_games, 1 - fixed_seats]
-            demands[fixed_games, t, fixed_seats] = rules[planners, own - 1, opp - 1]
+            demands[fixed_games, t, fixed_seats] = rules[fixed_row, own - 1, opp - 1]
             if learning:  # a row acts only at the state it plays, so only that state's demand is read
                 states = (own_prev - 1) * (q - 1) + opp_prev - 1
                 played = backward_induction_batch(by_demand[:rows], gains[:rows], h, rngs=streams, states=states)
@@ -245,24 +240,32 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     return demands
 
 
-def _belief_rows(learners, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Each learner's run row and each row's first learner, rows numbered in order of first use.
+def _planner_rows(planners, random_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each planner's run row and each row's first planner, rows numbered in order of first use.
 
-    Learners share a row when they hold equal weights and bit-equal counts
-    and estimates.  Each table is hashed once, in place; a hash match is
-    confirmed in full, so a collision cannot merge two beliefs.
+    A planner is given as ``(omega, *tables)``: a fixed planner's validated
+    table, or a learner's counts and estimate.  Under random ties each
+    planner draws its own ties, so it keeps a row of its own.  Under smallest
+    ties planners share a row when they hold equal weights and bit-equal
+    tables, as these solve the same rule.  A planner holding the table
+    objects of one already seen at its weight takes that row unread; any
+    other has its first table hashed once, in place, and a hash match is
+    confirmed in full, so a collision cannot merge two rows.
     """
-    rows, row_of, lead = {}, [], []  # (omega, hash of counts) -> the rows it names
-    for i, (learner, omega) in enumerate(zip(learners, omegas)):
-        same = rows.setdefault((omega, zlib.crc32(learner.counts)), [])
-        for row in same:
-            held = learners[lead[row]]
-            if np.array_equal(held.counts, learner.counts) and np.array_equal(held.estimate, learner.estimate):
-                break
-        else:
-            row = len(lead)
-            same.append(row)
-            lead.append(i)
+    if random_ties:
+        every = np.arange(len(planners))
+        return every, every
+    seen, hashed, row_of, lead = {}, {}, [], []  # (omega, ids) and (omega, hash) -> rows
+    for i, (omega, *tables) in enumerate(planners):
+        named = (omega, *map(id, tables))
+        row = seen.get(named)
+        if row is None:
+            same = hashed.setdefault((omega, zlib.crc32(tables[0])), [])
+            row = next((r for r in same if all(map(np.array_equal, planners[lead[r]][1:], tables))), len(lead))
+            if row == len(lead):
+                same.append(row)
+                lead.append(i)
+            seen[named] = row
         row_of.append(row)
     return np.array(row_of, dtype=np.intp), np.array(lead, dtype=np.intp)
 
@@ -296,7 +299,7 @@ def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan |
     """
     if not (isinstance(agent_a, DirichletLearner) and isinstance(agent_b, DirichletLearner)):
         raise ValueError("pretraining needs a DirichletLearner on both seats")
-    _check_round_count(n_rounds, "n_rounds")
+    check_int(n_rounds, "n_rounds")
     if n_rounds:
         _warm_up([config], [(agent_a, agent_b)], [rng if rng is not None else RngPlan(config.seed)], n_rounds)
     return agent_a, agent_b

@@ -40,10 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, atomic_write, refuse_overwrite
+from .core import GameConfig, atomic_write, check_int, refuse_overwrite
 from .engine import RngPlan, run_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
-from .planner import solve_key
 
 __all__ = [
     "AgentSpec",
@@ -75,13 +74,13 @@ AGENT_KINDS = {
 }
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
-# float64 each: one per planner.solve_key, so per seat stream under random
-# ties, per weight of a shared fixed table, or per learner, which during a run
-# also holds its counts and estimate and the run's copies of both.  Learners
-# are counted by identity, though a run solves learners of one weight and one
-# belief as one item until their observations part them: the count stays a
-# safe upper bound, since a run holds a stacked row for every learner.  At
-# q = 10 every default sweep fits in one run; at q = 60, two do.
+# float64 each.  Items are counted per planner seat identity and weight, or
+# per seat stream under random ties: an upper bound on the rows the run
+# forms, since the run also merges distinct but bit-equal tables at one
+# weight.  A learner counts once even where learners share a row: during a
+# run it also holds its counts and estimate, and the run a stacked row for
+# each learner.  At q = 10 every default sweep fits in one run; at q = 60,
+# two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
@@ -143,8 +142,7 @@ class ExperimentSpec:
             for w in grid:
                 if not 0.0 <= w <= 1.0:
                     raise ValueError(f"{name} values must lie in [0, 1], got {w}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be at least 1, got {self.replications}")
+        check_int(self.replications, "replications", 1)
         if self.warms_up and not (self.agent_a.learning and self.agent_b.learning):
             raise ValueError("mdp-pretrained needs mdp-learning or mdp-pretrained on both seats")
 
@@ -259,10 +257,9 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     """Play one worker's share of a sweep's games; return each game's metrics.
 
     The games run in consecutive lockstep chunks, built one game at a time:
-    a chunk is played as soon as the next game's solve items
-    (:func:`planner.solve_key`, ``(q - 1)**3`` float64 each) would take it
-    past ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by
-    itself.
+    a chunk is played as soon as the next game's solve items (counted as for
+    ``CHUNK_BYTES``, ``(q - 1)**3`` float64 each) would take it past
+    ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by itself.
     """
     spec, games = task
     q = spec.base.q
@@ -275,7 +272,7 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
         # chunking and execution order, so parallel and serial sweeps agree.
         plan = RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
         keys = {  # a seat's stream is read only where it names the item
-            solve_key(getattr(seat, "estimate", seat), omega, getattr(plan, name) if random_ties else None)
+            getattr(plan, name) if random_ties else (id(seat), omega)
             for seat, omega, name in zip(pair, (config.omega_a, config.omega_b), ("agent_a", "agent_b"))
             if not isinstance(seat, HeuristicModel)
         }

@@ -21,8 +21,8 @@ planners stacked by :func:`solver_inputs` and trusts their tables.  A
 planner re-plans every round and acts only on its first-stage demand at the
 state it is in, so the batch can return just that demand per item, with the
 bits of the full rule.  A planner is a model table with the weight, horizon
-and tie rule of its game's config; :func:`solve_rules` solves the full rules
-of many at once.
+and tie rule of its game's config; the game loop decides which planners
+share one item.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "backward_induction",
     "backward_induction_batch",
     "solver_inputs",
-    "solve_key",
-    "solve_rules",
     "brute_force_value",
 ]
 
@@ -47,9 +45,9 @@ _ROW_SUM_TOL = 1e-9 + 1e-5
 
 
 def _validate_model(model: np.ndarray, q: int) -> np.ndarray:
-    """``model`` as a float array of shape ``(q-1,)*3`` whose rows are distributions."""
+    """``model`` as a C-contiguous float array of shape ``(q-1,)*3`` whose rows are distributions."""
     n = q - 1
-    model = np.asarray(model, dtype=float)
+    model = np.ascontiguousarray(model, dtype=float)
     if model.shape != (n, n, n):
         raise ValueError(f"model must have shape {(n, n, n)} for q={q}, got {model.shape}")
     # Written so that NaN fails both comparisons and inf fails the second.
@@ -201,28 +199,3 @@ def brute_force_value(
 
     own, opp = state
     return best(own, opp, h)
-
-
-def solve_key(table, omega: float, rng):
-    """The batch item a planner's rule is solved in: planners with equal keys share one.
-
-    Under smallest ties (``rng`` None), planners holding the same table
-    object and weight share an item, whichever seats they sit in; under
-    random ties each seat's item is its own stream.
-    """
-    return (id(table), omega) if rng is None else rng
-
-
-def solve_rules(tables, omegas, rngs, h: int, q: int) -> list[np.ndarray]:
-    """The rule of each planner ``(tables[i], omegas[i], rngs[i])``, solved at horizon ``h``.
-
-    One batched solve covers them all, one item per :func:`solve_key`.
-    Each rule holds the first-stage demands ``[own_prev - 1, opp_prev - 1]``.
-    A planner with an ``rng`` draws its ties from it, so which planners
-    share a batch, and in what order, cannot move a draw.
-    """
-    items = {}  # key -> (item index, table, omega, rng) of its first planner
-    slots = [items.setdefault(solve_key(t, w, r), (len(items), t, w, r))[0] for t, w, r in zip(tables, omegas, rngs)]
-    _, tables, omegas, rngs = zip(*items.values())
-    rules = list(backward_induction_batch(*solver_inputs(tables, omegas, q), h, rngs=rngs))
-    return [rules[slot] for slot in slots]  # planners sharing an item share its rule object

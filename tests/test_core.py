@@ -1,6 +1,7 @@
 """Game arithmetic: compatibility, profit, reward, and round bookkeeping."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ def test_config_validation_names_fields():
         GameConfig(seed=-1)
     with pytest.raises(ValueError, match="tie_break"):
         GameConfig(tie_break="greedy")
+
+
+@pytest.mark.parametrize("field", ["q", "rounds", "horizon", "initial_demand", "seed"])
+@pytest.mark.parametrize("value", [3.5, 3.0, True, "3"])
+def test_config_refuses_a_count_that_is_not_an_int(field, value):
+    # a float once truncated (initial_demand=3.5 opened at 3, seed=1.5 played
+    # seed 1) or died inside numpy; a bool is not a count either
+    with pytest.raises(ValueError, match=f"{field} must be .*int.*, got {re.escape(repr(value))}"):
+        GameConfig(**{field: value})
+
+
+def test_config_takes_numpy_ints():
+    config = GameConfig(
+        q=np.int64(10), rounds=np.int32(5), horizon=np.int64(2), initial_demand=np.int8(3), seed=np.uint16(4)
+    )
+    assert config == GameConfig(q=10, rounds=5, horizon=2, initial_demand=3, seed=4)
 
 
 def test_config_refuses_q_whose_learner_table_exceeds_the_limit():

@@ -61,10 +61,10 @@ def test_seat_roles_are_checked(monkeypatch):
     # a learner's counts serve one seat of a batch: one learner on both seats
     # of a game or on a seat of each of two lockstep games is refused before
     # round 1 and before any warm-up game
-    def no_round_is_played(*args):
+    def no_round_is_played(*args, **kwargs):
         raise AssertionError("a round was played")
 
-    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    monkeypatch.setattr(engine, "backward_induction_batch", no_round_is_played)
     config = GameConfig(rounds=30)
     rule = HeuristicModel(1.0, 10)  # a rule-based model draws nothing of its own and may repeat
     shared = DirichletLearner.uniform(10)
@@ -104,10 +104,10 @@ def test_one_table_on_many_seats_plays_as_its_copies(tie_break, make_table):
 def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
     # a q=8 learner or a q=14 rule-based model in a q=10 game, or a seat of no
     # known kind; test_planner checks the fixed tables
-    def no_round_is_played(*args):
+    def no_round_is_played(*args, **kwargs):
         raise AssertionError("a round was played")
 
-    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    monkeypatch.setattr(engine, "backward_induction_batch", no_round_is_played)
     monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
     config = GameConfig(rounds=5)
     rule = HeuristicModel(1.0, 10)

@@ -67,6 +67,9 @@ def test_spec_validation():
         benchmark_spec(1, grid=(0.5, 1.5))
     with pytest.raises(ValueError, match="replications"):
         dataclasses.replace(benchmark_spec(1), replications=0)  # replace re-checks
+    for replications in (True, 2.5, 3.0, "3"):  # True once ran 1 replication, 2.5 died in _plan
+        with pytest.raises(ValueError, match=f"replications must be an int of at least 1, got {replications!r}"):
+            benchmark_spec(1, replications=replications)
 
 
 def test_agent_spec_validation():

@@ -17,10 +17,9 @@ from ndglab import (
     uniform_table,
 )
 from ndglab import engine
-from ndglab import planner as planner_module
 from ndglab.core import TIE_BREAKS
 from ndglab.engine import run_games
-from ndglab.planner import backward_induction_batch, solve_rules, solver_inputs
+from ndglab.planner import backward_induction_batch, solver_inputs
 
 from oracles import (
     exhaustive_policy_max,
@@ -241,26 +240,68 @@ def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
     # q=3 under a uniform model ties every column, so every column draws
     table = uniform_table(3)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    batch = solve_rules([table] * len(seeds), [0.5] * len(seeds), rngs, 2, 3)
+    batch = backward_induction_batch(*solver_inputs([table] * len(seeds), [0.5] * len(seeds), 3), 2, rngs=rngs)
     for seed, rng, rule in zip(seeds, rngs, batch):
         alone_rng = np.random.default_rng(seed)
-        (alone,) = solve_rules([table], [0.5], [alone_rng], 2, 3)
+        _, alone = backward_induction(table, 0.5, 2, 3, tie_break="random", rng=alone_rng)
         assert np.array_equal(rule, alone)
         assert rng.random() == alone_rng.random()  # each drew from its own stream only
-    assert len({id(rule) for rule in batch}) == len(batch)  # random ties never share
 
 
-def test_a_batch_shares_one_solve_per_fixed_table_seat_and_weight():
-    # six planners that could sit on either seat hold one table at two weights: two items
+def _count_items(monkeypatch) -> list[int]:
+    """Record the item count of each batch the engine solves, in the returned list."""
+    sizes = []
+    real = engine.backward_induction_batch
+
+    def counting(by_demand, gains, *args, **kwargs):
+        sizes.append(len(gains))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("copies", [False, True], ids=["one-object", "bit-equal-copies"])
+def test_fixed_planners_share_one_item_per_table_content_and_weight(copies, tie_break, monkeypatch):
+    # six planners on both seats of three games hold a uniform table at two
+    # weights, as one object or as distinct bit-equal copies: under smallest
+    # ties they are solved as one item per weight; under random ties each
+    # planner draws its own ties, so is its own item
+    sizes = _count_items(monkeypatch)
     table = uniform_table(10)
-    tables = [table] * 6 + [DirichletLearner.uniform(10).estimate for _ in range(2)]
-    omegas = [0.2, 0.2, 0.7] * 2 + [0.2, 0.2]
-    rules = solve_rules(tables, omegas, [None] * len(tables), 4, 10)
-    assert all(rule is rules[0] for rule in rules[:2] + rules[3:5])
-    assert rules[2] is rules[5]
-    assert len({id(rule) for rule in rules}) == 4
-    for model, omega, rule in zip(tables, omegas, rules):
-        assert np.array_equal(rule, backward_induction(model, omega, 4, 10)[1])
+    configs = [
+        GameConfig(rounds=8, omega_a=wa, omega_b=wb, seed=s, tie_break=tie_break)
+        for wa, wb, s in ((0.2, 0.2, 1), (0.7, 0.2, 2), (0.2, 0.7, 3))
+    ]
+    pairs = [(table.copy(), table.copy()) if copies else (table, table) for _ in configs]
+    logs = run_games(configs, pairs, [RngPlan(c.seed) for c in configs])
+    assert sizes == [2 if tie_break == "smallest" else 6]
+    monkeypatch.undo()
+    for config, log in zip(configs, logs):
+        assert log == run_game(config, table.copy(), table.copy())
+
+
+@pytest.mark.parametrize("seat", [0, 1])
+def test_a_table_given_as_a_view_plays_as_its_contiguous_copy(seat, monkeypatch):
+    # a transposed table is a valid, non-contiguous view; it plays bit-equal
+    # to its contiguous copy, and in one run the two share one item
+    sizes = _count_items(monkeypatch)
+    view = random_model(np.random.default_rng(21), 10).transpose(1, 0, 2)
+    assert not view.flags.c_contiguous
+    copy = np.ascontiguousarray(view)
+    opponent = HeuristicModel(sigma=4.0, q=10)
+    config = GameConfig(rounds=40, omega_a=0.6, omega_b=0.6, seed=9)
+
+    def seated(table):
+        return (table, opponent) if seat == 0 else (opponent, table)
+
+    alone = run_game(config, *seated(view))
+    assert alone == run_game(config, *seated(copy))
+    sizes.clear()
+    together = run_games([config] * 2, [seated(view), seated(copy)], [RngPlan(config.seed), RngPlan(config.seed)])
+    assert together == [alone, alone]
+    assert sizes == [1]
 
 
 def test_random_tie_breaking_needs_rng():
@@ -271,10 +312,10 @@ def test_random_tie_breaking_needs_rng():
 def test_model_validation(monkeypatch):
     # the solver and a fixed-table seat refuse the same tables: the batch
     # trusts a seat's table, so the seat check before round 1 is the only gate
-    def no_round_is_played(*args):
+    def no_round_is_played(*args, **kwargs):
         raise AssertionError("a round was played")
 
-    monkeypatch.setattr(engine, "solve_rules", no_round_is_played)
+    monkeypatch.setattr(engine, "backward_induction_batch", no_round_is_played)
     monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
     config = GameConfig(rounds=5)
     opponent = HeuristicModel(1.0, 10)
@@ -344,14 +385,13 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
     # name its items; round 2 solves the fixed planners, then the learners; a
     # learner's batch reads only the state it plays, seen from its own seat
     batches, read = [], []
-    real = planner_module.backward_induction_batch
+    real = engine.backward_induction_batch
 
     def counting(by_demand, gains, *args, states=None, **kwargs):
         batches.append([w for g in gains for w in (0.2, 0.7) if np.array_equal(g, reward_matrix(w, 10))])
         read.append(None if states is None else states.tolist())
         return real(by_demand, gains, *args, states=states, **kwargs)
 
-    monkeypatch.setattr(planner_module, "backward_induction_batch", counting)  # solve_rules calls it here
     monkeypatch.setattr(engine, "backward_induction_batch", counting)
     config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
     fixed, learner = uniform_table(config.q), DirichletLearner.uniform(config.q)
@@ -386,5 +426,5 @@ def test_flooded_opponent_pushes_full_weight_demand_to_one():
     row = np.zeros(9)
     row[8] = 1.0
     model = np.tile(row, (9, 9, 1))
-    (rule,) = solve_rules([model], [1.0], [None], 10, 10)
+    _, rule = backward_induction(model, 1.0, 10, 10)
     assert np.all(rule == 1)
