@@ -29,6 +29,7 @@ __all__ = [
     "GameConfig",
     "GameLog",
     "round_columns",
+    "game_scores",
     "check_demand",
     "check_int",
     "chi",
@@ -183,13 +184,27 @@ def round_columns(config: GameConfig, demands) -> dict[str, np.ndarray]:
     }
 
 
+def game_scores(demands, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Score games given as demands of shape ``(..., rounds, 2)``, each in ``1..q-1``.
+
+    Returns each game's cumulative profits, shape ``(..., 2)``: the sum of a
+    seat's demands over its compatible rounds, and each game's success rate,
+    the percentage of compatible rounds.  A demand outside ``1..q-1`` is
+    refused.  Every game gets the bits it gets when scored alone.
+    """
+    if not (demands.min() >= 1 and demands.max() <= q - 1):
+        raise ValueError(f"demands must lie in 1..{q - 1}")
+    c = demands.sum(axis=-1) <= q
+    return (demands * c[..., None]).sum(axis=-2), 100.0 * c.sum(axis=-1) / demands.shape[-2]
+
+
 @dataclass(frozen=True, eq=False)
 class GameLog:
     """One game's demands plus its headline statistics.
 
     ``demands[t - 1]`` is the ``(demand_a, demand_b)`` pair of round ``t``.
-    The statistics are scored from it in closed form when the log is built;
-    :func:`round_columns` scores every round in full.
+    The statistics are scored from it by :func:`game_scores` when the log is
+    built; :func:`round_columns` scores every round in full.
     """
 
     config: GameConfig
@@ -205,14 +220,12 @@ class GameLog:
             raise ValueError(
                 f"expected {config.rounds} rounds of two demands, got shape {demands.shape}"
             )
-        if not (demands.min() >= 1 and demands.max() <= config.q - 1):
-            raise ValueError(f"demands must lie in 1..{config.q - 1}")
-        c = demands.sum(axis=1) <= config.q
-        profit_a, profit_b = (demands * c[:, None]).sum(axis=0).tolist()
+        profits, success = game_scores(demands, config.q)
+        profit_a, profit_b = profits.tolist()
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "cum_profit_a", profit_a)
         object.__setattr__(self, "cum_profit_b", profit_b)
-        object.__setattr__(self, "success_rate_pct", 100.0 * int(c.sum()) / config.rounds)
+        object.__setattr__(self, "success_rate_pct", float(success))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GameLog):

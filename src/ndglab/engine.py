@@ -8,10 +8,11 @@ that state from its own side, as ``(own_prev, opp_prev)``, so no seat
 knows its side.  A seat is what its player knows of the opponent: a fixed
 model table or a :class:`DirichletLearner`, planned against under the
 weight, horizon and tie rule of the game's config, or a
-:class:`HeuristicModel`, which samples.  :func:`run_games` steps several
+:class:`HeuristicModel`, which samples.  :func:`play_games` steps several
 games together, round by round, over one ``(games, rounds, 2)`` demand
 array, so that their planners share batched solves and their learners one
-:func:`observe` call per round; :func:`run_game` is its one-game case.
+:func:`observe` call per round; :func:`run_games` logs each of its games,
+and :func:`run_game` is the one-game case.
 
 The loop alone decides when rules are solved, and which planners share a
 solve: every fixed planner's full rule once, before round 2; every learner,
@@ -39,6 +40,7 @@ __all__ = [
     "RngPlan",
     "run_game",
     "run_games",
+    "play_games",
     "pretrain",
     "ROUND_FIELDS",
     "SUMMARY_FIELDS",
@@ -47,34 +49,42 @@ __all__ = [
 ]
 
 
-def _child_seq(seq: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
-    # Stateless spawn: the same (entropy, key, index) always names the same child.
-    return np.random.SeedSequence(
-        entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + (index,)
-    )
-
-
 class RngPlan:
     """Named deterministic random streams for one game.
 
-    Same seed, same configuration: bit-identical game.  Each seat gets its
-    own child stream, so changing one player's settings cannot shift the
-    other player's draws; a further child seeds an optional warm-up game.
-    A seat's stream is built when it is first read.
+    Same seed, same configuration: bit-identical game.  A plan is a seed and
+    a key, the ``entropy`` and ``spawn_key`` of a ``SeedSequence``; a
+    ``SeedSequence`` given as the seed lends its own.  Each seat gets its own
+    child stream, so changing one player's settings cannot shift the other
+    player's draws; a further child seeds an optional warm-up game.  Child
+    ``i`` is ``SeedSequence(entropy, spawn_key=key + (i,))``, built only when
+    its stream is first read, so a game that draws nothing builds none.
     """
 
-    agent_a = cached_property(lambda self: np.random.default_rng(_child_seq(self.seed_seq, 0)))
-    agent_b = cached_property(lambda self: np.random.default_rng(_child_seq(self.seed_seq, 1)))
+    agent_a = cached_property(lambda self: self._stream(0))
+    agent_b = cached_property(lambda self: self._stream(1))
 
-    def __init__(self, seed: int | np.random.SeedSequence):
-        if isinstance(seed, np.random.SeedSequence):
-            self.seed_seq = seed
+    def __init__(self, seed: int | np.random.SeedSequence, key: tuple[int, ...] = ()):
+        if isinstance(seed, (int, np.integer)):
+            check_int(seed, "seed")
+            self.entropy, self.spawn_key = int(seed), ()
+        elif isinstance(seed, np.random.SeedSequence):
+            self.entropy, self.spawn_key = seed.entropy, tuple(seed.spawn_key)
         else:
-            self.seed_seq = np.random.SeedSequence(int(seed))
+            raise ValueError(f"seed must be a non-negative int or a SeedSequence, got {seed!r}")
+        for part in key:
+            check_int(part, "every key part")
+        self.spawn_key += tuple(key)
+
+    def _stream(self, index: int) -> np.random.Generator:
+        # Stateless spawn: the same (entropy, key, index) always names the same child.
+        return np.random.default_rng(np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key + (index,)))
 
     def pretrain_plan(self) -> "RngPlan":
         """A fresh plan for the warm-up game, disjoint from this plan's streams."""
-        return RngPlan(_child_seq(self.seed_seq, 2))
+        plan = object.__new__(RngPlan)
+        plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + (2,)
+        return plan
 
 
 def run_game(config: GameConfig, agent_a, agent_b, rng: RngPlan | None = None) -> GameLog:
@@ -87,7 +97,16 @@ def run_game(config: GameConfig, agent_a, agent_b, rng: RngPlan | None = None) -
 
 
 def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
-    """Play one game per config, ``(agent_a, agent_b)`` pair and plan, all in lockstep.
+    """Play one game per config, ``(agent_a, agent_b)`` pair and plan, all in
+    lockstep, and return each game's log: :func:`play_games`, logged."""
+    configs = list(configs)
+    demands = play_games(configs, pairs, plans, warmup_rounds)
+    return [GameLog(config, game) for config, game in zip(configs, demands)]
+
+
+def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
+    """Play one game per config, ``(agent_a, agent_b)`` pair and plan, all in
+    lockstep; return their demands as one ``(games, rounds, 2)`` array.
 
     Every game steps through the same rounds and solves, so the configs must
     share ``q``, ``rounds``, ``initial_demand``, ``horizon`` and
@@ -109,15 +128,14 @@ def run_games(configs, pairs, plans, warmup_rounds: int = 0) -> list[GameLog]:
             f"and {len(plans)} plans for {len(pairs)} games"
         )
     if not configs:
-        return []
+        return np.empty((0, 0, 2), dtype=np.int64)
     if len({(c.q, c.rounds, c.initial_demand, c.horizon, c.tie_break) for c in configs}) > 1:
         raise ValueError("games played in lockstep must share q, rounds, initial_demand, horizon and tie_break")
     if len(set(map(id, plans))) < len(plans):
         raise ValueError("every game needs an RngPlan of its own")
     if warmup_rounds:
         _warm_up(configs, pairs, plans, warmup_rounds)
-    demands = _play(configs, pairs, plans, configs[0].rounds)
-    return [GameLog(config, game) for config, game in zip(configs, demands)]
+    return _play(configs, pairs, plans, configs[0].rounds)
 
 
 def _warm_up(configs, pairs, plans, n_rounds: int) -> None:

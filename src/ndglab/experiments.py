@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, atomic_write, check_int, refuse_overwrite
-from .engine import RngPlan, run_games
+from .core import GameConfig, atomic_write, check_int, game_scores, refuse_overwrite
+from .engine import RngPlan, play_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
 
 __all__ = [
@@ -260,17 +260,21 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     a chunk is played as soon as the next game's solve items (counted as for
     ``CHUNK_BYTES``, ``(q - 1)**3`` float64 each) would take it past
     ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by itself.
+    A stateless seat, a rule-based model or a fixed table, is built once per
+    part and sits in every game; a learner is built fresh for each game.
     """
     spec, games = task
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
     random_ties = spec.base.tie_break == "random"
+    agents = (spec.agent_a, spec.agent_b)
+    stateless = [None if agent.learning else build_agent(agent, q) for agent in agents]
     metrics, chunk, items = [], [], set()
     for cell_index, config, rep in games:
-        pair = (build_agent(spec.agent_a, q), build_agent(spec.agent_b, q))
+        pair = tuple(build_agent(agent, q) if seat is None else seat for agent, seat in zip(agents, stateless))
         # Stateless derivation keyed on (cell, replication): stable under any
         # chunking and execution order, so parallel and serial sweeps agree.
-        plan = RngPlan(np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(cell_index, rep)))
+        plan = RngPlan(spec.base.seed, (cell_index, rep))
         keys = {  # a seat's stream is read only where it names the item
             getattr(plan, name) if random_ties else (id(seat), omega)
             for seat, omega, name in zip(pair, (config.omega_a, config.omega_b), ("agent_a", "agent_b"))
@@ -285,13 +289,12 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
 
 
 def _play_chunk(spec: ExperimentSpec, chunk) -> list[tuple[float, float, float, float]]:
-    """Play one chunk of a sweep's games, as ``(config, pair, plan)``, in lockstep."""
-    logs = run_games(*zip(*chunk), WARMUP_ROUNDS if spec.warms_up else 0)
-    metrics = []
-    for log in logs:
-        a, b = log.cum_profit_a, log.cum_profit_b
-        metrics.append((float(a), float(b), float(a + b), log.success_rate_pct))
-    return metrics
+    """Play one chunk of a sweep's games, as ``(config, pair, plan)``, in
+    lockstep, and score them all in one pass."""
+    demands = play_games(*zip(*chunk), WARMUP_ROUNDS if spec.warms_up else 0)
+    profits, success = game_scores(demands, spec.base.q)
+    scores = np.column_stack((profits, profits.sum(axis=1))).astype(float)
+    return [(*row, rate) for row, rate in zip(scores.tolist(), success.tolist())]
 
 
 def output_paths(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:

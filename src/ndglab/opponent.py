@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Role, atomic_write, check_demand
+from .core import Role, atomic_write, check_demand, check_int
 
 __all__ = [
     "HeuristicModel",
@@ -49,8 +49,7 @@ class HeuristicModel:
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:  # also refuses NaN
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+        check_int(self.q, "q", 2)
 
 
 def _rule_rows(model: HeuristicModel, own_prev, opp_prev) -> np.ndarray:
@@ -124,15 +123,14 @@ def heuristic_table(model: HeuristicModel) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)  # typed: a float or bool q equal to an int is a miss, and refused
 def uniform_table(q: int) -> np.ndarray:
     """Uniform conditional table: every context gets the uniform row.
 
     Built once per ``q`` and shared, so read-only, like :func:`heuristic_table`.
     """
+    check_int(q, "q", 2)
     n = q - 1
-    if n < 1:
-        raise ValueError(f"q must be at least 2, got {q}")
     table = np.full((n, n, n), 1.0 / n)
     table.flags.writeable = False
     return table
@@ -149,6 +147,7 @@ class DirichletLearner:
     """
 
     def __init__(self, counts: np.ndarray, q: int):
+        check_int(q, "q", 2)
         counts = np.array(counts, dtype=float, order="C")  # a copy: updates stay in the learner
         n = q - 1
         if counts.shape != (n, n, n):
@@ -163,6 +162,7 @@ class DirichletLearner:
 
     @classmethod
     def uniform(cls, q: int) -> "DirichletLearner":
+        check_int(q, "q", 2)
         return cls(np.ones((q - 1,) * 3), q)
 
     def update(self, own_prev: int, opp_prev: int, observed: int) -> None:

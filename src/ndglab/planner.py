@@ -149,19 +149,22 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None
         raise ValueError(f"need one {(n, n * n)} model per reward matrix, got {by_demand.shape} for {gains.shape}")
     stages = np.zeros((2, count, n * n)) if values is None else values.swapaxes(0, 1)
     landing = np.empty((count, n, n))  # total gain of finishing the stage at (a, b)
-    q_vals = np.empty((count, n, n * n))  # (B, action, state)
+    # Action-major, so that each stage's max runs over whole (B, state) planes;
+    # the product writes through its (B, action, state) view.
+    by_action = np.empty((n, count, n * n))
+    q_vals = by_action.transpose(1, 0, 2)
     draws = [(i, rng) for i, rng in enumerate(rngs or ()) if rng is not None]
     for k in range(1, h + 1):
         np.add(gains, stages[(k - 1) % len(stages)].reshape(count, n, n), out=landing)
         np.matmul(landing, by_demand, out=q_vals)
         if k < h or values is not None or draws:  # otherwise the first stage is read only through its argmax
-            q_vals.max(axis=1, out=stages[k % len(stages)])
+            by_action.max(axis=0, out=stages[k % len(stages)])
 
     best = stages[h % len(stages)]
     # first maximum = smallest maximizing demand
-    actions = q_vals.argmax(axis=1) if states is None else q_vals[np.arange(count), :, states].argmax(axis=1)
+    actions = by_action.argmax(axis=0) if states is None else by_action[:, np.arange(count), states].argmax(axis=0)
     for i, rng in draws:
-        tied = q_vals[i] == best[i]  # (action, state): every maximizer of each column
+        tied = by_action[:, i] == best[i]  # (action, state): every maximizer of each column
         for column in np.flatnonzero(tied.sum(axis=0) > 1):
             action = rng.choice(np.flatnonzero(tied[:, column]))
             if states is None:

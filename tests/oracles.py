@@ -205,13 +205,13 @@ def reference_game(config, seats, plan):
 def count_played_games(monkeypatch):
     """Count the games a sweep hands to the game loop, which still plays them.
 
-    Patches ``experiments.run_games``, the one call through which a sweep
+    Patches ``experiments.play_games``, the one call through which a sweep
     plays every lockstep chunk, and returns the list that receives each
     call's game count.  Chunks played in worker processes are not counted.
     """
     from ndglab import experiments
 
-    real = experiments.run_games
+    real = experiments.play_games
     counts = []
 
     def counting(configs, pairs, plans, *args, **kwargs):
@@ -219,7 +219,7 @@ def count_played_games(monkeypatch):
         counts.append(len(pairs))
         return real(configs, pairs, plans, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_games", counting)
+    monkeypatch.setattr(experiments, "play_games", counting)
     return counts
 
 

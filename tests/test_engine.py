@@ -457,6 +457,33 @@ def test_plan_accepts_seed_sequences():
     assert plan1.agent_a.random() == plan2.agent_a.random()
 
 
+_KEYS = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), _KEYS, _KEYS)
+def test_a_keyed_plan_draws_the_streams_of_its_seed_sequence(seed, key, more):
+    # child i of a plan is SeedSequence(entropy, spawn_key=key + (i,)), built only when read
+    def streams(plan):
+        warm = plan.pretrain_plan()
+        return [p.random(6).tolist() for p in (plan.agent_a, plan.agent_b, warm.agent_a, warm.agent_b)]
+
+    keyed = streams(RngPlan(seed, key + more))
+    assert keyed == streams(RngPlan(np.random.SeedSequence(seed, spawn_key=key + more)))
+    assert keyed == streams(RngPlan(np.random.SeedSequence(seed, spawn_key=key), more))
+    children = [
+        np.random.SeedSequence(seed, spawn_key=spawn_key)
+        for spawn_key in (key + more + (0,), key + more + (1,), key + more + (2, 0), key + more + (2, 1))
+    ]
+    assert keyed == [np.random.default_rng(child).random(6).tolist() for child in children]
+
+
+@pytest.mark.parametrize(("seed", "key"), [(-1, ()), (1.5, ()), (True, ()), ("1", ()), (1, (-1,)), (1, (0, 2.0))])
+def test_a_bad_seed_or_key_is_refused_when_the_plan_is_made(seed, key):
+    with pytest.raises(ValueError, match="must be a non-negative int"):
+        RngPlan(seed, key)
+
+
 def test_warmup_play_is_disjoint_and_reproducible():
     plan = RngPlan(1)
     warmup = plan.pretrain_plan()

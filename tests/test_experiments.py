@@ -1,7 +1,11 @@
 """Benchmark scenarios, grid sweeps, and their CSV outputs."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from ndglab import (
     CellResult,
     DirichletLearner,
     GameConfig,
+    GameLog,
     HeuristicModel,
     RngPlan,
     aggregate,
@@ -295,15 +300,15 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
     # a rule-based seat always draws, a planner only under random ties; no
     # other seat's stream is built
     built = []
-    real = experiments.run_games
+    real = experiments.play_games
 
     def recording(configs, pairs, plans, *args):
         plans = list(plans)
-        logs = real(configs, pairs, plans, *args)
+        demands = real(configs, pairs, plans, *args)
         built.extend([name for name in ("agent_a", "agent_b") if name in vars(plan)] for plan in plans)
-        return logs
+        return demands
 
-    monkeypatch.setattr(experiments, "run_games", recording)
+    monkeypatch.setattr(experiments, "play_games", recording)
     monkeypatch.delenv("NDG_THREADS", raising=False)
     for test_id, tie_break, streams in (
         (1, "smallest", ["agent_b"]),
@@ -314,6 +319,84 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
         base = GameConfig(rounds=5, tie_break=tie_break)
         run_test(benchmark_spec(test_id, replications=2, base=base, grid=(0.0, 1.0)))
         assert built and all(names == streams for names in built), (test_id, tie_break, built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.sampled_from((2, 3, 10, 61)), st.data())
+def test_a_chunk_scores_every_game_as_its_game_log_does(games, rounds, q, data):
+    # the sweep scores a chunk's (games, rounds, 2) demands in one pass
+    demands = np.array(
+        data.draw(st.lists(st.integers(1, q - 1), min_size=games * rounds * 2, max_size=games * rounds * 2))
+    ).reshape(games, rounds, 2)
+    config = GameConfig(q=q, rounds=rounds, initial_demand=1)
+    spec = benchmark_spec(1, base=config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "play_games", lambda *chunk: demands)
+        scores = experiments._play_chunk(spec, [(config, None, None)] * games)
+    logs = [GameLog(config, game) for game in demands]
+    expected = [(float(log.cum_profit_a), float(log.cum_profit_b), float(log.cum_profit_a + log.cum_profit_b),
+                 log.success_rate_pct) for log in logs]
+    assert [tuple(map(type, row)) for row in scores] == [(float,) * 4] * games
+    assert scores == expected
+
+
+def test_a_chunk_refuses_a_demand_out_of_range(monkeypatch):
+    config = GameConfig(rounds=2)
+    demands = np.array([[[3, 3], [4, 5]], [[3, 3], [10, 1]]])
+    monkeypatch.setattr(experiments, "play_games", lambda *chunk: demands)
+    with pytest.raises(ValueError, match="demands must lie in 1..9"):
+        experiments._play_chunk(benchmark_spec(1, base=config), [(config, None, None)] * 2)
+
+
+@pytest.mark.parametrize("seats", _SEATS, ids=lambda seats: "-".join(seat.kind for seat in seats))
+def test_a_part_builds_each_stateless_seat_once_and_each_learner_per_game(seats, monkeypatch):
+    # a rule-based model or a fixed table holds no state, so one object sits in
+    # every game of a part, across chunks; a learner is fresh for each game
+    pairs = []
+    real = experiments.play_games
+
+    def recording(configs, chunk_pairs, plans, *args):
+        pairs.extend(chunk_pairs)
+        return real(configs, chunk_pairs, plans, *args)
+
+    monkeypatch.setattr(experiments, "play_games", recording)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)  # every game a chunk of its own
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    base = GameConfig(rounds=3, tie_break="random")  # so that every game is played
+    run_test(ExperimentSpec(1, *seats, (0.0, 1.0), None, 2, base))
+    assert len(pairs) == 4
+    for seat, agent in enumerate(seats):
+        held = [pair[seat] for pair in pairs]
+        if agent.learning:
+            assert len(set(map(id, held))) == 4
+            assert all(isinstance(learner, DirichletLearner) for learner in held)
+        else:
+            assert all(one is held[0] for one in held)
+            assert type(held[0]) is type(build_agent(agent, base.q))
+
+
+_DRAW_FREE = """
+import contextlib, io, sys
+from ndglab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(("test_id", "draws"), [(3, False), (4, False), (5, False), (1, True)])
+def test_a_sweep_that_draws_nothing_never_loads_numpy_random(test_id, draws, tmp_path):
+    # keyed plans build no SeedSequence until a stream is read, so a
+    # deterministic sweep does not import numpy.random at all
+    argv = ["test", "--id", str(test_id), "--grid", "0.65,0.7,1.0", "--replications", "3"]
+    argv += ["--seed", "1062076350", "--tie-break", "smallest", "--out", str(tmp_path)]
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NDG_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _DRAW_FREE, "--", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(draws)]
 
 
 @pytest.mark.parametrize(

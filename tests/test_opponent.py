@@ -417,3 +417,28 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("1 2 1.0 1.0\n\n1 1 x 1.0\n2 1 1.0 1.0\n2 2 1.0 1.0\n")
     with pytest.raises(ValueError, match=r"bad\.txt:3: .*'x'"):
         load_learner(path, Role.A)
+
+
+_Q_ENTRIES = {
+    "HeuristicModel": lambda q: HeuristicModel(1.0, q=q),
+    "uniform_table": uniform_table,
+    "DirichletLearner": lambda q: DirichletLearner(np.ones((9,) * 3), q),
+    "DirichletLearner.uniform": DirichletLearner.uniform,
+}
+
+
+@pytest.mark.parametrize("q", (10.0, True, "10", 1), ids=repr)
+@pytest.mark.parametrize("entry", tuple(_Q_ENTRIES))
+def test_every_entry_point_refuses_a_q_that_is_not_an_int_of_at_least_2(entry, q):
+    # 10.0 used to be accepted by the model and the learner, and to die inside
+    # numpy in the uniform table and the uniform learner
+    uniform_table(10)  # a cached table for q=10 must not answer for 10.0 or True
+    with pytest.raises(ValueError, match=f"q must be an int of at least 2, got {q!r}"):
+        _Q_ENTRIES[entry](q)
+
+
+def test_numpy_int_q_is_taken():
+    q = np.int64(10)
+    assert uniform_table(q).shape == (9, 9, 9)
+    assert DirichletLearner.uniform(q).q == 10
+    assert HeuristicModel(1.0, q=q) == HeuristicModel(1.0, q=10)

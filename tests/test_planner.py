@@ -197,6 +197,21 @@ def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
         assert np.array_equal(actions[i], oracle_actions)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 101), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_a_product_written_action_major_has_the_bits_of_the_contiguous_one(q, items, seed):
+    # the solver keeps its Q-values action-major and lets matmul write through
+    # their (B, action, state) view; each stage's values and actions rest on
+    # that view holding the bits of a contiguous product
+    n = q - 1
+    items = max(1, min(items, 2_000_000 // n**3))
+    rng = np.random.default_rng(seed)
+    landing, by_demand = rng.random((items, n, n)) - 0.5, rng.random((items, n, n * n))
+    by_action = np.empty((n, items, n * n))
+    np.matmul(landing, by_demand, out=by_action.transpose(1, 0, 2))
+    assert by_action.transpose(1, 0, 2).tobytes() == np.matmul(landing, by_demand).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from((3, 5, 7)),
