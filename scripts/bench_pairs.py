@@ -19,6 +19,9 @@ its own side's ``src``, with ``NDG_THREADS=1``:
 - the traced peaks of the sweeps in ``tests/memory_sweeps.py``, whose bound
   the ``tracemalloc`` tests assert;
 - the five default scenarios at 30 replications, median of three passes;
+- the five scenarios under random ties at 10 replications
+  (``--tie-break random --replications 10``), each scenario's median of
+  three passes per side;
 - warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
   when no claim is given): pairs of processes, in alternating order, that
   each time several sweeps after one untimed sweep.
@@ -49,6 +52,7 @@ from workloads import WORKLOADS  # noqa: E402  (reads the workload table only)
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES = 10, 8, 8, 3
+RANDOM_TIE_ARGS = ["--tie-break", "random", "--replications", "10"]
 
 # Runs in a fresh interpreter of one side, which imports that side's ndglab.
 PROBE = r"""
@@ -73,7 +77,7 @@ if job["kind"] == "warm":
     sweep(job["argv"])
     result = statistics.median(sweep(job["argv"]) for _ in range(job["sweeps"]))
 elif job["kind"] == "scenarios":
-    result = sum(sweep(["test", "--id", str(k)]) for k in range(1, 6))
+    result = [sweep(["test", "--id", str(k), *job["extra"]]) for k in range(1, 6)]
 else:
     result = []
     for _, test_id, tie_break, q, grid in job["sweeps"]:
@@ -188,9 +192,11 @@ def main(argv=None) -> int:
         print(f"tier-1: {suites}", file=sys.stderr)
         peaks = {side: probe(tree, {"kind": "memory", "sweeps": memory_sweeps.SWEEPS}) for side, tree in trees.items()}
         scenarios = {side: [] for side in SIDES}
+        random_ties = {side: [] for side in SIDES}
         for _ in range(SCENARIO_PASSES):
             for side in SIDES:
-                scenarios[side].append(probe(trees[side], {"kind": "scenarios"}))
+                scenarios[side].append(sum(probe(trees[side], {"kind": "scenarios", "extra": []})))
+                random_ties[side].append(probe(trees[side], {"kind": "scenarios", "extra": RANDOM_TIE_ARGS}))
         warm = {side: [] for side in SIDES}
         warm_workload = args.claim or "learner-vs-rule"
         warm_argv = WORKLOADS[warm_workload].argv(0)
@@ -229,6 +235,15 @@ def main(argv=None) -> int:
         },
         "five_scenarios_30_reps_s": {
             **{f"{side}_median_total": round(statistics.median(scenarios[side]), 2) for side in SIDES},
+            "passes": SCENARIO_PASSES,
+        },
+        "five_scenarios_random_ties_10_reps_s": {
+            "args": RANDOM_TIE_ARGS,
+            **{
+                f"{side}_median_per_scenario": [round(statistics.median(runs), 3) for runs in zip(*random_ties[side])]
+                for side in SIDES
+            },
+            **{f"{side}_median_total": round(statistics.median(map(sum, random_ties[side])), 2) for side in SIDES},
             "passes": SCENARIO_PASSES,
         },
         "warm_in_process": {

@@ -123,9 +123,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         count = int(text)
         if count < 1:
             raise ConfigError(f"grid point count must be positive, got {count}")
-        if count == 1:
-            return (0.0,)
-        return tuple(i / (count - 1) for i in range(count))
+        return tuple(i / max(count - 1, 1) for i in range(count))  # one point is 0.0
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
@@ -185,12 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> CliConfig:
     config = load_config(args.config) if getattr(args, "config", None) else CliConfig()
-    for key in (*GAME_KEYS, "out"):
+    for key in (*GAME_KEYS, "out", "replications"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    if getattr(args, "replications", None) is not None:
-        config.replications = args.replications
     try:
         config.game_config()
     except ValueError as exc:
@@ -333,6 +329,9 @@ def _cmd_validate(args, config: CliConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
+_COMMANDS = dict(run=_cmd_run, test=_cmd_test, sweep=_cmd_test, pretrain=_cmd_pretrain, validate=_cmd_validate)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -341,15 +340,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         config = _merge_config(args)
-        if args.command == "run":
-            return _cmd_run(args, config)
-        if args.command in ("test", "sweep"):
-            return _cmd_test(args, config)
-        if args.command == "pretrain":
-            return _cmd_pretrain(args, config)
-        if args.command == "validate":
-            return _cmd_validate(args, config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, config)  # the parser accepts only these
     except (ValueError, FileExistsError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ command calls before its first write.
 from __future__ import annotations
 
 import enum
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -61,8 +62,9 @@ def check_int(value, name: str, least: int = 0) -> None:
 
 
 def _check_weight(value: float, name: str = "omega") -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    """Refuse ``value`` for ``name`` unless it is a real number, not a bool, in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 TIE_BREAKS = ("smallest", "random")
@@ -221,11 +223,9 @@ class GameLog:
                 f"expected {config.rounds} rounds of two demands, got shape {demands.shape}"
             )
         profits, success = game_scores(demands, config.q)
-        profit_a, profit_b = profits.tolist()
-        object.__setattr__(self, "demands", demands)
-        object.__setattr__(self, "cum_profit_a", profit_a)
-        object.__setattr__(self, "cum_profit_b", profit_b)
-        object.__setattr__(self, "success_rate_pct", float(success))
+        scored = (demands, *profits.tolist(), float(success))
+        for name, value in zip(("demands", "cum_profit_a", "cum_profit_b", "success_rate_pct"), scored):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GameLog):

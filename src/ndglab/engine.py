@@ -15,13 +15,10 @@ array, so that their planners share batched solves and their learners one
 and :func:`run_game` is the one-game case.
 
 The loop alone decides when rules are solved, and which planners share a
-solve: every fixed planner's full rule once, before round 2; every learner,
-whose belief moves each round, before each later round, at the one state it
-plays there only, from stacked copies of the learners written back when the
-run ends.  Under smallest ties planners that hold bit-equal tables at one
-weight share one row and one solve, a learner until what it observes parts
-it from the rest; under random ties each planner keeps its own.  So seats
-reused for a second game play it as fresh seats would.
+solve (see :func:`_play`): every fixed planner's full rule once, before
+round 2, and every learner before each later round, from stacked copies of
+the learners written back when the run ends.  So seats reused for a second
+game play it as fresh seats would.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from .core import GameConfig, GameLog, atomic_write, check_int, round_columns
 from .opponent import DirichletLearner, HeuristicModel, heuristic_sample, observe
-from .planner import _validate_model, backward_induction_batch, solver_inputs
+from .planner import _validate_model, backward_induction_batch, solver_inputs, with_picks
 
 __all__ = [
     "RngPlan",
@@ -170,36 +167,38 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
 
     Planners use their game's weight and the shared horizon and tie rule.
     Each planner holds the index of a run row, which :func:`_planner_rows`
-    assigns the same way for fixed planners and learners.  Fixed rows are
-    solved in one batch before round 2, one rule per row, and a round
-    gathers each fixed planner's demand from its row's rule.  A round
-    samples each rule-based model once, from uniforms drawn up front per
-    seat with the bits of one draw per round.  Each seat draws only from its
-    own stream, read only if it draws, so seat order and interleaving cannot
-    move a draw.
+    assigns the same way for fixed planners and learners under either tie
+    rule.  A row is solved once for all its planners; under random ties
+    each planner then draws the row's tied columns from its own stream and
+    plays its own pick where its state ties.  Fixed rows are solved in one
+    batch before round 2, one rule per row, and a round gathers each fixed
+    planner's demand from its row's rule.  A round samples each rule-based
+    model once, from uniforms drawn up front per seat with the bits of one
+    draw per round.  Each seat draws only from its own stream, read only if
+    it draws, so seat order and interleaving cannot move a draw.
 
     Learners are copied into stacked run arrays, one row per distinct
-    belief.  Learners sharing a row play the same demands, so by induction
-    they share their state as long as they observe the same demands.  Every
-    later round solves one batch item per row, at its state, and hands each
-    learner its row's demand.  Before :func:`observe` feeds each row once, a
-    row splits where its learners observed different demands; rows never
-    merge, and once every learner is alone in its row no split is looked
-    for.  Each learner gets its row back when the run ends.
+    belief.  Learners sharing a row share their state as long as they play
+    and observe the same demands.  Every later round solves one batch item
+    per row, at its state.  Before :func:`observe` feeds each row once, a
+    row splits where its learners played different demands, which only
+    their draws can cause, then where they observed different ones; rows
+    never merge, and once every learner is alone in its row no split is
+    looked for.  Each learner gets its row back when the run ends.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
     h, q = config.horizon, config.q
     demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
     demands[:, 0] = config.initial_demand
-    random_ties = config.tie_break == "random"
+    draws = config.tie_break == "random"  # then every planner draws its ties from its own stream
     fixed, learning, samplers = [], [], {}  # planners as (g, seat, table or learner, omega, stream)
     for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
         for seat, (held, omega, name) in enumerate(zip(pair, (game.omega_a, game.omega_b), ("agent_a", "agent_b"))):
             if isinstance(held, HeuristicModel):
                 samplers.setdefault(held, []).append((g, seat, getattr(plan, name).random(rounds - 1)))
                 continue
-            stream = getattr(plan, name) if random_ties else None
+            stream = getattr(plan, name) if draws else None
             if isinstance(held, DirichletLearner):
                 learning.append((g, seat, held, omega, stream))
             else:
@@ -207,13 +206,13 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
     samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
     fixed_games, fixed_seats = _seat_arrays(fixed)
-    fixed_row, fixed_lead = _planner_rows([(omega, table) for _, _, table, omega, _ in fixed], random_ties)
-    rules = np.empty((0, q - 1, q - 1), dtype=np.intp)  # one rule per fixed row, solved before round 2
+    fixed_row, fixed_lead = _planner_rows([(omega, table) for _, _, table, omega, _ in fixed])
+    rules, picks = np.empty((0, q - 1, q - 1), dtype=np.intp), None  # one rule per fixed row, solved before round 2
     learners = row_of = ()
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
         learner_games, learner_seats = _seat_arrays(learning)
-        row_of, lead = _planner_rows([(w, held.counts, held.estimate) for held, w in zip(learners, omegas)], random_ties)
+        row_of, lead = _planner_rows([(w, held.counts, held.estimate) for held, w in zip(learners, omegas)])
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
         # the rest hold the other learners, as room for rows to split into.
         rows, leads = len(lead), set(lead.tolist())
@@ -222,7 +221,6 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         counts = np.stack([learners[i].counts for i in order])
         estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each row's view
         row_games, row_seats = learner_games[lead], learner_seats[lead]
-        streams = streams if random_ties else None  # under random ties rows never split, so stay in order
     for t in range(rounds):
         if learning:  # each row's state from its side; the opening round is played at the opening pair
             state = max(t - 1, 0)
@@ -230,22 +228,27 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             opp_prev = demands[row_games, state, 1 - row_seats]
         if t:
             if t == 1 and fixed:  # a fixed model's rule holds for the run
-                _, _, held, weights, rngs = zip(*(fixed[i] for i in fixed_lead))
-                rules = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs)
+                _, _, held, weights, _ = zip(*(fixed[i] for i in fixed_lead))
+                rngs = [stream for *_, stream in fixed] if draws else None
+                rules, picks = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs, rows=fixed_row)
             before = demands[:, t - 1]
             own, opp = before[fixed_games, fixed_seats], before[fixed_games, 1 - fixed_seats]
-            demands[fixed_games, t, fixed_seats] = rules[fixed_row, own - 1, opp - 1]
+            demands[fixed_games, t, fixed_seats] = with_picks(rules[fixed_row, own - 1, opp - 1], picks)
             if learning:  # a row acts only at the state it plays, so only that state's demand is read
                 states = (own_prev - 1) * (q - 1) + opp_prev - 1
-                played = backward_induction_batch(by_demand[:rows], gains[:rows], h, rngs=streams, states=states)
-                demands[learner_games, t, learner_seats] = played[row_of]
+                played, learner_picks = backward_induction_batch(
+                    by_demand[:rows], gains[:rows], h, rngs=streams if draws else None, rows=row_of, states=states
+                )
+                demands[learner_games, t, learner_seats] = with_picks(played[row_of], learner_picks)
             for model, model_games, model_seats, uniforms in samplers:
                 own, opp = before[model_games, model_seats], before[model_games, 1 - model_seats]
                 demands[model_games, t, model_seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
         if learning:
             observed = demands[learner_games, t, 1 - learner_seats]
-            if rows < len(learners) and (observed[lead[row_of]] != observed).any():
-                row_of, lead, parents = _split_rows(row_of, observed, q)
+            # row-mates can play apart only where they draw their ties
+            seen = demands[learner_games, t, learner_seats] * q + observed if draws else observed
+            if rows < len(learners) and (seen[lead[row_of]] != seen).any():
+                row_of, lead, parents = _split_rows(row_of, seen)
                 rows = len(parents)
                 for array in (counts, by_demand, gains):  # one at a time, so one array's copy is held at most
                     array[:rows] = array[parents]
@@ -258,21 +261,17 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     return demands
 
 
-def _planner_rows(planners, random_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+def _planner_rows(planners) -> tuple[np.ndarray, np.ndarray]:
     """Each planner's run row and each row's first planner, rows numbered in order of first use.
 
     A planner is given as ``(omega, *tables)``: a fixed planner's validated
-    table, or a learner's counts and estimate.  Under random ties each
-    planner draws its own ties, so it keeps a row of its own.  Under smallest
-    ties planners share a row when they hold equal weights and bit-equal
-    tables, as these solve the same rule.  A planner holding the table
+    table, or a learner's counts and estimate.  Planners share a row when
+    they hold equal weights and bit-equal tables, as these solve the same
+    rule, under either tie rule.  A planner holding the table
     objects of one already seen at its weight takes that row unread; any
     other has its first table hashed once, in place, and a hash match is
     confirmed in full, so a collision cannot merge two rows.
     """
-    if random_ties:
-        every = np.arange(len(planners))
-        return every, every
     seen, hashed, row_of, lead = {}, {}, [], []  # (omega, ids) and (omega, hash) -> rows
     for i, (omega, *tables) in enumerate(planners):
         named = (omega, *map(id, tables))
@@ -288,17 +287,12 @@ def _planner_rows(planners, random_ties: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.array(row_of, dtype=np.intp), np.array(lead, dtype=np.intp)
 
 
-def _split_rows(row_of, observed, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-key rows by ``(row, observed demand)``: each learner's new row, a learner
+def _split_rows(row_of, seen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-key rows by ``(row, seen)``: each learner's new row, a learner
     leading each new row, and the old row each new row continues."""
-    key = row_of * q + observed
-    used = np.zeros((row_of.max() + 1) * q, dtype=bool)
-    used[key] = True
-    lead = np.empty(len(used), dtype=np.intp)
-    lead[key] = np.arange(len(key))  # a learner of each key: any of them, since they share their belief
-    renumber = np.cumsum(used) - 1
-    lead = lead[used]
-    return renumber[key], lead, row_of[lead]
+    # a learner of each key leads it: any of them, since they share their belief
+    _, lead, renumbered = np.unique(row_of * (seen.max() + 1) + seen, return_index=True, return_inverse=True)
+    return renumbered, lead, row_of[lead]
 
 
 def _seat_arrays(planners) -> tuple[np.ndarray, np.ndarray]:
@@ -363,14 +357,5 @@ def write_game_summary_csv(log: GameLog, path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
-        writer.writerow(
-            [
-                f"{cfg.omega_a:.2f}",
-                f"{cfg.omega_b:.2f}",
-                cfg.seed,
-                f"{log.cum_profit_a:.2f}",
-                f"{log.cum_profit_b:.2f}",
-                f"{log.cum_profit_a + log.cum_profit_b:.2f}",
-                f"{log.success_rate_pct:.2f}",
-            ]
-        )
+        profits = (log.cum_profit_a, log.cum_profit_b, log.cum_profit_a + log.cum_profit_b, log.success_rate_pct)
+        writer.writerow([f"{cfg.omega_a:.2f}", f"{cfg.omega_b:.2f}", cfg.seed, *(f"{v:.2f}" for v in profits)])

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GameConfig, atomic_write, check_int, game_scores, refuse_overwrite
+from .core import GameConfig, _check_weight, atomic_write, check_int, game_scores, refuse_overwrite
 from .engine import RngPlan, play_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
 
@@ -74,13 +74,14 @@ AGENT_KINDS = {
 }
 WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns from
 # Bytes of solve items one lockstep run of a sweep may hold, (q - 1)**3
-# float64 each.  Items are counted per planner seat identity and weight, or
-# per seat stream under random ties: an upper bound on the rows the run
-# forms, since the run also merges distinct but bit-equal tables at one
-# weight.  A learner counts once even where learners share a row: during a
-# run it also holds its counts and estimate, and the run a stacked row for
-# each learner.  At q = 10 every default sweep fits in one run; at q = 60,
-# two do.
+# float64 each.  Items are counted per planner seat identity and weight,
+# under either tie rule: an upper bound on the rows the run forms, since the
+# run also merges distinct but bit-equal tables at one weight.  A learner
+# counts once even where learners share a row: during a run it also holds
+# its counts and estimate, and the run a stacked row for each learner.  A
+# planner that draws its ties keeps only its picks at its row's tied
+# columns, uncounted.  At q = 10 every default sweep fits in one run; at
+# q = 60, two do.
 CHUNK_BYTES = 4 * 2**20
 SCENARIOS = {  # benchmark id -> (seat A kind, seat B kind)
     1: ("mdp-heuristic", "heuristic"),
@@ -140,8 +141,7 @@ class ExperimentSpec:
             if not grid:
                 raise ValueError(f"{name} must not be empty")
             for w in grid:
-                if not 0.0 <= w <= 1.0:
-                    raise ValueError(f"{name} values must lie in [0, 1], got {w}")
+                _check_weight(w, f"{name} values")
         check_int(self.replications, "replications", 1)
         if self.warms_up and not (self.agent_a.learning and self.agent_b.learning):
             raise ValueError("mdp-pretrained needs mdp-learning or mdp-pretrained on both seats")
@@ -266,7 +266,6 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     spec, games = task
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
-    random_ties = spec.base.tie_break == "random"
     agents = (spec.agent_a, spec.agent_b)
     stateless = [None if agent.learning else build_agent(agent, q) for agent in agents]
     metrics, chunk, items = [], [], set()
@@ -275,11 +274,8 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
         # Stateless derivation keyed on (cell, replication): stable under any
         # chunking and execution order, so parallel and serial sweeps agree.
         plan = RngPlan(spec.base.seed, (cell_index, rep))
-        keys = {  # a seat's stream is read only where it names the item
-            getattr(plan, name) if random_ties else (id(seat), omega)
-            for seat, omega, name in zip(pair, (config.omega_a, config.omega_b), ("agent_a", "agent_b"))
-            if not isinstance(seat, HeuristicModel)
-        }
+        weights = (config.omega_a, config.omega_b)
+        keys = {(id(seat), omega) for seat, omega in zip(pair, weights) if not isinstance(seat, HeuristicModel)}
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:
             metrics += _play_chunk(spec, chunk)
             chunk, items = [], set()
@@ -361,27 +357,16 @@ def aggregate(cells) -> dict:
     if not cells:
         raise ValueError("no cells to aggregate")
     means = {m: np.array([c.rep_mean(m) for c in cells]) for m in METRICS}
-    return {
-        "min": {m: float(v.min()) for m, v in means.items()},
-        "mean": {m: float(v.mean()) for m, v in means.items()},
-        "max": {m: float(v.max()) for m, v in means.items()},
-    }
+    return {stat: {m: float(getattr(v, stat)()) for m, v in means.items()} for stat in ("min", "mean", "max")}
 
 
 # === CSV serialization ===
 
 
-def _cells_header() -> list[str]:
-    header = ["omega_a", "omega_b"]
-    for m in METRICS:
-        header += [f"{m}_mean", f"{m}_min", f"{m}_max"]
-    return header
-
-
 def write_cells_csv(result: SweepSummary, path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_cells_header())
+        writer.writerow(["omega_a", "omega_b", *(f"{m}_{stat}" for m in METRICS for stat in ("mean", "min", "max"))])
         for c in result.cells:
             row = [c.omega_a, c.omega_b]
             for m in METRICS:

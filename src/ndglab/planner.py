@@ -34,6 +34,7 @@ from .core import TIE_BREAKS, reward, reward_matrix
 __all__ = [
     "backward_induction",
     "backward_induction_batch",
+    "with_picks",
     "solver_inputs",
     "brute_force_value",
 ]
@@ -94,8 +95,8 @@ def backward_induction(
         raise ValueError("random tie-breaking needs an rng")
     inputs = solver_inputs([_validate_model(model, q)], [omega], q)
     values = np.zeros((1, h + 1, (q - 1) ** 2)) if h >= 1 else None  # the batch refuses h < 1
-    actions = backward_induction_batch(*inputs, h, rngs=[rng if tie_break == "random" else None], values=values)
-    return values[0].reshape(h + 1, q - 1, q - 1), actions[0]
+    actions, picks = backward_induction_batch(*inputs, h, rngs=[rng] if tie_break == "random" else None, values=values)
+    return values[0].reshape(h + 1, q - 1, q - 1), with_picks(actions, picks)[0]
 
 
 def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +111,8 @@ def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
     return by_demand, gains
 
 
-def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None, states=None) -> np.ndarray:
-    """Solve B lookaheads at once, each with the bits of its own solve; return their actions.
+def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, rows=None, values=None, states=None):
+    """Solve B lookaheads at once, each with the bits of its own solve; return ``(actions, picks)``.
 
     Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product into a
     reused buffer, which runs the same matrix product per item as a single
@@ -125,22 +126,25 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None
         by_demand, gains: B models, trusted to be valid, and B reward
             matrices, stacked by :func:`solver_inputs`.
         h: number of stages, at least 1.
-        rngs: None for smallest-demand ties throughout, or B entries: a
-            generator draws that item's ties uniformly, column by column in
-            state order; None keeps its smallest maximizing demand.
+        rngs: None for smallest-demand ties, or one generator per planner:
+            planner ``p`` plays item ``rows[p]`` (by default item ``p``) and
+            draws uniformly among the maximizers of every tied column of it,
+            in state order, from ``rngs[p]`` alone.
         values: None, or a zeroed ``(B, h + 1, (q - 1)**2)`` array that
             receives every stage's values; without it the loop holds only
             the stage it reads and the stage it writes, and leaves the first
-            stage's maxima uncomputed unless an item draws its ties.
+            stage's maxima uncomputed unless a planner draws its ties.
         states: None, or B flat states ``(own_prev - 1) * (q - 1) + opp_prev - 1``,
-            one per item: the only state whose action that item returns.  An
-            item that draws its ties still draws them over every column, so
-            its stream moves exactly as in a full solve.
+            the only state whose action each item returns.  A planner still
+            draws over every tied column, so its stream moves as in a full solve.
 
     Returns:
         ``actions`` of shape ``(B, q - 1, q - 1)``, indexed as in
-        :func:`backward_induction`; with ``states``, shape ``(B,)``, each
-        equal to the full solve's action at its state, bit for bit.
+        :func:`backward_induction`, or with ``states`` shape ``(B,)``, bit for
+        bit the full solve's action there; and ``picks``, None without
+        ``rngs``.  With them a tied entry reads ``~j`` instead, where planner
+        ``p`` plays ``picks[p, j]`` (:func:`with_picks`): ``j`` numbers the
+        item's tied columns in state order, and is 0 at a tied state.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
@@ -153,25 +157,59 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, values=None
     # the product writes through its (B, action, state) view.
     by_action = np.empty((n, count, n * n))
     q_vals = by_action.transpose(1, 0, 2)
-    draws = [(i, rng) for i, rng in enumerate(rngs or ()) if rng is not None]
     for k in range(1, h + 1):
         np.add(gains, stages[(k - 1) % len(stages)].reshape(count, n, n), out=landing)
         np.matmul(landing, by_demand, out=q_vals)
-        if k < h or values is not None or draws:  # otherwise the first stage is read only through its argmax
+        if k < h or values is not None or rngs is not None:  # otherwise the first stage is read only through its argmax
             by_action.max(axis=0, out=stages[k % len(stages)])
 
-    best = stages[h % len(stages)]
     # first maximum = smallest maximizing demand
     actions = by_action.argmax(axis=0) if states is None else by_action[:, np.arange(count), states].argmax(axis=0)
-    for i, rng in draws:
-        tied = by_action[:, i] == best[i]  # (action, state): every maximizer of each column
-        for column in np.flatnonzero(tied.sum(axis=0) > 1):
-            action = rng.choice(np.flatnonzero(tied[:, column]))
-            if states is None:
-                actions[i, column] = action
-            elif column == states[i]:
-                actions[i] = action
-    return (actions + 1).reshape(count, n, n) if states is None else actions + 1
+    actions += 1
+    picks = None if rngs is None else _draw_ties(by_action, stages[h % len(stages)], actions, rngs, rows, states)
+    return (actions.reshape(count, n, n) if states is None else actions), picks
+
+
+def _draw_ties(by_action, best, actions, rngs, rows, states) -> np.ndarray:
+    """Each planner's ``picks`` at its item's tied columns, those columns marked in ``actions``.
+
+    A planner draws once, with ``integers(0, sizes)`` over the sizes of its
+    item's tied columns in state order: the bits, and the final stream
+    state, of one ``choice`` among each column's maximizers in turn.
+    """
+    tied = by_action == best  # (action, item, state): every maximizer of each column
+    sizes = tied.sum(axis=0)
+    item, column = np.nonzero(sizes > 1)  # every tied column, by item, then in state order
+    sizes, bounds = sizes[item, column], np.searchsorted(item, np.arange(len(best) + 1))
+    slot = np.arange(len(item)) - bounds[item]  # its place among its item's tied columns
+    if states is None:
+        actions[item, column] = ~slot
+    else:  # an item is read only at its state, whose pick is each planner's slot 0
+        slot[:] = np.where(column == states[item], 0, -1)
+        actions[item[slot == 0]] = ~0
+    rows = np.arange(len(rngs)) if rows is None else np.asarray(rows)
+    lo, hi = bounds[rows], bounds[rows + 1]  # each planner's item's tied columns
+    picks = np.zeros((len(rngs), slot.max(initial=0) + 1), dtype=np.int16)  # a demand is below q <= 513
+    drawers = np.flatnonzero(hi > lo)
+    if len(drawers):
+        draws = np.concatenate([rngs[p].integers(0, sizes[lo[p] : hi[p]]) for p in drawers.tolist()])
+        lengths = (hi - lo)[drawers]
+        # each draw's tied column, and whether its planner reads it
+        at = np.arange(len(draws)) + np.repeat(lo[drawers] - (np.cumsum(lengths) - lengths), lengths)
+        read = slot[at] >= 0
+        maximizers = np.nonzero(tied[:, item, column].T)[1]  # grouped by tied column, ascending
+        first = np.cumsum(sizes) - sizes  # each tied column's first maximizer there
+        picks[np.repeat(drawers, lengths)[read], slot[at[read]]] = maximizers[first[at[read]] + draws[read]] + 1
+    return picks
+
+
+def with_picks(actions, picks) -> np.ndarray:
+    """Planners' demands ``actions[p]``, read from their items' actions, with
+    each tied entry ``~j`` replaced in place by the planner's pick ``picks[p, j]``."""
+    if picks is not None:
+        tied = np.nonzero(actions < 0)
+        actions[tied] = picks[tied[0], ~actions[tied]]
+    return actions
 
 
 def brute_force_value(

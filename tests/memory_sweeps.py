@@ -7,9 +7,10 @@ reports their peaks.
 """
 
 BOUND_MIB = 36
-# The traced peak each case had before its learners first shared one run row
-# per belief, which sharing must keep them under.
-CASE_BOUND_MIB = {"learner-vs-learner": 15.89}
+# The traced peak each case had before its planners first shared one run row
+# per belief, under smallest ties and then under random ties, which sharing
+# must keep them under.
+CASE_BOUND_MIB = {"learner-vs-learner": 15.89, "random-tie-planner": 11.25, "random-tie-learners": 22.56}
 SWEEPS = (
     ("learner", 2, "smallest", 60, (0.5,)),
     ("random-tie-planner", 1, "random", 60, (0.5,)),
@@ -17,4 +18,6 @@ SWEEPS = (
     ("shared-fixed-model", 3, "smallest", 30, None),
     # two learners of one weight and one belief per game: one run row, one solve item a round
     ("learner-vs-learner", 4, "smallest", 60, (0.5,)),
+    # 30 self-play games whose 60 learners share rows until their ties or what they observe part them
+    ("random-tie-learners", 4, "random", 60, (0.5,)),
 )

@@ -132,6 +132,19 @@ def test_config_validation_names_fields():
         GameConfig(tie_break="greedy")
 
 
+@pytest.mark.parametrize("field", ["omega_a", "omega_b"])
+@pytest.mark.parametrize("value", ["0.5", None, True, False, np.bool_(True), 0.5j, float("nan")], ids=repr)
+def test_config_refuses_a_weight_that_is_not_a_real_number(field, value):
+    # "0.5" and None died with a TypeError; True and False played as 1.0 and 0.0
+    with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 1\\], got {re.escape(repr(value))}"):
+        GameConfig(**{field: value})
+
+
+def test_config_takes_real_weights_of_any_type():
+    config = GameConfig(omega_a=np.float32(0.5), omega_b=1)
+    assert (config.omega_a, config.omega_b) == (0.5, 1)
+
+
 @pytest.mark.parametrize("field", ["q", "rounds", "horizon", "initial_demand", "seed"])
 @pytest.mark.parametrize("value", [3.5, 3.0, True, "3"])
 def test_config_refuses_a_count_that_is_not_an_int(field, value):

@@ -231,8 +231,10 @@ def test_learners_sharing_a_belief_play_each_game_as_it_is_played_alone(
     q, rounds, horizon, tie_break, extra, order, seed
 ):
     # learners of equal weight and equal counts share one run row until what
-    # they observe parts them: their demands and the learners they hand back
-    # equal each game played alone, bit for bit, on either seat and tie rule
+    # they play or observe parts them, under random ties too, where at q=3
+    # and 5 a uniform prior ties and row-mates draw apart: their demands and
+    # the learners they hand back equal each game played alone, bit for bit,
+    # on either seat and tie rule
     games = list(BELIEF_GAMES) + extra
     order.shuffle(games)
     configs = [
@@ -261,10 +263,10 @@ def test_learners_sharing_a_belief_play_each_game_as_it_is_played_alone(
                 assert held.estimate.tobytes() == fresh.estimate.tobytes()
 
 
-@pytest.mark.parametrize(("tie_break", "items"), (("smallest", 1), ("random", 2)))
+@pytest.mark.parametrize(("tie_break", "items"), (("smallest", 1), ("random", 1)))
 def test_a_symmetric_self_play_game_solves_one_item_per_round(tie_break, items, monkeypatch):
-    # two learners of one weight and one belief share a row all game; under
-    # random ties each draws its own ties, so each keeps its own item
+    # two learners of one weight and one belief share a row all game: under
+    # random ties too, as no state they play ties, so neither draws apart
     sizes = []
     real = engine.backward_induction_batch
 
@@ -276,8 +278,38 @@ def test_a_symmetric_self_play_game_solves_one_item_per_round(tie_break, items, 
     config = GameConfig(rounds=12, tie_break=tie_break)
     log = run_game(config, *_learning_pair(config))
     assert sizes == [items] * (config.rounds - 1)
-    if tie_break == "smallest":  # one row plays both seats
-        assert np.array_equal(log.demands[:, 0], log.demands[:, 1])
+    assert np.array_equal(log.demands[:, 0], log.demands[:, 1])  # one row plays both seats
+
+
+def test_row_mates_that_draw_apart_split_on_their_own_demands(monkeypatch):
+    # at q=3 a uniform prior ties every column, so eight learners of one
+    # weight and belief share one row until round 3, played at (2, 2), a
+    # state none of them has seen: there they draw apart, while their fixed
+    # opponent, which ties nowhere, plays them all the same demand, so only
+    # their own demands part them
+    sizes = []
+    real = engine.backward_induction_batch
+
+    def counting(by_demand, gains, *args, **kwargs):
+        sizes.append(len(gains))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
+    opponent = random_model(np.random.default_rng(0), 3)
+    configs = [
+        GameConfig(q=3, rounds=6, initial_demand=1, omega_a=0.5, omega_b=0.3, seed=s, tie_break="random")
+        for s in range(8)
+    ]
+    pairs = [(DirichletLearner.uniform(3), opponent) for _ in configs]
+    logs = run_games(configs, pairs, [RngPlan(config.seed) for config in configs])
+    assert sizes == [1, 1, 1, 2, 2, 2]  # the opponent's rule, then the learners' row, split in two after round 3
+    assert {log.demands[2, 0] for log in logs} == {1, 2} and len({log.demands[2, 1] for log in logs}) == 1
+    monkeypatch.undo()
+    for config, (learner, _), log in zip(configs, pairs, logs):
+        alone = DirichletLearner.uniform(3)
+        assert log == run_game(config, alone, opponent)
+        assert learner.counts.tobytes() == alone.counts.tobytes()
+        assert learner.estimate.tobytes() == alone.estimate.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -70,6 +71,12 @@ def test_spec_validation():
         benchmark_spec(1, replications=0)
     with pytest.raises(ValueError, match="omega_grid_a"):
         benchmark_spec(1, grid=(0.5, 1.5))
+    # "0.5" and None died with a TypeError; True played as 1.0
+    for w in ("0.5", None, True, np.bool_(False), float("nan")):
+        with pytest.raises(ValueError, match=rf"omega_grid_a values must lie in \[0, 1\], got {re.escape(repr(w))}"):
+            benchmark_spec(1, grid=(w,))
+        with pytest.raises(ValueError, match=rf"omega_grid_b values must lie in \[0, 1\], got {re.escape(repr(w))}"):
+            dataclasses.replace(benchmark_spec(3), omega_grid_b=(0.5, w))
     with pytest.raises(ValueError, match="replications"):
         dataclasses.replace(benchmark_spec(1), replications=0)  # replace re-checks
     for replications in (True, 2.5, 3.0, "3"):  # True once ran 1 replication, 2.5 died in _plan
@@ -286,6 +293,27 @@ def test_the_selfplay_learning_sweep_solves_each_distinct_belief_once_per_round(
     monkeypatch.setattr(engine, "backward_induction_batch", counting)
     run_test(benchmark_spec(4, replications=3, grid=(0.65, 0.7, 1.0), base=GameConfig(seed=1062076350)))
     assert len(sizes) == 59 and sum(sizes) == 351
+
+
+def test_a_random_tie_selfplay_sweep_solves_each_distinct_belief_once_per_round(monkeypatch):
+    # the same sweep under random ties plays every replication: 27 games, 54
+    # learners, 59 solved rounds; one item per learner would be 3186.  Equal
+    # beliefs share a row until their own draws or their opponents' part them
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    sizes = []
+    real = engine.backward_induction_batch
+
+    def counting(by_demand, gains, *args, **kwargs):
+        sizes.append(len(gains))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", counting)
+    base = GameConfig(seed=1062076350, tie_break="random")
+    spec = benchmark_spec(4, replications=3, grid=(0.65, 0.7, 1.0), base=base)
+    cells = run_test(spec).cells
+    assert len(sizes) == 59 and sum(sizes) == 409
+    monkeypatch.undo()
+    assert cells == _unreused_cells(spec)
 
 
 def test_repeated_random_grid_values_keep_their_own_seeds():

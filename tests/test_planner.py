@@ -19,7 +19,7 @@ from ndglab import (
 from ndglab import engine
 from ndglab.core import TIE_BREAKS
 from ndglab.engine import run_games
-from ndglab.planner import backward_induction_batch, solver_inputs
+from ndglab.planner import backward_induction_batch, solver_inputs, with_picks
 
 from oracles import (
     exhaustive_policy_max,
@@ -155,46 +155,47 @@ def test_solver_matches_stage_loop_on_ties():
 @given(
     st.sampled_from((3, 4, 5, 10)),
     st.integers(1, 10),
+    st.sampled_from(TIE_BREAKS),
     st.lists(
-        st.tuples(
-            st.sampled_from(("random", "uniform")),
-            st.sampled_from((0.0, 0.5, 1.0, 0.3)),
-            st.sampled_from(TIE_BREAKS),
-            st.integers(0, 3),
-        ),
+        st.tuples(st.sampled_from(("random", "uniform")), st.sampled_from((0.0, 0.5, 1.0, 0.3))),
         min_size=1,
-        max_size=6,
+        max_size=4,
     ),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
     st.integers(0, 2**32 - 1),
 )
-def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, items, seed):
-    # uniform models at odd q tie in many columns, at q=3 in every column
+def test_batched_solve_equals_scalar_solves_bit_for_bit(q, h, tie_break, items, planners, seed):
+    # uniform models at odd q tie in many columns, at q=3 in every column;
+    # planners share items and seeds in any order, and each draws its ties
+    # over its item's tied columns from its own stream alone
     rng = np.random.default_rng(seed)
-    models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
-    omegas = [omega for _, omega, _, _ in items]
+    models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, _ in items]
+    omegas = [omega for _, omega in items]
+    rows = np.array([item % len(items) for item, _ in planners])
 
     def streams():
-        return [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s in items]
+        return [np.random.default_rng(s) for _, s in planners] if tie_break == "random" else None
 
     n = q - 1
     inputs = solver_inputs(models, omegas, q)
     rngs, lean_rngs = streams(), streams()
     values = np.zeros((len(items), h + 1, n * n))
-    actions = backward_induction_batch(*inputs, h, rngs=rngs, values=values)
+    actions, picks = backward_induction_batch(*inputs, h, rngs=rngs, rows=rows, values=values)
     # without a values buffer the loop keeps two rolling stages and must solve the same
-    assert np.array_equal(backward_induction_batch(*inputs, h, rngs=lean_rngs), actions)
+    lean_actions, lean_picks = backward_induction_batch(*inputs, h, rngs=lean_rngs, rows=rows)
+    assert np.array_equal(lean_actions, actions) and np.array_equal(lean_picks, picks)
     values = values.reshape(len(items), h + 1, n, n)
-    for i, (_, omega, tie, tie_seed) in enumerate(items):
-        tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
-        want_values, want_actions = backward_induction(models[i], omega, h, q, tie_break=tie, rng=tie_rng)
+    for p, (i, (_, tie_seed)) in enumerate(zip(rows, planners)):
+        tie_rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
+        want_values, want_actions = backward_induction(models[i], omegas[i], h, q, tie_break=tie_break, rng=tie_rng)
         assert values[i].tobytes() == want_values.tobytes()
-        assert np.array_equal(actions[i], want_actions)
-        if tie == "random":  # both batches drew exactly what the solo solve drew from an equal stream
-            assert rngs[i].random() == lean_rngs[i].random() == tie_rng.random()
-        oracle_rng = np.random.default_rng(tie_seed) if tie == "random" else None
-        oracle_values, oracle_actions = stage_loop_backward_induction(models[i], omega, h, q, tie, oracle_rng)
+        assert np.array_equal(with_picks(actions[rows], picks)[p], want_actions)
+        if tie_break == "random":  # both batches drew exactly what the solo solve drew from an equal stream
+            assert rngs[p].random() == lean_rngs[p].random() == tie_rng.random()
+        oracle_rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
+        oracle_values, oracle_actions = stage_loop_backward_induction(models[i], omegas[i], h, q, tie_break, oracle_rng)
         assert values[i].tobytes() == oracle_values.tobytes()
-        assert np.array_equal(actions[i], oracle_actions)
+        assert np.array_equal(want_actions, oracle_actions)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,51 +213,68 @@ def test_a_product_written_action_major_has_the_bits_of_the_contiguous_one(q, it
     assert by_action.transpose(1, 0, 2).tobytes() == np.matmul(landing, by_demand).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 101), st.integers(1, 60), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_one_integers_call_draws_the_bits_of_one_choice_per_tied_column(q, columns, density, seed):
+    # a planner draws all its tied columns with one integers(0, sizes) call;
+    # that must pick, and leave its stream, as one choice per column in turn
+    rng = np.random.default_rng(seed)
+    tied = rng.random((q - 1, columns)) < density
+    tied[rng.integers(0, q - 1, columns), np.arange(columns)] = True  # every column has a maximizer
+    tied = tied[:, tied.sum(axis=0) > 1]
+    one, per_column = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    draws = one.integers(0, tied.sum(axis=0))
+    picks = [np.flatnonzero(column)[k] for column, k in zip(tied.T, draws.tolist())]
+    assert picks == [per_column.choice(np.flatnonzero(column)) for column in tied.T]
+    assert one.bit_generator.state == per_column.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from((3, 5, 7)),
     st.integers(1, 10),
+    st.sampled_from(TIE_BREAKS),
     st.lists(
-        st.tuples(
-            st.sampled_from(("random", "uniform")),
-            st.sampled_from((0.0, 0.5, 1.0, 0.3)),
-            st.sampled_from(TIE_BREAKS),
-            st.integers(0, 3),
-            st.integers(0, 35),
-        ),
+        st.tuples(st.sampled_from(("random", "uniform")), st.sampled_from((0.0, 0.5, 1.0, 0.3)), st.integers(0, 35)),
         min_size=1,
-        max_size=6,
+        max_size=4,
     ),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
     st.integers(0, 2**32 - 1),
 )
-def test_a_solve_read_at_one_state_per_item_equals_the_full_solve_there(q, h, items, seed):
-    # uniform models at odd q tie in many columns, at q=3 in every column; an
-    # item that draws its ties draws them over every column, read or not
+def test_a_solve_read_at_one_state_per_item_equals_the_full_solve_there(q, h, tie_break, items, planners, seed):
+    # uniform models at odd q tie in many columns, at q=3 in every column; a
+    # planner that draws its ties draws them over every column, read or not
     rng = np.random.default_rng(seed)
     models = [random_model(rng, q) if kind == "random" else uniform_table(q) for kind, *_ in items]
-    inputs = solver_inputs(models, [omega for _, omega, *_ in items], q)
+    inputs = solver_inputs(models, [omega for _, omega, _ in items], q)
     states = np.array([state % (q - 1) ** 2 for *_, state in items])
+    rows = np.array([item % len(items) for item, _ in planners])
 
     def streams():
-        return [np.random.default_rng(s) if tie == "random" else None for _, _, tie, s, _ in items]
+        return [np.random.default_rng(s) for _, s in planners] if tie_break == "random" else None
 
     full_rngs, read_rngs = streams(), streams()
-    full = backward_induction_batch(*inputs, h, rngs=full_rngs)
-    read = backward_induction_batch(*inputs, h, rngs=read_rngs, states=states)
-    assert read.tobytes() == full.reshape(len(items), -1)[np.arange(len(items)), states].tobytes()
-    for full_rng, read_rng in zip(full_rngs, read_rngs):
-        if full_rng is not None:
-            assert read_rng.bit_generator.state == full_rng.bit_generator.state
+    actions, picks = backward_induction_batch(*inputs, h, rngs=full_rngs, rows=rows)
+    full = with_picks(actions[rows], picks)
+    actions, picks = backward_induction_batch(*inputs, h, rngs=read_rngs, rows=rows, states=states)
+    read = with_picks(actions[rows], picks)
+    assert read.tobytes() == full.reshape(len(rows), -1)[np.arange(len(rows)), states[rows]].tobytes()
+    for full_rng, read_rng in zip(full_rngs or (), read_rngs or ()):
+        assert read_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=6))
 def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
-    # q=3 under a uniform model ties every column, so every column draws
+    # q=3 under a uniform model ties every column, so every column draws; all
+    # planners play the one item, each drawing from its own stream
     table = uniform_table(3)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    batch = backward_induction_batch(*solver_inputs([table] * len(seeds), [0.5] * len(seeds), 3), 2, rngs=rngs)
-    for seed, rng, rule in zip(seeds, rngs, batch):
+    rows = np.zeros(len(seeds), dtype=np.intp)
+    actions, picks = backward_induction_batch(*solver_inputs([table], [0.5], 3), 2, rngs=rngs, rows=rows)
+    assert (actions < 0).all()  # every column is tied
+    for seed, rng, rule in zip(seeds, rngs, with_picks(actions[rows], picks)):
         alone_rng = np.random.default_rng(seed)
         _, alone = backward_induction(table, 0.5, 2, 3, tie_break="random", rng=alone_rng)
         assert np.array_equal(rule, alone)
@@ -280,21 +298,24 @@ def _count_items(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("copies", [False, True], ids=["one-object", "bit-equal-copies"])
 def test_fixed_planners_share_one_item_per_table_content_and_weight(copies, tie_break, monkeypatch):
     # six planners on both seats of three games hold a uniform table at two
-    # weights, as one object or as distinct bit-equal copies: under smallest
-    # ties they are solved as one item per weight; under random ties each
-    # planner draws its own ties, so is its own item
+    # weights, as one object or as distinct bit-equal copies: under either
+    # tie rule they are solved as one item per weight; at q=9 every column
+    # ties, and under random ties each planner draws them all from its own
+    # stream, so every game still equals the game played alone
     sizes = _count_items(monkeypatch)
-    table = uniform_table(10)
+    table = uniform_table(9)
     configs = [
-        GameConfig(rounds=8, omega_a=wa, omega_b=wb, seed=s, tie_break=tie_break)
+        GameConfig(q=9, rounds=8, omega_a=wa, omega_b=wb, seed=s, tie_break=tie_break)
         for wa, wb, s in ((0.2, 0.2, 1), (0.7, 0.2, 2), (0.2, 0.7, 3))
     ]
     pairs = [(table.copy(), table.copy()) if copies else (table, table) for _ in configs]
     logs = run_games(configs, pairs, [RngPlan(c.seed) for c in configs])
-    assert sizes == [2 if tie_break == "smallest" else 6]
+    assert sizes == [2]
     monkeypatch.undo()
     for config, log in zip(configs, logs):
         assert log == run_game(config, table.copy(), table.copy())
+    if tie_break == "random":  # the games drew apart
+        assert len({log.demands.tobytes() for log in logs}) > 1
 
 
 @pytest.mark.parametrize("seat", [0, 1])
