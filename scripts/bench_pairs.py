@@ -24,7 +24,10 @@ its own side's ``src``, with ``NDG_THREADS=1``:
   three passes per side;
 - warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
   when no claim is given): pairs of processes, in alternating order, that
-  each time several sweeps after one untimed sweep.
+  each time several sweeps after one untimed sweep;
+- the layers of :func:`layer_timings`, timed with ``timeit`` in fresh
+  interpreters, pairs of one per side in alternating order; each layer's
+  median over the pairs.
 
 A full run takes about 35 minutes on two cores.  Run it on
 an otherwise idle machine: both sides share it, one after the other.
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +55,7 @@ from workloads import WORKLOADS  # noqa: E402  (reads the workload table only)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
-PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES = 10, 8, 8, 3
+PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 3, 3
 RANDOM_TIE_ARGS = ["--tie-break", "random", "--replications", "10"]
 
 # Runs in a fresh interpreter of one side, which imports that side's ndglab.
@@ -76,6 +80,10 @@ def sweep(argv):
 if job["kind"] == "warm":
     sweep(job["argv"])
     result = statistics.median(sweep(job["argv"]) for _ in range(job["sweeps"]))
+elif job["kind"] == "layers":
+    sys.path.insert(0, job["scripts"])
+    from bench_pairs import layer_timings
+    result = layer_timings(job["repeat"])
 elif job["kind"] == "scenarios":
     result = [sweep(["test", "--id", str(k), *job["extra"]]) for k in range(1, 6)]
 else:
@@ -90,6 +98,61 @@ else:
             tracemalloc.stop()
 print(json.dumps(result))
 """
+
+
+def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
+    """Microseconds per call of each layer, the least of ``repeat`` timings, in this interpreter.
+
+    Times whichever ``ndglab`` this interpreter imports, so a side's probe
+    times its own tree; a layer that tree lacks reads None.  ``number``
+    calls make one timing, by default as many as ``timeit`` picks to fill
+    0.2 s.  The layers:
+
+    - ``sample_200_one_shot``: one round of rule-based draws for 200 seats
+      through ``heuristic_sample``, at 17 states near the even split;
+    - ``sample_200_warm_memo``: the same round through a ``RuleRows`` that
+      has already drawn at those states;
+    - ``streams_200``: 200 ``RngPlan`` seat streams, each drawing 59 uniforms;
+    - ``parser_test``: the argument parser of ``ndglab test``;
+    - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
+      q=10 and h=10, keeping two stages;
+    - ``game_scores_200x60``: ``core.game_scores`` on a ``(200, 60, 2)`` chunk.
+    """
+    import inspect
+
+    import numpy as np
+
+    from ndglab import cli, core, engine, opponent, planner
+
+    rng = np.random.default_rng(0)
+    q, model = 10, opponent.HeuristicModel(1.0, 10)
+    own, opp = rng.integers(3, 8, (2, 17))[:, rng.integers(0, 17, 200)]
+    u = rng.random(200)
+    memo = opponent.RuleRows(model) if hasattr(opponent, "RuleRows") else None
+    if memo is not None:
+        memo.draw(own, opp, u)
+    takes_argv = bool(inspect.signature(cli._build_parser).parameters)
+    layers = {
+        "sample_200_one_shot": lambda: opponent.heuristic_sample(model, own, opp, u),
+        "sample_200_warm_memo": memo and (lambda: memo.draw(own, opp, u)),
+        "streams_200": lambda: [engine.RngPlan(0, (0, k)).agent_a.random(59) for k in range(200)],
+        "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
+    }
+    for count in (12, 36, 242):
+        tables = rng.dirichlet(np.ones(q - 1), size=(count, q - 1, q - 1))
+        inputs = planner.solver_inputs(tables, rng.random(count), q)
+        layers[f"lean_solve_b{count}"] = lambda inputs=inputs: planner.backward_induction_batch(*inputs, 10)
+    chunk = rng.integers(1, q, (200, 60, 2))
+    layers["game_scores_200x60"] = lambda: core.game_scores(chunk, q)
+    timings = {}
+    for name, call in layers.items():
+        if call is None:
+            timings[name] = None
+            continue
+        timer = timeit.Timer(call)
+        calls = number or timer.autorange()[0]
+        timings[name] = round(min(timer.repeat(repeat, calls)) / calls * 1e6, 2)
+    return timings
 
 
 def parse_args(argv=None):
@@ -191,6 +254,15 @@ def main(argv=None) -> int:
         figures = {side: suite.pop("acceptance_3") for side, suite in suites.items()}
         print(f"tier-1: {suites}", file=sys.stderr)
         peaks = {side: probe(tree, {"kind": "memory", "sweeps": memory_sweeps.SWEEPS}) for side, tree in trees.items()}
+        job = {"kind": "layers", "scripts": str(ROOT / "scripts"), "repeat": 7}
+        layer_runs = {side: [] for side in SIDES}
+        for pair in range(LAYER_PAIRS):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                layer_runs[side].append(probe(trees[side], job))
+        layers = {
+            side: {name: runs[0][name] and statistics.median(run[name] for run in runs) for name in runs[0]}
+            for side, runs in layer_runs.items()
+        }
         scenarios = {side: [] for side in SIDES}
         random_ties = {side: [] for side in SIDES}
         for _ in range(SCENARIO_PASSES):
@@ -245,6 +317,13 @@ def main(argv=None) -> int:
             },
             **{f"{side}_median_total": round(statistics.median(map(sum, random_ties[side])), 2) for side in SIDES},
             "passes": SCENARIO_PASSES,
+        },
+        "layers": {
+            "description": (
+                f"microseconds per call: the least of 7 timeit repeats in a fresh interpreter, median of "
+                f"{LAYER_PAIRS} interpreters per side, run in alternating pairs"
+            ),
+            **layers,
         },
         "warm_in_process": {
             "workload": warm_workload,

@@ -134,13 +134,24 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser, with arguments only for the subcommand ``argv`` names: its
+    first token that is not an option, as the top level takes none but ``-h``."""
     parser = argparse.ArgumentParser(
         prog="ndglab", description="Repeated demand-splitting game laboratory."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, help_text in (
+        ("run", "play one game and write its round log"),
+        ("test", "run one built-in benchmark scenario"),
+        ("sweep", "run a scenario's agent pairing over a custom grid"),
+        ("pretrain", "warm-up game; writes both learner states"),
+        ("validate", "run the built-in oracle checks"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if name != chosen:
+            continue
         p.add_argument("--config", help="config file (key = value lines, or JSON)")
         p.add_argument("--q", type=int, help="amount split each round")
         p.add_argument("--rounds", type=int, help="rounds per game")
@@ -152,32 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tie-break", choices=TIE_BREAKS, help="planner tie handling")
         p.add_argument("--out", help="output directory")
         p.add_argument("--force", action="store_true", help="allow overwriting output files")
-
-    run_p = sub.add_parser("run", help="play one game and write its round log")
-    add_common(run_p)
-    run_p.add_argument("--agent-a", choices=AGENT_CHOICES, default="mdp-uniform")
-    run_p.add_argument("--agent-b", choices=AGENT_CHOICES, default="mdp-uniform")
-    run_p.add_argument("--sigma-a", type=float, default=None, help="spread for a heuristic agent/model on the A seat")
-    run_p.add_argument("--sigma-b", type=float, default=None, help="spread for a heuristic agent/model on the B seat")
-    run_p.add_argument("--prior-a", help="learner state file seeding an mdp-learning A agent")
-    run_p.add_argument("--prior-b", help="learner state file seeding an mdp-learning B agent")
-
-    for name, help_text, grid_required in (
-        ("test", "run one built-in benchmark scenario", False),
-        ("sweep", "run a scenario's agent pairing over a custom grid", True),
-    ):
-        scenario_p = sub.add_parser(name, help=help_text)
-        add_common(scenario_p)
-        scenario_p.add_argument("--id", type=int, required=True, help="scenario number, 1..5")
-        scenario_p.add_argument("--replications", type=int, help="replications per grid cell")
-        scenario_p.add_argument("--grid", required=grid_required, help="omega grid: point count or comma list")
-
-    pre_p = sub.add_parser("pretrain", help="warm-up game; writes both learner states")
-    add_common(pre_p)
-    pre_p.add_argument("--pretrain-rounds", type=int, default=WARMUP_ROUNDS)
-
-    val_p = sub.add_parser("validate", help="run the built-in oracle checks")
-    add_common(val_p)
+        if name == "run":
+            p.add_argument("--agent-a", choices=AGENT_CHOICES, default="mdp-uniform")
+            p.add_argument("--agent-b", choices=AGENT_CHOICES, default="mdp-uniform")
+            p.add_argument("--sigma-a", type=float, help="spread for a heuristic agent/model on the A seat")
+            p.add_argument("--sigma-b", type=float, help="spread for a heuristic agent/model on the B seat")
+            p.add_argument("--prior-a", help="learner state file seeding an mdp-learning A agent")
+            p.add_argument("--prior-b", help="learner state file seeding an mdp-learning B agent")
+        elif name in ("test", "sweep"):
+            p.add_argument("--id", type=int, required=True, help="scenario number, 1..5")
+            p.add_argument("--replications", type=int, help="replications per grid cell")
+            p.add_argument("--grid", required=name == "sweep", help="omega grid: point count or comma list")
+        elif name == "pretrain":
+            p.add_argument("--pretrain-rounds", type=int, default=WARMUP_ROUNDS)
     return parser
 
 
@@ -333,7 +331,8 @@ _COMMANDS = dict(run=_cmd_run, test=_cmd_test, sweep=_cmd_test, pretrain=_cmd_pr
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

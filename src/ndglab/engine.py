@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import GameConfig, GameLog, atomic_write, check_int, round_columns
-from .opponent import DirichletLearner, HeuristicModel, heuristic_sample, observe
+from .opponent import DirichletLearner, HeuristicModel, RuleRows, observe
 from .planner import _validate_model, backward_induction_batch, solver_inputs, with_picks
 
 __all__ = [
@@ -174,8 +174,10 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     batch before round 2, one rule per row, and a round gathers each fixed
     planner's demand from its row's rule.  A round samples each rule-based
     model once, from uniforms drawn up front per seat with the bits of one
-    draw per round.  Each seat draws only from its own stream, read only if
-    it draws, so seat order and interleaving cannot move a draw.
+    draw per round, through one :class:`RuleRows` per model for the run.
+    Each seat draws only from its own stream, read only if it draws, so seat
+    order and interleaving cannot move a draw.  A round reads and writes
+    demands at flat indices fixed for the run, ``g * 2 * rounds + 2 * t + seat``.
 
     Learners are copied into stacked run arrays, one row per distinct
     belief.  Learners sharing a row share their state as long as they play
@@ -191,27 +193,36 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     h, q = config.horizon, config.q
     demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
     demands[:, 0] = config.initial_demand
+    flat = demands.reshape(-1)
     draws = config.tie_break == "random"  # then every planner draws its ties from its own stream
     fixed, learning, samplers = [], [], {}  # planners as (g, seat, table or learner, omega, stream)
     for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
         for seat, (held, omega, name) in enumerate(zip(pair, (game.omega_a, game.omega_b), ("agent_a", "agent_b"))):
             if isinstance(held, HeuristicModel):
-                samplers.setdefault(held, []).append((g, seat, getattr(plan, name).random(rounds - 1)))
+                samplers.setdefault(held, []).append((g, seat, getattr(plan, name)))
                 continue
             stream = getattr(plan, name) if draws else None
             if isinstance(held, DirichletLearner):
                 learning.append((g, seat, held, omega, stream))
             else:
                 fixed.append((g, seat, tables[id(held)], omega, stream))
-    # per model: the games and seats it holds, and their uniforms as (seats, rounds - 1)
-    samplers = [(model, *map(np.array, zip(*seats))) for model, seats in samplers.items()]
-    fixed_games, fixed_seats = _seat_arrays(fixed)
+    for model, seats in samplers.items():  # each model's seats and their uniforms, one round per row
+        uniforms = np.empty((len(seats), rounds - 1))
+        for row, (*_, stream) in zip(uniforms, seats):
+            stream.random(out=row)
+        samplers[model] = (RuleRows(model), *_seat_at(seats, rounds), uniforms.T.copy())
+    fixed_at, fixed_opp = _seat_at(fixed, rounds)
     fixed_row, fixed_lead = _planner_rows([(omega, table) for _, _, table, omega, _ in fixed])
-    rules, picks = np.empty((0, q - 1, q - 1), dtype=np.intp), None  # one rule per fixed row, solved before round 2
+    fixed_rule = fixed_row * (q - 1) ** 2 - q  # plus own * (q - 1) + opp: the state's entry of its row's rule
+    if fixed and rounds > 1:  # a fixed model's rule holds for the run
+        _, _, held, weights, _ = zip(*(fixed[i] for i in fixed_lead))
+        rngs = [stream for *_, stream in fixed] if draws else None
+        rules, picks = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs, rows=fixed_row)
+        rules = rules.reshape(-1)
     learners = row_of = ()
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
-        learner_games, learner_seats = _seat_arrays(learning)
+        learner_at, learner_opp = _seat_at(learning, rounds)
         row_of, lead = _planner_rows([(w, held.counts, held.estimate) for held, w in zip(learners, omegas)])
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
         # the rest hold the other learners, as room for rows to split into.
@@ -220,40 +231,34 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         by_demand, gains = solver_inputs([learners[i].estimate for i in order], [omegas[i] for i in order], q)
         counts = np.stack([learners[i].counts for i in order])
         estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each row's view
-        row_games, row_seats = learner_games[lead], learner_seats[lead]
+        row_at, row_opp = learner_at[lead], learner_opp[lead]
     for t in range(rounds):
+        now, before = 2 * t, 2 * t - 2  # flat offsets of this round and the one before
         if learning:  # each row's state from its side; the opening round is played at the opening pair
-            state = max(t - 1, 0)
-            own_prev = demands[row_games, state, row_seats]
-            opp_prev = demands[row_games, state, 1 - row_seats]
+            own_prev, opp_prev = flat[row_at + max(before, 0)], flat[row_opp + max(before, 0)]
         if t:
-            if t == 1 and fixed:  # a fixed model's rule holds for the run
-                _, _, held, weights, _ = zip(*(fixed[i] for i in fixed_lead))
-                rngs = [stream for *_, stream in fixed] if draws else None
-                rules, picks = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs, rows=fixed_row)
-            before = demands[:, t - 1]
-            own, opp = before[fixed_games, fixed_seats], before[fixed_games, 1 - fixed_seats]
-            demands[fixed_games, t, fixed_seats] = with_picks(rules[fixed_row, own - 1, opp - 1], picks)
+            if fixed:
+                own = flat[fixed_at + before]
+                flat[fixed_at + now] = with_picks(rules[fixed_rule + own * (q - 1) + flat[fixed_opp + before]], picks)
             if learning:  # a row acts only at the state it plays, so only that state's demand is read
-                states = (own_prev - 1) * (q - 1) + opp_prev - 1
+                states = own_prev * (q - 1) + opp_prev - q
                 played, learner_picks = backward_induction_batch(
                     by_demand[:rows], gains[:rows], h, rngs=streams if draws else None, rows=row_of, states=states
                 )
-                demands[learner_games, t, learner_seats] = with_picks(played[row_of], learner_picks)
-            for model, model_games, model_seats, uniforms in samplers:
-                own, opp = before[model_games, model_seats], before[model_games, 1 - model_seats]
-                demands[model_games, t, model_seats] = heuristic_sample(model, own, opp, uniforms[:, t - 1])
+                flat[learner_at + now] = with_picks(played[row_of], learner_picks)
+            for memo, at, opp_at, uniforms in samplers.values():
+                flat[at + now] = memo.draw(flat[at + before], flat[opp_at + before], uniforms[t - 1])
         if learning:
-            observed = demands[learner_games, t, 1 - learner_seats]
+            observed = flat[learner_opp + now]
             # row-mates can play apart only where they draw their ties
-            seen = demands[learner_games, t, learner_seats] * q + observed if draws else observed
+            seen = flat[learner_at + now] * q + observed if draws else observed
             if rows < len(learners) and (seen[lead[row_of]] != seen).any():
                 row_of, lead, parents = _split_rows(row_of, seen)
                 rows = len(parents)
                 for array in (counts, by_demand, gains):  # one at a time, so one array's copy is held at most
                     array[:rows] = array[parents]
                 own_prev, opp_prev = own_prev[parents], opp_prev[parents]
-                row_games, row_seats = learner_games[lead], learner_seats[lead]
+                row_at, row_opp = learner_at[lead], learner_opp[lead]
             observe(counts[:rows], estimate[:rows], own_prev, opp_prev, observed[lead])
     for learner, row in zip(learners, row_of):
         learner.counts[...] = counts[row]
@@ -295,9 +300,11 @@ def _split_rows(row_of, seen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return renumbered, lead, row_of[lead]
 
 
-def _seat_arrays(planners) -> tuple[np.ndarray, np.ndarray]:
-    """The games and seats of planners given as ``(g, seat, ...)``, as two index arrays."""
-    return np.array([(g, seat) for g, seat, *_ in planners], dtype=np.intp).reshape(-1, 2).T
+def _seat_at(seats, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where seats given as ``(g, seat, ...)`` find their and their opponent's opening demands in ``flat``."""
+    games, seats = np.array([(g, seat) for g, seat, *_ in seats], dtype=np.intp).reshape(-1, 2).T
+    at = games * 2 * rounds + seats
+    return at, at + 1 - 2 * seats
 
 
 def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan | None = None):

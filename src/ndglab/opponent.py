@@ -30,6 +30,7 @@ from .core import Role, atomic_write, check_demand, check_int
 __all__ = [
     "HeuristicModel",
     "heuristic_sample",
+    "RuleRows",
     "heuristic_table",
     "uniform_table",
     "DirichletLearner",
@@ -91,21 +92,54 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
     """Draw demands from the rule-based model by inverse CDF, one per uniform.
 
     ``own_prev`` and ``opp_prev`` are the modelled player's and its
-    opponent's previous demands and ``u`` uniforms in ``[0, 1)``, all
-    broadcast together.  Each uniform picks the first demand whose running
-    probability sum exceeds it: the count of running sums at or below it,
-    as ``searchsorted(..., side="right")`` counts on a non-decreasing row.
-    Row by row the sums have the bits of one state's, so a block of draws
-    equals drawing one uniform per state in turn.
+    opponent's previous demands, checked to be whole numbers in ``1..q-1``,
+    and ``u`` uniforms in ``[0, 1)``: :meth:`RuleRows.draw` on a memo of its own.
     """
     q = model.q
-    for name, prev in (("own_prev", own_prev), ("opp_prev", opp_prev)):
-        prev = np.asarray(prev)
-        outside = prev[(prev < 1) | (prev > q - 1)]
+    own, opp = np.asarray(own_prev), np.asarray(opp_prev)
+    for name, prev in (("own_prev", own), ("opp_prev", opp)):
+        outside = prev[(prev < 1) | (prev > q - 1) | (prev % 1 != 0)]  # NaN too
         if outside.size:
             raise ValueError(f"{name} must lie in 1..{q - 1}, got {outside[0]}")
-    cdf = np.cumsum(_rule_rows(model, own_prev, opp_prev), axis=-1)
-    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), q - 2) + 1
+    return RuleRows(model).draw(own.astype(np.intp), opp.astype(np.intp), np.asarray(u))
+
+
+class RuleRows:
+    """A rule-based model's running probability sums, one row per state drawn at.
+
+    A game run keeps one per model, so it holds at most ``min(draws, (q - 1)**2)`` rows."""
+
+    def __init__(self, model: HeuristicModel):
+        n = model.q - 1
+        self.model = model
+        self.slot = np.full(n * n, -1, dtype=np.intp)  # state (own - 1) * n + opp - 1 -> its row, -1 if unseen
+        self.sums = np.empty((0, n - 1))  # the last running sum is never read
+
+    def draw(self, own, opp, u) -> np.ndarray:
+        """One demand per uniform ``u`` at states ``(own, opp)``, integer arrays trusted to lie in ``1..q-1``.
+
+        Each uniform picks the first demand whose running sum exceeds it, as
+        ``searchsorted(..., side="right")`` clamped to ``q - 1`` does; the last
+        sum is never read, so not kept.  A state's row is built when first
+        seen, with the bits of its row built alone, so any grouping of draws
+        gives the bits of one uniform per state in turn.
+        """
+        at = own * (self.model.q - 1) + opp - self.model.q
+        slot = self.slot[at]
+        if (slot < 0).any():
+            self._add(at[slot < 0])
+            slot = self.slot[at]
+        return (self.sums[slot] <= u[..., None]).sum(axis=-1) + 1
+
+    def _add(self, at) -> None:
+        """Give a row to each distinct state among ``at``, states that have none."""
+        rows = np.arange(len(self.sums), len(self.sums) + len(at))
+        self.slot[at] = rows
+        at = at[self.slot[at] == rows]  # of repeats, the one whose row number stuck
+        self.slot[at] = rows[: len(at)]
+        own, opp = np.divmod(at, self.model.q - 1)
+        fresh = np.cumsum(_rule_rows(self.model, own + 1, opp + 1)[:, :-1], axis=-1)
+        self.sums = np.concatenate((self.sums, fresh))
 
 
 @lru_cache(maxsize=4)  # near the q bound one table is about 1 GiB

@@ -1,7 +1,10 @@
 """Command line interface: subcommands, config handling, and exit codes."""
 
+import argparse
 import importlib.util
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,45 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert main([]) == EXIT_CONFIG
     assert main(["juggle"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+_TOP_USAGE = "usage: ndglab [-h] {run,test,sweep,pretrain,validate} ..."
+_TEST_USAGE = "usage: ndglab test [-h] [--config CONFIG] [--q Q] [--rounds ROUNDS]"
+
+
+@pytest.mark.parametrize(
+    ("argv", "usage", "error"),
+    [
+        ([], _TOP_USAGE, "ndglab: error: the following arguments are required: command"),
+        (["bogus"], _TOP_USAGE, "ndglab: error: argument command: invalid choice: 'bogus'"),
+        (["test", "--bogus"], _TEST_USAGE, "ndglab test: error: the following arguments are required: --id"),
+        (["test"], _TEST_USAGE, "ndglab test: error: the following arguments are required: --id"),
+    ],
+)
+def test_a_usage_error_exits_2_with_its_command_s_usage(argv, usage, error, capsys, monkeypatch):
+    # the parser holds only the named command's arguments; errors read as
+    # when it held every command's
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == usage
+    assert err[-1].startswith(error)
+
+
+def test_only_the_named_command_gets_its_arguments(capsys, monkeypatch):
+    # 20 add_argument calls for `test` (each parser's -h included), not 74
+    calls = []
+    real_add = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real_add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["test", "--id", "1", "--help"]) == EXIT_OK
+    assert "--replications" in capsys.readouterr().out
+    others = ("ndglab", "ndglab run", "ndglab sweep", "ndglab pretrain", "ndglab validate")
+    assert Counter(calls) == {"ndglab test": 15, **dict.fromkeys(others, 1)}
 
 
 def test_help_exits_cleanly(capsys):
@@ -417,3 +459,21 @@ def test_belief_convergence_refuses_bad_input_before_any_game(capsys, monkeypatc
     assert games == []
     assert script.main(["--checkpoints", "5,10"]) == EXIT_OK
     assert games == [5, 10] and len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
+    # scripts/bench_pairs.py times these in each side's interpreter; one quick
+    # pass keeps the code from rotting between full bench runs
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/ and tests/
+    timings = _script("bench_pairs").layer_timings(repeat=1, number=1)
+    assert list(timings) == [
+        "sample_200_one_shot",
+        "sample_200_warm_memo",
+        "streams_200",
+        "parser_test",
+        "lean_solve_b12",
+        "lean_solve_b36",
+        "lean_solve_b242",
+        "game_scores_200x60",
+    ]
+    assert all(isinstance(us, float) and us > 0 for us in timings.values()), timings

@@ -1,12 +1,13 @@
 """Game loop, named random streams, warm-up play, and CSV round trips."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndglab import (
@@ -22,7 +23,7 @@ from ndglab import (
     run_game,
     uniform_table,
 )
-from ndglab import engine
+from ndglab import engine, opponent
 from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
@@ -108,7 +109,7 @@ def test_a_seat_built_for_another_game_is_refused_before_round_1(monkeypatch):
         raise AssertionError("a round was played")
 
     monkeypatch.setattr(engine, "backward_induction_batch", no_round_is_played)
-    monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
+    monkeypatch.setattr(engine, "RuleRows", no_round_is_played)
     config = GameConfig(rounds=5)
     rule = HeuristicModel(1.0, 10)
     for seat, wrong, message in (
@@ -136,7 +137,8 @@ def test_same_seed_reproduces_the_game():
 
 SEATS = (("rule", 1.0), ("rule", 2.5), ("fixed-uniform", None), ("fixed-heuristic", 3.0), ("learner", None))
 # Every batch holds these games: two spreads on seat B, fixed planners on both
-# seats, and learners; Hypothesis adds more and shuffles them.
+# seats, learners, and rule-based models on both seats, one model on both
+# seats of a game included; Hypothesis adds more and shuffles them.
 CORE_GAMES = (
     (("fixed-heuristic", 3.0), ("rule", 1.0)),
     (("fixed-heuristic", 3.0), ("rule", 2.5)),
@@ -144,6 +146,8 @@ CORE_GAMES = (
     (("rule", 2.5), ("fixed-uniform", None)),
     (("learner", None), ("rule", 1.0)),
     (("learner", None), ("learner", None)),
+    (("rule", 2.5), ("rule", 1.0)),
+    (("rule", 1.0), ("rule", 1.0)),
 )
 
 
@@ -163,17 +167,19 @@ def _seat(spec, seat, q):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from((3, 5, 10)),
-    st.integers(1, 8),
+    st.integers(2, 20),
+    st.integers(1, 24),
     st.integers(1, 4),
     st.sampled_from(TIE_BREAKS),
     st.lists(st.tuples(st.sampled_from(SEATS), st.sampled_from(SEATS)), max_size=4),
     st.randoms(use_true_random=False),
     st.integers(0, 2**16),
 )
+@example(q=3, rounds=24, horizon=2, tie_break="smallest", extra=[], order=random.Random(0), seed=5)
 def test_mixed_lockstep_games_equal_each_game_played_alone(q, rounds, horizon, tie_break, extra, order, seed):
-    # rule-based seats grouped by model, block-drawn uniforms, planners of every
-    # kind on either seat: each game equals itself alone and a scalar replay
+    # rule-based seats grouped by model, one run memo per model whose rows
+    # later rounds revisit, block-drawn uniforms, planners of every kind on
+    # either seat: each game equals itself alone and a scalar replay
     games = list(CORE_GAMES) + extra
     order.shuffle(games)
     weights = (0.0, 0.3, 0.5, 1.0)
@@ -592,6 +598,81 @@ def test_rule_based_game_memory_does_not_grow_as_q_cubed():
         tracemalloc.stop()
     assert len(log.demands) == 60
     assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+def _rule_based_run(q, monkeypatch):
+    """Traced peak of 200 lockstep games between two rule-based models at ``q``,
+    and the run memo of each model."""
+    memos = []
+
+    class Recorded(opponent.RuleRows):
+        def __init__(self, model):
+            super().__init__(model)
+            memos.append(self)
+
+    monkeypatch.setattr(engine, "RuleRows", Recorded)
+    pair = (HeuristicModel(1.0, q), HeuristicModel(2.5, q))
+    configs = [GameConfig(q=q, initial_demand=q // 3, seed=9) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        demands = engine.play_games(configs, [pair] * 200, [RngPlan(9, (g,)) for g in range(200)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for seat, memo in enumerate(memos):  # one row per state the model's seat drew at
+        visited = set(zip(demands[:, :-1, seat].ravel().tolist(), demands[:, :-1, 1 - seat].ravel().tolist()))
+        assert memo.sums.shape == (len(visited), q - 2)
+    return peak, memos
+
+
+def test_a_rule_based_run_holds_no_more_than_its_visited_rows(monkeypatch):
+    # what a 200-game run at q=60 holds beyond the same run at q=3 (the same
+    # demands, streams and uniforms) is its rows, at most twice over while a
+    # round adds some, their slot maps and one round's gathered rows; one
+    # (q-1)^3 table alone is larger
+    q = 60
+    floor, _ = _rule_based_run(3, monkeypatch)
+    peak, memos = _rule_based_run(q, monkeypatch)
+    rows = sum(memo.sums.nbytes for memo in memos)
+    bound = 2 * rows + sum(memo.slot.nbytes for memo in memos) + 200 * (q - 2) * 8
+    over = (peak - floor) / 2**20
+    assert peak - floor <= bound < (q - 1) ** 3 * 8, f"{over:.2f} MiB over q=3, bound {bound / 2**20:.2f}"
+
+
+def test_a_run_builds_each_visited_state_s_row_once(monkeypatch):
+    # a state's rule-based row is built only the first time one of its
+    # model's seats draws there in a run, and a new run builds it anew
+    built = []
+    real_rows = opponent._rule_rows
+
+    def counted(model, own, opp):
+        built.extend((model, o, p) for o, p in zip(np.ravel(own).tolist(), np.ravel(opp).tolist()))
+        return real_rows(model, own, opp)
+
+    monkeypatch.setattr(opponent, "_rule_rows", counted)
+    q = 6
+    narrow, wide, table = HeuristicModel(1.0, q), HeuristicModel(2.5, q), uniform_table(q)
+    pairs = [(narrow, wide), (wide, narrow), (narrow, table), (table, wide), (narrow, narrow)] * 4
+    configs = [GameConfig(q=q, rounds=30, initial_demand=2, seed=s) for s in range(len(pairs))]
+    for _ in range(2):
+        built.clear()
+        demands = engine.play_games(configs, pairs, [RngPlan(config.seed) for config in configs])
+        visited = {
+            (model, own, opp)
+            for game, pair in zip(demands, pairs)
+            for seat, model in enumerate(pair)
+            if isinstance(model, HeuristicModel)
+            for own, opp in zip(game[:-1, seat].tolist(), game[:-1, 1 - seat].tolist())
+        }
+        assert len(built) == len(set(built)) == len(visited)
+        assert set(built) == visited
+
+
+def test_a_one_round_game_of_rule_based_seats_plays_its_opening_pair():
+    config = GameConfig(rounds=1, initial_demand=4)
+    assert run_game(config, *_heuristic_pair()).demands.tolist() == [[4, 4]]
+    plans = [RngPlan(1), RngPlan(2)]
+    assert engine.play_games([config] * 2, [_heuristic_pair()] * 2, plans).tolist() == [[[4, 4]]] * 2
 
 
 # --- CSV ---

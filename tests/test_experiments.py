@@ -1,6 +1,7 @@
 """Benchmark scenarios, grid sweeps, and their CSV outputs."""
 
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -425,6 +426,30 @@ def test_a_sweep_that_draws_nothing_never_loads_numpy_random(test_id, draws, tmp
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", str(draws)]
+
+
+_IMPORTS_NOTHING = """
+import contextlib, io, json, sys
+import ndglab.cli, numpy.random
+before = set(sys.modules)
+for test_id in range(1, 6):
+    argv = ["test", "--id", str(test_id), "--grid", "0.25,0.75", "--replications", "2", "--tie-break", "smallest"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ndglab.cli.main(argv + ["--out", f"{sys.argv[2]}/{test_id}"]) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_sweep_imports_nothing(tmp_path):
+    # with ndglab.cli and numpy.random loaded, as a bench worker has them, no
+    # sweep loads a module: a plain np.unique, for one, loads numpy.ma, about
+    # 21 ms in a fresh process
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NDG_THREADS": "1"}
+    argv = [sys.executable, "-c", _IMPORTS_NOTHING, "--", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 @pytest.mark.parametrize(

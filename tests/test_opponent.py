@@ -18,7 +18,7 @@ from ndglab import (
     save_learner,
     uniform_table,
 )
-from ndglab.opponent import observe
+from ndglab.opponent import RuleRows, observe
 from oracles import gaussian_row, reference_heuristic_distribution, reference_heuristic_sample
 
 demands = st.integers(1, 9)
@@ -180,12 +180,52 @@ def test_sampler_matches_reference_under_equal_seeds(sigma, seed, states):
 
 
 def test_sampler_rejects_out_of_range_states():
+    # refused before the slot map is read, where own_prev 0 would read the row of demand q-1
     model = HeuristicModel(sigma=1.0, q=10)
     u = np.random.default_rng(0).random(2)
-    for own, opp in ((0, 5), (5, 0), (10, 5), (5, 10)):
-        for prev in ((own, opp), ([5, own], [5, opp])):  # alone, and behind an in-range state
-            with pytest.raises(ValueError, match="must lie in 1..9"):
-                heuristic_sample(model, *prev, u)
+    for bad in (0, 10, -1, 2.5, float("nan")):
+        for name, own, opp in (("own_prev", bad, 5), ("opp_prev", 5, bad)):
+            for prev in ((own, opp), ([5, own], [5, opp])):  # alone, and behind an in-range state
+                with pytest.raises(ValueError, match=rf"^{name} must lie in 1\.\.9, got {bad}$"):
+                    heuristic_sample(model, *prev, u)
+
+
+def test_sampler_draws_nothing_from_empty_states_or_uniforms():
+    model = HeuristicModel(sigma=1.0, q=10)
+    for own, opp, u in (([], [], []), (3, 4, []), ([], [], 0.5), (np.empty((0, 2), dtype=int), 3, 0.5)):
+        draws = heuristic_sample(model, own, opp, u)
+        assert draws.size == 0 and draws.shape == np.broadcast_shapes(np.shape(own), np.shape(opp), np.shape(u))
+    memo = RuleRows(model)
+    assert memo.draw(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)).shape == (0,)
+    assert memo.sums.shape == (0, 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.sampled_from((0.3, 1.0, 2.5)),
+    st.lists(st.lists(st.tuples(st.integers(1, 19), st.integers(1, 19)), max_size=12), min_size=1, max_size=6),
+    st.integers(0, 2**32),
+)
+def test_a_memo_holds_one_row_per_distinct_state_it_has_drawn_at(q, sigma, calls, seed):
+    # repeats within a call and across calls: every state gets one row, built
+    # once, and every draw equals a reference draw on an equal stream
+    model = HeuristicModel(sigma=sigma, q=q)
+    memo, seen, built = RuleRows(model), [], []
+    rng, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for states in calls:
+        own, opp = (np.array(states, dtype=np.intp).reshape(-1, 2).T - 1) % (q - 1) + 1
+        before = memo.sums
+        draws = memo.draw(own, opp, rng.random(len(own)))
+        want = [reference_heuristic_sample(model, o, p, slow) for o, p in zip(own.tolist(), opp.tolist())]
+        assert draws.tolist() == want
+        seen = list(dict.fromkeys(seen + list(zip(own.tolist(), opp.tolist()))))
+        assert len(memo.sums) == len(seen)
+        assert memo.sums[: len(before)].tobytes() == before.tobytes()  # rows are added, never rebuilt
+    for own, opp in seen:
+        want = np.cumsum(reference_heuristic_distribution(model, own, opp))[:-1]
+        assert memo.sums[memo.slot[(own - 1) * (q - 1) + opp - 1]].tobytes() == want.tobytes()
+    assert sorted(np.flatnonzero(memo.slot >= 0).tolist()) == sorted((o - 1) * (q - 1) + p - 1 for o, p in seen)
 
 
 def test_uniform_shapes():

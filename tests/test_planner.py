@@ -352,7 +352,7 @@ def test_model_validation(monkeypatch):
         raise AssertionError("a round was played")
 
     monkeypatch.setattr(engine, "backward_induction_batch", no_round_is_played)
-    monkeypatch.setattr(engine, "heuristic_sample", no_round_is_played)
+    monkeypatch.setattr(engine, "RuleRows", no_round_is_played)
     config = GameConfig(rounds=5)
     opponent = HeuristicModel(1.0, 10)
 
