@@ -18,10 +18,10 @@ its own side's ``src``, with ``NDG_THREADS=1``:
   figures T1..T5 of ``test_03``, which fails by design;
 - the traced peaks of the sweeps in ``tests/memory_sweeps.py``, whose bound
   the ``tracemalloc`` tests assert;
-- the five default scenarios at 30 replications, median of three passes;
+- the five default scenarios at 30 replications, median of five passes;
 - the five scenarios under random ties at 10 replications
   (``--tie-break random --replications 10``), each scenario's median of
-  three passes per side;
+  five passes per side; passes alternate which side runs first;
 - warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
   when no claim is given): pairs of processes, in alternating order, that
   each time several sweeps after one untimed sweep;
@@ -55,7 +55,7 @@ from workloads import WORKLOADS  # noqa: E402  (reads the workload table only)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
-PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 3, 3
+PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 5, 3
 RANDOM_TIE_ARGS = ["--tie-break", "random", "--replications", "10"]
 
 # Runs in a fresh interpreter of one side, which imports that side's ndglab.
@@ -112,7 +112,10 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       through ``heuristic_sample``, at 17 states near the even split;
     - ``sample_200_warm_memo``: the same round through a ``RuleRows`` that
       has already drawn at those states;
-    - ``streams_200``: 200 ``RngPlan`` seat streams, each drawing 59 uniforms;
+    - ``streams_200``: 200 ``RngPlan`` seat streams, each built alone when
+      first read, the one-plan path, and drawing 59 uniforms;
+    - ``streams_200_run``: the same streams, built together through the path
+      a run takes (``engine._fill_streams``);
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
       q=10 and h=10, keeping two stages;
@@ -132,10 +135,18 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     if memo is not None:
         memo.draw(own, opp, u)
     takes_argv = bool(inspect.signature(cli._build_parser).parameters)
+    fill_streams = getattr(engine, "_fill_streams", None)
+
+    def run_streams():
+        plans = [engine.RngPlan(0, (0, k)) for k in range(200)]
+        fill_streams([(plan, "agent_a") for plan in plans])
+        return [plan.agent_a.random(59) for plan in plans]
+
     layers = {
         "sample_200_one_shot": lambda: opponent.heuristic_sample(model, own, opp, u),
         "sample_200_warm_memo": memo and (lambda: memo.draw(own, opp, u)),
         "streams_200": lambda: [engine.RngPlan(0, (0, k)).agent_a.random(59) for k in range(200)],
+        "streams_200_run": fill_streams and run_streams,
         "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
     }
     for count in (12, 36, 242):
@@ -265,8 +276,8 @@ def main(argv=None) -> int:
         }
         scenarios = {side: [] for side in SIDES}
         random_ties = {side: [] for side in SIDES}
-        for _ in range(SCENARIO_PASSES):
-            for side in SIDES:
+        for scenario_pass in range(SCENARIO_PASSES):
+            for side in SIDES if scenario_pass % 2 == 0 else SIDES[::-1]:
                 scenarios[side].append(sum(probe(trees[side], {"kind": "scenarios", "extra": []})))
                 random_ties[side].append(probe(trees[side], {"kind": "scenarios", "extra": RANDOM_TIE_ARGS}))
         warm = {side: [] for side in SIDES}

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import zlib
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -54,8 +55,13 @@ class RngPlan:
     ``SeedSequence`` given as the seed lends its own.  Each seat gets its own
     child stream, so changing one player's settings cannot shift the other
     player's draws; a further child seeds an optional warm-up game.  Child
-    ``i`` is ``SeedSequence(entropy, spawn_key=key + (i,))``, built only when
-    its stream is first read, so a game that draws nothing builds none.
+    ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
+    spawn_key=key + (i,)))``, derived by :func:`_streams` only when its
+    stream is first read, so a game that draws nothing builds none.  A run
+    derives the streams of all its drawing seats in one call before its
+    first round; a plan that already holds a stream keeps it.  A stream's
+    ``bit_generator.seed_seq`` holds only its derived seed row, so it
+    cannot ``spawn``.
     """
 
     agent_a = cached_property(lambda self: self._stream(0))
@@ -66,22 +72,181 @@ class RngPlan:
             check_int(seed, "seed")
             self.entropy, self.spawn_key = int(seed), ()
         elif isinstance(seed, np.random.SeedSequence):
-            self.entropy, self.spawn_key = seed.entropy, tuple(seed.spawn_key)
+            self.entropy, self.spawn_key = seed.entropy, tuple(map(int, seed.spawn_key))
         else:
             raise ValueError(f"seed must be a non-negative int or a SeedSequence, got {seed!r}")
         for part in key:
             check_int(part, "every key part")
-        self.spawn_key += tuple(key)
+        self.spawn_key += tuple(map(int, key))
 
     def _stream(self, index: int) -> np.random.Generator:
         # Stateless spawn: the same (entropy, key, index) always names the same child.
-        return np.random.default_rng(np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key + (index,)))
+        return _streams([(self.entropy, self.spawn_key + (index,))])[0]
+
+    def _child(self, key: tuple[int, ...]) -> "RngPlan":
+        """The plan keyed ``spawn_key + key``, unchecked: ``key`` must hold non-negative Python ints."""
+        plan = object.__new__(RngPlan)
+        plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + key
+        return plan
 
     def pretrain_plan(self) -> "RngPlan":
         """A fresh plan for the warm-up game, disjoint from this plan's streams."""
-        plan = object.__new__(RngPlan)
-        plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + (2,)
-        return plan
+        return self._child((2,))
+
+
+_SEAT_INDEX = {"agent_a": 0, "agent_b": 1}
+
+
+def _fill_streams(seats) -> None:
+    """Give every ``(plan, name)`` whose plan holds no stream of that name its stream, all from one hash."""
+    missing = [(plan, name) for plan, name in seats if name not in vars(plan)]
+    if missing:
+        streams = _streams([(plan.entropy, plan.spawn_key + (_SEAT_INDEX[name],)) for plan, name in missing])
+        for (plan, name), stream in zip(missing, streams):
+            vars(plan)[name] = stream
+
+
+# numpy's SeedSequence, with its default pool of four 32-bit words: the
+# hash-constant chains, the mix multipliers and the shift.
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = 0xCA01F9DD, 0x4973F715, 16
+
+
+def _streams(children) -> list:
+    """One generator per ``(entropy, spawn_key)``, each drawing the bits of
+    ``default_rng(SeedSequence(entropy, spawn_key=spawn_key))``.
+
+    ``SeedSequence`` hashes the 32-bit words of its entropy, padded with
+    zeros to its pool of four, then those of its spawn key.  Its hash
+    constants depend only on a word's position, never on the data.  The
+    pool and every entropy word past it are hashed once per distinct
+    entropy, in Python ints; the spawn-key words of all children are then
+    hashed as one ``(words, 4, children)`` uint64 array and mixed into the
+    pools one word at a time, each child's words at the positions they hold
+    in its own key, so keys of any lengths and part sizes share a call.
+    The pools give each child's ``generate_state(4, np.uint64)`` row, and
+    numpy's own ``PCG64`` seeds itself from that row and does every draw.
+    """
+    entropies, keys = zip(*children)
+    head_of = {}  # each distinct entropy, an int or its words, numbered in order of first use
+    heads = [head_of.setdefault(e if type(e) is int else tuple(_words(e)), len(head_of)) for e in entropies]
+    heads = np.array(heads, dtype=np.intp)
+    pools, starts = zip(*(_entropy_pool(tuple(_words(entropy))) for entropy in head_of))
+    parts, live = _key_words(keys)  # both (words, children)
+    # each live word's hash position: after its entropy's, four per live word before it
+    at = np.array(starts)[heads] + 4 * (np.cumsum(live, axis=0) - 1)
+    at = at[:, None, :] + np.arange(4)[:, None]
+    xor, mul = _hash_constants(int(at.max()) + 1)
+    hashed = (parts[:, None, :] ^ xor[at]) * mul[at] & _MASK
+    hashed ^= hashed >> _SHIFT
+    pool = np.array(pools, dtype=np.uint64)[heads].T  # (4, children)
+    for word, alive in zip(hashed, live):
+        mixed = (_MIX_L * pool - _MIX_R * word) & _MASK
+        mixed ^= mixed >> _SHIFT
+        pool = np.where(alive, mixed, pool)
+    xor, mul = _hash_constants(8, _INIT_B, _MULT_B)
+    state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor[:, None]) * mul[:, None] & _MASK
+    state ^= state >> _SHIFT
+    rows = (state[0::2] | state[1::2] << 32).T.copy()  # little-endian pairs of words, one row per child
+    seed, generator, pcg64 = _row_seed(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(seed(row))) for row in rows]
+
+
+def _words(value) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence`` reads from an int or a sequence of them."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK]
+        while value > _MASK:
+            value >>= 32
+            words.append(value & _MASK)
+        return words
+    return [word for part in value for word in _words(part)]
+
+
+@lru_cache(maxsize=16)
+def _hash_constants(count: int, init: int = _INIT_A, mult: int = _MULT_A) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` hashes' xor and multiplier constants, as read-only uint64 arrays."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK)
+    constants = np.array(constants, dtype=np.uint64)
+    constants.flags.writeable = False
+    return constants[:-1], constants[1:]
+
+
+@lru_cache(maxsize=16)
+def _entropy_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The pool ``SeedSequence`` makes of a spawned child's entropy words, and the hash position its key starts at."""
+    words = words + (0,) * (4 - len(words))
+    xor, mul = (constants.tolist() for constants in _hash_constants(4 * len(words)))
+    position = 0
+
+    def hashmix(value: int) -> int:
+        nonlocal position
+        value = (value ^ xor[position]) * mul[position] & _MASK
+        position += 1
+        return value ^ value >> _SHIFT
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK
+        return value ^ value >> _SHIFT
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return tuple(pool), position
+
+
+def _key_words(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The spawn keys' 32-bit words as ``(words, keys)`` uint64 slots, and which slots hold a word.
+
+    Part ``p`` of a key fills slots ``p * width`` on, least significant word
+    first, ``width`` the most words any part takes; ``SeedSequence`` reads a
+    part's words up to its highest nonzero one (a zero part is one word),
+    and a key shorter than the longest fills no slot past its end.
+    """
+    lengths = list(map(len, keys))
+    length = max(lengths)
+    if min(lengths) < length:
+        keys = [key + (0,) * (length - len(key)) for key in keys]
+    flat = list(chain.from_iterable(keys))
+    width = max(1, -(-max(flat).bit_length() // 32))
+    parts = np.array(flat, dtype=np.uint64 if width <= 2 else object).reshape(len(keys), length)
+    shifted = np.stack([parts >> 32 * d for d in range(width)], axis=-1)  # (keys, parts, width)
+    live = shifted != 0
+    live[..., 0] = True
+    live &= (np.arange(length) < np.array(lengths)[:, None])[..., None]
+    words = (shifted & _MASK).astype(np.uint64)
+    return words.reshape(len(keys), -1).T, live.reshape(len(keys), -1).T
+
+
+@cache
+def _row_seed():
+    """A minimal numpy seed whose ``generate_state`` is a row already derived.
+
+    Built on first use, so that importing this module, or a run that draws
+    nothing, never loads ``numpy.random``.  Only ``PCG64`` reads it, asking
+    for its four uint64 words.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        __slots__ = ("row",)
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.row
+
+    return RowSeed
 
 
 def run_game(config: GameConfig, agent_a, agent_b, rng: RngPlan | None = None) -> GameLog:
@@ -176,7 +341,9 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     model once, from uniforms drawn up front per seat with the bits of one
     draw per round, through one :class:`RuleRows` per model for the run.
     Each seat draws only from its own stream, read only if it draws, so seat
-    order and interleaving cannot move a draw.  A round reads and writes
+    order and interleaving cannot move a draw.  The streams of all seats that
+    draw are derived in one :func:`_streams` call before the first round,
+    each with the bits its plan would build alone.  A round reads and writes
     demands at flat indices fixed for the run, ``g * 2 * rounds + 2 * t + seat``.
 
     Learners are copied into stacked run arrays, one row per distinct
@@ -195,6 +362,12 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     demands[:, 0] = config.initial_demand
     flat = demands.reshape(-1)
     draws = config.tie_break == "random"  # then every planner draws its ties from its own stream
+    _fill_streams(
+        (plan, name)
+        for pair, plan in zip(pairs, plans)
+        for held, name in zip(pair, ("agent_a", "agent_b"))
+        if draws or isinstance(held, HeuristicModel)
+    )
     fixed, learning, samplers = [], [], {}  # planners as (g, seat, table or learner, omega, stream)
     for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
         for seat, (held, omega, name) in enumerate(zip(pair, (game.omega_a, game.omega_b), ("agent_a", "agent_b"))):

@@ -262,18 +262,21 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by itself.
     A stateless seat, a rule-based model or a fixed table, is built once per
     part and sits in every game; a learner is built fresh for each game.
+    Each game's plan is ``RngPlan(seed, (cell_index, rep))``, derived from
+    one plan of the seed that is checked once per part.
     """
     spec, games = task
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
     agents = (spec.agent_a, spec.agent_b)
     stateless = [None if agent.learning else build_agent(agent, q) for agent in agents]
+    root = RngPlan(spec.base.seed)  # checked once; each game's plan is its child
     metrics, chunk, items = [], [], set()
     for cell_index, config, rep in games:
         pair = tuple(build_agent(agent, q) if seat is None else seat for agent, seat in zip(agents, stateless))
         # Stateless derivation keyed on (cell, replication): stable under any
         # chunking and execution order, so parallel and serial sweeps agree.
-        plan = RngPlan(spec.base.seed, (cell_index, rep))
+        plan = root._child((cell_index, rep))
         weights = (config.omega_a, config.omega_b)
         keys = {(id(seat), omega) for seat, omega in zip(pair, weights) if not isinstance(seat, HeuristicModel)}
         if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:

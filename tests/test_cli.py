@@ -470,6 +470,7 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "sample_200_one_shot",
         "sample_200_warm_memo",
         "streams_200",
+        "streams_200_run",
         "parser_test",
         "lean_solve_b12",
         "lean_solve_b36",

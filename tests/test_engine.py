@@ -516,6 +516,65 @@ def test_a_keyed_plan_draws_the_streams_of_its_seed_sequence(seed, key, more):
     assert keyed == [np.random.default_rng(child).random(6).tolist() for child in children]
 
 
+_SEEDS = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.tuples(  # a SeedSequence seed: list entropy and a spawn key of its own
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6), st.lists(st.integers(0, 2**64 - 1), max_size=2)
+    ),
+)
+_PLANS = st.tuples(
+    _SEEDS,
+    st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple),
+    st.booleans(),  # the warm-up plan
+    st.sets(st.sampled_from(("agent_a", "agent_b"))),  # streams already read, and half drawn
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PLANS, min_size=1, max_size=8))
+@example([(2**128 - 1, (2**64 - 1, 0, 2**32), False, set()), (([2**40, 3], []), (), True, {"agent_b"})])
+@example([(0, (), False, set()), (0, (1,), True, set()), (0, (2**33, 5, 0), False, {"agent_a"})])
+def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
+    # the run path builds all missing streams of a batch in one hash, over
+    # mixed seeds and keys; each equals the SeedSequence child it names, and
+    # a stream a plan already holds is kept as it is
+    def make(seed, key, warm):
+        if isinstance(seed, tuple):
+            entropy, spawn_key = seed
+            seed = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        else:
+            entropy, spawn_key = seed, []
+        plan = RngPlan(seed, key)
+        child_key = (*spawn_key, *key, *((2,) if warm else ()))
+        return (plan.pretrain_plan() if warm else plan), entropy, child_key
+
+    def reference(entropy, key):
+        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+
+    def assert_same(stream, expected):
+        assert stream.random(59).tobytes() == expected.random(59).tobytes()
+        assert stream.bit_generator.state == expected.bit_generator.state
+
+    seats, held = [], {}
+    for seed, key, warm, read in plans:
+        plan, entropy, child_key = make(seed, key, warm)
+        for index, name in enumerate(("agent_a", "agent_b")):
+            expected = reference(entropy, (*child_key, index))
+            if name in read:
+                held[id(plan), name] = getattr(plan, name)
+                held[id(plan), name].random(7)
+                expected.random(7)
+            seats.append((plan, name, expected))
+    engine._fill_streams([(plan, name) for plan, name, _ in seats])
+    for plan, name, expected in seats:
+        if (id(plan), name) in held:
+            assert vars(plan)[name] is held[id(plan), name]
+        assert_same(vars(plan)[name], expected)
+    for seed, key, warm, _ in plans:  # a plan read on its own takes the one-plan case of the same hash
+        plan, entropy, child_key = make(seed, key, warm)
+        assert_same(plan.agent_b, reference(entropy, (*child_key, 1)))
+
+
 @pytest.mark.parametrize(("seed", "key"), [(-1, ()), (1.5, ()), (True, ()), ("1", ()), (1, (-1,)), (1, (0, 2.0))])
 def test_a_bad_seed_or_key_is_refused_when_the_plan_is_made(seed, key):
     with pytest.raises(ValueError, match="must be a non-negative int"):

@@ -327,17 +327,24 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
 
 def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
     # a rule-based seat always draws, a planner only under random ties; no
-    # other seat's stream is built
-    built = []
-    real = experiments.play_games
+    # other seat's stream is built, and a run hashes its seats' streams at
+    # most once per seat name that draws, never when nothing draws
+    built, hashes = [], []
+    real, real_streams = experiments.play_games, engine._streams
 
     def recording(configs, pairs, plans, *args):
         plans = list(plans)
+        hashes.append(0)
         demands = real(configs, pairs, plans, *args)
         built.extend([name for name in ("agent_a", "agent_b") if name in vars(plan)] for plan in plans)
         return demands
 
+    def counting(children):
+        hashes[-1] += 1
+        return real_streams(children)
+
     monkeypatch.setattr(experiments, "play_games", recording)
+    monkeypatch.setattr(engine, "_streams", counting)
     monkeypatch.delenv("NDG_THREADS", raising=False)
     for test_id, tie_break, streams in (
         (1, "smallest", ["agent_b"]),
@@ -345,9 +352,27 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
         (3, "random", ["agent_a", "agent_b"]),
     ):
         built.clear()
+        hashes.clear()
         base = GameConfig(rounds=5, tie_break=tie_break)
         run_test(benchmark_spec(test_id, replications=2, base=base, grid=(0.0, 1.0)))
         assert built and all(names == streams for names in built), (test_id, tie_break, built)
+        assert hashes and all(0 < runs <= len(streams) if streams else runs == 0 for runs in hashes), hashes
+
+
+def test_a_part_derives_each_game_s_plan_as_the_plan_of_its_cell_and_replication(monkeypatch):
+    # the part checks its seed once and keys each game's plan from it
+    chunks = []
+    monkeypatch.setattr(experiments, "_play_chunk", lambda spec, chunk: chunks.extend(chunk) or [])
+    spec = benchmark_spec(2, replications=3, base=GameConfig(seed=2**70 + 5), grid=(0.0, 1.0))
+    games, _ = experiments._plan(spec, spec.cells())
+    experiments._play_part((spec, games))
+    assert len(chunks) == len(games) == 6
+    for (cell_index, _, rep), (_, _, plan) in zip(games, chunks):
+        fresh = RngPlan(spec.base.seed, (cell_index, rep))
+        assert (plan.entropy, plan.spawn_key) == (fresh.entropy, fresh.spawn_key)
+        for derived, alone in ((plan, fresh), (plan.pretrain_plan(), fresh.pretrain_plan())):
+            for name in ("agent_a", "agent_b"):
+                assert getattr(derived, name).random(59).tobytes() == getattr(alone, name).random(59).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
