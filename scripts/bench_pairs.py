@@ -6,7 +6,7 @@
 The parent side is a clean copy of ``--parent`` made with ``git archive``
 in a temporary directory; the change side is the working tree itself.
 Every figure comes from a fresh interpreter that imports ``ndglab`` from
-its own side's ``src``, with ``NDG_THREADS=1``:
+its own side's ``src``:
 
 - ``perfbench/run.py --trace 0`` on each workload of ``BENCHMARK.json``, for
   its ``run_seconds``, in 10 pairs: pair ``i`` uses benchmark seed ``i`` on
@@ -176,7 +176,7 @@ def parse_args(argv=None):
 
 
 def run(cmd, tree: Path, timeout: float) -> subprocess.CompletedProcess:
-    env = dict(os.environ, NDG_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=timeout)
 
 

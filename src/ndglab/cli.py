@@ -38,6 +38,10 @@ from .planner import backward_induction, brute_force_value
 
 __all__ = ["CliConfig", "load_config", "main"]
 
+# argparse's gettext imports locale each time a parser is built: load it with
+# this module, so that no command pays that import inside main.
+__import__("locale")
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2

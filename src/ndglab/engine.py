@@ -52,10 +52,11 @@ class RngPlan:
 
     Same seed, same configuration: bit-identical game.  A plan is a seed and
     a key, the ``entropy`` and ``spawn_key`` of a ``SeedSequence``; a
-    ``SeedSequence`` given as the seed lends its own.  Each seat gets its own
-    child stream, so changing one player's settings cannot shift the other
-    player's draws; a further child seeds an optional warm-up game.  Child
-    ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
+    ``SeedSequence`` given as the seed lends its own, and must have numpy's
+    default ``pool_size`` of 4, the one pool :func:`_streams` hashes.  Each
+    seat gets its own child stream, so changing one player's settings cannot
+    shift the other player's draws; a further child seeds an optional warm-up
+    game.  Child ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
     spawn_key=key + (i,)))``, derived by :func:`_streams` only when its
     stream is first read, so a game that draws nothing builds none.  A run
     derives the streams of all its drawing seats in one call before its
@@ -72,6 +73,8 @@ class RngPlan:
             check_int(seed, "seed")
             self.entropy, self.spawn_key = int(seed), ()
         elif isinstance(seed, np.random.SeedSequence):
+            if seed.pool_size != 4:
+                raise ValueError(f"a SeedSequence seed must have pool_size 4, got pool_size={seed.pool_size}")
             self.entropy, self.spawn_key = seed.entropy, tuple(map(int, seed.spawn_key))
         else:
             raise ValueError(f"seed must be a non-negative int or a SeedSequence, got {seed!r}")

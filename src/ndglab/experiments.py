@@ -25,16 +25,13 @@ results keep the raw per-replication metrics so summaries can be recomputed
 any way a caller needs.  A sweep plays only the games its cells need: a
 cell of a deterministic spec plays once, and reuses an equal or seat-swapped
 cell already played.  The games of all cells then run in lockstep, in
-consecutive chunks bounded by ``CHUNK_BYTES``, split into ``NDG_THREADS``
-parts that run in at most one worker process per CPU.
+consecutive chunks bounded by ``CHUNK_BYTES``, in the calling process.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -253,19 +250,18 @@ def _plan(spec: ExperimentSpec, weights):
     return games, sources
 
 
-def _play_part(task) -> list[tuple[float, float, float, float]]:
-    """Play one worker's share of a sweep's games; return each game's metrics.
+def _play_part(spec: ExperimentSpec, games) -> list[tuple[float, float, float, float]]:
+    """Play a sweep's games, as ``_plan`` lists them; return each game's metrics.
 
     The games run in consecutive lockstep chunks, built one game at a time:
     a chunk is played as soon as the next game's solve items (counted as for
     ``CHUNK_BYTES``, ``(q - 1)**3`` float64 each) would take it past
     ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by itself.
     A stateless seat, a rule-based model or a fixed table, is built once per
-    part and sits in every game; a learner is built fresh for each game.
+    sweep and sits in every game; a learner is built fresh for each game.
     Each game's plan is ``RngPlan(seed, (cell_index, rep))``, derived from
-    one plan of the seed that is checked once per part.
+    one plan of the seed that is checked once per sweep.
     """
-    spec, games = task
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
     agents = (spec.agent_a, spec.agent_b)
@@ -274,8 +270,7 @@ def _play_part(task) -> list[tuple[float, float, float, float]]:
     metrics, chunk, items = [], [], set()
     for cell_index, config, rep in games:
         pair = tuple(build_agent(agent, q) if seat is None else seat for agent, seat in zip(agents, stateless))
-        # Stateless derivation keyed on (cell, replication): stable under any
-        # chunking and execution order, so parallel and serial sweeps agree.
+        # Stateless derivation keyed on (cell, replication): stable under any chunking.
         plan = root._child((cell_index, rep))
         weights = (config.omega_a, config.omega_b)
         keys = {(id(seat), omega) for seat, omega in zip(pair, weights) if not isinstance(seat, HeuristicModel)}
@@ -306,32 +301,17 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     """Run a whole sweep; optionally write its cells and summary CSV files.
 
     Only the games the results need are played (see :func:`_plan`), across
-    cells, in as few lockstep runs as ``CHUNK_BYTES`` and ``NDG_THREADS``
-    allow; every cell gets the same results as when played on its own.
-    Bad settings and existing output files (unless ``force``) are refused
-    before any game runs; ``ExperimentSpec`` checks its settings when built.
+    cells, in as few lockstep runs as ``CHUNK_BYTES`` allows; every cell gets
+    the same results as when played on its own.  Bad settings and existing
+    output files (unless ``force``) are refused before any game runs;
+    ``ExperimentSpec`` checks its settings when built.
     """
     if out_dir is not None:
         cells_path, summary_path = output_paths(spec, out_dir)
         refuse_overwrite((cells_path, summary_path), force)
-    threads = os.environ.get("NDG_THREADS", "1") or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"NDG_THREADS must be a positive integer, got {threads!r}")
     weights = spec.cells()
     games, sources = _plan(spec, weights)
-    bounds = [len(games) * k // workers for k in range(workers + 1)]
-    tasks = [(spec, games[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    # The split alone fixes the outputs; the pool only bounds how many parts run at once.
-    processes = min(len(tasks), os.cpu_count() or 1)
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            metrics = [m for part in pool.map(_play_part, tasks) for m in part]
-    else:
-        metrics = [m for task in tasks for m in _play_part(task)]
+    metrics = _play_part(spec, games)
     reps = spec.replications
     results = []
     for (wa, wb), (first, swap) in zip(weights, sources):

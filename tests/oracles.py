@@ -207,7 +207,7 @@ def count_played_games(monkeypatch):
 
     Patches ``experiments.play_games``, the one call through which a sweep
     plays every lockstep chunk, and returns the list that receives each
-    call's game count.  Chunks played in worker processes are not counted.
+    call's game count.
     """
     from ndglab import experiments
 

@@ -214,25 +214,22 @@ def test_json_config_rejects_null_out(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "None").exists() and not (tmp_path / "out").exists()
 
 
-def test_non_integer_thread_count_is_refused_before_any_cell(tmp_path, capsys, monkeypatch):
-    played = count_played_games(monkeypatch)
-    monkeypatch.setenv("NDG_THREADS", "two")
-    args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0", "--out", str(tmp_path)]
-    assert main(args) == EXIT_CONFIG
-    assert "NDG_THREADS" in capsys.readouterr().err
-    assert played == []
-    assert not tmp_path.joinpath("test3_cells.csv").exists()
+@pytest.mark.parametrize("threads", ["two", "0", "8"])
+def test_a_stray_thread_count_variable_neither_steers_nor_refuses_a_sweep(tmp_path, monkeypatch, threads):
+    # NDG_THREADS once split a sweep over worker processes; every sweep now
+    # plays in one process, whatever the variable holds
+    args = ["test", "--id", "2", "--replications", "2", "--grid", "0.0,1.0", "--tie-break", "random"]
 
+    def sweep(name):
+        played = count_played_games(monkeypatch)
+        assert main(args + ["--out", str(tmp_path / name)]) == EXIT_OK
+        assert played == [4]  # one lockstep run of every game, in this process
+        return [(tmp_path / name / f"test2_{kind}.csv").read_bytes() for kind in ("cells", "summary")]
 
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_thread_count_below_one_is_refused_before_any_cell(tmp_path, capsys, monkeypatch, threads):
-    played = count_played_games(monkeypatch)
+    monkeypatch.delenv("NDG_THREADS", raising=False)
+    unset = sweep("unset")
     monkeypatch.setenv("NDG_THREADS", threads)
-    args = ["test", "--id", "3", "--replications", "1", "--grid", "0.0", "--out", str(tmp_path)]
-    assert main(args) == EXIT_CONFIG
-    assert f"NDG_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
-    assert played == []
-    assert not tmp_path.joinpath("test3_cells.csv").exists()
+    assert sweep("set") == unset
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -493,6 +493,16 @@ def test_plan_accepts_seed_sequences():
     seq = np.random.SeedSequence(7)
     plan1, plan2 = RngPlan(seq), RngPlan(seq)
     assert plan1.agent_a.random() == plan2.agent_a.random()
+    # the default pool of four words, given explicitly, draws the same bits
+    child = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,)))
+    assert RngPlan(np.random.SeedSequence(7, pool_size=4)).agent_a.random(3).tolist() == child.random(3).tolist()
+
+
+@pytest.mark.parametrize("pool_size", [8, 5])
+def test_a_seed_sequence_of_another_pool_size_is_refused(pool_size):
+    # the streams hash numpy's default pool of four words only; another pool would name other streams
+    with pytest.raises(ValueError, match=f"pool_size={pool_size}"):
+        RngPlan(np.random.SeedSequence(7, pool_size=pool_size))
 
 
 _KEYS = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)

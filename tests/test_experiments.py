@@ -195,7 +195,6 @@ def test_a_deterministic_spec_replays_its_game_under_any_seed(seats, tie_break, 
 )
 def test_run_cell_plays_a_deterministic_cell_once(test_id, tie_break, games, monkeypatch):
     played = count_played_games(monkeypatch)
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     spec = benchmark_spec(
         test_id, replications=3, base=GameConfig(rounds=8, omega_b=0.7, tie_break=tie_break), grid=(0.3,)
     )
@@ -254,7 +253,6 @@ def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a
     if grid_b is not None:  # an unequal B grid
         spec = dataclasses.replace(spec, omega_grid_b=tuple(grid_b))
     with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("NDG_THREADS", raising=False)
         played = count_played_games(patch)
         cells = run_test(spec).cells
     assert cells == _unreused_cells(spec)
@@ -274,7 +272,6 @@ def test_reused_cells_equal_cells_played_on_their_own(test_id, tie_break, grid_a
     ],
 )
 def test_a_sweep_plays_its_distinct_games_in_one_lockstep(test_id, grid, tie_break, replications, played, monkeypatch):
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     counts = count_played_games(monkeypatch)
     run_test(benchmark_spec(test_id, replications=replications, grid=grid, base=GameConfig(tie_break=tie_break)))
     assert counts == played
@@ -283,7 +280,6 @@ def test_a_sweep_plays_its_distinct_games_in_one_lockstep(test_id, grid, tie_bre
 def test_the_selfplay_learning_sweep_solves_each_distinct_belief_once_per_round(monkeypatch):
     # the selfplay-learning benchmark workload at benchmark seed 0: six played
     # games, twelve learners, 59 solved rounds; one item per learner would be 708
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     sizes = []
     real = engine.backward_induction_batch
 
@@ -300,7 +296,6 @@ def test_a_random_tie_selfplay_sweep_solves_each_distinct_belief_once_per_round(
     # the same sweep under random ties plays every replication: 27 games, 54
     # learners, 59 solved rounds; one item per learner would be 3186.  Equal
     # beliefs share a row until their own draws or their opponents' part them
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     sizes = []
     real = engine.backward_induction_batch
 
@@ -345,7 +340,6 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
 
     monkeypatch.setattr(experiments, "play_games", recording)
     monkeypatch.setattr(engine, "_streams", counting)
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     for test_id, tie_break, streams in (
         (1, "smallest", ["agent_b"]),
         (4, "smallest", []),
@@ -365,7 +359,7 @@ def test_a_part_derives_each_game_s_plan_as_the_plan_of_its_cell_and_replication
     monkeypatch.setattr(experiments, "_play_chunk", lambda spec, chunk: chunks.extend(chunk) or [])
     spec = benchmark_spec(2, replications=3, base=GameConfig(seed=2**70 + 5), grid=(0.0, 1.0))
     games, _ = experiments._plan(spec, spec.cells())
-    experiments._play_part((spec, games))
+    experiments._play_part(spec, games)
     assert len(chunks) == len(games) == 6
     for (cell_index, _, rep), (_, _, plan) in zip(games, chunks):
         fresh = RngPlan(spec.base.seed, (cell_index, rep))
@@ -415,7 +409,6 @@ def test_a_part_builds_each_stateless_seat_once_and_each_learner_per_game(seats,
 
     monkeypatch.setattr(experiments, "play_games", recording)
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)  # every game a chunk of its own
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     base = GameConfig(rounds=3, tie_break="random")  # so that every game is played
     run_test(ExperimentSpec(1, *seats, (0.0, 1.0), None, 2, base))
     assert len(pairs) == 4
@@ -445,7 +438,7 @@ def test_a_sweep_that_draws_nothing_never_loads_numpy_random(test_id, draws, tmp
     argv = ["test", "--id", str(test_id), "--grid", "0.65,0.7,1.0", "--replications", "3"]
     argv += ["--seed", "1062076350", "--tie-break", "smallest", "--out", str(tmp_path)]
     src = str(Path(experiments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "NDG_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", _DRAW_FREE, "--", *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -470,7 +463,7 @@ def test_a_sweep_imports_nothing(tmp_path):
     # sweep loads a module: a plain np.unique, for one, loads numpy.ma, about
     # 21 ms in a fresh process
     src = str(Path(experiments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "NDG_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-c", _IMPORTS_NOTHING, "--", str(tmp_path)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -480,8 +473,7 @@ def test_a_sweep_imports_nothing(tmp_path):
 @pytest.mark.parametrize(
     ("name", "test_id", "tie_break", "q", "grid"), [pytest.param(*sweep, id=sweep[0]) for sweep in memory_sweeps.SWEEPS]
 )
-def test_sweep_memory_stays_within_the_chunk_bound(name, test_id, tie_break, q, grid, monkeypatch):
-    monkeypatch.delenv("NDG_THREADS", raising=False)
+def test_sweep_memory_stays_within_the_chunk_bound(name, test_id, tie_break, q, grid):
     spec = benchmark_spec(test_id, replications=30, base=GameConfig(q=q, rounds=4, tie_break=tie_break), grid=grid)
     tracemalloc.start()
     try:
@@ -539,7 +531,6 @@ def test_run_test_writes_and_protects_outputs(tmp_path):
 
 def test_existing_outputs_are_refused_before_any_cell_runs(tmp_path, monkeypatch):
     (tmp_path / "test3_cells.csv").write_text("old\n")
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     played = count_played_games(monkeypatch)
     with pytest.raises(FileExistsError, match="refusing to overwrite"):
         run_test(benchmark_spec(3, replications=1, grid=SMALL), out_dir=tmp_path)
@@ -548,7 +539,6 @@ def test_existing_outputs_are_refused_before_any_cell_runs(tmp_path, monkeypatch
 
 
 def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch):
-    monkeypatch.delenv("NDG_THREADS", raising=False)
     played = count_played_games(monkeypatch)
     pretrained = AgentSpec("mdp-pretrained")
     for kind in ("heuristic", "mdp-heuristic", "mdp-uniform"):
@@ -561,63 +551,3 @@ def test_one_sided_warm_up_is_refused_before_any_cell_runs(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
     mixed = ExperimentSpec(5, pretrained, AgentSpec("mdp-learning"), SMALL, SMALL, 1, GameConfig())
     assert mixed.warms_up
-
-
-def test_parallel_cells_match_serial(tmp_path, monkeypatch):
-    cases = (
-        (4, "smallest", 1, (0.0, 0.5, 1.0)),  # mirrored cells reused
-        (4, "smallest", 1, SMALL),
-        (2, "random", 3, SMALL),
-        (5, "random", 3, SMALL),  # 12 games: 3 workers split them 4, 4, 4 across cells
-        (5, "random", 2, SMALL),  # 8 games: 3 workers split them 2, 3, 3 across cells
-    )
-    for test_id, tie_break, replications, grid in cases:
-        spec = benchmark_spec(test_id, replications=replications, grid=grid, base=GameConfig(tie_break=tie_break))
-        monkeypatch.delenv("NDG_THREADS", raising=False)
-        case = f"{test_id}{tie_break}{replications}x{len(grid)}"
-        serial_dir = tmp_path / f"serial{case}"
-        serial = run_test(spec, out_dir=serial_dir)
-        for threads in ("2", "3"):
-            monkeypatch.setenv("NDG_THREADS", threads)
-            parallel_dir = tmp_path / f"parallel{case}-{threads}"
-            parallel = run_test(spec, out_dir=parallel_dir)
-            assert serial.cells == parallel.cells
-            for name in (f"test{test_id}_cells.csv", f"test{test_id}_summary.csv"):
-                assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
-
-
-def test_thread_count_splits_the_games_but_the_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    # a fake pool records its size and plays the parts serially: no process starts
-    sizes, parts = [], []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            parts.append([len(games) for _, games in tasks])
-            return map(fn, tasks)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-    spec = benchmark_spec(2, replications=3, grid=SMALL, base=GameConfig(tie_break="random"))  # 6 games
-    monkeypatch.delenv("NDG_THREADS", raising=False)
-    run_test(spec, out_dir=tmp_path / "serial")
-    assert sizes == []
-    for threads, cpus, size, split in (("500", 2, 2, [1] * 6), ("3", 8, 3, [2, 2, 2]), ("4", 1, None, None)):
-        monkeypatch.setenv("NDG_THREADS", threads)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        parts.clear()
-        out = tmp_path / threads
-        run_test(spec, out_dir=out)
-        assert sizes == ([size] if size else [])  # one CPU plays every part in this process
-        assert parts == ([split] if split else [])
-        for name in ("test2_cells.csv", "test2_summary.csv"):
-            assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()

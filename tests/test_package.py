@@ -3,8 +3,11 @@ and the README's API example."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ndglab
@@ -44,6 +47,16 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert ROOT / "src" / "ndglab" / "planner.py" in files
     unused = {str(path.relative_to(ROOT)): names for path in files if (names := _unused_imports(path))}
     assert not unused, f"unused imports: {unused}"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # every sweep plays in the calling process, so a fresh `import ndglab.cli`
+    # loads neither package a process pool comes from
+    code = "import sys, ndglab.cli; print(*[m for m in ('concurrent', 'multiprocessing') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_the_readme_api_example_runs():
