@@ -18,9 +18,11 @@ its own side's ``src``:
   figures T1..T5 of ``test_03``, which fails by design;
 - the traced peaks of the sweeps in ``tests/memory_sweeps.py``, whose bound
   the ``tracemalloc`` tests assert;
-- the five default scenarios at 30 replications, median of five passes;
+- the five default scenarios at 30 replications, every pass's total and
+  their median and interquartile range over five passes;
 - the five scenarios under random ties at 10 replications
-  (``--tie-break random --replications 10``), each scenario's median of
+  (``--tie-break random --replications 10``), every pass per scenario, each
+  scenario's median and the totals' median and interquartile range over
   five passes per side; passes alternate which side runs first;
 - warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
   when no claim is given): pairs of processes, in alternating order, that
@@ -118,7 +120,8 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       a run takes (``engine._fill_streams``);
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
-      q=10 and h=10, keeping two stages;
+      q=10 and h=10, keeping two stages; ``lean_solve_q20_b36`` the same
+      at q=20 and B=36;
     - ``game_scores_200x60``: ``core.game_scores`` on a ``(200, 60, 2)`` chunk.
     """
     import inspect
@@ -149,10 +152,10 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         "streams_200_run": fill_streams and run_streams,
         "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
     }
-    for count in (12, 36, 242):
-        tables = rng.dirichlet(np.ones(q - 1), size=(count, q - 1, q - 1))
-        inputs = planner.solver_inputs(tables, rng.random(count), q)
-        layers[f"lean_solve_b{count}"] = lambda inputs=inputs: planner.backward_induction_batch(*inputs, 10)
+    for name, solve_q, count in (("b12", q, 12), ("b36", q, 36), ("b242", q, 242), ("q20_b36", 20, 36)):
+        tables = rng.dirichlet(np.ones(solve_q - 1), size=(count, solve_q - 1, solve_q - 1))
+        inputs = planner.solver_inputs(tables, rng.random(count), solve_q)
+        layers[f"lean_solve_{name}"] = lambda inputs=inputs: planner.backward_induction_batch(*inputs, 10)
     chunk = rng.integers(1, q, (200, 60, 2))
     layers["game_scores_200x60"] = lambda: core.game_scores(chunk, q)
     timings = {}
@@ -201,6 +204,17 @@ def perfbench_run(tree: Path, workload: str, seed: int, seconds: float) -> tuple
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def spread(passes) -> dict:
+    """Every pass's total, rounded, with their median and interquartile range, per side."""
+    fields = {}
+    for side, totals in passes.items():
+        stats = quartiles(totals)
+        fields[f"{side}_median_total"] = round(stats["median"], 2)
+        fields[f"{side}_iqr_total"] = round(stats["q3"] - stats["q1"], 3)
+        fields[f"{side}_totals"] = [round(total, 3) for total in totals]
+    return fields
 
 
 def summarize(runs) -> dict:
@@ -316,17 +330,18 @@ def main(argv=None) -> int:
             **{side: [round(peak, 2) for peak in peaks[side]] for side in SIDES},
             "bound": memory_sweeps.BOUND_MIB,
         },
-        "five_scenarios_30_reps_s": {
-            **{f"{side}_median_total": round(statistics.median(scenarios[side]), 2) for side in SIDES},
-            "passes": SCENARIO_PASSES,
-        },
+        "five_scenarios_30_reps_s": {**spread(scenarios), "passes": SCENARIO_PASSES},
         "five_scenarios_random_ties_10_reps_s": {
             "args": RANDOM_TIE_ARGS,
             **{
                 f"{side}_median_per_scenario": [round(statistics.median(runs), 3) for runs in zip(*random_ties[side])]
                 for side in SIDES
             },
-            **{f"{side}_median_total": round(statistics.median(map(sum, random_ties[side])), 2) for side in SIDES},
+            **spread({side: list(map(sum, runs)) for side, runs in random_ties.items()}),
+            **{
+                f"{side}_passes": [[round(s, 3) for s in runs] for runs in random_ties[side]]
+                for side in SIDES
+            },
             "passes": SCENARIO_PASSES,
         },
         "layers": {

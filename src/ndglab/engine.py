@@ -406,7 +406,8 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         order = [*lead.tolist(), *(i for i in range(len(learners)) if i not in leads)]
         by_demand, gains = solver_inputs([learners[i].estimate for i in order], [omegas[i] for i in order], q)
         counts = np.stack([learners[i].counts for i in order])
-        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)  # in each row's view
+        # in each row's view: a view of the solver's C-contiguous stack, so its rows are strided
+        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)
         row_at, row_opp = learner_at[lead], learner_opp[lead]
     for t in range(rounds):
         now, before = 2 * t, 2 * t - 2  # flat offsets of this round and the one before
@@ -431,7 +432,8 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             if rows < len(learners) and (seen[lead[row_of]] != seen).any():
                 row_of, lead, parents = _split_rows(row_of, seen)
                 rows = len(parents)
-                for array in (counts, by_demand, gains):  # one at a time, so one array's copy is held at most
+                # one at a time, so one array's copy is held at most; in place, so the stack stays contiguous
+                for array in (counts, by_demand, gains):
                     array[:rows] = array[parents]
                 own_prev, opp_prev = own_prev[parents], opp_prev[parents]
                 row_at, row_opp = learner_at[lead], learner_opp[lead]

@@ -23,6 +23,10 @@ state it is in, so the batch can return just that demand per item, with the
 bits of the full rule.  A planner is a model table with the weight, horizon
 and tie rule of its game's config; the game loop decides which planners
 share one item.
+
+Every solve holds its models as one C-contiguous ``(B, q - 1, (q - 1)**2)``
+stack, ``[item, b - 1, state]``, so each stage's product reads a plain
+operand; a transposed one can take BLAS nearly twice as long.
 """
 
 from __future__ import annotations
@@ -102,11 +106,14 @@ def backward_induction(
 def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The inputs ``(by_demand, gains)`` of :func:`backward_induction_batch`, stacked.
 
-    Planner ``i`` gives ``tables[i]`` as ``[b - 1, (own_prev - 1) * (q - 1) + opp_prev - 1]``
+    Planner ``i`` gives ``tables[i]`` as ``[b - 1, (own_prev - 1) * (q - 1) + opp_prev - 1]``,
+    in one C-contiguous ``(B, q - 1, (q - 1)**2)`` stack filled item by item,
     and the reward matrix of ``omegas[i]``.
     """
     n = q - 1
-    by_demand = np.stack([table.reshape(n * n, n).T for table in tables])
+    by_demand = np.empty((len(tables), n, n * n))
+    for item, table in zip(by_demand, tables):
+        item[...] = table.reshape(n * n, n).T
     gains = np.stack([reward_matrix(omega, q) for omega in omegas])
     return by_demand, gains
 
@@ -123,8 +130,9 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, rows=None, 
     one flipped last bit can move an exact tie.
 
     Args:
-        by_demand, gains: B models, trusted to be valid, and B reward
-            matrices, stacked by :func:`solver_inputs`.
+        by_demand, gains: B models, trusted to be valid, as one C-contiguous
+            ``(B, q - 1, (q - 1)**2)`` stack, and B reward matrices, both
+            stacked by :func:`solver_inputs`.
         h: number of stages, at least 1.
         rngs: None for smallest-demand ties, or one generator per planner:
             planner ``p`` plays item ``rows[p]`` (by default item ``p``) and

@@ -472,6 +472,22 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "lean_solve_b12",
         "lean_solve_b36",
         "lean_solve_b242",
+        "lean_solve_q20_b36",
         "game_scores_200x60",
     ]
     assert all(isinstance(us, float) and us > 0 for us in timings.values()), timings
+
+
+def test_the_bench_keeps_every_scenario_pass_beside_its_median(monkeypatch):
+    # a reader of BENCH_<n>.json can tell a slowdown from spread; the median
+    # keeps its key, so older files stay comparable
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    fields = _script("bench_pairs").spread({"parent": [0.5, 0.4, 0.7, 0.45, 0.6], "change": [0.3] * 5})
+    assert fields == {
+        "parent_median_total": 0.5,
+        "parent_iqr_total": 0.15,
+        "parent_totals": [0.5, 0.4, 0.7, 0.45, 0.6],
+        "change_median_total": 0.3,
+        "change_iqr_total": 0.0,
+        "change_totals": [0.3] * 5,
+    }

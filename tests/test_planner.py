@@ -11,12 +11,14 @@ from ndglab import (
     HeuristicModel,
     RngPlan,
     backward_induction,
+    benchmark_spec,
     brute_force_value,
     reward_matrix,
     run_game,
+    run_test,
     uniform_table,
 )
-from ndglab import engine
+from ndglab import engine, planner
 from ndglab.core import TIE_BREAKS
 from ndglab.engine import run_games
 from ndglab.planner import backward_induction_batch, solver_inputs, with_picks
@@ -279,6 +281,70 @@ def test_agents_on_equal_seeds_draw_equal_ties_in_one_batch(seeds):
         _, alone = backward_induction(table, 0.5, 2, 3, tie_break="random", rng=alone_rng)
         assert np.array_equal(rule, alone)
         assert rng.random() == alone_rng.random()  # each drew from its own stream only
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 10),
+    st.sampled_from(TIE_BREAKS),
+    st.sampled_from((0.0, 0.2, 1.0)),
+    st.lists(st.integers(0, 39), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_contiguous_stack_solves_with_the_bits_of_the_transposed_one(items, h, tie_break, flat_share, planners, seed):
+    # at q=10, the q of the golden digests, the solver's C-contiguous stack
+    # gives the bits of the stack of transposed tables it replaced: values,
+    # actions, picks and streams.  A share of rows is uniform or the
+    # two-point row on {4, 6}, whose demands 4, 5, 6 tie, so random ties draw
+    q, n = 10, 9
+    rng = np.random.default_rng(seed)
+    tables = rng.dirichlet(np.ones(n), size=(items, n, n))
+    flat = rng.random((items, n, n)) < flat_share
+    tables[flat] = np.where(rng.random((flat.sum(), 1)) < 0.5, 1.0 / n, _two_point_model()[0, 0])
+    omegas = rng.choice([0.0, 0.5, 1.0, *rng.random(3)], size=items)
+    by_demand, gains = solver_inputs(tables, omegas, q)
+    transposed = np.stack([table.reshape(n * n, n).T for table in tables])
+    assert by_demand.flags.c_contiguous and not transposed.flags.c_contiguous
+    assert by_demand.tobytes() == np.ascontiguousarray(transposed).tobytes()
+    rows = np.array([p % items for p in planners])
+    solves = []
+    for stack in (by_demand, transposed):
+        rngs = [np.random.default_rng(seed + p) for p in range(len(rows))] if tie_break == "random" else None
+        values = np.zeros((items, h + 1, n * n))
+        actions, picks = backward_induction_batch(stack, gains, h, rngs=rngs, rows=rows, values=values)
+        states = [stream.bit_generator.state for stream in rngs or ()]
+        solves.append((actions.tobytes(), None if picks is None else picks.tobytes(), values.tobytes(), states))
+    assert solves[0] == solves[1]
+
+
+def test_solver_inputs_stack_the_models_c_contiguous():
+    rng = np.random.default_rng(4)
+    tables = [random_model(rng, 10), random_model(rng, 10).transpose(1, 0, 2), uniform_table(10)]
+    by_demand, _ = solver_inputs(tables, [0.2, 0.5, 0.9], 10)
+    assert by_demand.flags.c_contiguous and by_demand.shape == (3, 9, 81)
+    for item, table in zip(by_demand, tables):
+        assert np.array_equal(item, table.reshape(81, 9).T)
+
+
+def test_every_solve_reads_a_c_contiguous_model_stack(monkeypatch):
+    stacks = []  # each solved batch's item count, and whether its model stack is C-contiguous
+    real = planner.backward_induction_batch
+
+    def recording(by_demand, gains, *args, **kwargs):
+        stacks.append((len(gains), by_demand.flags.c_contiguous))
+        return real(by_demand, gains, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "backward_induction_batch", recording)
+    monkeypatch.setattr(planner, "backward_induction_batch", recording)
+    # a scenario-2 sweep: its learners share a row per weight until the rule-based draws part them
+    run_test(benchmark_spec(2, replications=3, grid=(0.3, 0.7), base=GameConfig(rounds=12)))
+    sizes = [size for size, _ in stacks]
+    assert sizes[0] == 2 and max(sizes) > 2  # the learner rows split
+    run_game(GameConfig(rounds=3), random_model(np.random.default_rng(5), 10), HeuristicModel(1.0, 10))
+    backward_induction(random_model(np.random.default_rng(6), 10), 0.4, 3, 10)
+    assert len(stacks) == len(sizes) + 2
+    assert all(contiguous for _, contiguous in stacks)
 
 
 def _count_items(monkeypatch) -> list[int]:
