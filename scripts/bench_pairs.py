@@ -28,10 +28,12 @@ its own side's ``src``:
   when no claim is given): pairs of processes, in alternating order, that
   each time several sweeps after one untimed sweep;
 - the layers of :func:`layer_timings`, timed with ``timeit`` in fresh
-  interpreters, pairs of one per side in alternating order; each layer's
-  median over the pairs.
+  interpreters, pairs of one per side in alternating order; each
+  interpreter's timing of each layer, and their median and interquartile
+  range per side (:func:`layer_spread`);
+- numpy's BLAS build, under ``environment``.
 
-A full run takes about 35 minutes on two cores.  Run it on
+A full run takes about 45 minutes on two cores.  Run it on
 an otherwise idle machine: both sides share it, one after the other.
 """
 
@@ -57,7 +59,7 @@ from workloads import WORKLOADS  # noqa: E402  (reads the workload table only)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
-PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 5, 3
+PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 5, 5
 RANDOM_TIE_ARGS = ["--tie-break", "random", "--replications", "10"]
 
 # Runs in a fresh interpreter of one side, which imports that side's ndglab.
@@ -217,6 +219,26 @@ def spread(passes) -> dict:
     return fields
 
 
+def layer_spread(layer_runs) -> dict:
+    """Per side, each layer's median over the interpreters, its interquartile
+    range and every interpreter's timing; a layer a side lacks reads None."""
+    fields = {}
+    for side, runs in layer_runs.items():
+        timings = {name: [run[name] for run in runs] for name in runs[0]}
+        stats = {name: None if None in values else quartiles(values) for name, values in timings.items()}
+        fields[side] = {name: s and s["median"] for name, s in stats.items()}
+        fields[f"{side}_iqr"] = {name: s and round(s["q3"] - s["q1"], 2) for name, s in stats.items()}
+        fields[f"{side}_runs"] = timings
+    return fields
+
+
+def blas_build() -> dict:
+    """numpy's BLAS build, as ``numpy.show_config`` reports it."""
+    import numpy
+
+    return numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
 def summarize(runs) -> dict:
     metrics = {}
     for metric in BENCHMARK["end_to_end"]:
@@ -284,10 +306,6 @@ def main(argv=None) -> int:
         for pair in range(LAYER_PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 layer_runs[side].append(probe(trees[side], job))
-        layers = {
-            side: {name: runs[0][name] and statistics.median(run[name] for run in runs) for name in runs[0]}
-            for side, runs in layer_runs.items()
-        }
         scenarios = {side: [] for side in SIDES}
         random_ties = {side: [] for side in SIDES}
         for scenario_pass in range(SCENARIO_PASSES):
@@ -318,6 +336,7 @@ def main(argv=None) -> int:
             "python": env["change"]["python"],
             "numpy": env["change"]["numpy"],
             "seconds_per_run": BENCHMARK["run_seconds"],
+            "blas": blas_build(),
         },
         "claim": {"workload": args.claim, "metric": "games_per_s", "better": "higher"} if args.claim else None,
         "workloads": workloads,
@@ -347,9 +366,10 @@ def main(argv=None) -> int:
         "layers": {
             "description": (
                 f"microseconds per call: the least of 7 timeit repeats in a fresh interpreter, median of "
-                f"{LAYER_PAIRS} interpreters per side, run in alternating pairs"
+                f"{LAYER_PAIRS} interpreters per side, run in alternating pairs; <side>_iqr the interquartile "
+                "range and <side>_runs every interpreter's timing"
             ),
-            **layers,
+            **layer_spread(layer_runs),
         },
         "warm_in_process": {
             "workload": warm_workload,

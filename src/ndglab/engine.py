@@ -122,20 +122,22 @@ def _streams(children) -> list:
 
     ``SeedSequence`` hashes the 32-bit words of its entropy, padded with
     zeros to its pool of four, then those of its spawn key.  Its hash
-    constants depend only on a word's position, never on the data.  The
-    pool and every entropy word past it are hashed once per distinct
-    entropy, in Python ints; the spawn-key words of all children are then
-    hashed as one ``(words, 4, children)`` uint64 array and mixed into the
-    pools one word at a time, each child's words at the positions they hold
-    in its own key, so keys of any lengths and part sizes share a call.
-    The pools give each child's ``generate_state(4, np.uint64)`` row, and
-    numpy's own ``PCG64`` seeds itself from that row and does every draw.
+    constants depend only on a word's position, never on the data.  Each
+    distinct entropy's pool is numpy's own, ``SeedSequence(entropy).pool``,
+    and its key's first word takes hash position 16, four more per entropy
+    word past the pool.  The spawn-key words of all children are hashed as
+    one ``(words, 4, children)`` uint64 array and mixed into the pools one
+    word at a time, each child's words at the positions they hold in its
+    own key, so keys of any lengths and part sizes share a call.  The pools
+    give each child's ``generate_state(4, np.uint64)`` row, and numpy's own
+    ``PCG64`` seeds itself from that row and does every draw.
     """
     entropies, keys = zip(*children)
     head_of = {}  # each distinct entropy, an int or its words, numbered in order of first use
     heads = [head_of.setdefault(e if type(e) is int else tuple(_words(e)), len(head_of)) for e in entropies]
     heads = np.array(heads, dtype=np.intp)
-    pools, starts = zip(*(_entropy_pool(tuple(_words(entropy))) for entropy in head_of))
+    pools = [np.random.SeedSequence(entropy).pool for entropy in head_of]
+    starts = [16 + 4 * max(0, len(_words(entropy)) - 4) for entropy in head_of]
     parts, live = _key_words(keys)  # both (words, children)
     # each live word's hash position: after its entropy's, four per live word before it
     at = np.array(starts)[heads] + 4 * (np.cumsum(live, axis=0) - 1)
@@ -177,34 +179,6 @@ def _hash_constants(count: int, init: int = _INIT_A, mult: int = _MULT_A) -> tup
     constants = np.array(constants, dtype=np.uint64)
     constants.flags.writeable = False
     return constants[:-1], constants[1:]
-
-
-@lru_cache(maxsize=16)
-def _entropy_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The pool ``SeedSequence`` makes of a spawned child's entropy words, and the hash position its key starts at."""
-    words = words + (0,) * (4 - len(words))
-    xor, mul = (constants.tolist() for constants in _hash_constants(4 * len(words)))
-    position = 0
-
-    def hashmix(value: int) -> int:
-        nonlocal position
-        value = (value ^ xor[position]) * mul[position] & _MASK
-        position += 1
-        return value ^ value >> _SHIFT
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK
-        return value ^ value >> _SHIFT
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return tuple(pool), position
 
 
 def _key_words(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +330,8 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     row splits where its learners played different demands, which only
     their draws can cause, then where they observed different ones; rows
     never merge, and once every learner is alone in its row no split is
-    looked for.  Each learner gets its row back when the run ends.
+    looked for.  Each learner gets its row's counts back when the run ends,
+    and its estimate follows from them.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
@@ -399,7 +374,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     if learning:
         _, _, learners, omegas, streams = zip(*learning)
         learner_at, learner_opp = _seat_at(learning, rounds)
-        row_of, lead = _planner_rows([(w, held.counts, held.estimate) for held, w in zip(learners, omegas)])
+        row_of, lead = _planner_rows([(w, held.counts) for held, w in zip(learners, omegas)])
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
         # the rest hold the other learners, as room for rows to split into.
         rows, leads = len(lead), set(lead.tolist())
@@ -440,32 +415,30 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             observe(counts[:rows], estimate[:rows], own_prev, opp_prev, observed[lead])
     for learner, row in zip(learners, row_of):
         learner.counts[...] = counts[row]
-        learner.estimate[...] = estimate[row]
     return demands
 
 
 def _planner_rows(planners) -> tuple[np.ndarray, np.ndarray]:
     """Each planner's run row and each row's first planner, rows numbered in order of first use.
 
-    A planner is given as ``(omega, *tables)``: a fixed planner's validated
-    table, or a learner's counts and estimate.  Planners share a row when
-    they hold equal weights and bit-equal tables, as these solve the same
-    rule, under either tie rule.  A planner holding the table
-    objects of one already seen at its weight takes that row unread; any
-    other has its first table hashed once, in place, and a hash match is
-    confirmed in full, so a collision cannot merge two rows.
+    A planner is given as ``(omega, table)``: a fixed planner's validated
+    table, or a learner's counts, of which its estimate is a function.
+    Planners share a row when they hold equal weights and bit-equal tables,
+    as these solve the same rule, under either tie rule.  A planner holding
+    the table object of one already seen at its weight takes that row
+    unread; any other has its table hashed once, in place, and a hash match
+    is confirmed in full, so a collision cannot merge two rows.
     """
-    seen, hashed, row_of, lead = {}, {}, [], []  # (omega, ids) and (omega, hash) -> rows
-    for i, (omega, *tables) in enumerate(planners):
-        named = (omega, *map(id, tables))
-        row = seen.get(named)
+    seen, hashed, row_of, lead = {}, {}, [], []  # (omega, id) and (omega, hash) -> rows
+    for i, (omega, table) in enumerate(planners):
+        row = seen.get((omega, id(table)))
         if row is None:
-            same = hashed.setdefault((omega, zlib.crc32(tables[0])), [])
-            row = next((r for r in same if all(map(np.array_equal, planners[lead[r]][1:], tables))), len(lead))
+            same = hashed.setdefault((omega, zlib.crc32(table)), [])
+            row = next((r for r in same if np.array_equal(planners[lead[r]][1], table)), len(lead))
             if row == len(lead):
                 same.append(row)
                 lead.append(i)
-            seen[named] = row
+            seen[omega, id(table)] = row
         row_of.append(row)
     return np.array(row_of, dtype=np.intp), np.array(lead, dtype=np.intp)
 

@@ -75,7 +75,7 @@ WARMUP_ROUNDS = 30  # length of the warm-up game an mdp-pretrained player learns
 # under either tie rule: an upper bound on the rows the run forms, since the
 # run also merges distinct but bit-equal tables at one weight.  A learner
 # counts once even where learners share a row: during a run it also holds
-# its counts and estimate, and the run a stacked row for each learner.  A
+# its counts, and the run a stacked row for each learner.  A
 # planner that draws its ties keeps only its picks at its row's tied
 # columns, uncounted.  At q = 10 every default sweep fits in one run; at
 # q = 60, two do.

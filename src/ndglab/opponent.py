@@ -6,8 +6,8 @@ Three families, all conditional on the pair of previous-round demands:
   over the demand grid, centred on a simple adjustment of the modelled
   player's previous demand;
 * the uninformed uniform model;
-* a count-based conjugate learner that holds its per-context row means as
-  the current point estimate of the opponent's demand distribution.
+* a count-based conjugate learner whose per-context row means are the
+  current point estimate of the opponent's demand distribution.
 
 Distributions are plain numpy vectors of length ``q - 1`` where entry
 ``i`` is the probability of demand ``i + 1``.  Full conditional tables
@@ -175,9 +175,10 @@ class DirichletLearner:
 
     ``counts[own_prev - 1, opp_prev - 1, d - 1]`` is the pseudo-count of
     demand ``d`` after the holder demanded ``own_prev`` and the opponent
-    ``opp_prev``; :attr:`estimate` holds each row normalized, the point
-    estimate.  An update adds one to a cell and renormalizes its row in
-    place, so any order of the same observations lands on the same estimate.
+    ``opp_prev``.  The counts are all a learner holds: :attr:`estimate`,
+    the point estimate, is derived from them on each read.  An update adds
+    one to a cell, so any order of the same observations lands on the same
+    estimate.
     """
 
     def __init__(self, counts: np.ndarray, q: int):
@@ -191,8 +192,12 @@ class DirichletLearner:
         if not np.all(np.isfinite(counts) & (counts > 0)):
             raise ValueError("all counts must be finite and strictly positive")
         self.counts = counts
-        self.estimate = counts / counts.sum(axis=-1, keepdims=True)
         self.q = q
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """Each row of the counts normalized, a fresh array on each read."""
+        return self.counts / self.counts.sum(axis=-1, keepdims=True)
 
     @classmethod
     def uniform(cls, q: int) -> "DirichletLearner":
@@ -200,21 +205,25 @@ class DirichletLearner:
         return cls(np.ones((q - 1,) * 3), q)
 
     def update(self, own_prev: int, opp_prev: int, observed: int) -> None:
-        """Record one demand observed in context ``(own_prev, opp_prev)``: :func:`observe`, checked."""
+        """Record one demand observed in context ``(own_prev, opp_prev)``: one count added, checked."""
         check_demand(own_prev, self.q, "own_prev")
         check_demand(opp_prev, self.q, "opp_prev")
         check_demand(observed, self.q, "observed")
-        observe(self.counts, self.estimate, own_prev, opp_prev, observed)
+        self.counts[own_prev - 1, opp_prev - 1, observed - 1] += 1.0
 
 
 def observe(counts, estimate, own_prev, opp_prev, observed) -> None:
     """Add one count per observation and refresh each touched estimate row once.
 
     ``counts`` and ``estimate`` hold one learner or learners stacked along
-    leading axes.  The demands, trusted to lie in ``1..q-1``, broadcast to
+    leading axes; a game run's ``estimate`` is a view of the solver's model
+    stack, so each touched row is normalized from the counts and written
+    into it, never summed in the stack, whose strided row sums can round
+    differently.  The demands, trusted to lie in ``1..q-1``, broadcast to
     a shape that starts with those axes; further axes hold a block of
     observations per learner.  Repeated cells add as single updates would,
-    and a touched row gets the bits of ``row / row.sum()``.
+    and a touched row gets the bits of ``row / row.sum()``, those of
+    :attr:`DirichletLearner.estimate`.
     """
     own, opp, obs = np.broadcast_arrays(own_prev, opp_prev, observed)
     row = (*np.indices(own.shape, sparse=True)[: counts.ndim - 3], own - 1, opp - 1)

@@ -7,10 +7,17 @@ reports their peaks.
 """
 
 BOUND_MIB = 36
-# The traced peak each case had before its planners first shared one run row
-# per belief, under smallest ties and then under random ties, which sharing
-# must keep them under.
-CASE_BOUND_MIB = {"learner-vs-learner": 15.89, "random-tie-planner": 11.25, "random-tie-learners": 22.56}
+# Tighter bounds.  "random-tie-planner" keeps the traced peak it had before
+# its planners first shared one run row per belief, which sharing must keep
+# it under.  The three learner cases sit between their peak with learners
+# that hold only their counts and their peak when each learner also held its
+# estimate, a second (q - 1)**3 array, so a stored estimate would exceed them.
+CASE_BOUND_MIB = {
+    "learner": 17.5,
+    "learner-vs-learner": 12.7,
+    "random-tie-planner": 11.25,
+    "random-tie-learners": 17.7,
+}
 SWEEPS = (
     ("learner", 2, "smallest", 60, (0.5,)),
     ("random-tie-planner", 1, "random", 60, (0.5,)),

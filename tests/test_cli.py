@@ -491,3 +491,26 @@ def test_the_bench_keeps_every_scenario_pass_beside_its_median(monkeypatch):
         "change_iqr_total": 0.0,
         "change_totals": [0.3] * 5,
     }
+
+
+def test_the_bench_keeps_every_layer_timing_beside_its_median(monkeypatch):
+    # each interpreter's timing and the spread sit beside the median, under the
+    # median's old key; a layer one tree lacks reads None
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runs = [{"solve": us, "absent": None} for us in (410.0, 400.0, 700.0, 405.0, 420.0)]
+    fields = _script("bench_pairs").layer_spread({"parent": runs, "change": [{"solve": 300.0, "absent": 2.5}] * 5})
+    assert fields == {
+        "parent": {"solve": 410.0, "absent": None},
+        "parent_iqr": {"solve": 15.0, "absent": None},
+        "parent_runs": {"solve": [410.0, 400.0, 700.0, 405.0, 420.0], "absent": [None] * 5},
+        "change": {"solve": 300.0, "absent": 2.5},
+        "change_iqr": {"solve": 0.0, "absent": 0.0},
+        "change_runs": {"solve": [300.0] * 5, "absent": [2.5] * 5},
+    }
+
+
+def test_the_bench_records_numpy_s_blas_build(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    blas = _script("bench_pairs").blas_build()
+    assert isinstance(blas["name"], str) and blas["name"]
+    json.dumps(blas)  # written to BENCH_<n>.json as it is

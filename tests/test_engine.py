@@ -544,6 +544,8 @@ _PLANS = st.tuples(
 @given(st.lists(_PLANS, min_size=1, max_size=8))
 @example([(2**128 - 1, (2**64 - 1, 0, 2**32), False, set()), (([2**40, 3], []), (), True, {"agent_b"})])
 @example([(0, (), False, set()), (0, (1,), True, set()), (0, (2**33, 5, 0), False, {"agent_a"})])
+# key parts of 2**64 and up: three-word parts, hashed from an object array
+@example([(0, (2**70, 3), False, set()), (7, (0, 2**64 - 1, 2**96 + 5), True, {"agent_b"})])
 def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
     # the run path builds all missing streams of a batch in one hash, over
     # mixed seeds and keys; each equals the SeedSequence child it names, and

@@ -249,6 +249,14 @@ def test_uniform_learner_start():
     np.testing.assert_array_equal(learner.estimate[3, 3], np.full(9, 1 / 9))
 
 
+def test_the_estimate_follows_the_counts():
+    # a learner holds only its counts: its estimate is read from them, never stored beside them
+    learner = DirichletLearner.uniform(10)
+    learner.counts[0, 0, 0] += 5
+    np.testing.assert_array_equal(learner.estimate[0, 0], np.array([6.0, 1, 1, 1, 1, 1, 1, 1, 1]) / 14)
+    np.testing.assert_array_equal(learner.estimate[0, 1], np.full(9, 1 / 9))
+
+
 def test_update_moves_one_count():
     learner = DirichletLearner.uniform(10)
     learner.update(6, 6, 5)
@@ -288,7 +296,8 @@ def test_estimate_rows_are_normalized():
 )
 @example(60, "loaded-B", 300, 0)
 def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, seed):
-    # each update refreshes one row; the held estimate must equal normalizing every row again
+    # a run refreshes its estimate one touched row at a time (observe); each
+    # row normalized alone must have the bits of the learner's whole estimate
     rng = np.random.default_rng(seed)
     n = q - 1
     if start == "uniform":
@@ -302,8 +311,8 @@ def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, see
     contexts = rng.integers(1, q, size=(3, 2))  # few contexts, so rows take repeated updates
     for i, observed in zip(rng.integers(0, 3, size=n_updates), rng.integers(1, q, size=n_updates)):
         learner.update(int(contexts[i, 0]), int(contexts[i, 1]), int(observed))
-    counts = learner.counts
-    assert learner.estimate.tobytes() == (counts / counts.sum(-1, keepdims=True)).tobytes()
+    rows = [row / row.sum() for row in learner.counts.reshape(-1, n)]
+    assert learner.estimate.tobytes() == np.array(rows).tobytes()
 
 
 def _single_updates(counts, observations):
