@@ -122,8 +122,11 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       a run takes (``engine._fill_streams``);
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
-      q=10 and h=10, keeping two stages; ``lean_solve_q20_b36`` the same
-      at q=20 and B=36;
+      q=10 and h=10, keeping two stages, every state's row its own;
+      ``lean_solve_b36_learner`` the same for 36 learners, each a flat
+      prior plus 12 visited states; ``lean_solve_q20_b36`` the all-distinct
+      case at q=20 and B=36.  ``*inputs`` runs on either tree, whichever
+      inputs its ``solver_inputs`` stacks;
     - ``game_scores_200x60``: ``core.game_scores`` on a ``(200, 60, 2)`` chunk.
     """
     import inspect
@@ -154,8 +157,20 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         "streams_200_run": fill_streams and run_streams,
         "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
     }
-    for name, solve_q, count in (("b12", q, 12), ("b36", q, 36), ("b242", q, 242), ("q20_b36", 20, 36)):
-        tables = rng.dirichlet(np.ones(solve_q - 1), size=(count, solve_q - 1, solve_q - 1))
+    learners = np.full((36, (q - 1) ** 2, q - 1), 1.0 / (q - 1))
+    for table in learners:
+        table[rng.choice((q - 1) ** 2, 12, replace=False)] = rng.dirichlet(np.ones(q - 1), 12)
+    for name, solve_q, count in (
+        ("b12", q, 12),
+        ("b36", q, 36),
+        ("b36_learner", q, 36),
+        ("b242", q, 242),
+        ("q20_b36", 20, 36),
+    ):
+        if name.endswith("learner"):
+            tables = learners.reshape(count, q - 1, q - 1, q - 1)
+        else:
+            tables = rng.dirichlet(np.ones(solve_q - 1), size=(count, solve_q - 1, solve_q - 1))
         inputs = planner.solver_inputs(tables, rng.random(count), solve_q)
         layers[f"lean_solve_{name}"] = lambda inputs=inputs: planner.backward_induction_batch(*inputs, 10)
     chunk = rng.integers(1, q, (200, 60, 2))

@@ -47,8 +47,12 @@ class Role(enum.Enum):
 
 
 def check_demand(value: int, q: int, name: str = "demand") -> None:
-    if not 1 <= value <= q - 1:
-        raise ValueError(f"{name} must lie in 1..{q - 1}, got {value}")
+    """Refuse ``value`` for ``name`` unless it is an int, numpy's included, in ``1..q-1``.
+
+    A bool is refused, and so is a float even when it is whole, as :func:`check_int` does.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= q - 1:
+        raise ValueError(f"{name} must lie in 1..{q - 1}, got {value!r}")
 
 
 def check_int(value, name: str, least: int = 0) -> None:

@@ -11,7 +11,7 @@ weight, horizon and tie rule of the game's config, or a
 :class:`HeuristicModel`, which samples.  :func:`play_games` steps several
 games together, round by round, over one ``(games, rounds, 2)`` demand
 array, so that their planners share batched solves and their learners one
-:func:`observe` call per round; :func:`run_games` logs each of its games,
+update per round; :func:`run_games` logs each of its games,
 and :func:`run_game` is the one-game case.
 
 The loop alone decides when rules are solved, and which planners share a
@@ -31,8 +31,8 @@ from itertools import chain
 import numpy as np
 
 from .core import GameConfig, GameLog, atomic_write, check_int, round_columns
-from .opponent import DirichletLearner, HeuristicModel, RuleRows, observe
-from .planner import _validate_model, backward_induction_batch, solver_inputs, with_picks
+from .opponent import DirichletLearner, HeuristicModel, RuleRows
+from .planner import _blocks, _validate_model, backward_induction_batch, solver_inputs, with_picks
 
 __all__ = [
     "RngPlan",
@@ -324,14 +324,19 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     demands at flat indices fixed for the run, ``g * 2 * rounds + 2 * t + seat``.
 
     Learners are copied into stacked run arrays, one row per distinct
-    belief.  Learners sharing a row share their state as long as they play
-    and observe the same demands.  Every later round solves one batch item
-    per row, at its state.  Before :func:`observe` feeds each row once, a
-    row splits where its learners played different demands, which only
-    their draws can cause, then where they observed different ones; rows
-    never merge, and once every learner is alone in its row no split is
-    looked for.  Each learner gets its row's counts back when the run ends,
-    and its estimate follows from them.
+    belief: its counts, its estimate as the solver's column stack and state
+    map (:func:`solver_inputs`), and each column's count of states.  The
+    stack has room for ``min((q - 1)**2, C + rounds)`` columns, C the most
+    any learner starts with, 1 at the flat prior, rounded up to whole
+    blocks of 8; each round's solve reads only the blocks filled so far.
+    Learners sharing a row share their state as long as they play and
+    observe the same demands.  Every later round solves one batch item per
+    row, at its state.  Before :func:`_observe` feeds each row once, a row
+    splits where its learners played different demands, which only their
+    draws can cause, then where they observed different ones; rows never
+    merge, and once every learner is alone in its row no split is looked
+    for.  Each learner gets its row's counts back when the run ends, and
+    its estimate follows from them.
     """
     config = configs[0]
     tables = _check_seats(config, pairs)
@@ -376,26 +381,37 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         learner_at, learner_opp = _seat_at(learning, rounds)
         row_of, lead = _planner_rows([(w, held.counts) for held, w in zip(learners, omegas)])
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
-        # the rest hold the other learners, as room for rows to split into.
-        rows, leads = len(lead), set(lead.tolist())
-        order = [*lead.tolist(), *(i for i in range(len(learners)) if i not in leads)]
-        by_demand, gains = solver_inputs([learners[i].estimate for i in order], [omegas[i] for i in order], q)
-        counts = np.stack([learners[i].counts for i in order])
-        # in each row's view: a view of the solver's C-contiguous stack, so its rows are strided
-        estimate = by_demand.reshape(counts.shape).transpose(0, 2, 3, 1)
+        # the rest are room for rows to split into, set by each split before it is read.
+        rows, room, n = len(lead), len(learners), q - 1
+        # each row's estimate as its distinct columns, with room for one new column a round
+        inputs = solver_inputs((learners[i].estimate for i in lead), [omegas[i] for i in lead], q, spare=rounds)
+        columns, column_of, gains = (np.empty((room, *array.shape[1:]), array.dtype) for array in inputs)
+        for array, lead_rows in zip((columns, column_of, gains), inputs):
+            array[:rows] = lead_rows
+        counts = np.empty((room, n * n, n))
+        for row, i in enumerate(lead.tolist()):
+            counts[row] = learners[i].counts.reshape(n * n, n)
+        members = np.zeros((room, columns.shape[-1]), dtype=np.intp)  # each column's count of states
+        np.add.at(members, (np.arange(rows)[:, None], column_of[:rows]), 1)
+        used = int(np.count_nonzero(members, axis=1).max())  # the columns any row has filled
         row_at, row_opp = learner_at[lead], learner_opp[lead]
     for t in range(rounds):
         now, before = 2 * t, 2 * t - 2  # flat offsets of this round and the one before
-        if learning:  # each row's state from its side; the opening round is played at the opening pair
-            own_prev, opp_prev = flat[row_at + max(before, 0)], flat[row_opp + max(before, 0)]
+        if learning:  # each row's flat state from its side; the opening round is played at the opening pair
+            states = flat[row_at + max(before, 0)] * (q - 1) + flat[row_opp + max(before, 0)] - q
         if t:
             if fixed:
                 own = flat[fixed_at + before]
                 flat[fixed_at + now] = with_picks(rules[fixed_rule + own * (q - 1) + flat[fixed_opp + before]], picks)
             if learning:  # a row acts only at the state it plays, so only that state's demand is read
-                states = own_prev * (q - 1) + opp_prev - q
                 played, learner_picks = backward_induction_batch(
-                    by_demand[:rows], gains[:rows], h, rngs=streams if draws else None, rows=row_of, states=states
+                    columns[:rows, :, : _blocks(used)],
+                    column_of[:rows],
+                    gains[:rows],
+                    h,
+                    rngs=streams if draws else None,
+                    rows=row_of,
+                    states=states,
                 )
                 flat[learner_at + now] = with_picks(played[row_of], learner_picks)
             for memo, at, opp_at, uniforms in samplers.values():
@@ -408,14 +424,38 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
                 row_of, lead, parents = _split_rows(row_of, seen)
                 rows = len(parents)
                 # one at a time, so one array's copy is held at most; in place, so the stack stays contiguous
-                for array in (counts, by_demand, gains):
+                for array in (counts, columns, gains, column_of, members):
                     array[:rows] = array[parents]
-                own_prev, opp_prev = own_prev[parents], opp_prev[parents]
+                states = states[parents]
                 row_at, row_opp = learner_at[lead], learner_opp[lead]
-            observe(counts[:rows], estimate[:rows], own_prev, opp_prev, observed[lead])
+            used = _observe(counts, columns, column_of, members, states, observed[lead], used)
     for learner, row in zip(learners, row_of):
-        learner.counts[...] = counts[row]
+        learner.counts[...] = counts[row].reshape(learner.counts.shape)
     return demands
+
+
+def _observe(counts, columns, column_of, members, states, observed, used: int) -> int:
+    """Feed live row ``r`` one ``observed[r]`` at flat state ``states[r]``; return the columns in use.
+
+    Adds the count and writes the state's row, normalized from its counts
+    with the bits of :func:`opponent.observe`, into its column.  A state
+    that shares its column first takes the row's next free one; a state
+    alone in its column is rewritten in place, so a row never fills more
+    than ``(q - 1)**2`` columns.
+    """
+    live = np.arange(len(states))
+    counts[live, states, observed - 1] += 1.0
+    fresh = counts[live, states]
+    column = column_of[live, states]
+    shared = np.flatnonzero(members[live, column] > 1)
+    if len(shared):
+        members[shared, column[shared]] -= 1
+        column[shared] = np.count_nonzero(members[shared], axis=1)  # a row fills its columns in order
+        members[shared, column[shared]] = 1
+        column_of[shared, states[shared]] = column[shared]
+        used = max(used, int(column[shared].max()) + 1)
+    columns[live, :, column] = fresh / fresh.sum(axis=-1, keepdims=True)
+    return used
 
 
 def _planner_rows(planners) -> tuple[np.ndarray, np.ndarray]:

@@ -216,10 +216,9 @@ def observe(counts, estimate, own_prev, opp_prev, observed) -> None:
     """Add one count per observation and refresh each touched estimate row once.
 
     ``counts`` and ``estimate`` hold one learner or learners stacked along
-    leading axes; a game run's ``estimate`` is a view of the solver's model
-    stack, so each touched row is normalized from the counts and written
-    into it, never summed in the stack, whose strided row sums can round
-    differently.  The demands, trusted to lie in ``1..q-1``, broadcast to
+    leading axes; each touched row is normalized from the counts and
+    written into the estimate, never summed there, so an estimate may be a
+    strided view.  The demands, trusted to lie in ``1..q-1``, broadcast to
     a shape that starts with those axes; further axes hold a block of
     observations per learner.  Repeated cells add as single updates would,
     and a touched row gets the bits of ``row / row.sum()``, those of

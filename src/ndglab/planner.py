@@ -24,9 +24,26 @@ bits of the full rule.  A planner is a model table with the weight, horizon
 and tie rule of its game's config; the game loop decides which planners
 share one item.
 
-Every solve holds its models as one C-contiguous ``(B, q - 1, (q - 1)**2)``
-stack, ``[item, b - 1, state]``, so each stage's product reads a plain
-operand; a transposed one can take BLAS nearly twice as long.
+A solve holds each model as its distinct columns.  A learner is updated
+only in the contexts it plays, so every other state keeps the flat prior
+row ``1/(q - 1)``: :func:`solver_inputs` gives all states whose row is that
+flat row one shared column and every other state a column of its own, in a
+``(B, q - 1, C)`` stack, ``[item, b - 1, column]``, with a
+``(B, (q - 1)**2)`` map from each state to its column.  States that share a
+row share their values at every stage, so each stage gathers the values
+through the map and multiplies over C columns only, exact state
+aggregation (Puterman, *Markov Decision Processes*, 1994).  Each column
+row is contiguous, so every stage's product reads a plain operand; a
+transposed one can take BLAS nearly twice as long.
+
+C is a multiple of 8, the widest column block of OpenBLAS's x86 ``dgemm``
+kernels, and unused columns hold the flat row.  A column in a narrower
+trailing block can round differently (under ``SkylakeX`` at
+``q - 1 >= 16``, under ``Haswell`` at odd ``q - 1``); in whole blocks a
+column has the same bits beside any others, so an item solves to the same
+bits in any batch.  Those bits equal the one-column-per-state product's
+under ``SkylakeX`` for ``q - 1 <= 16`` and where ``(q - 1)**2`` is a
+multiple of 8, and under ``SandyBridge`` for every ``q - 1`` up to 40.
 """
 
 from __future__ import annotations
@@ -42,6 +59,15 @@ __all__ = [
     "solver_inputs",
     "brute_force_value",
 ]
+
+
+# Every column stack is a whole number of these blocks wide (see the module docstring).
+_BLOCK = 8
+
+
+def _blocks(columns: int) -> int:
+    """``columns`` rounded up to whole blocks, at least one."""
+    return max(_BLOCK, -(-columns // _BLOCK) * _BLOCK)
 
 
 # The tolerance of np.allclose(row_sum, 1.0, atol=1e-9) with its default
@@ -103,48 +129,70 @@ def backward_induction(
     return values[0].reshape(h + 1, q - 1, q - 1), with_picks(actions, picks)[0]
 
 
-def solver_inputs(tables, omegas, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs ``(by_demand, gains)`` of :func:`backward_induction_batch`, stacked.
+def solver_inputs(tables, omegas, q: int, spare: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inputs ``(columns, column_of, gains)`` of :func:`backward_induction_batch`, stacked.
 
-    Planner ``i`` gives ``tables[i]`` as ``[b - 1, (own_prev - 1) * (q - 1) + opp_prev - 1]``,
-    in one C-contiguous ``(B, q - 1, (q - 1)**2)`` stack filled item by item,
-    and the reward matrix of ``omegas[i]``.
+    Planner ``i`` gives the ``i``-th of ``tables``, ``[own_prev - 1, opp_prev - 1, b - 1]``,
+    as its distinct columns ``columns[i, b - 1, c]``: the states whose row is
+    the flat row ``1/(q - 1)`` share column 0, and every other state gets a
+    column of its own, numbered in state order.  ``column_of[i, state]`` is
+    the column of flat state ``(own_prev - 1) * (q - 1) + opp_prev - 1``, and
+    ``gains[i]`` the reward matrix of ``omegas[i]``.  The stack has room for
+    the most columns any item needs plus ``spare``, at most ``(q - 1)**2``,
+    rounded up to a multiple of 8; columns an item leaves unused hold the
+    flat row.
     """
     n = q - 1
-    by_demand = np.empty((len(tables), n, n * n))
-    for item, table in zip(by_demand, tables):
-        item[...] = table.reshape(n * n, n).T
+    flat_row = 1.0 / n
+    owns, own_rows = [], []  # each table read once, so tables may come one at a time
+    for table in tables:
+        rows = table.reshape(n * n, n)
+        owns.append((rows != flat_row).any(axis=1))  # the states with a column of their own
+        own_rows.append(rows[owns[-1]])
+    owns = np.reshape(owns, (-1, n * n))
+    # flat states, if any, share column 0; the others follow in state order
+    starts = (~owns).any(axis=1)
+    column_of = np.where(owns, np.cumsum(owns, axis=1) - (~starts)[:, None], 0)
+    width = _blocks(min(n * n, int(column_of.max(initial=0)) + 1 + spare))
+    columns = np.full((len(owns), n, width), flat_row)
+    for item, start, rows in zip(columns, starts.tolist(), own_rows):
+        item[:, start : start + len(rows)] = rows.T
     gains = np.stack([reward_matrix(omega, q) for omega in omegas])
-    return by_demand, gains
+    return columns, column_of, gains
 
 
-def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, rows=None, values=None, states=None):
+def backward_induction_batch(columns, column_of, gains, h: int, *, rngs=None, rows=None, values=None, states=None):
     """Solve B lookaheads at once, each with the bits of its own solve; return ``(actions, picks)``.
 
-    Every stage is one stacked ``(B, a, b) @ (B, b, state)`` product into a
-    reused buffer, which runs the same matrix product per item as a single
-    solve, so values, actions and tie draws equal B calls of
-    :func:`backward_induction`.  The last stage keeps that full product even
-    when only one state is read: a matrix-vector product over one column
-    may round differently from the same column of the full product, and
-    one flipped last bit can move an exact tie.
+    Every stage gathers each item's values through ``column_of`` into the
+    landing gains, then takes one stacked ``(B, a, b) @ (B, b, column)``
+    product into a reused buffer and its max over actions into ``(B, C)``:
+    the same matrix product per item as a single solve, in whole blocks of
+    8 columns, so values, actions and tie draws equal B calls of
+    :func:`backward_induction` (see the module docstring).  The last stage
+    keeps that product over every column even when only one state is read:
+    a matrix-vector product over one column may round differently, and one
+    flipped last bit can move an exact tie.
 
     Args:
-        by_demand, gains: B models, trusted to be valid, as one C-contiguous
-            ``(B, q - 1, (q - 1)**2)`` stack, and B reward matrices, both
-            stacked by :func:`solver_inputs`.
+        columns, column_of, gains: B models, trusted to be valid, as a
+            ``(B, q - 1, C)`` stack of columns, C a multiple of 8, whose last
+            axis is contiguous, and a ``(B, (q - 1)**2)`` map from each state to
+            its column, with B reward matrices, all stacked by
+            :func:`solver_inputs`.
         h: number of stages, at least 1.
         rngs: None for smallest-demand ties, or one generator per planner:
             planner ``p`` plays item ``rows[p]`` (by default item ``p``) and
-            draws uniformly among the maximizers of every tied column of it,
+            draws uniformly among the maximizers of every tied state of it,
             in state order, from ``rngs[p]`` alone.
         values: None, or a zeroed ``(B, h + 1, (q - 1)**2)`` array that
-            receives every stage's values; without it the loop holds only
-            the stage it reads and the stage it writes, and leaves the first
-            stage's maxima uncomputed unless a planner draws its ties.
+            receives every stage's values, state by state; without it the
+            loop holds only the stage it reads and the stage it writes, and
+            leaves the first stage's maxima uncomputed unless a planner
+            draws its ties.
         states: None, or B flat states ``(own_prev - 1) * (q - 1) + opp_prev - 1``,
             the only state whose action each item returns.  A planner still
-            draws over every tied column, so its stream moves as in a full solve.
+            draws over every tied state, so its stream moves as in a full solve.
 
     Returns:
         ``actions`` of shape ``(B, q - 1, q - 1)``, indexed as in
@@ -152,61 +200,75 @@ def backward_induction_batch(by_demand, gains, h: int, *, rngs=None, rows=None, 
         bit the full solve's action there; and ``picks``, None without
         ``rngs``.  With them a tied entry reads ``~j`` instead, where planner
         ``p`` plays ``picks[p, j]`` (:func:`with_picks`): ``j`` numbers the
-        item's tied columns in state order, and is 0 at a tied state.
+        item's tied states in state order, and is 0 at a tied read state.
     """
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
     count, n, _ = gains.shape
-    if by_demand.shape != (count, n, n * n):
-        raise ValueError(f"need one {(n, n * n)} model per reward matrix, got {by_demand.shape} for {gains.shape}")
-    stages = np.zeros((2, count, n * n)) if values is None else values.swapaxes(0, 1)
+    width = columns.shape[-1]
+    if columns.shape != (count, n, width) or width % _BLOCK or column_of.shape != (count, n * n):
+        raise ValueError(
+            f"need one {(n, f'C % {_BLOCK} == 0')} column stack and one {n * n}-state map per reward matrix, "
+            f"got {columns.shape} and {column_of.shape} for {gains.shape}"
+        )
+    column_at = column_of + np.arange(0, count * width, width)[:, None]  # each state's column in a flat (B, C) array
+    stages = np.zeros((2, count, width))  # the values of the stage read and the stage written, by column
     landing = np.empty((count, n, n))  # total gain of finishing the stage at (a, b)
-    # Action-major, so that each stage's max runs over whole (B, state) planes;
-    # the product writes through its (B, action, state) view.
-    by_action = np.empty((n, count, n * n))
+    # Action-major, so that each stage's max runs over whole (B, column) planes;
+    # the product writes through its (B, action, column) view.
+    by_action = np.empty((n, count, width))
     q_vals = by_action.transpose(1, 0, 2)
-    for k in range(1, h + 1):
-        np.add(gains, stages[(k - 1) % len(stages)].reshape(count, n, n), out=landing)
-        np.matmul(landing, by_demand, out=q_vals)
+    for k in range(1, h + 1):  # every index is in range; "clip" takes into `out` unbuffered
+        stages[(k - 1) % 2].take(column_at, out=landing.reshape(count, n * n), mode="clip")
+        landing += gains
+        np.matmul(landing, columns, out=q_vals)
         if k < h or values is not None or rngs is not None:  # otherwise the first stage is read only through its argmax
-            by_action.max(axis=0, out=stages[k % len(stages)])
+            by_action.max(axis=0, out=stages[k % 2])
+        if values is not None:
+            stages[k % 2].take(column_at, out=values[:, k], mode="clip")
 
     # first maximum = smallest maximizing demand
-    actions = by_action.argmax(axis=0) if states is None else by_action[:, np.arange(count), states].argmax(axis=0)
+    if states is None:
+        actions = by_action.argmax(axis=0).take(column_at, mode="clip")
+    else:
+        actions = by_action[:, np.arange(count), column_of[np.arange(count), states]].argmax(axis=0)
     actions += 1
-    picks = None if rngs is None else _draw_ties(by_action, stages[h % len(stages)], actions, rngs, rows, states)
+    picks = None if rngs is None else _draw_ties(by_action == stages[h % 2], column_at, actions, rngs, rows, states)
     return (actions.reshape(count, n, n) if states is None else actions), picks
 
 
-def _draw_ties(by_action, best, actions, rngs, rows, states) -> np.ndarray:
-    """Each planner's ``picks`` at its item's tied columns, those columns marked in ``actions``.
+def _draw_ties(tied, column_at, actions, rngs, rows, states) -> np.ndarray:
+    """Each planner's ``picks`` at its item's tied states, those states marked in ``actions``.
 
-    A planner draws once, with ``integers(0, sizes)`` over the sizes of its
-    item's tied columns in state order: the bits, and the final stream
-    state, of one ``choice`` among each column's maximizers in turn.
+    ``tied`` marks every maximizer of each ``(action, item, column)``, and
+    ``column_at[item, state]`` is the state's column in the flat
+    ``(item, column)`` plane.  A planner draws once, with ``integers(0, sizes)``
+    over the sizes of its item's tied states in state order: the bits, and
+    the final stream state, of one ``choice`` among each state's maximizers
+    in turn.
     """
-    tied = by_action == best  # (action, item, state): every maximizer of each column
-    sizes = tied.sum(axis=0)
-    item, column = np.nonzero(sizes > 1)  # every tied column, by item, then in state order
-    sizes, bounds = sizes[item, column], np.searchsorted(item, np.arange(len(best) + 1))
-    slot = np.arange(len(item)) - bounds[item]  # its place among its item's tied columns
+    sizes = tied.sum(axis=0).take(column_at)
+    item, state = np.nonzero(sizes > 1)  # every tied state, by item, then in state order
+    sizes, bounds = sizes[item, state], np.searchsorted(item, np.arange(tied.shape[1] + 1))
+    slot = np.arange(len(item)) - bounds[item]  # its place among its item's tied states
     if states is None:
-        actions[item, column] = ~slot
+        actions[item, state] = ~slot
     else:  # an item is read only at its state, whose pick is each planner's slot 0
-        slot[:] = np.where(column == states[item], 0, -1)
+        slot[:] = np.where(state == states[item], 0, -1)
         actions[item[slot == 0]] = ~0
     rows = np.arange(len(rngs)) if rows is None else np.asarray(rows)
-    lo, hi = bounds[rows], bounds[rows + 1]  # each planner's item's tied columns
+    lo, hi = bounds[rows], bounds[rows + 1]  # each planner's item's tied states
     picks = np.zeros((len(rngs), slot.max(initial=0) + 1), dtype=np.int16)  # a demand is below q <= 513
     drawers = np.flatnonzero(hi > lo)
     if len(drawers):
         draws = np.concatenate([rngs[p].integers(0, sizes[lo[p] : hi[p]]) for p in drawers.tolist()])
         lengths = (hi - lo)[drawers]
-        # each draw's tied column, and whether its planner reads it
+        # each draw's tied state, and whether its planner reads it
         at = np.arange(len(draws)) + np.repeat(lo[drawers] - (np.cumsum(lengths) - lengths), lengths)
         read = slot[at] >= 0
-        maximizers = np.nonzero(tied[:, item, column].T)[1]  # grouped by tied column, ascending
-        first = np.cumsum(sizes) - sizes  # each tied column's first maximizer there
+        # grouped by tied state, ascending
+        maximizers = np.nonzero(tied.reshape(len(tied), -1)[:, column_at[item, state]].T)[1]
+        first = np.cumsum(sizes) - sizes  # each tied state's first maximizer there
         picks[np.repeat(drawers, lengths)[read], slot[at[read]]] = maximizers[first[at[read]] + draws[read]] + 1
     return picks
 

@@ -9,14 +9,18 @@ reports their peaks.
 BOUND_MIB = 36
 # Tighter bounds.  "random-tie-planner" keeps the traced peak it had before
 # its planners first shared one run row per belief, which sharing must keep
-# it under.  The three learner cases sit between their peak with learners
-# that hold only their counts and their peak when each learner also held its
-# estimate, a second (q - 1)**3 array, so a stored estimate would exceed them.
+# it under.  The three learner cases sit between their peak when the solver
+# holds each model as its distinct columns, about 5 at 4 rounds, and their
+# peak when it held one column per state, (q - 1)**2 = 3,481 of them, so a
+# stack of a column per state would exceed them.  "shared-fixed-model" sits
+# likewise between its peak with the uniform table held as one block of 8
+# columns and its peak with 841 columns, one per state.
 CASE_BOUND_MIB = {
-    "learner": 17.5,
-    "learner-vs-learner": 12.7,
+    "learner": 13.5,
+    "learner-vs-learner": 8.8,
     "random-tie-planner": 11.25,
-    "random-tie-learners": 17.7,
+    "shared-fixed-model": 3.75,
+    "random-tie-learners": 12.2,
 }
 SWEEPS = (
     ("learner", 2, "smallest", 60, (0.5,)),

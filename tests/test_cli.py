@@ -471,6 +471,7 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "parser_test",
         "lean_solve_b12",
         "lean_solve_b36",
+        "lean_solve_b36_learner",
         "lean_solve_b242",
         "lean_solve_q20_b36",
         "game_scores_200x60",

@@ -41,6 +41,16 @@ def test_demand_range_enforced():
         chi(5, 10, 10)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), 2.5])
+def test_reward_refuses_a_demand_that_is_not_an_int(bad):
+    # a bool or a float, even a whole one, gets the ValueError of an
+    # out-of-range demand; numpy's ints are ints
+    for args, name in (((bad, 3), "a"), ((3, bad), "b")):
+        with pytest.raises(ValueError, match=f"{name} must lie in 1..9, got {re.escape(repr(bad))}"):
+            reward(*args, 0.5, 10)
+    assert reward(np.int64(5), np.int32(5), 0.5, 10) == 2.5
+
+
 def _round(a, b, config):
     """The columns of one round, as Python scalars."""
     return {name: column.item() for name, column in round_columns(config, [[a, b]]).items()}

@@ -23,7 +23,7 @@ from ndglab import (
     run_game,
     uniform_table,
 )
-from ndglab import engine, opponent
+from ndglab import benchmark_spec, engine, opponent, run_test
 from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
@@ -316,6 +316,35 @@ def test_row_mates_that_draw_apart_split_on_their_own_demands(monkeypatch):
         assert log == run_game(config, alone, opponent)
         assert learner.counts.tobytes() == alone.counts.tobytes()
         assert learner.estimate.tobytes() == alone.estimate.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("scenario", "tie_break"), ((2, "smallest"), (5, "random")), ids=["learner-vs-rule", "pretrained-random-ties"]
+)
+def test_each_run_row_s_column_holds_the_bits_of_its_state_s_normalised_counts(scenario, tie_break, monkeypatch):
+    # after every round's update, every state of every live row reads, through
+    # the row's map, the bits of its counts normalised, and each column counts
+    # the states that share it; scenario 2's rows split on the rule-based
+    # draws, and scenario 5's learners start from warm-up counts
+    live = []
+    real = engine._observe
+
+    def checking(counts, columns, column_of, members, states, observed, used):
+        used = real(counts, columns, column_of, members, states, observed, used)
+        rows = len(states)
+        want = counts[:rows] / counts[:rows].sum(axis=-1, keepdims=True)
+        got = np.take_along_axis(columns[:rows], column_of[:rows, None, :], axis=2)
+        assert got.tobytes() == np.ascontiguousarray(want.transpose(0, 2, 1)).tobytes()
+        for row in range(rows):
+            assert np.array_equal(members[row], np.bincount(column_of[row], minlength=columns.shape[-1]))
+        assert used == np.count_nonzero(members, axis=1).max() and used <= columns.shape[-1]
+        live.append(rows)
+        return used
+
+    monkeypatch.setattr(engine, "_observe", checking)
+    base = GameConfig(rounds=30, tie_break=tie_break)
+    run_test(benchmark_spec(scenario, replications=3, grid=(0.3, 0.7), base=base))
+    assert live[0] == 2 and max(live) > 2  # one row per weight at first, then the rows split
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Rule-based opponent model and the Dirichlet belief over its demands."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -265,6 +266,22 @@ def test_update_moves_one_count():
     assert row.sum() == pytest.approx(1.0)
     # other contexts untouched
     np.testing.assert_array_equal(learner.estimate[0, 0], np.full(9, 1 / 9))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2", None, np.float64(3.0)])
+@pytest.mark.parametrize("position", range(3))
+def test_update_refuses_a_demand_that_is_not_an_int(bad, position):
+    # a bool, a float, even a whole one, or a string is refused where it
+    # enters, with the ValueError of an out-of-range int, and records nothing
+    learner = DirichletLearner.uniform(10)
+    args = [3, 4, 5]
+    args[position] = bad
+    name = ("own_prev", "opp_prev", "observed")[position]
+    with pytest.raises(ValueError, match=f"{name} must lie in 1..9, got {re.escape(repr(bad))}"):
+        learner.update(*args)
+    assert (learner.counts == 1.0).all()
+    learner.update(np.int64(3), np.int32(4), np.int16(5))  # numpy's ints are ints
+    assert learner.counts[2, 3, 4] == 2.0
 
 
 @settings(max_examples=30)

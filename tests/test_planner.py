@@ -303,48 +303,134 @@ def test_a_contiguous_stack_solves_with_the_bits_of_the_transposed_one(items, h,
     flat = rng.random((items, n, n)) < flat_share
     tables[flat] = np.where(rng.random((flat.sum(), 1)) < 0.5, 1.0 / n, _two_point_model()[0, 0])
     omegas = rng.choice([0.0, 0.5, 1.0, *rng.random(3)], size=items)
-    by_demand, gains = solver_inputs(tables, omegas, q)
-    transposed = np.stack([table.reshape(n * n, n).T for table in tables])
-    assert by_demand.flags.c_contiguous and not transposed.flags.c_contiguous
-    assert by_demand.tobytes() == np.ascontiguousarray(transposed).tobytes()
+    columns, column_of, gains = solver_inputs(tables, omegas, q)
+    transposed = np.ascontiguousarray(columns.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert columns.flags.c_contiguous and not transposed.flags.c_contiguous
+    assert columns.tobytes() == np.ascontiguousarray(transposed).tobytes()
     rows = np.array([p % items for p in planners])
     solves = []
-    for stack in (by_demand, transposed):
+    for stack in (columns, transposed):
         rngs = [np.random.default_rng(seed + p) for p in range(len(rows))] if tie_break == "random" else None
         values = np.zeros((items, h + 1, n * n))
-        actions, picks = backward_induction_batch(stack, gains, h, rngs=rngs, rows=rows, values=values)
+        actions, picks = backward_induction_batch(stack, column_of, gains, h, rngs=rngs, rows=rows, values=values)
         states = [stream.bit_generator.state for stream in rngs or ()]
         solves.append((actions.tobytes(), None if picks is None else picks.tobytes(), values.tobytes(), states))
     assert solves[0] == solves[1]
 
 
+def _repeating_table(rng, q, kind, visited):
+    """A table whose rows repeat: ``uniform_table(q)``, or the flat prior, or
+    the two-point row on {4, 6} (clipped to the grid) at every state, with
+    ``visited`` random states given a random row of their own."""
+    n = q - 1
+    if kind == "uniform":
+        return uniform_table(q)
+    table = np.full((n * n, n), 1.0 / n)
+    if kind == "two-point":
+        table[:] = 0.0
+        table[:, min(3, n - 1)] += 0.5
+        table[:, min(5, n - 1)] += 0.5
+    table[rng.choice(n * n, min(visited, n * n), replace=False)] = rng.dirichlet(np.ones(n), min(visited, n * n))
+    return table.reshape(n, n, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((3, 4, 5, 10, 16)),
+    st.integers(1, 10),
+    st.sampled_from(TIE_BREAKS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("prior", "two-point", "uniform")), st.integers(0, 20), st.sampled_from((0.0, 0.5, 1.0, 0.3))
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3)), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_solve_over_shared_columns_equals_the_stage_loop_bit_for_bit(q, h, tie_break, items, planners, seed):
+    # flat-prior states share one column and ties are common: every stage's
+    # values, each planner's actions and picks, and its stream's final state
+    # equal the per-state oracle's, and a solve read at one state per item
+    # equals the full rule there
+    rng = np.random.default_rng(seed)
+    tables = [_repeating_table(rng, q, kind, visited) for kind, visited, _ in items]
+    omegas = [omega for *_, omega in items]
+    rows = np.array([item % len(items) for item, _ in planners])
+    n = q - 1
+    states = rng.integers(0, n * n, len(items))
+
+    def streams():
+        return [np.random.default_rng(s) for _, s in planners] if tie_break == "random" else None
+
+    inputs = solver_inputs(tables, omegas, q)
+    full_rngs, read_rngs = streams(), streams()
+    values = np.zeros((len(items), h + 1, n * n))
+    actions, picks = backward_induction_batch(*inputs, h, rngs=full_rngs, rows=rows, values=values)
+    full = with_picks(actions[rows], picks)
+    actions, picks = backward_induction_batch(*inputs, h, rngs=read_rngs, rows=rows, states=states)
+    read = with_picks(actions[rows], picks)
+    assert read.tobytes() == full.reshape(len(rows), -1)[np.arange(len(rows)), states[rows]].tobytes()
+    for p, (i, (_, tie_seed)) in enumerate(zip(rows, planners)):
+        oracle_rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
+        oracle_values, oracle_actions = stage_loop_backward_induction(tables[i], omegas[i], h, q, tie_break, oracle_rng)
+        assert values[i].tobytes() == oracle_values.reshape(h + 1, n * n).tobytes()
+        assert np.array_equal(full[p], oracle_actions)
+        if tie_break == "random":
+            final = oracle_rng.bit_generator.state
+            assert full_rngs[p].bit_generator.state == read_rngs[p].bit_generator.state == final
+
+
 def test_solver_inputs_stack_the_models_c_contiguous():
+    # every flat-prior state shares column 0, every other state has a column
+    # of its own in state order, and each state's column holds its row's bits
     rng = np.random.default_rng(4)
-    tables = [random_model(rng, 10), random_model(rng, 10).transpose(1, 0, 2), uniform_table(10)]
-    by_demand, _ = solver_inputs(tables, [0.2, 0.5, 0.9], 10)
-    assert by_demand.flags.c_contiguous and by_demand.shape == (3, 9, 81)
-    for item, table in zip(by_demand, tables):
-        assert np.array_equal(item, table.reshape(81, 9).T)
+    prior = uniform_table(10).copy()
+    visited = rng.choice(81, 12, replace=False)
+    prior.reshape(81, 9)[visited] = rng.dirichlet(np.ones(9), 12)
+    tables = [random_model(rng, 10), random_model(rng, 10).transpose(1, 0, 2), uniform_table(10), prior]
+    columns, column_of, gains = solver_inputs(tables, [0.2, 0.5, 0.9, 0.4], 10)
+    assert columns.flags.c_contiguous and columns.shape == (4, 9, 88) and column_of.shape == (4, 81)
+    for item, column, table in zip(columns, column_of, tables):
+        assert item[:, column].tobytes() == np.ascontiguousarray(table.reshape(81, 9).T).tobytes()
+    assert (column_of[:2] == np.arange(81)).all() and (column_of[2] == 0).all()
+    assert np.array_equal(np.flatnonzero(column_of[3]), np.sort(visited))
+    assert np.array_equal(column_of[3][np.sort(visited)], np.arange(1, 13))
+    assert (columns[2:, :, 13:] == 1 / 9).all()  # unused columns hold the flat row
+    assert np.array_equal(gains, np.stack([reward_matrix(w, 10) for w in (0.2, 0.5, 0.9, 0.4)]))
+    # a batch is as wide as its widest item plus its spare room, in whole blocks of 8
+    assert solver_inputs([uniform_table(10)] * 3, [0.5] * 3, 10)[0].shape == (3, 9, 8)
+    assert solver_inputs([prior, uniform_table(10)], [0.5] * 2, 10)[0].shape == (2, 9, 16)
+    assert solver_inputs([prior], [0.5], 10, spare=3)[0].shape == (1, 9, 16)
+    assert solver_inputs([prior], [0.5], 10, spare=4)[0].shape == (1, 9, 24)
+    assert solver_inputs([prior], [0.5], 10, spare=500)[0].shape == (1, 9, 88)
+    assert solver_inputs([uniform_table(2)], [0.5], 2)[0].shape == (1, 1, 8)
 
 
 def test_every_solve_reads_a_c_contiguous_model_stack(monkeypatch):
-    stacks = []  # each solved batch's item count, and whether its model stack is C-contiguous
+    stacks = []  # each solved batch's item count, width, and whether each column row is contiguous
     real = planner.backward_induction_batch
 
-    def recording(by_demand, gains, *args, **kwargs):
-        stacks.append((len(gains), by_demand.flags.c_contiguous))
-        return real(by_demand, gains, *args, **kwargs)
+    def recording(columns, column_of, gains, *args, **kwargs):
+        stacks.append((len(gains), columns.shape[-1], columns.strides[-1] == columns.itemsize))
+        return real(columns, column_of, gains, *args, **kwargs)
 
     monkeypatch.setattr(engine, "backward_induction_batch", recording)
     monkeypatch.setattr(planner, "backward_induction_batch", recording)
     # a scenario-2 sweep: its learners share a row per weight until the rule-based draws part them
-    run_test(benchmark_spec(2, replications=3, grid=(0.3, 0.7), base=GameConfig(rounds=12)))
-    sizes = [size for size, _ in stacks]
+    run_test(benchmark_spec(2, replications=3, grid=(0.3, 0.7), base=GameConfig(rounds=30)))
+    sizes = [size for size, *_ in stacks]
     assert sizes[0] == 2 and max(sizes) > 2  # the learner rows split
+    # a learner starts at the flat prior and fills one new column a round at most, in blocks of 8
+    widths = [width for _, width, _ in stacks]
+    assert widths == sorted(widths) and widths[0] == 8 and widths[-1] > 8
+    assert all(width < 1 + t + 8 for t, width in enumerate(widths, 1))
     run_game(GameConfig(rounds=3), random_model(np.random.default_rng(5), 10), HeuristicModel(1.0, 10))
     backward_induction(random_model(np.random.default_rng(6), 10), 0.4, 3, 10)
-    assert len(stacks) == len(sizes) + 2
-    assert all(contiguous for _, contiguous in stacks)
+    backward_induction(uniform_table(10), 0.4, 3, 10)
+    assert [width for _, width, _ in stacks[-3:]] == [88, 88, 8]
+    assert all(contiguous for *_, contiguous in stacks)
 
 
 def _count_items(monkeypatch) -> list[int]:
@@ -445,9 +531,12 @@ def test_model_validation(monkeypatch):
     assert run_game(config, near, opponent).demands.shape == (5, 2)
     with pytest.raises(ValueError, match="horizon"):
         backward_induction(uniform_table(10), 0.5, 0, 10)
-    by_demand, gains = solver_inputs([uniform_table(10)] * 2, [0.2, 0.7], 10)
-    with pytest.raises(ValueError, match="one .* model per reward matrix"):  # two weights would share one model
-        backward_induction_batch(by_demand[:1], gains, 1)
+    columns, column_of, gains = solver_inputs([uniform_table(10)] * 2, [0.2, 0.7], 10)
+    # two weights would share one model
+    with pytest.raises(ValueError, match="one .* column stack .* per reward matrix"):
+        backward_induction_batch(columns[:1], column_of[:1], gains, 1)
+    with pytest.raises(ValueError, match="C % 8 == 0"):  # a narrower block can round differently
+        backward_induction_batch(columns[..., :2], column_of, gains, 1)
     with pytest.raises(ValueError, match="tie_break"):
         backward_induction(uniform_table(10), 0.5, 1, 10, tie_break="largest")
 
@@ -489,10 +578,10 @@ def test_a_game_solves_a_fixed_planner_once_and_a_learner_every_later_round(monk
     batches, read = [], []
     real = engine.backward_induction_batch
 
-    def counting(by_demand, gains, *args, states=None, **kwargs):
+    def counting(columns, column_of, gains, *args, states=None, **kwargs):
         batches.append([w for g in gains for w in (0.2, 0.7) if np.array_equal(g, reward_matrix(w, 10))])
         read.append(None if states is None else states.tolist())
-        return real(by_demand, gains, *args, states=states, **kwargs)
+        return real(columns, column_of, gains, *args, states=states, **kwargs)
 
     monkeypatch.setattr(engine, "backward_induction_batch", counting)
     config = GameConfig(rounds=6, omega_a=0.2, omega_b=0.7)
