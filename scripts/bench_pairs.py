@@ -127,7 +127,12 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       prior plus 12 visited states; ``lean_solve_q20_b36`` the all-distinct
       case at q=20 and B=36.  ``*inputs`` runs on either tree, whichever
       inputs its ``solver_inputs`` stacks;
-    - ``game_scores_200x60``: ``core.game_scores`` on a ``(200, 60, 2)`` chunk.
+    - ``game_scores_200x60``: ``core.game_scores`` on a ``(200, 60, 2)`` chunk;
+    - ``play_setup_200``: ``engine.play_games`` for 200 games of 2 rounds,
+      a planner holding one ``heuristic_table`` at 4 weights against one
+      rule-based model, on fresh plans: a run's setup and one round;
+    - ``rule_draw_200``: a fresh ``RuleRows`` drawing 59 rounds of 200
+      seats, at states near the even split: a run's rule-based draws.
     """
     import inspect
 
@@ -175,6 +180,17 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         layers[f"lean_solve_{name}"] = lambda inputs=inputs: planner.backward_induction_batch(*inputs, 10)
     chunk = rng.integers(1, q, (200, 60, 2))
     layers["game_scores_200x60"] = lambda: core.game_scores(chunk, q)
+    configs = [core.GameConfig(rounds=2, omega_a=g % 4 / 4) for g in range(200)]
+    pairs = [(opponent.heuristic_table(opponent.HeuristicModel(3.0, q)), model)] * 200
+    layers["play_setup_200"] = lambda: engine.play_games(configs, pairs, [engine.RngPlan(0, (g,)) for g in range(200)])
+    rounds_own, rounds_opp = rng.integers(3, 8, (2, 59, 200))
+    rounds_u = rng.random((59, 200))
+
+    def rule_draws():
+        memo = opponent.RuleRows(model)
+        return [memo.draw(own, opp, u) for own, opp, u in zip(rounds_own, rounds_opp, rounds_u)]
+
+    layers["rule_draw_200"] = rule_draws
     timings = {}
     for name, call in layers.items():
         if call is None:

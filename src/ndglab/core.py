@@ -195,13 +195,17 @@ def game_scores(demands, q: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns each game's cumulative profits, shape ``(..., 2)``: the sum of a
     seat's demands over its compatible rounds, and each game's success rate,
-    the percentage of compatible rounds.  A demand outside ``1..q-1`` is
-    refused.  Every game gets the bits it gets when scored alone.
+    the percentage of compatible rounds.  Each seat's column is scored on
+    its own, a reduction over rounds, not over a trailing axis of two.  A
+    demand outside ``1..q-1`` is refused; no games score as empty arrays.
+    Every game gets the bits it gets when scored alone.
     """
-    if not (demands.min() >= 1 and demands.max() <= q - 1):
+    if not (demands.min(initial=1) >= 1 and demands.max(initial=1) <= q - 1):
         raise ValueError(f"demands must lie in 1..{q - 1}")
-    c = demands.sum(axis=-1) <= q
-    return (demands * c[..., None]).sum(axis=-2), 100.0 * c.sum(axis=-1) / demands.shape[-2]
+    a, b = demands[..., 0], demands[..., 1]
+    c = a + b <= q
+    profits = np.stack(((a * c).sum(axis=-1), (b * c).sum(axis=-1)), axis=-1)
+    return profits, 100.0 * c.sum(axis=-1) / demands.shape[-2]
 
 
 @dataclass(frozen=True, eq=False)

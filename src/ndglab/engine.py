@@ -9,8 +9,8 @@ knows its side.  A seat is what its player knows of the opponent: a fixed
 model table or a :class:`DirichletLearner`, planned against under the
 weight, horizon and tie rule of the game's config, or a
 :class:`HeuristicModel`, which samples.  :func:`play_games` steps several
-games together, round by round, over one ``(games, rounds, 2)`` demand
-array, so that their planners share batched solves and their learners one
+games together, round by round, over one round-major demand array, so
+that their planners share batched solves and their learners one
 update per round; :func:`run_games` logs each of its games,
 and :func:`run_game` is the one-game case.
 
@@ -97,16 +97,19 @@ class RngPlan:
         return self._child((2,))
 
 
-_SEAT_INDEX = {"agent_a": 0, "agent_b": 1}
+_NAMES = ("agent_a", "agent_b")
 
 
-def _fill_streams(seats) -> None:
-    """Give every ``(plan, name)`` whose plan holds no stream of that name its stream, all from one hash."""
+def _fill_streams(seats) -> list:
+    """Each ``(plan, name)``'s stream, in order; a plan that holds no stream
+    of that name is given one first, all from one hash."""
+    seats = list(seats)
     missing = [(plan, name) for plan, name in seats if name not in vars(plan)]
     if missing:
-        streams = _streams([(plan.entropy, plan.spawn_key + (_SEAT_INDEX[name],)) for plan, name in missing])
+        streams = _streams([(plan.entropy, plan.spawn_key + (_NAMES.index(name),)) for plan, name in missing])
         for (plan, name), stream in zip(missing, streams):
             vars(plan)[name] = stream
+    return [vars(plan)[name] for plan, name in seats]
 
 
 # numpy's SeedSequence, with its default pool of four 32-bit words: the
@@ -282,46 +285,87 @@ def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
     _play(configs, pairs, [plan.pretrain_plan() for plan in plans], n_rounds)
 
 
-def _check_seats(config: GameConfig, pairs) -> dict:
-    """Refuse a bad seat; return each distinct fixed table, checked once, by its ``id``."""
-    tables, learners = {}, {}  # a learner's counts serve one seat
-    for g, pair in enumerate(pairs):
-        for name, seat in zip(("agent_a", "agent_b"), pair):
-            if isinstance(seat, np.ndarray):
-                if id(seat) not in tables:
-                    tables[id(seat)] = _validate_model(seat, config.q)
-                continue
-            if isinstance(seat, DirichletLearner):
-                first = learners.setdefault(id(seat), (name, g))
-                if first != (name, g):
-                    raise ValueError(f"{name} of game {g} reuses the DirichletLearner of {first[0]} of game {first[1]}")
-            elif not isinstance(seat, HeuristicModel):
-                raise ValueError(
-                    f"{name} must be a model table, a DirichletLearner or a HeuristicModel, got {type(seat).__name__}"
-                )
-            if seat.q != config.q:
-                raise ValueError(f"{name} was built for q={seat.q}, the game has q={config.q}")
-    return tables
+_FIXED, _LEARNER, _SAMPLER = range(3)  # the kinds of seat
+
+
+def _seat_groups(q: int, pairs) -> tuple[list, list, np.ndarray]:
+    """Group a run's seats by object and check each distinct seat once.
+
+    Returns, for each distinct seat object in order of first use, what the
+    run holds of it (a fixed seat's validated table, else the seat) and its
+    kind, and each seat's distinct seat in round-row order: seat A of every
+    game, then seat B.  A bad seat is refused where a scan in game order,
+    then seat order, first meets it: a table, a seat of no known kind or one
+    built for another ``q`` at its first use, a learner at its second.
+    """
+    seats = list(chain.from_iterable(pairs))
+    if len(seats) != 2 * len(pairs):
+        raise ValueError("every game needs a pair of seats")
+    group, first = _first_use(map(id, seats))
+    distinct = [seats[i] for i in first.tolist()]
+    uses = np.bincount(group)
+    reuse = min(  # a learner's first reuse and its first use, as scan positions 2 * g + seat
+        (np.flatnonzero(group == k)[1::-1].tolist() for k, seat in enumerate(distinct)
+         if uses[k] > 1 and isinstance(seat, DirichletLearner)),
+        default=None,
+    )
+    held, kinds = [], []
+    for seat, at in zip(distinct, first.tolist()):
+        if reuse and at > reuse[0]:
+            break
+        name = _NAMES[at % 2]
+        if isinstance(seat, np.ndarray):
+            held.append(_validate_model(seat, q))
+            kinds.append(_FIXED)
+            continue
+        if isinstance(seat, DirichletLearner):
+            kinds.append(_LEARNER)
+        elif isinstance(seat, HeuristicModel):
+            kinds.append(_SAMPLER)
+        else:
+            raise ValueError(
+                f"{name} must be a model table, a DirichletLearner or a HeuristicModel, got {type(seat).__name__}"
+            )
+        if seat.q != q:
+            raise ValueError(f"{name} was built for q={seat.q}, the game has q={q}")
+        held.append(seat)
+    if reuse:
+        at, first_at = reuse
+        raise ValueError(
+            f"{_NAMES[at % 2]} of game {at // 2} reuses the DirichletLearner of {_NAMES[first_at % 2]} of game {first_at // 2}"
+        )
+    return held, kinds, group.reshape(-1, 2).T.reshape(-1)
 
 
 def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     """Step every game one round at a time; return demands as ``(games, rounds, 2)``.
 
+    The run holds its demands round-major, one ``(rounds, 2 * games)``
+    array: row ``t`` holds round ``t + 1``'s demand of seat A of every game,
+    then of seat B, so a seat at index ``i`` of a row meets its opponent at
+    ``(i + games) % (2 * games)``.  Each round reads the row before it and
+    writes its own, every kind of seat at indices fixed for the run, taken
+    as a slice where they are one contiguous run; one transposed copy makes
+    the ``(games, rounds, 2)`` result.  Seats are grouped by object before
+    the first round (:func:`_seat_groups`), so the run checks, classifies
+    and sets up each distinct seat once, whatever the number of games.
+
     Planners use their game's weight and the shared horizon and tie rule.
     Each planner holds the index of a run row, which :func:`_planner_rows`
     assigns the same way for fixed planners and learners under either tie
-    rule.  A row is solved once for all its planners; under random ties
-    each planner then draws the row's tied columns from its own stream and
-    plays its own pick where its state ties.  Fixed rows are solved in one
-    batch before round 2, one rule per row, and a round gathers each fixed
-    planner's demand from its row's rule.  A round samples each rule-based
-    model once, from uniforms drawn up front per seat with the bits of one
-    draw per round, through one :class:`RuleRows` per model for the run.
-    Each seat draws only from its own stream, read only if it draws, so seat
-    order and interleaving cannot move a draw.  The streams of all seats that
-    draw are derived in one :func:`_streams` call before the first round,
-    each with the bits its plan would build alone.  A round reads and writes
-    demands at flat indices fixed for the run, ``g * 2 * rounds + 2 * t + seat``.
+    rule; fixed planners holding one table at one weight are keyed once.  A
+    row is solved once for all its planners; under random ties each planner
+    then draws the row's tied columns from its own stream and plays its own
+    pick where its state ties.  Fixed rows are solved in one batch before
+    round 2, one rule per row, and a round gathers each fixed planner's
+    demand from its row's rule.  A round samples each rule-based model once,
+    from uniforms drawn up front per seat with the bits of one draw per
+    round, through one :class:`RuleRows` per model for the run: equal
+    models share one, on any seats.  Each seat draws only from its own
+    stream, read only if it draws, so seat order and interleaving cannot
+    move a draw.  The streams of all seats that draw are derived in one
+    :func:`_streams` call before the first round, each with the bits its
+    plan would build alone; a plan that already holds a stream keeps it.
 
     Learners are copied into stacked run arrays, one row per distinct
     belief: its counts, its estimate as the solver's column stack and state
@@ -339,52 +383,52 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     its estimate follows from them.
     """
     config = configs[0]
-    tables = _check_seats(config, pairs)
-    h, q = config.horizon, config.q
-    demands = np.empty((len(pairs), rounds, 2), dtype=np.int64)
-    demands[:, 0] = config.initial_demand
-    flat = demands.reshape(-1)
+    h, q, games = config.horizon, config.q, len(pairs)
+    held, kinds, group = _seat_groups(q, pairs)
+    kind = np.array(kinds, dtype=np.intp)[group]
+    omegas = np.array([c.omega_a for c in configs] + [c.omega_b for c in configs])
+    by_round = np.empty((rounds, 2 * games), dtype=np.int64)
+    by_round[0] = config.initial_demand
     draws = config.tie_break == "random"  # then every planner draws its ties from its own stream
-    _fill_streams(
-        (plan, name)
-        for pair, plan in zip(pairs, plans)
-        for held, name in zip(pair, ("agent_a", "agent_b"))
-        if draws or isinstance(held, HeuristicModel)
-    )
-    fixed, learning, samplers = [], [], {}  # planners as (g, seat, table or learner, omega, stream)
-    for g, (game, pair, plan) in enumerate(zip(configs, pairs, plans)):
-        for seat, (held, omega, name) in enumerate(zip(pair, (game.omega_a, game.omega_b), ("agent_a", "agent_b"))):
-            if isinstance(held, HeuristicModel):
-                samplers.setdefault(held, []).append((g, seat, getattr(plan, name)))
-                continue
-            stream = getattr(plan, name) if draws else None
-            if isinstance(held, DirichletLearner):
-                learning.append((g, seat, held, omega, stream))
-            else:
-                fixed.append((g, seat, tables[id(held)], omega, stream))
-    for model, seats in samplers.items():  # each model's seats and their uniforms, one round per row
-        uniforms = np.empty((len(seats), rounds - 1))
-        for row, (*_, stream) in zip(uniforms, seats):
-            stream.random(out=row)
-        samplers[model] = (RuleRows(model), *_seat_at(seats, rounds), uniforms.T.copy())
-    fixed_at, fixed_opp = _seat_at(fixed, rounds)
-    fixed_row, fixed_lead = _planner_rows([(omega, table) for _, _, table, omega, _ in fixed])
+    models = {}  # each distinct rule-based model by value, numbered: equal models share one RuleRows
+    model_of = np.array([models.setdefault(s, len(models)) if k == _SAMPLER else -1 for s, k in zip(held, kinds)])
+    model_of = model_of[group]
+    drawing = np.flatnonzero(model_of >= 0)
+    drawers = range(2 * games) if draws else drawing.tolist()  # every seat that draws, by its index in a row
+    streams = dict(zip(drawers, _fill_streams((plans[i % games], _NAMES[i // games]) for i in drawers)))
+    uniforms = np.empty((len(drawing), rounds - 1))  # each rule-based seat's, one round per column
+    for row, i in zip(uniforms, drawing.tolist()):
+        streams[i].random(out=row)
+    samplers = []
+    for model, number in models.items():
+        mine = model_of[drawing] == number
+        samplers.append((RuleRows(model), *_row_runs(drawing[mine], games), uniforms[mine].T.copy()))
+    fixed = np.flatnonzero(kind == _FIXED)
+    # one key per distinct (table, weight), so _planner_rows reads each once
+    key, first = _first_use(zip(group[fixed].tolist(), omegas[fixed].tolist()))
+    key_row, key_lead = _planner_rows([(omegas[fixed[i]].item(), held[group[fixed[i]]]) for i in first.tolist()])
+    fixed_row = key_row[key]
     fixed_rule = fixed_row * (q - 1) ** 2 - q  # plus own * (q - 1) + opp: the state's entry of its row's rule
-    if fixed and rounds > 1:  # a fixed model's rule holds for the run
-        _, _, held, weights, _ = zip(*(fixed[i] for i in fixed_lead))
-        rngs = [stream for *_, stream in fixed] if draws else None
-        rules, picks = backward_induction_batch(*solver_inputs(held, weights, q), h, rngs=rngs, rows=fixed_row)
+    if fixed.size and rounds > 1:  # a fixed model's rule holds for the run
+        leads = fixed[first[key_lead]]
+        rngs = [streams[i] for i in fixed.tolist()] if draws else None
+        tables = solver_inputs([held[k] for k in group[leads].tolist()], omegas[leads].tolist(), q)
+        rules, picks = backward_induction_batch(*tables, h, rngs=rngs, rows=fixed_row)
         rules = rules.reshape(-1)
+    fixed_at, fixed_opp = _row_runs(fixed, games)
+    learning = np.flatnonzero(kind == _LEARNER)
+    learner_at, learner_opp = learning, (learning + games) % (2 * games)
     learners = row_of = ()
-    if learning:
-        _, _, learners, omegas, streams = zip(*learning)
-        learner_at, learner_opp = _seat_at(learning, rounds)
-        row_of, lead = _planner_rows([(w, held.counts) for held, w in zip(learners, omegas)])
+    if learning.size:
+        learners = [held[k] for k in group[learning].tolist()]
+        weights = omegas[learning].tolist()
+        learner_streams = [streams[i] for i in learning.tolist()] if draws else None
+        row_of, lead = _planner_rows([(w, learner.counts) for learner, w in zip(learners, weights)])
         # The first `rows` rows are live, one per distinct belief, led by any of its learners;
         # the rest are room for rows to split into, set by each split before it is read.
         rows, room, n = len(lead), len(learners), q - 1
         # each row's estimate as its distinct columns, with room for one new column a round
-        inputs = solver_inputs((learners[i].estimate for i in lead), [omegas[i] for i in lead], q, spare=rounds)
+        inputs = solver_inputs((learners[i].estimate for i in lead), [weights[i] for i in lead], q, spare=rounds)
         columns, column_of, gains = (np.empty((room, *array.shape[1:]), array.dtype) for array in inputs)
         for array, lead_rows in zip((columns, column_of, gains), inputs):
             array[:rows] = lead_rows
@@ -396,30 +440,29 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         used = int(np.count_nonzero(members, axis=1).max())  # the columns any row has filled
         row_at, row_opp = learner_at[lead], learner_opp[lead]
     for t in range(rounds):
-        now, before = 2 * t, 2 * t - 2  # flat offsets of this round and the one before
-        if learning:  # each row's flat state from its side; the opening round is played at the opening pair
-            states = flat[row_at + max(before, 0)] * (q - 1) + flat[row_opp + max(before, 0)] - q
+        before, now = by_round[max(t - 1, 0)], by_round[t]  # the opening round is played at the opening pair
+        if learning.size:  # each row's flat state from its side
+            states = before[row_at] * (q - 1) + before[row_opp] - q
         if t:
-            if fixed:
-                own = flat[fixed_at + before]
-                flat[fixed_at + now] = with_picks(rules[fixed_rule + own * (q - 1) + flat[fixed_opp + before]], picks)
-            if learning:  # a row acts only at the state it plays, so only that state's demand is read
+            if fixed.size:
+                now[fixed_at] = with_picks(rules[fixed_rule + before[fixed_at] * (q - 1) + before[fixed_opp]], picks)
+            if learning.size:  # a row acts only at the state it plays, so only that state's demand is read
                 played, learner_picks = backward_induction_batch(
                     columns[:rows, :, : _blocks(used)],
                     column_of[:rows],
                     gains[:rows],
                     h,
-                    rngs=streams if draws else None,
+                    rngs=learner_streams,
                     rows=row_of,
                     states=states,
                 )
-                flat[learner_at + now] = with_picks(played[row_of], learner_picks)
-            for memo, at, opp_at, uniforms in samplers.values():
-                flat[at + now] = memo.draw(flat[at + before], flat[opp_at + before], uniforms[t - 1])
-        if learning:
-            observed = flat[learner_opp + now]
+                now[learner_at] = with_picks(played[row_of], learner_picks)
+            for memo, at, opp_at, drawn in samplers:
+                now[at] = memo.draw(before[at], before[opp_at], drawn[t - 1])
+        if learning.size:
+            observed = now[learner_opp]
             # row-mates can play apart only where they draw their ties
-            seen = flat[learner_at + now] * q + observed if draws else observed
+            seen = now[learner_at] * q + observed if draws else observed
             if rows < len(learners) and (seen[lead[row_of]] != seen).any():
                 row_of, lead, parents = _split_rows(row_of, seen)
                 rows = len(parents)
@@ -431,7 +474,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             used = _observe(counts, columns, column_of, members, states, observed[lead], used)
     for learner, row in zip(learners, row_of):
         learner.counts[...] = counts[row].reshape(learner.counts.shape)
-    return demands
+    return by_round.reshape(rounds, 2, games).transpose(2, 0, 1).copy()
 
 
 def _observe(counts, columns, column_of, members, states, observed, used: int) -> int:
@@ -491,11 +534,24 @@ def _split_rows(row_of, seen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return renumbered, lead, row_of[lead]
 
 
-def _seat_at(seats, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where seats given as ``(g, seat, ...)`` find their and their opponent's opening demands in ``flat``."""
-    games, seats = np.array([(g, seat) for g, seat, *_ in seats], dtype=np.intp).reshape(-1, 2).T
-    at = games * 2 * rounds + seats
-    return at, at + 1 - 2 * seats
+def _first_use(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct hashable ``keys`` in order of first use: each key's number, and each number's first index."""
+    numbers = {}
+    number = np.array([numbers.setdefault(key, len(numbers)) for key in keys], dtype=np.intp)
+    # a number's first index is where the running maximum reaches it
+    return number, np.flatnonzero(np.diff(np.maximum.accumulate(number), prepend=-1))
+
+
+def _row_runs(at, games: int) -> tuple:
+    """Seats at indices ``at`` of a round's row, and their opponents', each as a slice where contiguous."""
+    return _run(at), _run((at + games) % (2 * games))
+
+
+def _run(index):
+    """``index`` as the slice it spans when it is one ascending contiguous run, else itself."""
+    if len(index) and (index == np.arange(index[0], index[0] + len(index))).all():
+        return slice(int(index[0]), int(index[0]) + len(index))
+    return index
 
 
 def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan | None = None):

@@ -258,27 +258,35 @@ def _play_part(spec: ExperimentSpec, games) -> list[tuple[float, float, float, f
     ``CHUNK_BYTES``, ``(q - 1)**3`` float64 each) would take it past
     ``CHUNK_BYTES``.  A game over the bound on its own is a chunk by itself.
     A stateless seat, a rule-based model or a fixed table, is built once per
-    sweep and sits in every game; a learner is built fresh for each game.
-    Each game's plan is ``RngPlan(seed, (cell_index, rep))``, derived from
-    one plan of the seed that is checked once per sweep.
+    sweep and sits in every game; with no learner the whole pair is one
+    object for the sweep, and a cell's item keys are formed once, as its
+    games share its config.  A learner is built fresh for each game, so its
+    game brings new keys.  Each game's plan is ``RngPlan(seed, (cell_index,
+    rep))``, derived from one plan of the seed that is checked once per
+    sweep.
     """
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
     agents = (spec.agent_a, spec.agent_b)
-    stateless = [None if agent.learning else build_agent(agent, q) for agent in agents]
+    pair = stateless = tuple(None if agent.learning else build_agent(agent, q) for agent in agents)
+    learns = any(agent.learning for agent in agents)
     root = RngPlan(spec.base.seed)  # checked once; each game's plan is its child
-    metrics, chunk, items = [], [], set()
+    metrics, chunk, items, keyed = [], [], set(), None  # keyed: the config whose keys `keys` holds
     for cell_index, config, rep in games:
-        pair = tuple(build_agent(agent, q) if seat is None else seat for agent, seat in zip(agents, stateless))
+        if learns:
+            pair = tuple(build_agent(agent, q) if seat is None else seat for agent, seat in zip(agents, stateless))
+        if learns or config is not keyed:
+            keyed, weights = config, (config.omega_a, config.omega_b)
+            keys = {(id(seat), omega) for seat, omega in zip(pair, weights) if not isinstance(seat, HeuristicModel)}
+        # a chunk over the bound holds one game, which the next game must not join
+        if not keys <= items or len(items) * item_bytes > CHUNK_BYTES:
+            grown = items | keys
+            if chunk and len(grown) * item_bytes > CHUNK_BYTES:
+                metrics += _play_chunk(spec, chunk)
+                chunk, grown = [], keys
+            items = grown
         # Stateless derivation keyed on (cell, replication): stable under any chunking.
-        plan = root._child((cell_index, rep))
-        weights = (config.omega_a, config.omega_b)
-        keys = {(id(seat), omega) for seat, omega in zip(pair, weights) if not isinstance(seat, HeuristicModel)}
-        if chunk and len(items | keys) * item_bytes > CHUNK_BYTES:
-            metrics += _play_chunk(spec, chunk)
-            chunk, items = [], set()
-        chunk.append((config, pair, plan))
-        items |= keys
+        chunk.append((config, pair, root._child((cell_index, rep))))
     return metrics + _play_chunk(spec, chunk)
 
 

@@ -118,18 +118,22 @@ class RuleRows:
     def draw(self, own, opp, u) -> np.ndarray:
         """One demand per uniform ``u`` at states ``(own, opp)``, integer arrays trusted to lie in ``1..q-1``.
 
-        Each uniform picks the first demand whose running sum exceeds it, as
-        ``searchsorted(..., side="right")`` clamped to ``q - 1`` does; the last
-        sum is never read, so not kept.  A state's row is built when first
-        seen, with the bits of its row built alone, so any grouping of draws
-        gives the bits of one uniform per state in turn.
+        The three broadcast together.  Each uniform picks the first demand
+        whose running sum exceeds it, as ``searchsorted(..., side="right")``
+        clamped to ``q - 1`` does: one plus the count of its state's sums at
+        or below it, counted over the leading axis of the gathered
+        ``(q - 2, ...)`` sums, so that every step runs over whole rows of
+        draws.  The last sum is never read, so not kept.  A state's row is
+        built when first seen, with the bits of its row built alone, so any
+        grouping of draws gives the bits of one uniform per state in turn.
         """
+        own, opp, u = np.broadcast_arrays(own, opp, u)
         at = own * (self.model.q - 1) + opp - self.model.q
         slot = self.slot[at]
         if (slot < 0).any():
             self._add(at[slot < 0])
             slot = self.slot[at]
-        return (self.sums[slot] <= u[..., None]).sum(axis=-1) + 1
+        return (self.sums.T.take(slot, axis=1) <= u).sum(axis=0) + 1
 
     def _add(self, at) -> None:
         """Give a row to each distinct state among ``at``, states that have none."""

@@ -48,6 +48,8 @@ multiple of 8, and under ``SandyBridge`` for every ``q - 1`` up to 40.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .core import TIE_BREAKS, reward, reward_matrix
@@ -140,15 +142,24 @@ def solver_inputs(tables, omegas, q: int, spare: int = 0) -> tuple[np.ndarray, n
     ``gains[i]`` the reward matrix of ``omegas[i]``.  The stack has room for
     the most columns any item needs plus ``spare``, at most ``(q - 1)**2``,
     rounded up to a multiple of 8; columns an item leaves unused hold the
-    flat row.
+    flat row.  Each distinct table object is read once, however many items
+    hold it, and none is kept, so tables may come one at a time.
     """
     n = q - 1
     flat_row = 1.0 / n
-    owns, own_rows = [], []  # each table read once, so tables may come one at a time
+    owns, own_rows = [], []
+    # id -> (a weak reference, owns, own rows): a dead reference marks an id
+    # reused by a new table, as a generator of fresh tables can give
+    derived = {}
     for table in tables:
-        rows = table.reshape(n * n, n)
-        owns.append((rows != flat_row).any(axis=1))  # the states with a column of their own
-        own_rows.append(rows[owns[-1]])
+        ref, own, rows = derived.get(id(table), (None, None, None))
+        if ref is None or ref() is not table:
+            rows = table.reshape(n * n, n)
+            own = (rows != flat_row).any(axis=1)  # the states with a column of their own
+            rows = rows[own]
+            derived[id(table)] = (weakref.ref(table), own, rows)
+        owns.append(own)
+        own_rows.append(rows)
     owns = np.reshape(owns, (-1, n * n))
     # flat states, if any, share column 0; the others follow in state order
     starts = (~owns).any(axis=1)

@@ -475,6 +475,8 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "lean_solve_b242",
         "lean_solve_q20_b36",
         "game_scores_200x60",
+        "play_setup_200",
+        "rule_draw_200",
     ]
     assert all(isinstance(us, float) and us > 0 for us in timings.values()), timings
 

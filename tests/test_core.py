@@ -16,6 +16,7 @@ from ndglab import (
     reward_matrix,
     round_columns,
 )
+from ndglab.core import game_scores
 
 demands = st.integers(1, 9)
 weights = st.floats(0.0, 1.0, allow_nan=False)
@@ -255,3 +256,22 @@ def test_game_log_length_checked():
     for out_of_range in (0, 10):
         with pytest.raises(ValueError, match="1..9"):
             GameLog(config, np.array([[3, 3], [3, out_of_range]]))
+
+
+@given(st.sampled_from(((), (0,), (3,), (2, 4))), st.integers(1, 7), st.sampled_from((2, 3, 10, 61)), st.data())
+def test_game_scores_equal_each_game_scored_round_by_round(lead, rounds, q, data):
+    # the columns scored at once, for any leading shape of games, against a
+    # scalar loop over each game's rounds: same shapes, dtypes and bits
+    size = int(np.prod(lead, dtype=int)) * rounds * 2
+    cells = data.draw(st.lists(st.integers(1, q - 1), min_size=size, max_size=size))
+    demands = np.array(cells, dtype=np.int64).reshape(*lead, rounds, 2)
+    profits, success = game_scores(demands, q)
+    assert profits.shape == (*lead, 2) and profits.dtype == np.int64
+    assert np.shape(success) == lead and np.asarray(success).dtype == np.float64
+    for game in np.ndindex(*lead):
+        paid, fits = [0, 0], 0
+        for a, b in demands[game].tolist():
+            if a + b <= q:
+                paid, fits = [paid[0] + a, paid[1] + b], fits + 1
+        assert profits[game].tolist() == paid
+        assert np.asarray(success)[game].tobytes() == np.float64(100.0 * fits / rounds).tobytes()

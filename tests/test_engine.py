@@ -768,6 +768,46 @@ def test_a_run_builds_each_visited_state_s_row_once(monkeypatch):
         assert set(built) == visited
 
 
+def test_a_run_checks_each_distinct_table_object_once(monkeypatch):
+    # 200 games over three table objects, two of them equal: each object is
+    # validated once, in order of first use, and equal tables still play alike
+    checked = []
+    real = engine._validate_model
+
+    def counted(model, q):
+        checked.append(id(model))
+        return real(model, q)
+
+    monkeypatch.setattr(engine, "_validate_model", counted)
+    rule, shaped = HeuristicModel(1.0, 10), heuristic_table(HeuristicModel(3.0, 10))
+    flat, copy = uniform_table(10), uniform_table(10).copy()
+    pairs = [((shaped, rule), (rule, flat), (copy, shaped), (flat, copy))[g % 4] for g in range(200)]
+    configs = [GameConfig(rounds=4, omega_a=g % 3 / 2, omega_b=g % 5 / 4) for g in range(200)]
+    demands = engine.play_games(configs, pairs, [RngPlan(7, (g,)) for g in range(200)])
+    assert checked == [id(shaped), id(flat), id(copy)]
+    assert np.array_equal(demands[3::4], engine.play_games(configs[3::4], [(flat, flat)] * 50, [RngPlan(7, (g,)) for g in range(3, 200, 4)]))
+
+
+def test_equal_rule_based_models_on_both_seats_share_one_memo(monkeypatch):
+    # samplers are keyed by value: two equal models, one per seat, draw
+    # through one RuleRows, and play as one model object on both seats would
+    memos = []
+
+    class Recorded(opponent.RuleRows):
+        def __init__(self, model):
+            super().__init__(model)
+            memos.append(self)
+
+    monkeypatch.setattr(engine, "RuleRows", Recorded)
+    configs = [GameConfig(rounds=12, seed=s) for s in range(6)]
+    one = HeuristicModel(2.0, 10)
+    apart = engine.play_games(configs, [(one, HeuristicModel(2.0, 10))] * 6, [RngPlan(c.seed) for c in configs])
+    assert len(memos) == 1
+    visited = set(zip(apart[:, :-1].ravel().tolist(), apart[:, :-1, ::-1].ravel().tolist()))
+    assert len(memos[0].sums) == len(visited)
+    assert np.array_equal(apart, engine.play_games(configs, [(one, one)] * 6, [RngPlan(c.seed) for c in configs]))
+
+
 def test_a_one_round_game_of_rule_based_seats_plays_its_opening_pair():
     config = GameConfig(rounds=1, initial_demand=4)
     assert run_game(config, *_heuristic_pair()).demands.tolist() == [[4, 4]]

@@ -422,6 +422,21 @@ def test_a_part_builds_each_stateless_seat_once_and_each_learner_per_game(seats,
             assert type(held[0]) is type(build_agent(agent, base.q))
 
 
+@pytest.mark.parametrize("test_id", (1, 2, 3))
+def test_a_game_over_the_chunk_bound_is_a_chunk_by_itself(test_id, monkeypatch):
+    # with the bound below one game's items, every game is its own chunk,
+    # also where a cell's games bring no item the chunk does not hold
+    sizes = []
+    real = experiments._play_chunk
+    monkeypatch.setattr(experiments, "_play_chunk", lambda spec, chunk: sizes.append(len(chunk)) or real(spec, chunk))
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 9**3 * 8 - 1)
+    spec = benchmark_spec(test_id, replications=3, base=GameConfig(rounds=3, tie_break="random"), grid=(0.0, 1.0))
+    cells = run_test(spec).cells
+    assert sizes == [1] * len(experiments._plan(spec, spec.cells())[0])
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 4 * 2**20)
+    assert run_test(spec).cells == cells
+
+
 _DRAW_FREE = """
 import contextlib, io, sys
 from ndglab.cli import main

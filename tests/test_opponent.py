@@ -3,6 +3,7 @@
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_sampler_matches_reference_under_equal_seeds(sigma, seed, states):
         slow = np.random.default_rng(seed)
         want = [reference_heuristic_sample(model, o, p, slow) for o, p in zip(own.tolist(), opp.tolist())]
         assert draws.tolist() == want
+
+
+@pytest.mark.parametrize(
+    ("own", "opp", "u"),
+    [
+        ([[3, 7, 9], [1, 5, 5]], [[4, 4, 2], [9, 5, 6]], 0.6),  # array states, one uniform
+        (7, 2, [0.0, 0.2, 0.5, 0.9, 1 - 2**-53]),  # one state, array uniforms
+        ([2, 8, 5], 6, [[0.1, 0.7, 0.4], [0.95, 0.05, 0.5]]),  # states broadcast against more uniforms
+    ],
+)
+def test_sampler_broadcasts_states_and_uniforms(own, opp, u):
+    # each draw equals one reference draw at its broadcast state and uniform
+    model = HeuristicModel(sigma=1.5, q=10)
+    draws = heuristic_sample(model, own, opp, u)
+    own, opp, u = np.broadcast_arrays(own, opp, u)
+    assert draws.shape == u.shape
+    for o, p, x, drawn in zip(own.ravel().tolist(), opp.ravel().tolist(), u.ravel().tolist(), draws.ravel().tolist()):
+        assert drawn == reference_heuristic_sample(model, o, p, SimpleNamespace(random=lambda x=x: x))
 
 
 def test_sampler_rejects_out_of_range_states():

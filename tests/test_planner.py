@@ -408,6 +408,23 @@ def test_solver_inputs_stack_the_models_c_contiguous():
     assert solver_inputs([uniform_table(2)], [0.5], 2)[0].shape == (1, 1, 8)
 
 
+def test_solver_inputs_stack_a_shared_table_object_as_its_copies():
+    # items sharing one table object stack as copies of it would; tables made
+    # one at a time and dropped can take a dropped table's id, and each is
+    # still read as itself
+    rng = np.random.default_rng(6)
+    prior = uniform_table(6).copy()
+    prior.reshape(25, 5)[[3, 17]] = rng.dirichlet(np.ones(5), 2)
+    tables = [random_model(rng, 6), prior, uniform_table(6)]
+    omegas = [0.1, 0.3, 0.5, 0.7, 0.9, 0.2, 0.4, 0.6, 0.8]
+    shared = solver_inputs([t for t in tables for _ in range(3)], omegas, 6)
+    copies = solver_inputs([t.copy() for t in tables for _ in range(3)], omegas, 6)
+    fresh = solver_inputs((t.copy() for t in tables * 3), omegas, 6)
+    listed = solver_inputs(tables * 3, omegas, 6)
+    for got, want in ((shared, copies), (fresh, listed)):
+        assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
+
+
 def test_every_solve_reads_a_c_contiguous_model_stack(monkeypatch):
     stacks = []  # each solved batch's item count, width, and whether each column row is contiguous
     real = planner.backward_induction_batch
