@@ -345,10 +345,11 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     then of seat B, so a seat at index ``i`` of a row meets its opponent at
     ``(i + games) % (2 * games)``.  Each round reads the row before it and
     writes its own, every kind of seat at indices fixed for the run, taken
-    as a slice where they are one contiguous run; one transposed copy makes
-    the ``(games, rounds, 2)`` result.  Seats are grouped by object before
-    the first round (:func:`_seat_groups`), so the run checks, classifies
-    and sets up each distinct seat once, whatever the number of games.
+    as a slice where they are one contiguous run; the ``(games, rounds, 2)``
+    result is a transposed view of it, not a copy, so a run holds its
+    demands once.  Seats are grouped by object before the first round
+    (:func:`_seat_groups`), so the run checks, classifies and sets up each
+    distinct seat once, whatever the number of games.
 
     Planners use their game's weight and the shared horizon and tie rule.
     Each planner holds the index of a run row, which :func:`_planner_rows`
@@ -396,13 +397,13 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     drawing = np.flatnonzero(model_of >= 0)
     drawers = range(2 * games) if draws else drawing.tolist()  # every seat that draws, by its index in a row
     streams = dict(zip(drawers, _fill_streams((plans[i % games], _NAMES[i // games]) for i in drawers)))
-    uniforms = np.empty((len(drawing), rounds - 1))  # each rule-based seat's, one round per column
-    for row, i in zip(uniforms, drawing.tolist()):
-        streams[i].random(out=row)
     samplers = []
-    for model, number in models.items():
-        mine = model_of[drawing] == number
-        samplers.append((RuleRows(model), *_row_runs(drawing[mine], games), uniforms[mine].T.copy()))
+    for model, number in models.items():  # each model's seats and their uniforms, one round per row
+        seats = np.flatnonzero(model_of == number)
+        uniforms = np.empty((len(seats), rounds - 1))
+        for row, i in zip(uniforms, seats.tolist()):
+            streams[i].random(out=row)
+        samplers.append((RuleRows(model), *_row_runs(seats, games), uniforms.T.copy()))
     fixed = np.flatnonzero(kind == _FIXED)
     # one key per distinct (table, weight), so _planner_rows reads each once
     key, first = _first_use(zip(group[fixed].tolist(), omegas[fixed].tolist()))
@@ -474,7 +475,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             used = _observe(counts, columns, column_of, members, states, observed[lead], used)
     for learner, row in zip(learners, row_of):
         learner.counts[...] = counts[row].reshape(learner.counts.shape)
-    return by_round.reshape(rounds, 2, games).transpose(2, 0, 1).copy()
+    return by_round.reshape(rounds, 2, games).transpose(2, 0, 1)
 
 
 def _observe(counts, columns, column_of, members, states, observed, used: int) -> int:
