@@ -31,7 +31,8 @@ its own side's ``src``:
   interpreters, pairs of one per side in alternating order; each
   interpreter's timing of each layer, and their median and interquartile
   range per side (:func:`layer_spread`);
-- numpy's BLAS build, under ``environment``.
+- numpy's BLAS build, and each side's set-up regime (:func:`setup_regime`),
+  under ``environment``.
 
 A full run takes about 45 minutes on two cores.  Run it on
 an otherwise idle machine: both sides share it, one after the other.
@@ -270,6 +271,17 @@ def blas_build() -> dict:
     return numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
 
 
+def setup_regime(tree: Path) -> dict:
+    """Which set-up regime a side ran in: the CPUs this process may run on,
+    and the threads of a fresh interpreter of that side once ``import
+    ndglab.cli`` has returned.  More than one thread there is a BLAS pool,
+    whose start-up costs ``setup_s`` tens of milliseconds (Linux only)."""
+    proc = run([sys.executable, "-c", "import os, ndglab.cli; print(len(os.listdir('/proc/self/task')))"], tree, 120)
+    if proc.returncode != 0:
+        raise SystemExit(f"import ndglab.cli failed in {tree}:\n{proc.stderr[-4000:]}")
+    return {"visible_cpus": len(os.sched_getaffinity(0)), "threads_after_import": int(proc.stdout)}
+
+
 def summarize(runs) -> dict:
     metrics = {}
     for metric in BENCHMARK["end_to_end"]:
@@ -327,6 +339,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         trees = {"parent": parent, "change": ROOT}
+        regimes = {side: setup_regime(tree) for side, tree in trees.items()}
 
         suites = {side: tier1(tree) for side, tree in trees.items()}
         figures = {side: suite.pop("acceptance_3") for side, suite in suites.items()}
@@ -368,6 +381,7 @@ def main(argv=None) -> int:
             "numpy": env["change"]["numpy"],
             "seconds_per_run": BENCHMARK["run_seconds"],
             "blas": blas_build(),
+            "setup_regime": regimes,
         },
         "claim": {"workload": args.claim, "metric": "games_per_s", "better": "higher"} if args.claim else None,
         "workloads": workloads,

@@ -8,7 +8,6 @@ configuration problem (bad flag, bad config file, refused overwrite).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -92,6 +91,8 @@ def load_config(path) -> CliConfig:
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
     if text.lstrip().startswith("{"):
+        import json  # only a JSON config needs it, so `import ndglab.cli` does not load it
+
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -105,45 +105,52 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
 
 
 class RuleRows:
-    """A rule-based model's running probability sums, one row per state drawn at.
+    """A rule-based model's running probability sums, one column per state drawn at.
 
-    A game run keeps one per model, so it holds at most ``min(draws, (q - 1)**2)`` rows."""
+    A game run keeps one per model, so it holds at most ``min(draws, (q - 1)**2)`` columns."""
 
     def __init__(self, model: HeuristicModel):
         n = model.q - 1
         self.model = model
-        self.slot = np.full(n * n, -1, dtype=np.intp)  # state (own - 1) * n + opp - 1 -> its row, -1 if unseen
-        self.sums = np.empty((0, n - 1))  # the last running sum is never read
+        self.slot = np.full(n * n, -1, dtype=np.intp)  # state (own - 1) * n + opp - 1 -> its column, -1 if unseen
+        self.sums = np.empty((n - 1, 0))  # the last running sum is never read
 
     def draw(self, own, opp, u) -> np.ndarray:
         """One demand per uniform ``u`` at states ``(own, opp)``, integer arrays trusted to lie in ``1..q-1``.
 
-        The three broadcast together.  Each uniform picks the first demand
-        whose running sum exceeds it, as ``searchsorted(..., side="right")``
-        clamped to ``q - 1`` does: one plus the count of its state's sums at
-        or below it, counted over the leading axis of the gathered
-        ``(q - 2, ...)`` sums, so that every step runs over whole rows of
-        draws.  The last sum is never read, so not kept.  A state's row is
-        built when first seen, with the bits of its row built alone, so any
-        grouping of draws gives the bits of one uniform per state in turn.
+        The three arrays broadcast together; in a run they already share
+        one shape, and are used as they are.  Each uniform picks the first
+        demand whose running sum exceeds it, as ``searchsorted(...,
+        side="right")`` clamped to ``q - 1`` does: one plus the count of its
+        state's sums at or below it, counted over the leading axis of the
+        gathered ``(q - 2, ...)`` sums, so that every step runs over whole
+        rows of draws.  The sums are held that way round, a column per
+        state, so the gather reads whole rows too.  The last sum is never
+        read, so not kept.  A state's column is built when first seen, with
+        the bits of its column built alone, so any grouping of draws gives
+        the bits of one uniform per state in turn.
         """
-        own, opp, u = np.broadcast_arrays(own, opp, u)
+        if not own.shape == opp.shape == u.shape:
+            own, opp, u = np.broadcast_arrays(own, opp, u)
         at = own * (self.model.q - 1) + opp - self.model.q
         slot = self.slot[at]
         if (slot < 0).any():
             self._add(at[slot < 0])
             slot = self.slot[at]
-        return (self.sums.T.take(slot, axis=1) <= u).sum(axis=0) + 1
+        return (self.sums.take(slot, axis=1) <= u).sum(axis=0) + 1
 
     def _add(self, at) -> None:
-        """Give a row to each distinct state among ``at``, states that have none."""
-        rows = np.arange(len(self.sums), len(self.sums) + len(at))
-        self.slot[at] = rows
-        at = at[self.slot[at] == rows]  # of repeats, the one whose row number stuck
-        self.slot[at] = rows[: len(at)]
+        """Give a column to each distinct state among ``at``, states that have none."""
+        built = self.sums.shape[1]
+        cols = np.arange(built, built + len(at))
+        self.slot[at] = cols
+        at = at[self.slot[at] == cols]  # of repeats, the one whose column number stuck
+        self.slot[at] = cols[: len(at)]
         own, opp = np.divmod(at, self.model.q - 1)
         fresh = np.cumsum(_rule_rows(self.model, own + 1, opp + 1)[:, :-1], axis=-1)
-        self.sums = np.concatenate((self.sums, fresh))
+        grown = np.empty((len(self.sums), built + len(fresh)))  # C order, which concatenate need not give
+        grown[:, :built], grown[:, built:] = self.sums, fresh.T
+        self.sums = grown
 
 
 @lru_cache(maxsize=4)  # near the q bound one table is about 1 GiB

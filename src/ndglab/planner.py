@@ -41,9 +41,13 @@ kernels, and unused columns hold the flat row.  A column in a narrower
 trailing block can round differently (under ``SkylakeX`` at
 ``q - 1 >= 16``, under ``Haswell`` at odd ``q - 1``); in whole blocks a
 column has the same bits beside any others, so an item solves to the same
-bits in any batch.  Those bits equal the one-column-per-state product's
-under ``SkylakeX`` for ``q - 1 <= 16`` and where ``(q - 1)**2`` is a
-multiple of 8, and under ``SandyBridge`` for every ``q - 1`` up to 40.
+bits in any batch.  That holds for the single-threaded kernel, which
+``ndglab`` loads numpy to run: OpenBLAS's threaded ``dgemm`` splits a wide
+product's columns between threads, and under ``Haswell`` and ``Prescott``
+a column's bits then change with the product's width.  Those bits equal
+the one-column-per-state product's under ``SkylakeX`` for ``q - 1 <= 16``
+and where ``(q - 1)**2`` is a multiple of 8, and under ``SandyBridge`` for
+every ``q - 1`` up to 40.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -514,6 +515,12 @@ def test_the_bench_keeps_every_layer_timing_beside_its_median(monkeypatch):
 
 def test_the_bench_records_numpy_s_blas_build(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    blas = _script("bench_pairs").blas_build()
+    script = _script("bench_pairs")
+    blas = script.blas_build()
     assert isinstance(blas["name"], str) and blas["name"]
     json.dumps(blas)  # written to BENCH_<n>.json as it is
+    # and the set-up regime each side ran in: ndglab loads numpy with one
+    # thread unless the caller sets a count
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert script.setup_regime(script.ROOT) == {"visible_cpus": len(os.sched_getaffinity(0)), "threads_after_import": 1}

@@ -719,9 +719,9 @@ def _rule_based_run(q, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    for seat, memo in enumerate(memos):  # one row per state the model's seat drew at
+    for seat, memo in enumerate(memos):  # one column of sums per state the model's seat drew at
         visited = set(zip(demands[:, :-1, seat].ravel().tolist(), demands[:, :-1, 1 - seat].ravel().tolist()))
-        assert memo.sums.shape == (len(visited), q - 2)
+        assert memo.sums.shape == (q - 2, len(visited))
     return peak, memos
 
 
@@ -804,7 +804,7 @@ def test_equal_rule_based_models_on_both_seats_share_one_memo(monkeypatch):
     apart = engine.play_games(configs, [(one, HeuristicModel(2.0, 10))] * 6, [RngPlan(c.seed) for c in configs])
     assert len(memos) == 1
     visited = set(zip(apart[:, :-1].ravel().tolist(), apart[:, :-1, ::-1].ravel().tolist()))
-    assert len(memos[0].sums) == len(visited)
+    assert memos[0].sums.shape[1] == len(visited)
     assert np.array_equal(apart, engine.play_games(configs, [(one, one)] * 6, [RngPlan(c.seed) for c in configs]))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ndglab import (
     DirichletLearner,
@@ -217,7 +218,7 @@ def test_sampler_draws_nothing_from_empty_states_or_uniforms():
         assert draws.size == 0 and draws.shape == np.broadcast_shapes(np.shape(own), np.shape(opp), np.shape(u))
     memo = RuleRows(model)
     assert memo.draw(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)).shape == (0,)
-    assert memo.sums.shape == (0, 8)
+    assert memo.sums.shape == (8, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,8 +229,8 @@ def test_sampler_draws_nothing_from_empty_states_or_uniforms():
     st.integers(0, 2**32),
 )
 def test_a_memo_holds_one_row_per_distinct_state_it_has_drawn_at(q, sigma, calls, seed):
-    # repeats within a call and across calls: every state gets one row, built
-    # once, and every draw equals a reference draw on an equal stream
+    # repeats within a call and across calls: every state gets one column of
+    # sums, built once, and every draw equals a reference draw on an equal stream
     model = HeuristicModel(sigma=sigma, q=q)
     memo, seen, built = RuleRows(model), [], []
     rng, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -240,12 +241,31 @@ def test_a_memo_holds_one_row_per_distinct_state_it_has_drawn_at(q, sigma, calls
         want = [reference_heuristic_sample(model, o, p, slow) for o, p in zip(own.tolist(), opp.tolist())]
         assert draws.tolist() == want
         seen = list(dict.fromkeys(seen + list(zip(own.tolist(), opp.tolist()))))
-        assert len(memo.sums) == len(seen)
-        assert memo.sums[: len(before)].tobytes() == before.tobytes()  # rows are added, never rebuilt
+        assert memo.sums.shape == (q - 2, len(seen)) and memo.sums.flags.c_contiguous
+        assert memo.sums[:, : before.shape[1]].tobytes() == before.tobytes()  # columns are added, never rebuilt
     for own, opp in seen:
         want = np.cumsum(reference_heuristic_distribution(model, own, opp))[:-1]
-        assert memo.sums[memo.slot[(own - 1) * (q - 1) + opp - 1]].tobytes() == want.tobytes()
+        assert memo.sums[:, memo.slot[(own - 1) * (q - 1) + opp - 1]].tobytes() == want.tobytes()
     assert sorted(np.flatnonzero(memo.slot >= 0).tolist()) == sorted((o - 1) * (q - 1) + p - 1 for o, p in seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=4), st.integers(0, 2**32))
+def test_a_memo_draws_the_same_demands_from_aligned_and_broadcast_inputs(q, shapes, seed):
+    # a run hands draw states and uniforms of one shape, which skip the
+    # broadcast; any other shapes broadcast first, to the same demands
+    rng = np.random.default_rng(seed)
+    own, opp = (rng.integers(1, q, shape) for shape in shapes.input_shapes[:2])
+    u = rng.random(shapes.input_shapes[2])
+    aligned = [np.array(x) for x in np.broadcast_arrays(own, opp, u)]
+    model = HeuristicModel(sigma=1.0, q=q)
+    want = RuleRows(model).draw(*aligned)
+    assert want.shape == shapes.result_shape and want.dtype == np.intp
+    memo = RuleRows(model)
+    for _ in range(2):  # columns built by this call, then read back
+        draws = memo.draw(own, opp, u)
+        assert draws.shape == want.shape and draws.dtype == want.dtype
+        assert draws.tobytes() == want.tobytes()
 
 
 def test_uniform_shapes():

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ndglab
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,14 +51,52 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert not unused, f"unused imports: {unused}"
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# this process's threads, and whether it sees the variable ndglab sets while numpy loads
+THREADS = "import os; print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)"
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _fresh(code, **env):
+    """What ``code`` prints, split, in a fresh interpreter that imports this
+    tree's ndglab, with no BLAS thread count set beyond ``env``."""
+    env = {**{k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}, "PYTHONPATH": str(ROOT / "src"), **env}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # every sweep plays in the calling process, so a fresh `import ndglab.cli`
     # loads neither package a process pool comes from
     code = "import sys, ndglab.cli; print(*[m for m in ('concurrent', 'multiprocessing') if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    assert _fresh(code) == []
+
+
+def test_importing_the_cli_loads_no_json():
+    # only a JSON config file needs json, and neither numpy nor site loads it
+    assert _fresh("import sys, ndglab.cli; print('json' in sys.modules)") == ["False"]
+
+
+@needs_proc
+def test_ndglab_loads_numpy_with_one_blas_thread_and_leaves_the_environment_as_it_was():
+    assert _fresh("import ndglab.cli; " + THREADS) == ["1", "False"]
+
+
+@needs_proc
+@pytest.mark.skipif(CPUS < 2, reason="one visible CPU")
+def test_a_caller_s_blas_thread_count_is_kept():
+    assert _fresh("import ndglab.cli; " + THREADS, OPENBLAS_NUM_THREADS="2") == ["2", "True"]
+
+
+@needs_proc
+def test_a_numpy_loaded_before_ndglab_keeps_its_threads():
+    code = "import os, numpy; made = len(os.listdir('/proc/self/task')); import ndglab.cli; print(made); " + THREADS
+    made, threads, variable = _fresh(code)
+    assert threads == made and variable == "False"
+    if CPUS >= 2:  # numpy's own pool has a thread per visible CPU
+        assert int(made) >= 2
 
 
 def test_the_readme_api_example_runs():

@@ -1,5 +1,11 @@
 """Finite-horizon lookahead solver, and planners played under their game's config."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +429,35 @@ def test_solver_inputs_stack_a_shared_table_object_as_its_copies():
     listed = solver_inputs(tables * 3, omegas, 6)
     for got, want in ((shared, copies), (fresh, listed)):
         assert [(a.shape, a.tobytes()) for a in got] == [(b.shape, b.tobytes()) for b in want]
+
+
+_ALONE_AND_BESIDE = """
+import ndglab
+import numpy as np
+from ndglab.planner import backward_induction_batch, solver_inputs
+
+for q in (29, 31, 60):
+    flat, shaped = ndglab.uniform_table(q), ndglab.heuristic_table(ndglab.HeuristicModel(3.0, q))
+    stages = []
+    for tables in ([flat], [flat, shaped]):
+        values = np.zeros((len(tables), 11, (q - 1) ** 2))
+        backward_induction_batch(*solver_inputs(tables, [0.5] * len(tables), q), 10, values=values)
+        stages.append(values[0].tobytes())
+    print(q, stages[0] == stages[1])
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OPENBLAS_CORETYPE names x86 kernels")
+def test_an_item_solves_to_the_same_bits_beside_a_much_wider_one_under_prescott():
+    # a flat item is 8 columns wide alone and (q - 1)**2 rounded up to 8
+    # beside a rule-based table; OpenBLAS's threaded dgemm splits a product's
+    # columns between threads, and under Prescott its first 8 columns then
+    # change with the width at these q; ndglab loads numpy with one thread
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(OPENBLAS_CORETYPE="Prescott", PYTHONPATH=str(Path(planner.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _ALONE_AND_BESIDE], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["29", "True", "31", "True", "60", "True"]
 
 
 def test_every_solve_reads_a_c_contiguous_model_stack(monkeypatch):
