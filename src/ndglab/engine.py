@@ -50,13 +50,13 @@ __all__ = [
 class RngPlan:
     """Named deterministic random streams for one game.
 
-    Same seed, same configuration: bit-identical game.  A plan is a seed and
-    a key, the ``entropy`` and ``spawn_key`` of a ``SeedSequence``; a
-    ``SeedSequence`` given as the seed lends its own, and must have numpy's
-    default ``pool_size`` of 4, the one pool :func:`_streams` hashes.  Each
-    seat gets its own child stream, so changing one player's settings cannot
-    shift the other player's draws; a further child seeds an optional warm-up
-    game.  Child ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
+    Same seed, same configuration: bit-identical game.  A plan is a seed, a
+    non-negative int of any size, and a key of parts in ``0..2**32 - 1``,
+    the ``entropy`` and ``spawn_key`` of a ``SeedSequence``; anything else,
+    a ``SeedSequence`` too, is refused.  Each seat gets its own child
+    stream, so changing one player's settings cannot shift the other
+    player's draws; a further child seeds an optional warm-up game.  Child
+    ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
     spawn_key=key + (i,)))``, derived by :func:`_streams` only when its
     stream is first read, so a game that draws nothing builds none.  A run
     derives the streams of all its drawing seats in one call before its
@@ -68,26 +68,19 @@ class RngPlan:
     agent_a = cached_property(lambda self: self._stream(0))
     agent_b = cached_property(lambda self: self._stream(1))
 
-    def __init__(self, seed: int | np.random.SeedSequence, key: tuple[int, ...] = ()):
-        if isinstance(seed, (int, np.integer)):
-            check_int(seed, "seed")
-            self.entropy, self.spawn_key = int(seed), ()
-        elif isinstance(seed, np.random.SeedSequence):
-            if seed.pool_size != 4:
-                raise ValueError(f"a SeedSequence seed must have pool_size 4, got pool_size={seed.pool_size}")
-            self.entropy, self.spawn_key = seed.entropy, tuple(map(int, seed.spawn_key))
-        else:
-            raise ValueError(f"seed must be a non-negative int or a SeedSequence, got {seed!r}")
+    def __init__(self, seed: int, key: tuple[int, ...] = ()):
+        check_int(seed, "seed")
         for part in key:
-            check_int(part, "every key part")
-        self.spawn_key += tuple(map(int, key))
+            if isinstance(part, bool) or not isinstance(part, (int, np.integer)) or not 0 <= part <= _MASK:
+                raise ValueError(f"every key part must be a non-negative int below 2**32, got {part!r}")
+        self.entropy, self.spawn_key = int(seed), tuple(map(int, key))
 
     def _stream(self, index: int) -> np.random.Generator:
         # Stateless spawn: the same (entropy, key, index) always names the same child.
         return _streams([(self.entropy, self.spawn_key + (index,))])[0]
 
     def _child(self, key: tuple[int, ...]) -> "RngPlan":
-        """The plan keyed ``spawn_key + key``, unchecked: ``key`` must hold non-negative Python ints."""
+        """The plan keyed ``spawn_key + key``, unchecked: ``key`` must hold Python ints in ``0..2**32 - 1``."""
         plan = object.__new__(RngPlan)
         plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + key
         return plan
@@ -120,57 +113,47 @@ _MIX_L, _MIX_R, _SHIFT = 0xCA01F9DD, 0x4973F715, 16
 
 
 def _streams(children) -> list:
-    """One generator per ``(entropy, spawn_key)``, each drawing the bits of
+    """One generator per ``(entropy, spawn_key)``, a non-negative int and a
+    tuple of ints in ``0..2**32 - 1``, each drawing the bits of
     ``default_rng(SeedSequence(entropy, spawn_key=spawn_key))``.
 
     ``SeedSequence`` hashes the 32-bit words of its entropy, padded with
-    zeros to its pool of four, then those of its spawn key.  Its hash
+    zeros to its pool of four, then one word per key part.  Its hash
     constants depend only on a word's position, never on the data.  Each
     distinct entropy's pool is numpy's own, ``SeedSequence(entropy).pool``,
-    and its key's first word takes hash position 16, four more per entropy
-    word past the pool.  The spawn-key words of all children are hashed as
-    one ``(words, 4, children)`` uint64 array and mixed into the pools one
-    word at a time, each child's words at the positions they hold in its
-    own key, so keys of any lengths and part sizes share a call.  The pools
-    give each child's ``generate_state(4, np.uint64)`` row, and numpy's own
-    ``PCG64`` seeds itself from that row and does every draw.
+    and its key's first part takes hash position 16, four more per entropy
+    word past the pool, as read from ``entropy.bit_length()``; part ``p``
+    takes four positions on from there.  The keys of all children are
+    hashed as one zero-padded ``(parts, 4, children)`` uint64 array and
+    mixed into the pools one part at a time, part ``p`` only into the
+    pools of keys longer than ``p``, so keys of any lengths share a call.
+    The pools give each child's ``generate_state(4, np.uint64)`` row, and
+    numpy's own ``PCG64`` seeds itself from that row and does every draw.
     """
     entropies, keys = zip(*children)
-    head_of = {}  # each distinct entropy, an int or its words, numbered in order of first use
-    heads = [head_of.setdefault(e if type(e) is int else tuple(_words(e)), len(head_of)) for e in entropies]
-    heads = np.array(heads, dtype=np.intp)
+    head_of = {}  # each distinct entropy, numbered in order of first use
+    heads = np.array([head_of.setdefault(entropy, len(head_of)) for entropy in entropies], dtype=np.intp)
     pools = [np.random.SeedSequence(entropy).pool for entropy in head_of]
-    starts = [16 + 4 * max(0, len(_words(entropy)) - 4) for entropy in head_of]
-    parts, live = _key_words(keys)  # both (words, children)
-    # each live word's hash position: after its entropy's, four per live word before it
-    at = np.array(starts)[heads] + 4 * (np.cumsum(live, axis=0) - 1)
+    starts = np.array([16 + 4 * max(0, -(-entropy.bit_length() // 32) - 4) for entropy in head_of])
+    lengths = np.array(list(map(len, keys)))
+    width = int(lengths.max())
+    parts = np.array([key + (0,) * (width - len(key)) for key in keys], dtype=np.uint64).T  # (parts, children)
+    at = starts[heads] + 4 * np.arange(width)[:, None]  # each part's first hash position
     at = at[:, None, :] + np.arange(4)[:, None]
     xor, mul = _hash_constants(int(at.max()) + 1)
     hashed = (parts[:, None, :] ^ xor[at]) * mul[at] & _MASK
     hashed ^= hashed >> _SHIFT
     pool = np.array(pools, dtype=np.uint64)[heads].T  # (4, children)
-    for word, alive in zip(hashed, live):
+    for part, word in enumerate(hashed):
         mixed = (_MIX_L * pool - _MIX_R * word) & _MASK
         mixed ^= mixed >> _SHIFT
-        pool = np.where(alive, mixed, pool)
+        pool = np.where(part < lengths, mixed, pool)
     xor, mul = _hash_constants(8, _INIT_B, _MULT_B)
     state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor[:, None]) * mul[:, None] & _MASK
     state ^= state >> _SHIFT
     rows = (state[0::2] | state[1::2] << 32).T.copy()  # little-endian pairs of words, one row per child
     seed, generator, pcg64 = _row_seed(), np.random.Generator, np.random.PCG64
     return [generator(pcg64(seed(row))) for row in rows]
-
-
-def _words(value) -> list[int]:
-    """The 32-bit words, least significant first, that ``SeedSequence`` reads from an int or a sequence of them."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK]
-        while value > _MASK:
-            value >>= 32
-            words.append(value & _MASK)
-        return words
-    return [word for part in value for word in _words(part)]
 
 
 @lru_cache(maxsize=16)
@@ -182,29 +165,6 @@ def _hash_constants(count: int, init: int = _INIT_A, mult: int = _MULT_A) -> tup
     constants = np.array(constants, dtype=np.uint64)
     constants.flags.writeable = False
     return constants[:-1], constants[1:]
-
-
-def _key_words(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The spawn keys' 32-bit words as ``(words, keys)`` uint64 slots, and which slots hold a word.
-
-    Part ``p`` of a key fills slots ``p * width`` on, least significant word
-    first, ``width`` the most words any part takes; ``SeedSequence`` reads a
-    part's words up to its highest nonzero one (a zero part is one word),
-    and a key shorter than the longest fills no slot past its end.
-    """
-    lengths = list(map(len, keys))
-    length = max(lengths)
-    if min(lengths) < length:
-        keys = [key + (0,) * (length - len(key)) for key in keys]
-    flat = list(chain.from_iterable(keys))
-    width = max(1, -(-max(flat).bit_length() // 32))
-    parts = np.array(flat, dtype=np.uint64 if width <= 2 else object).reshape(len(keys), length)
-    shifted = np.stack([parts >> 32 * d for d in range(width)], axis=-1)  # (keys, parts, width)
-    live = shifted != 0
-    live[..., 0] = True
-    live &= (np.arange(length) < np.array(lengths)[:, None])[..., None]
-    words = (shifted & _MASK).astype(np.uint64)
-    return words.reshape(len(keys), -1).T, live.reshape(len(keys), -1).T
 
 
 @cache
@@ -482,10 +442,10 @@ def _observe(counts, columns, column_of, members, states, observed, used: int) -
     """Feed live row ``r`` one ``observed[r]`` at flat state ``states[r]``; return the columns in use.
 
     Adds the count and writes the state's row, normalized from its counts
-    with the bits of :func:`opponent.observe`, into its column.  A state
-    that shares its column first takes the row's next free one; a state
-    alone in its column is rewritten in place, so a row never fills more
-    than ``(q - 1)**2`` columns.
+    with the bits of :attr:`DirichletLearner.estimate`, into its column.  A
+    state that shares its column first takes the row's next free one; a
+    state alone in its column is rewritten in place, so a row never fills
+    more than ``(q - 1)**2`` columns.
     """
     live = np.arange(len(states))
     counts[live, states, observed - 1] += 1.0

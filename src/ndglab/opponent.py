@@ -34,7 +34,6 @@ __all__ = [
     "heuristic_table",
     "uniform_table",
     "DirichletLearner",
-    "observe",
     "save_learner",
     "load_learner",
 ]
@@ -93,7 +92,8 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
 
     ``own_prev`` and ``opp_prev`` are the modelled player's and its
     opponent's previous demands, checked to be whole numbers in ``1..q-1``,
-    and ``u`` uniforms in ``[0, 1)``: :meth:`RuleRows.draw` on a memo of its own.
+    and ``u`` uniforms in ``[0, 1)``, all broadcast together:
+    :meth:`RuleRows.draw` on a memo of its own.
     """
     q = model.q
     own, opp = np.asarray(own_prev), np.asarray(opp_prev)
@@ -101,7 +101,7 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
         outside = prev[(prev < 1) | (prev > q - 1) | (prev % 1 != 0)]  # NaN too
         if outside.size:
             raise ValueError(f"{name} must lie in 1..{q - 1}, got {outside[0]}")
-    return RuleRows(model).draw(own.astype(np.intp), opp.astype(np.intp), np.asarray(u))
+    return RuleRows(model).draw(*np.broadcast_arrays(own.astype(np.intp), opp.astype(np.intp), np.asarray(u)))
 
 
 class RuleRows:
@@ -118,8 +118,7 @@ class RuleRows:
     def draw(self, own, opp, u) -> np.ndarray:
         """One demand per uniform ``u`` at states ``(own, opp)``, integer arrays trusted to lie in ``1..q-1``.
 
-        The three arrays broadcast together; in a run they already share
-        one shape, and are used as they are.  Each uniform picks the first
+        The three arrays share one shape.  Each uniform picks the first
         demand whose running sum exceeds it, as ``searchsorted(...,
         side="right")`` clamped to ``q - 1`` does: one plus the count of its
         state's sums at or below it, counted over the leading axis of the
@@ -130,8 +129,6 @@ class RuleRows:
         the bits of its column built alone, so any grouping of draws gives
         the bits of one uniform per state in turn.
         """
-        if not own.shape == opp.shape == u.shape:
-            own, opp, u = np.broadcast_arrays(own, opp, u)
         at = own * (self.model.q - 1) + opp - self.model.q
         slot = self.slot[at]
         if (slot < 0).any():
@@ -221,28 +218,6 @@ class DirichletLearner:
         check_demand(opp_prev, self.q, "opp_prev")
         check_demand(observed, self.q, "observed")
         self.counts[own_prev - 1, opp_prev - 1, observed - 1] += 1.0
-
-
-def observe(counts, estimate, own_prev, opp_prev, observed) -> None:
-    """Add one count per observation and refresh each touched estimate row once.
-
-    ``counts`` and ``estimate`` hold one learner or learners stacked along
-    leading axes; each touched row is normalized from the counts and
-    written into the estimate, never summed there, so an estimate may be a
-    strided view.  The demands, trusted to lie in ``1..q-1``, broadcast to
-    a shape that starts with those axes; further axes hold a block of
-    observations per learner.  Repeated cells add as single updates would,
-    and a touched row gets the bits of ``row / row.sum()``, those of
-    :attr:`DirichletLearner.estimate`.
-    """
-    own, opp, obs = np.broadcast_arrays(own_prev, opp_prev, observed)
-    row = (*np.indices(own.shape, sparse=True)[: counts.ndim - 3], own - 1, opp - 1)
-    np.add.at(counts, (*row, obs - 1), 1.0)
-    touched = np.zeros(counts.shape[:-1], dtype=bool)
-    touched[row] = True
-    rows = np.unravel_index(np.flatnonzero(touched), touched.shape)
-    fresh = counts[rows]
-    estimate[rows] = fresh / fresh.sum(axis=-1, keepdims=True)
 
 
 def _seat_order(counts: np.ndarray, seat: Role) -> np.ndarray:

@@ -28,7 +28,6 @@ from ndglab import (
     uniform_table,
 )
 from ndglab.cli import EXIT_OK, main
-from ndglab.opponent import observe
 
 from oracles import bootstrap_lower, policy_value, random_model, table_prob, tree_value
 
@@ -182,7 +181,7 @@ def test_05_belief_converges_to_a_known_opponent():
             # the draws between two checkpoints go in as one block: integer
             # counts make each checkpoint's estimate that of single updates
             for cp, (start, stop) in enumerate(zip((0,) + checkpoints, checkpoints)):
-                observe(learner.counts, learner.estimate, pa, pb, draws[start:stop])
+                np.add.at(learner.counts[pa - 1, pb - 1], draws[start:stop] - 1, 1.0)
                 errs[idx, cp] = np.abs(learner.estimate[pa - 1, pb - 1] - row).sum()
         curves[seed] = errs.mean(axis=0)
         worst_final = max(worst_final, float(errs[:, -1].max()))

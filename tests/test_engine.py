@@ -518,52 +518,29 @@ def test_changing_one_weight_leaves_the_other_seat_draws_alone():
     assert np.array_equal(logs[0].demands[:, 1], logs[1].demands[:, 1])
 
 
-def test_plan_accepts_seed_sequences():
-    seq = np.random.SeedSequence(7)
-    plan1, plan2 = RngPlan(seq), RngPlan(seq)
-    assert plan1.agent_a.random() == plan2.agent_a.random()
-    # the default pool of four words, given explicitly, draws the same bits
-    child = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0,)))
-    assert RngPlan(np.random.SeedSequence(7, pool_size=4)).agent_a.random(3).tolist() == child.random(3).tolist()
+_KEYS = st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple)
 
 
-@pytest.mark.parametrize("pool_size", [8, 5])
-def test_a_seed_sequence_of_another_pool_size_is_refused(pool_size):
-    # the streams hash numpy's default pool of four words only; another pool would name other streams
-    with pytest.raises(ValueError, match=f"pool_size={pool_size}"):
-        RngPlan(np.random.SeedSequence(7, pool_size=pool_size))
-
-
-_KEYS = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)
+def _assert_same_stream(stream, expected):
+    assert stream.random(59).tobytes() == expected.random(59).tobytes()
+    assert stream.bit_generator.state == expected.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**64 - 1), _KEYS, _KEYS)
-def test_a_keyed_plan_draws_the_streams_of_its_seed_sequence(seed, key, more):
-    # child i of a plan is SeedSequence(entropy, spawn_key=key + (i,)), built only when read
-    def streams(plan):
-        warm = plan.pretrain_plan()
-        return [p.random(6).tolist() for p in (plan.agent_a, plan.agent_b, warm.agent_a, warm.agent_b)]
-
-    keyed = streams(RngPlan(seed, key + more))
-    assert keyed == streams(RngPlan(np.random.SeedSequence(seed, spawn_key=key + more)))
-    assert keyed == streams(RngPlan(np.random.SeedSequence(seed, spawn_key=key), more))
-    children = [
-        np.random.SeedSequence(seed, spawn_key=spawn_key)
-        for spawn_key in (key + more + (0,), key + more + (1,), key + more + (2, 0), key + more + (2, 1))
-    ]
-    assert keyed == [np.random.default_rng(child).random(6).tolist() for child in children]
+@given(st.integers(0, 2**200), _KEYS)
+@example(2**200, (2**32 - 1, 0, 2**32 - 1))
+def test_a_keyed_plan_draws_the_streams_of_its_seed_sequence(seed, key):
+    # child i of a plan is SeedSequence(seed, spawn_key=key + (i,)), built only when read
+    plan = RngPlan(seed, key)
+    warm = plan.pretrain_plan()
+    streams = (plan.agent_a, plan.agent_b, warm.agent_a, warm.agent_b)
+    for stream, spawn_key in zip(streams, (key + (0,), key + (1,), key + (2, 0), key + (2, 1))):
+        _assert_same_stream(stream, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
-_SEEDS = st.one_of(
-    st.integers(0, 2**128 - 1),
-    st.tuples(  # a SeedSequence seed: list entropy and a spawn key of its own
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6), st.lists(st.integers(0, 2**64 - 1), max_size=2)
-    ),
-)
 _PLANS = st.tuples(
-    _SEEDS,
-    st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple),
+    st.integers(0, 2**200),
+    _KEYS,
     st.booleans(),  # the warm-up plan
     st.sets(st.sampled_from(("agent_a", "agent_b"))),  # streams already read, and half drawn
 )
@@ -571,36 +548,26 @@ _PLANS = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_PLANS, min_size=1, max_size=8))
-@example([(2**128 - 1, (2**64 - 1, 0, 2**32), False, set()), (([2**40, 3], []), (), True, {"agent_b"})])
-@example([(0, (), False, set()), (0, (1,), True, set()), (0, (2**33, 5, 0), False, {"agent_a"})])
-# key parts of 2**64 and up: three-word parts, hashed from an object array
-@example([(0, (2**70, 3), False, set()), (7, (0, 2**64 - 1, 2**96 + 5), True, {"agent_b"})])
+@example([(2**200, (2**32 - 1, 0, 5), False, set()), (2**40 + 3, (), True, {"agent_b"})])
+@example([(0, (), False, set()), (0, (1,), True, set()), (0, (2**32 - 1, 5, 0), False, {"agent_a"})])
+# seeds of four words and of five: the key's hash positions start at 16 and at 20
+@example([(2**128 - 1, (7,), True, {"agent_a", "agent_b"}), (2**128, (0, 0, 0, 0), False, set())])
 def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
     # the run path builds all missing streams of a batch in one hash, over
-    # mixed seeds and keys; each equals the SeedSequence child it names, and
-    # a stream a plan already holds is kept as it is
+    # mixed seeds and key lengths; each equals the SeedSequence child it
+    # names, and a stream a plan already holds is kept as it is
     def make(seed, key, warm):
-        if isinstance(seed, tuple):
-            entropy, spawn_key = seed
-            seed = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-        else:
-            entropy, spawn_key = seed, []
         plan = RngPlan(seed, key)
-        child_key = (*spawn_key, *key, *((2,) if warm else ()))
-        return (plan.pretrain_plan() if warm else plan), entropy, child_key
+        return (plan.pretrain_plan() if warm else plan), key + ((2,) if warm else ())
 
-    def reference(entropy, key):
-        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
-
-    def assert_same(stream, expected):
-        assert stream.random(59).tobytes() == expected.random(59).tobytes()
-        assert stream.bit_generator.state == expected.bit_generator.state
+    def reference(seed, key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
     seats, held = [], {}
     for seed, key, warm, read in plans:
-        plan, entropy, child_key = make(seed, key, warm)
+        plan, child_key = make(seed, key, warm)
         for index, name in enumerate(("agent_a", "agent_b")):
-            expected = reference(entropy, (*child_key, index))
+            expected = reference(seed, (*child_key, index))
             if name in read:
                 held[id(plan), name] = getattr(plan, name)
                 held[id(plan), name].random(7)
@@ -610,16 +577,35 @@ def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
     for plan, name, expected in seats:
         if (id(plan), name) in held:
             assert vars(plan)[name] is held[id(plan), name]
-        assert_same(vars(plan)[name], expected)
+        _assert_same_stream(vars(plan)[name], expected)
     for seed, key, warm, _ in plans:  # a plan read on its own takes the one-plan case of the same hash
-        plan, entropy, child_key = make(seed, key, warm)
-        assert_same(plan.agent_b, reference(entropy, (*child_key, 1)))
+        plan, child_key = make(seed, key, warm)
+        _assert_same_stream(plan.agent_b, reference(seed, (*child_key, 1)))
 
 
-@pytest.mark.parametrize(("seed", "key"), [(-1, ()), (1.5, ()), (True, ()), ("1", ()), (1, (-1,)), (1, (0, 2.0))])
-def test_a_bad_seed_or_key_is_refused_when_the_plan_is_made(seed, key):
+@pytest.mark.parametrize(
+    ("seed", "key"),
+    [
+        (-1, ()),
+        (1.5, ()),
+        (True, ()),
+        ("1", ()),
+        (1, (-1,)),
+        (1, (0, 2.0)),
+        # the streams hash an int seed and one 32-bit word per key part, nothing else
+        (np.random.SeedSequence(7), ()),
+        (np.random.SeedSequence(7, pool_size=8), ()),
+        (0, (2**32,)),
+        (0, (1, 2**64)),
+        (0, (np.uint64(2**32),)),
+    ],
+)
+def test_a_bad_seed_or_key_is_refused_when_the_plan_is_made(monkeypatch, seed, key):
+    built = []
+    monkeypatch.setattr(engine, "_streams", built.append)
     with pytest.raises(ValueError, match="must be a non-negative int"):
-        RngPlan(seed, key)
+        RngPlan(seed, key).agent_a
+    assert not built
 
 
 def test_warmup_play_is_disjoint_and_reproducible():

@@ -224,7 +224,7 @@ def _unreused_cells(spec):
     for i, (wa, wb) in enumerate(spec.cells()):
         games = []
         for rep in range(spec.replications):
-            log = _play(spec, wa, wb, np.random.SeedSequence(entropy=spec.base.seed, spawn_key=(i, rep)))
+            log = _play(spec, wa, wb, RngPlan(spec.base.seed, (i, rep)))
             a, b = log.cum_profit_a, log.cum_profit_b
             games.append((float(a), float(b), float(a + b), log.success_rate_pct))
         cells.append(CellResult(wa, wb, *zip(*games)))

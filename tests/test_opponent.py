@@ -21,7 +21,7 @@ from ndglab import (
     save_learner,
     uniform_table,
 )
-from ndglab.opponent import RuleRows, observe
+from ndglab.opponent import RuleRows
 from oracles import gaussian_row, reference_heuristic_distribution, reference_heuristic_sample
 
 demands = st.integers(1, 9)
@@ -251,21 +251,21 @@ def test_a_memo_holds_one_row_per_distinct_state_it_has_drawn_at(q, sigma, calls
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 12), hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=4), st.integers(0, 2**32))
-def test_a_memo_draws_the_same_demands_from_aligned_and_broadcast_inputs(q, shapes, seed):
-    # a run hands draw states and uniforms of one shape, which skip the
-    # broadcast; any other shapes broadcast first, to the same demands
+def test_heuristic_sample_draws_the_same_demands_from_aligned_and_broadcast_inputs(q, shapes, seed):
+    # a run hands a memo states and uniforms of one shape; heuristic_sample
+    # broadcasts any other shapes first, to the same demands
     rng = np.random.default_rng(seed)
     own, opp = (rng.integers(1, q, shape) for shape in shapes.input_shapes[:2])
     u = rng.random(shapes.input_shapes[2])
     aligned = [np.array(x) for x in np.broadcast_arrays(own, opp, u)]
     model = HeuristicModel(sigma=1.0, q=q)
-    want = RuleRows(model).draw(*aligned)
-    assert want.shape == shapes.result_shape and want.dtype == np.intp
     memo = RuleRows(model)
-    for _ in range(2):  # columns built by this call, then read back
-        draws = memo.draw(own, opp, u)
-        assert draws.shape == want.shape and draws.dtype == want.dtype
-        assert draws.tobytes() == want.tobytes()
+    want = memo.draw(*aligned)
+    assert want.shape == shapes.result_shape and want.dtype == np.intp
+    assert memo.draw(*aligned).tobytes() == want.tobytes()  # columns built by the first call, read back
+    draws = heuristic_sample(model, own, opp, u)
+    assert draws.shape == want.shape and draws.dtype == want.dtype
+    assert draws.tobytes() == want.tobytes()
 
 
 def test_uniform_shapes():
@@ -352,7 +352,7 @@ def test_estimate_rows_are_normalized():
 )
 @example(60, "loaded-B", 300, 0)
 def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, seed):
-    # a run refreshes its estimate one touched row at a time (observe); each
+    # a run refreshes its estimate one touched row at a time (engine._observe); each
     # row normalized alone must have the bits of the learner's whole estimate
     rng = np.random.default_rng(seed)
     n = q - 1
@@ -369,54 +369,6 @@ def test_estimate_has_the_bits_of_the_normalized_counts(q, start, n_updates, see
         learner.update(int(contexts[i, 0]), int(contexts[i, 1]), int(observed))
     rows = [row / row.sum() for row in learner.counts.reshape(-1, n)]
     assert learner.estimate.tobytes() == np.array(rows).tobytes()
-
-
-def _single_updates(counts, observations):
-    """The learner update written out one observation at a time: the reference for blocks."""
-    counts = counts.copy()
-    estimate = counts / counts.sum(axis=-1, keepdims=True)
-    for own, opp, observed in observations:
-        row = counts[own - 1, opp - 1]
-        row[observed - 1] += 1.0
-        np.divide(row, row.sum(), out=estimate[own - 1, opp - 1])
-    return counts, estimate
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 12),
-    st.integers(1, 3),
-    st.integers(1, 30),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_a_block_observe_equals_single_updates_bit_for_bit(q, n_learners, block, fractional, seed):
-    # stacked learners each take a block drawn from two contexts and two
-    # demands, so blocks repeat contexts and cells; fractional counts make
-    # the order of the additions and of the row sums show in the bits
-    rng = np.random.default_rng(seed)
-    n = q - 1
-    start = rng.uniform(0.1, 5.0, size=(n_learners, n, n, n)) if fractional else np.ones((n_learners, n, n, n))
-    contexts = rng.integers(1, q, size=(n_learners, 2, 2))
-    pick = rng.integers(0, 2, size=(n_learners, block))
-    own = np.take_along_axis(contexts[:, :, 0], pick, axis=1)
-    opp = np.take_along_axis(contexts[:, :, 1], pick, axis=1)
-    observed = rng.integers(1, min(q, 3), size=(n_learners, block))
-    counts = start.copy()
-    estimate = counts / counts.sum(axis=-1, keepdims=True)
-    observe(counts, estimate, own, opp, observed)
-    for i in range(n_learners):
-        observations = list(zip(own[i].tolist(), opp[i].tolist(), observed[i].tolist()))
-        want_counts, want_estimate = _single_updates(start[i], observations)
-        learner = DirichletLearner(start[i], q)
-        for own_prev, opp_prev, demand in observations:
-            learner.update(own_prev, opp_prev, demand)
-        alone = DirichletLearner(start[i], q)  # one learner's block, on its own tables
-        observe(alone.counts, alone.estimate, own[i], opp[i], observed[i])
-        for got in (counts[i], learner.counts, alone.counts):
-            assert got.tobytes() == want_counts.tobytes()
-        for got in (estimate[i], learner.estimate, alone.estimate):
-            assert got.tobytes() == want_estimate.tobytes()
 
 
 def test_a_learner_keeps_its_own_copy_of_the_counts():
