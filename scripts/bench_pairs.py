@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Compare a parent commit with the working tree and write ``BENCH_<number>.json``.
 
-    python3 scripts/bench_pairs.py --parent HEAD --number N --claim selfplay-learning
+    python3 scripts/bench_pairs.py --parent HEAD --number N --claim selfplay-learning [--warm learner-vs-rule]
 
 The parent side is a clean copy of ``--parent`` made with ``git archive``
 in a temporary directory; the change side is the working tree itself.
 Every figure comes from a fresh interpreter that imports ``ndglab`` from
 its own side's ``src``:
 
+- a fresh ``import ndglab.cli``, timed first, from an idle start
+  (:func:`import_times`), in alternating pairs of processes;
 - ``perfbench/run.py --trace 0`` on each workload of ``BENCHMARK.json``, for
   its ``run_seconds``, in 10 pairs: pair ``i`` uses benchmark seed ``i`` on
   both sides, and odd pairs run the parent first, even pairs the change.
@@ -24,15 +26,15 @@ its own side's ``src``:
   (``--tie-break random --replications 10``), every pass per scenario, each
   scenario's median and the totals' median and interquartile range over
   five passes per side; passes alternate which side runs first;
-- warm in-process sweeps of the ``--claim`` workload (``learner-vs-rule``
-  when no claim is given): pairs of processes, in alternating order, that
-  each time several sweeps after one untimed sweep;
+- warm in-process sweeps of the ``--warm`` workload (by default the
+  ``--claim`` workload, else ``learner-vs-rule``): pairs of processes, in
+  alternating order, that each time several sweeps after one untimed sweep;
 - the layers of :func:`layer_timings`, timed with ``timeit`` in fresh
   interpreters, pairs of one per side in alternating order; each
   interpreter's timing of each layer, and their median and interquartile
   range per side (:func:`layer_spread`);
-- numpy's BLAS build, and each side's set-up regime (:func:`setup_regime`),
-  under ``environment``.
+- numpy's BLAS build, each side's set-up regime (:func:`setup_regime`) and
+  its import times, under ``environment``.
 
 A full run takes about 45 minutes on two cores.  Run it on
 an otherwise idle machine: both sides share it, one after the other.
@@ -60,7 +62,7 @@ from workloads import WORKLOADS  # noqa: E402  (reads the workload table only)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
-PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS = 10, 8, 8, 5, 5
+PAIRS, WARM_PAIRS, WARM_SWEEPS, SCENARIO_PASSES, LAYER_PAIRS, IMPORT_PAIRS = 10, 8, 8, 5, 5, 15
 RANDOM_TIE_ARGS = ["--tie-break", "random", "--replications", "10"]
 
 # Runs in a fresh interpreter of one side, which imports that side's ndglab.
@@ -120,7 +122,10 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     - ``streams_200``: 200 ``RngPlan`` seat streams, each built alone when
       first read, the one-plan path, and drawing 59 uniforms;
     - ``streams_200_run``: the same streams, built together through the path
-      a run takes (``engine._fill_streams``);
+      a run takes on a list of plans (``engine._fill_streams``);
+    - ``streams_200_keyed``: the streams of seat B of 200 games keyed
+      ``(0, k)``, built together from one key array, the path a sweep's run
+      takes (``engine._seat_streams``), each drawing 59 uniforms;
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
       q=10 and h=10, keeping two stages, every state's row its own;
@@ -133,13 +138,18 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       a planner holding one ``heuristic_table`` at 4 weights against one
       rule-based model, on fresh plans: a run's setup and one round;
     - ``rule_draw_200``: a fresh ``RuleRows`` drawing 59 rounds of 200
-      seats, at states near the even split: a run's rule-based draws.
+      seats, at states near the even split: a run's rule-based draws;
+    - ``tabulate_121x30``: ``run_test`` of scenario 3 on the default grid at
+      30 replications under random ties, 3,630 games, with ``_plan`` and
+      ``_play_part`` replaced by their precomputed results, then
+      ``write_cells_csv``: a sweep's results from its games' metrics to the
+      cells, the summary and the cells CSV.
     """
     import inspect
 
     import numpy as np
 
-    from ndglab import cli, core, engine, opponent, planner
+    from ndglab import cli, core, engine, experiments, opponent, planner
 
     rng = np.random.default_rng(0)
     q, model = 10, opponent.HeuristicModel(1.0, 10)
@@ -156,11 +166,17 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         fill_streams([(plan, "agent_a") for plan in plans])
         return [plan.agent_a.random(59) for plan in plans]
 
+    def keyed_streams():
+        streams = engine._seat_streams(engine._KeyedPlans(0, keys), np.arange(200, 400), 200)
+        return [stream.random(59) for stream in streams]
+
+    keys = np.column_stack((np.zeros(200, dtype=np.int64), np.arange(200)))
     layers = {
         "sample_200_one_shot": lambda: opponent.heuristic_sample(model, own, opp, u),
         "sample_200_warm_memo": memo and (lambda: memo.draw(own, opp, u)),
         "streams_200": lambda: [engine.RngPlan(0, (0, k)).agent_a.random(59) for k in range(200)],
         "streams_200_run": fill_streams and run_streams,
+        "streams_200_keyed": keyed_streams if hasattr(engine, "_KeyedPlans") else None,
         "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
     }
     learners = np.full((36, (q - 1) ** 2, q - 1), 1.0 / (q - 1))
@@ -192,6 +208,23 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         return [memo.draw(own, opp, u) for own, opp, u in zip(rounds_own, rounds_opp, rounds_u)]
 
     layers["rule_draw_200"] = rule_draws
+    spec = experiments.benchmark_spec(3, base=core.GameConfig(tie_break="random"))
+    planned = experiments._plan(spec, spec.cells())
+    metrics = np.column_stack((rng.integers(0, 300, (len(planned[0]), 3)), rng.integers(0, 61, len(planned[0]))))
+    metrics = metrics * [1.0, 1.0, 1.0, 100 / 60]
+    if "ndarray" not in str(inspect.signature(experiments._play_part).return_annotation):
+        metrics = list(map(tuple, metrics.tolist()))  # a tree whose sweep holds a tuple per game
+    out = Path(tempfile.mkdtemp()) / "cells.csv"
+
+    def tabulate():
+        real = experiments._plan, experiments._play_part
+        experiments._plan, experiments._play_part = (lambda *args: planned), (lambda *args: metrics)
+        try:
+            experiments.write_cells_csv(experiments.run_test(spec), out)
+        finally:
+            experiments._plan, experiments._play_part = real
+
+    layers["tabulate_121x30"] = tabulate
     timings = {}
     for name, call in layers.items():
         if call is None:
@@ -200,6 +233,7 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         timer = timeit.Timer(call)
         calls = number or timer.autorange()[0]
         timings[name] = round(min(timer.repeat(repeat, calls)) / calls * 1e6, 2)
+    shutil.rmtree(out.parent, ignore_errors=True)
     return timings
 
 
@@ -209,7 +243,12 @@ def parse_args(argv=None):
     parser.add_argument("--number", required=True, type=int, help="number in the output name BENCH_<number>.json")
     names = [workload["name"] for workload in BENCHMARK["workloads"]]
     parser.add_argument("--claim", choices=names, help="workload whose games_per_s the change claims")
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--warm", choices=names, help="workload of the warm in-process sweeps (default: --claim, else learner-vs-rule)"
+    )
+    args = parser.parse_args(argv)
+    args.warm = args.warm or args.claim or "learner-vs-rule"
+    return args
 
 
 def run(cmd, tree: Path, timeout: float) -> subprocess.CompletedProcess:
@@ -282,6 +321,27 @@ def setup_regime(tree: Path) -> dict:
     return {"visible_cpus": len(os.sched_getaffinity(0)), "threads_after_import": int(proc.stdout)}
 
 
+def import_times(trees: dict, pairs: int = IMPORT_PAIRS) -> dict:
+    """Wall milliseconds of fresh processes that run ``import ndglab.cli``, per
+    side, in ``pairs`` alternating pairs, beside a bare interpreter's
+    (``python -c pass``): each side's median and every run.  Timed from the
+    start of each process to its exit, so it holds what a user's first
+    command pays before its sweep."""
+    def timed(cmd, tree: Path) -> float:
+        start = time.perf_counter()
+        proc = run([sys.executable, "-c", cmd], tree, 120)
+        if proc.returncode != 0:
+            raise SystemExit(f"{cmd} failed in {tree}:\n{proc.stderr[-4000:]}")
+        return round((time.perf_counter() - start) * 1e3, 1)
+
+    runs = {side: [] for side in (*trees, "bare")}
+    for pair in range(pairs):
+        for side in list(trees) if pair % 2 == 0 else list(trees)[::-1]:
+            runs[side].append(timed("import ndglab.cli", trees[side]))
+        runs["bare"].append(timed("pass", next(iter(trees.values()))))
+    return {side: {"median_ms": round(statistics.median(times), 1), "runs_ms": times} for side, times in runs.items()}
+
+
 def summarize(runs) -> dict:
     metrics = {}
     for metric in BENCHMARK["end_to_end"]:
@@ -339,6 +399,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         trees = {"parent": parent, "change": ROOT}
+        imports = import_times(trees)  # first, from an idle start, before any other load
         regimes = {side: setup_regime(tree) for side, tree in trees.items()}
 
         suites = {side: tier1(tree) for side, tree in trees.items()}
@@ -357,8 +418,7 @@ def main(argv=None) -> int:
                 scenarios[side].append(sum(probe(trees[side], {"kind": "scenarios", "extra": []})))
                 random_ties[side].append(probe(trees[side], {"kind": "scenarios", "extra": RANDOM_TIE_ARGS}))
         warm = {side: [] for side in SIDES}
-        warm_workload = args.claim or "learner-vs-rule"
-        warm_argv = WORKLOADS[warm_workload].argv(0)
+        warm_argv = WORKLOADS[args.warm].argv(0)
         for pair in range(WARM_PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 warm[side].append(probe(trees[side], {"kind": "warm", "argv": warm_argv, "sweeps": WARM_SWEEPS}))
@@ -382,6 +442,13 @@ def main(argv=None) -> int:
             "seconds_per_run": BENCHMARK["run_seconds"],
             "blas": blas_build(),
             "setup_regime": regimes,
+            "import_ndglab_cli": {
+                "description": (
+                    f"wall ms of a fresh process running import ndglab.cli, {IMPORT_PAIRS} alternating pairs "
+                    "timed first, from an idle start; bare is python -c pass"
+                ),
+                **imports,
+            },
         },
         "claim": {"workload": args.claim, "metric": "games_per_s", "better": "higher"} if args.claim else None,
         "workloads": workloads,
@@ -417,7 +484,7 @@ def main(argv=None) -> int:
             **layer_spread(layer_runs),
         },
         "warm_in_process": {
-            "workload": warm_workload,
+            "workload": args.warm,
             "pairs": WARM_PAIRS,
             "sweeps_per_process": WARM_SWEEPS,
             **{f"{side}_median_s": round(statistics.median(warm[side]), 4) for side in SIDES},

@@ -77,30 +77,65 @@ class RngPlan:
 
     def _stream(self, index: int) -> np.random.Generator:
         # Stateless spawn: the same (entropy, key, index) always names the same child.
-        return _streams([(self.entropy, self.spawn_key + (index,))])[0]
-
-    def _child(self, key: tuple[int, ...]) -> "RngPlan":
-        """The plan keyed ``spawn_key + key``, unchecked: ``key`` must hold Python ints in ``0..2**32 - 1``."""
-        plan = object.__new__(RngPlan)
-        plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + key
-        return plan
+        return _streams(([self.entropy], [0], [self.spawn_key + (index,)]))[0]
 
     def pretrain_plan(self) -> "RngPlan":
-        """A fresh plan for the warm-up game, disjoint from this plan's streams."""
-        return self._child((2,))
+        """A fresh plan for the warm-up game, disjoint from this plan's streams: the key ``spawn_key + (2,)``."""
+        plan = object.__new__(RngPlan)
+        plan.entropy, plan.spawn_key = self.entropy, self.spawn_key + (2,)
+        return plan
 
 
 _NAMES = ("agent_a", "agent_b")
 
 
+class _KeyedPlans:
+    """The plans ``RngPlan(entropy, key)`` of one checked seed, one per row of
+    ``keys``, an int array of key parts trusted to lie in ``0..2**32 - 1``:
+    a sweep's chunk of games, keyed ``(cell_index, rep)``.  A run derives
+    each seat's stream from its row without building a plan; iterating
+    builds each row's :class:`RngPlan`, which draws the same streams."""
+
+    __slots__ = ("entropy", "keys")
+
+    def __init__(self, entropy: int, keys: np.ndarray):
+        self.entropy, self.keys = entropy, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        return (RngPlan(self.entropy, key) for key in self.keys.tolist())
+
+    def pretrain_plan(self) -> "_KeyedPlans":
+        """The warm-up plans of all rows, keyed ``key + (2,)`` as :meth:`RngPlan.pretrain_plan`."""
+        return _KeyedPlans(self.entropy, np.column_stack((self.keys, np.full(len(self.keys), 2))))
+
+
+def _seat_streams(plans, seats: np.ndarray, games: int) -> list:
+    """The streams of the seats at ``seats`` of a run's row, seat ``i`` being
+    ``_NAMES[i // games]`` of game ``i % games``, from one hash of their keys."""
+    if not len(seats):
+        return []
+    if isinstance(plans, _KeyedPlans):
+        keys = np.column_stack((plans.keys[seats % games], seats // games))
+        return _streams(([plans.entropy], np.zeros(len(seats), dtype=np.intp), keys))
+    return _fill_streams((plans[i % games], _NAMES[i // games]) for i in seats.tolist())
+
+
 def _fill_streams(seats) -> list:
     """Each ``(plan, name)``'s stream, in order; a plan that holds no stream
-    of that name is given one first, all from one hash."""
+    of that name is given one first, all from one hash of their keys, padded
+    with -1 into one array."""
     seats = list(seats)
     missing = [(plan, name) for plan, name in seats if name not in vars(plan)]
     if missing:
-        streams = _streams([(plan.entropy, plan.spawn_key + (_NAMES.index(name),)) for plan, name in missing])
-        for (plan, name), stream in zip(missing, streams):
+        head_of = {}  # each distinct entropy, numbered in order of first use
+        heads = [head_of.setdefault(plan.entropy, len(head_of)) for plan, _ in missing]
+        keys = [plan.spawn_key + (_NAMES.index(name),) for plan, name in missing]
+        width = max(map(len, keys))
+        keys = [key + (-1,) * (width - len(key)) for key in keys]
+        for (plan, name), stream in zip(missing, _streams((list(head_of), heads, keys))):
             vars(plan)[name] = stream
     return [vars(plan)[name] for plan, name in seats]
 
@@ -113,41 +148,39 @@ _MIX_L, _MIX_R, _SHIFT = 0xCA01F9DD, 0x4973F715, 16
 
 
 def _streams(children) -> list:
-    """One generator per ``(entropy, spawn_key)``, a non-negative int and a
-    tuple of ints in ``0..2**32 - 1``, each drawing the bits of
-    ``default_rng(SeedSequence(entropy, spawn_key=spawn_key))``.
+    """One generator per child of ``children``, ``(entropies, heads, keys)``:
+    child ``c`` draws the bits of ``default_rng(SeedSequence(entropy,
+    spawn_key=key))``, its entropy ``entropies[heads[c]]``, a non-negative
+    int, and its key the parts of row ``c`` of the int array ``keys``, each
+    in ``0..2**32 - 1``, up to the first -1, which pads shorter keys.
 
     ``SeedSequence`` hashes the 32-bit words of its entropy, padded with
     zeros to its pool of four, then one word per key part.  Its hash
     constants depend only on a word's position, never on the data.  Each
-    distinct entropy's pool is numpy's own, ``SeedSequence(entropy).pool``,
-    and its key's first part takes hash position 16, four more per entropy
-    word past the pool, as read from ``entropy.bit_length()``; part ``p``
-    takes four positions on from there.  The keys of all children are
-    hashed as one zero-padded ``(parts, 4, children)`` uint64 array and
-    mixed into the pools one part at a time, part ``p`` only into the
-    pools of keys longer than ``p``, so keys of any lengths share a call.
-    The pools give each child's ``generate_state(4, np.uint64)`` row, and
-    numpy's own ``PCG64`` seeds itself from that row and does every draw.
+    entropy's pool is numpy's own, ``SeedSequence(entropy).pool``, and its
+    key's first part takes hash position 16, four more per entropy word past
+    the pool, as read from ``entropy.bit_length()``; part ``p`` takes four
+    positions on from there.  The key array is hashed as one ``(parts, 4,
+    children)`` uint64 array and mixed into the pools one part at a time,
+    part ``p`` only into the pools of keys longer than ``p``, so keys of any
+    lengths share a call.  The pools give each child's
+    ``generate_state(4, np.uint64)`` row, and numpy's own ``PCG64`` seeds
+    itself from that row and does every draw.
     """
-    entropies, keys = zip(*children)
-    head_of = {}  # each distinct entropy, numbered in order of first use
-    heads = np.array([head_of.setdefault(entropy, len(head_of)) for entropy in entropies], dtype=np.intp)
-    pools = [np.random.SeedSequence(entropy).pool for entropy in head_of]
-    starts = np.array([16 + 4 * max(0, -(-entropy.bit_length() // 32) - 4) for entropy in head_of])
-    lengths = np.array(list(map(len, keys)))
-    width = int(lengths.max())
-    parts = np.array([key + (0,) * (width - len(key)) for key in keys], dtype=np.uint64).T  # (parts, children)
-    at = starts[heads] + 4 * np.arange(width)[:, None]  # each part's first hash position
+    entropies, heads, keys = children
+    heads = np.asarray(heads, dtype=np.intp)
+    parts = np.asarray(keys, dtype=np.int64).T  # (parts, children)
+    starts = np.array([16 + 4 * max(0, -(-entropy.bit_length() // 32) - 4) for entropy in entropies])
+    at = starts[heads] + 4 * np.arange(len(parts))[:, None]  # each part's first hash position
     at = at[:, None, :] + np.arange(4)[:, None]
     xor, mul = _hash_constants(int(at.max()) + 1)
-    hashed = (parts[:, None, :] ^ xor[at]) * mul[at] & _MASK
+    hashed = (parts.astype(np.uint64)[:, None, :] ^ xor[at]) * mul[at] & _MASK
     hashed ^= hashed >> _SHIFT
-    pool = np.array(pools, dtype=np.uint64)[heads].T  # (4, children)
-    for part, word in enumerate(hashed):
+    pool = np.array([np.random.SeedSequence(entropy).pool for entropy in entropies], dtype=np.uint64)[heads].T
+    for word, present in zip(hashed, parts >= 0):
         mixed = (_MIX_L * pool - _MIX_R * word) & _MASK
         mixed ^= mixed >> _SHIFT
-        pool = np.where(part < lengths, mixed, pool)
+        pool = np.where(present, mixed, pool)
     xor, mul = _hash_constants(8, _INIT_B, _MULT_B)
     state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor[:, None]) * mul[:, None] & _MASK
     state ^= state >> _SHIFT
@@ -215,15 +248,19 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
     ``tie_break``; a sweep's configs differ only in their weights.  A seat
     holds a fixed model table, a :class:`DirichletLearner` or a
     :class:`HeuristicModel` for that ``q``; a learner holds one seat of the
-    batch, and each game has a plan of its own.  Anything else is refused
-    before the first round.  With ``warmup_rounds``, a non-negative int, each
+    batch, and each game has a plan of its own: a distinct object in a list
+    of plans, or a distinct key row when a sweep's chunk passes its games'
+    plans as one key array (``_KeyedPlans``), checked by sorting the rows
+    and comparing neighbours.  Anything else is refused before the first
+    round.  With ``warmup_rounds``, a non-negative int, each
     pair first plays a warm-up game of that length on its plan's
     :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
     """
     check_int(warmup_rounds, "warmup_rounds")
     configs = list(configs)
     pairs = list(pairs)
-    plans = list(plans)
+    keyed = isinstance(plans, _KeyedPlans)
+    plans = plans if keyed else list(plans)
     if not len(configs) == len(pairs) == len(plans):
         raise ValueError(
             f"need one config and plan per game, got {len(configs)} configs "
@@ -233,7 +270,12 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
         return np.empty((0, 0, 2), dtype=np.int64)
     if len({(c.q, c.rounds, c.initial_demand, c.horizon, c.tie_break) for c in configs}) > 1:
         raise ValueError("games played in lockstep must share q, rounds, initial_demand, horizon and tie_break")
-    if len(set(map(id, plans))) < len(plans):
+    if keyed:  # a sort puts equal keys side by side
+        ordered = plans.keys[np.lexsort(plans.keys.T[::-1])]
+        shared = (ordered[1:] == ordered[:-1]).all(axis=1).any()
+    else:
+        shared = len(set(map(id, plans))) < len(plans)
+    if shared:
         raise ValueError("every game needs an RngPlan of its own")
     if warmup_rounds:
         _warm_up(configs, pairs, plans, warmup_rounds)
@@ -242,7 +284,8 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
 
 def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
     # Warm-up games train the learners in place, on streams disjoint from the main games'.
-    _play(configs, pairs, [plan.pretrain_plan() for plan in plans], n_rounds)
+    warm = plans.pretrain_plan() if isinstance(plans, _KeyedPlans) else [plan.pretrain_plan() for plan in plans]
+    _play(configs, pairs, warm, n_rounds)
 
 
 _FIXED, _LEARNER, _SAMPLER = range(3)  # the kinds of seat
@@ -325,8 +368,10 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     models share one, on any seats.  Each seat draws only from its own
     stream, read only if it draws, so seat order and interleaving cannot
     move a draw.  The streams of all seats that draw are derived in one
-    :func:`_streams` call before the first round, each with the bits its
-    plan would build alone; a plan that already holds a stream keeps it.
+    :func:`_streams` call before the first round (:func:`_seat_streams`),
+    each with the bits its plan would build alone: from the plans' key
+    array, or from a list of plans, where a plan that already holds a
+    stream keeps it.
 
     Learners are copied into stacked run arrays, one row per distinct
     belief: its counts, its estimate as the solver's column stack and state
@@ -355,8 +400,8 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     model_of = np.array([models.setdefault(s, len(models)) if k == _SAMPLER else -1 for s, k in zip(held, kinds)])
     model_of = model_of[group]
     drawing = np.flatnonzero(model_of >= 0)
-    drawers = range(2 * games) if draws else drawing.tolist()  # every seat that draws, by its index in a row
-    streams = dict(zip(drawers, _fill_streams((plans[i % games], _NAMES[i // games]) for i in drawers)))
+    drawers = np.arange(2 * games) if draws else drawing  # every seat that draws, by its index in a row
+    streams = dict(zip(drawers.tolist(), _seat_streams(plans, drawers, games)))
     samplers = []
     for model, number in models.items():  # each model's seats and their uniforms, one round per row
         seats = np.flatnonzero(model_of == number)

@@ -33,12 +33,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .core import GameConfig, _check_weight, atomic_write, check_int, game_scores, refuse_overwrite
-from .engine import RngPlan, play_games
+from .engine import RngPlan, _KeyedPlans, play_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
 
 __all__ = [
@@ -221,6 +222,16 @@ class SweepSummary:
     cells: tuple[CellResult, ...]
     summary: dict
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The cells' metrics as one ``(cells, metrics, reps)`` array; :func:`run_test` sets the one it read them from."""
+        return _table(self.cells)
+
+
+def _table(cells) -> np.ndarray:
+    """Cells of equal replication counts as one C-ordered ``(cells, metrics, reps)`` float array."""
+    return np.array([[getattr(cell, metric) for metric in METRICS] for cell in cells], dtype=float)
+
 
 def _plan(spec: ExperimentSpec, weights):
     """The games a sweep must play, and where each cell finds its results.
@@ -250,8 +261,9 @@ def _plan(spec: ExperimentSpec, weights):
     return games, sources
 
 
-def _play_part(spec: ExperimentSpec, games) -> list[tuple[float, float, float, float]]:
-    """Play a sweep's games, as ``_plan`` lists them; return each game's metrics.
+def _play_part(spec: ExperimentSpec, games) -> np.ndarray:
+    """Play a sweep's games, as ``_plan`` lists them; return their metrics as
+    one ``(games, 4)`` float array, columns in ``METRICS`` order.
 
     The games run in consecutive lockstep chunks, built one game at a time:
     a chunk is played as soon as the next game's solve items (counted as for
@@ -261,16 +273,15 @@ def _play_part(spec: ExperimentSpec, games) -> list[tuple[float, float, float, f
     sweep and sits in every game; with no learner the whole pair is one
     object for the sweep, and a cell's item keys are formed once, as its
     games share its config.  A learner is built fresh for each game, so its
-    game brings new keys.  Each game's plan is ``RngPlan(seed, (cell_index,
-    rep))``, derived from one plan of the seed that is checked once per
-    sweep.
+    game brings new keys.  A chunk holds each game as ``(config, pair,
+    (cell_index, rep))``; the key names the game's plan,
+    ``RngPlan(seed, (cell_index, rep))``.
     """
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
     agents = (spec.agent_a, spec.agent_b)
     pair = stateless = tuple(None if agent.learning else build_agent(agent, q) for agent in agents)
     learns = any(agent.learning for agent in agents)
-    root = RngPlan(spec.base.seed)  # checked once; each game's plan is its child
     metrics, chunk, items, keyed = [], [], set(), None  # keyed: the config whose keys `keys` holds
     for cell_index, config, rep in games:
         if learns:
@@ -282,21 +293,28 @@ def _play_part(spec: ExperimentSpec, games) -> list[tuple[float, float, float, f
         if not keys <= items or len(items) * item_bytes > CHUNK_BYTES:
             grown = items | keys
             if chunk and len(grown) * item_bytes > CHUNK_BYTES:
-                metrics += _play_chunk(spec, chunk)
+                metrics.append(_play_chunk(spec, chunk))
                 chunk, grown = [], keys
             items = grown
         # Stateless derivation keyed on (cell, replication): stable under any chunking.
-        chunk.append((config, pair, root._child((cell_index, rep))))
-    return metrics + _play_chunk(spec, chunk)
+        chunk.append((config, pair, (cell_index, rep)))
+    metrics.append(_play_chunk(spec, chunk))
+    return np.concatenate(metrics)
 
 
-def _play_chunk(spec: ExperimentSpec, chunk) -> list[tuple[float, float, float, float]]:
-    """Play one chunk of a sweep's games, as ``(config, pair, plan)``, in
-    lockstep, and score them all in one pass."""
-    demands = play_games(*zip(*chunk), WARMUP_ROUNDS if spec.warms_up else 0)
+def _play_chunk(spec: ExperimentSpec, chunk) -> np.ndarray:
+    """Play one chunk of a sweep's games, as ``(config, pair, key)``, in
+    lockstep, and score them all in one pass, as a ``(games, 4)`` float array.
+
+    The run gets the games' keys as one ``(games, 2)`` array, the plans
+    ``RngPlan(seed, key)`` of the sweep's seed, checked once per chunk, and
+    derives each seat's stream from its game's row, building no plan.
+    """
+    configs, pairs, keys = zip(*chunk)
+    plans = _KeyedPlans(RngPlan(spec.base.seed).entropy, np.array(keys))
+    demands = play_games(configs, pairs, plans, WARMUP_ROUNDS if spec.warms_up else 0)
     profits, success = game_scores(demands, spec.base.q)
-    scores = np.column_stack((profits, profits.sum(axis=1))).astype(float)
-    return [(*row, rate) for row, rate in zip(scores.tolist(), success.tolist())]
+    return np.column_stack((profits, profits.sum(axis=1), success))
 
 
 def output_paths(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
@@ -310,7 +328,11 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
 
     Only the games the results need are played (see :func:`_plan`), across
     cells, in as few lockstep runs as ``CHUNK_BYTES`` allows; every cell gets
-    the same results as when played on its own.  Bad settings and existing
+    the same results as when played on its own.  The games' metrics come
+    back as one ``(games, 4)`` array, from which one index array gathers
+    every cell's replications into a ``(cells, metrics, reps)`` table, the
+    two profit columns swapped for a mirrored cell; the cells, the summary
+    and the cells CSV are all read from that table.  Bad settings and existing
     output files (unless ``force``) are refused before any game runs;
     ``ExperimentSpec`` checks its settings when built.
     """
@@ -320,16 +342,14 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     weights = spec.cells()
     games, sources = _plan(spec, weights)
     metrics = _play_part(spec, games)
-    reps = spec.replications
-    results = []
-    for (wa, wb), (first, swap) in zip(weights, sources):
-        played = metrics[first : first + 1] * reps if spec.deterministic else metrics[first : first + reps]
-        profits_a, profits_b, totals, successes = zip(*played)
-        if swap:
-            profits_a, profits_b = profits_b, profits_a
-        results.append(CellResult(wa, wb, profits_a, profits_b, totals, successes))
-    cells = tuple(results)
-    result = SweepSummary(spec=spec, cells=cells, summary=aggregate(cells))
+    first, swap = (np.array(column) for column in zip(*sources))
+    # each cell's replications as offsets from its first game; a deterministic cell repeats its one game
+    reps = np.zeros(spec.replications, dtype=np.intp) if spec.deterministic else np.arange(spec.replications)
+    table = metrics[first[:, None] + reps].transpose(0, 2, 1).copy()  # (cells, metrics, reps), reps contiguous
+    table[swap, :2] = table[swap, 1::-1]
+    cells = tuple(CellResult(wa, wb, *map(tuple, rows)) for (wa, wb), rows in zip(weights, table.tolist()))
+    result = SweepSummary(spec=spec, cells=cells, summary=_summary(table.mean(axis=-1)))
+    vars(result)["table"] = table  # the cached table, so that write_cells_csv reads it, not the tuples
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         write_cells_csv(result, cells_path)
@@ -342,13 +362,25 @@ def aggregate(cells) -> dict:
 
     Each statistic is taken per metric independently, so e.g. the minimum
     profits of the two players may come from different cells and need not
-    add up to the minimum total.
+    add up to the minimum total.  The cells must hold equal numbers of
+    replications, as a sweep's do.
     """
     cells = list(cells)
     if not cells:
         raise ValueError("no cells to aggregate")
-    means = {m: np.array([c.rep_mean(m) for c in cells]) for m in METRICS}
-    return {stat: {m: float(getattr(v, stat)()) for m, v in means.items()} for stat in ("min", "mean", "max")}
+    return _summary(_table(cells).mean(axis=-1))
+
+
+def _summary(means: np.ndarray) -> dict:
+    """Min/mean/max over the cells of ``(cells, metrics)`` means, as :func:`aggregate` returns them.
+
+    Every statistic here and in :func:`write_cells_csv` reduces a
+    contiguous last axis, which gives the bits of a 1-D reduction per cell
+    and metric; a strided or outer-axis sum need not.
+    """
+    by_metric = np.ascontiguousarray(means.T)
+    stats = {"min": by_metric.min(axis=-1), "mean": by_metric.mean(axis=-1), "max": by_metric.max(axis=-1)}
+    return {stat: dict(zip(METRICS, values.tolist())) for stat, values in stats.items()}
 
 
 # === CSV serialization ===
@@ -358,12 +390,10 @@ def write_cells_csv(result: SweepSummary, path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega_a", "omega_b", *(f"{m}_{stat}" for m in METRICS for stat in ("mean", "min", "max"))])
-        for c in result.cells:
-            row = [c.omega_a, c.omega_b]
-            for m in METRICS:
-                v = c.rep_values(m)
-                row += [c.rep_mean(m), float(v.min()), float(v.max())]
-            writer.writerow(row)
+        table = result.table
+        stats = np.stack((table.mean(axis=-1), table.min(axis=-1), table.max(axis=-1)), axis=-1)
+        rows = stats.reshape(len(stats), -1).tolist()  # per metric its mean, min and max
+        writer.writerows([c.omega_a, c.omega_b, *row] for c, row in zip(result.cells, rows))
 
 
 def summary_rows(result: SweepSummary) -> list[list[str]]:

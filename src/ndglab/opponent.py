@@ -130,11 +130,11 @@ class RuleRows:
         the bits of one uniform per state in turn.
         """
         at = own * (self.model.q - 1) + opp - self.model.q
-        slot = self.slot[at]
-        if (slot < 0).any():
+        slot = self.slot.take(at)
+        if np.minimum.reduce(slot, axis=None, initial=0) < 0:  # any state unseen, over every axis
             self._add(at[slot < 0])
-            slot = self.slot[at]
-        return (self.sums.take(slot, axis=1) <= u).sum(axis=0) + 1
+            slot = self.slot.take(at)
+        return np.add.reduce(self.sums.take(slot, axis=1) <= u, axis=0, initial=1)
 
     def _add(self, at) -> None:
         """Give a column to each distinct state among ``at``, states that have none."""

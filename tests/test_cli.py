@@ -469,6 +469,7 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "sample_200_warm_memo",
         "streams_200",
         "streams_200_run",
+        "streams_200_keyed",
         "parser_test",
         "lean_solve_b12",
         "lean_solve_b36",
@@ -478,6 +479,7 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "game_scores_200x60",
         "play_setup_200",
         "rule_draw_200",
+        "tabulate_121x30",
     ]
     assert all(isinstance(us, float) and us > 0 for us in timings.values()), timings
 
@@ -511,6 +513,33 @@ def test_the_bench_keeps_every_layer_timing_beside_its_median(monkeypatch):
         "change_iqr": {"solve": 0.0, "absent": 0.0},
         "change_runs": {"solve": [300.0] * 5, "absent": [2.5] * 5},
     }
+
+
+def test_the_bench_picks_its_warm_workload_apart_from_its_claim(monkeypatch):
+    # --warm names the workload of the warm in-process sweeps; by default the
+    # claimed one, else learner-vs-rule, and it never writes a claim itself
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    parse = _script("bench_pairs").parse_args
+    base = ["--parent", "HEAD", "--number", "1"]
+    for flags, warm, claim in (
+        ([], "learner-vs-rule", None),
+        (["--claim", "planner-vs-rule"], "planner-vs-rule", "planner-vs-rule"),
+        (["--warm", "planner-vs-rule"], "planner-vs-rule", None),
+        (["--claim", "planner-vs-rule", "--warm", "selfplay-learning"], "selfplay-learning", "planner-vs-rule"),
+    ):
+        args = parse(base + flags)
+        assert (args.warm, args.claim) == (warm, claim), flags
+
+
+def test_the_bench_times_a_fresh_import_of_each_side(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = _script("bench_pairs")
+    times = script.import_times({"change": script.ROOT}, pairs=2)
+    assert list(times) == ["change", "bare"]
+    for side in times.values():
+        assert len(side["runs_ms"]) == 2 and all(ms > 0 for ms in side["runs_ms"])
+        assert side["median_ms"] == round(sum(side["runs_ms"]) / 2, 1)
+    json.dumps(times)  # written to BENCH_<n>.json as it is
 
 
 def test_the_bench_records_numpy_s_blas_build(monkeypatch):

@@ -583,6 +583,49 @@ def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
         _assert_same_stream(plan.agent_b, reference(seed, (*child_key, 1)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**200),
+    st.sets(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    st.data(),
+)
+@example(2**200, {(0, 0), (2**32 - 1, 29)}, None)
+# seeds of four words and of five: the key's hash positions start at 16 and at 20
+@example(2**128 - 1, {(120, 29), (7, 0)}, None)
+@example(2**128, {(0, 0)}, None)
+def test_a_sweep_s_key_array_draws_the_streams_of_each_game_s_plan(seed, keys, data):
+    # a sweep's run derives the streams of any of its seats from one (games, 2)
+    # array of (cell, rep) keys, building no plan: seat i draws as seat
+    # i // games of RngPlan(seed, keys[i % games]) would, and its warm-up seat
+    # as that plan's pretrain_plan(), bits and final state alike
+    keys = sorted(keys)
+    games = len(keys)
+    seats = list(range(2 * games))
+    if data is not None:
+        seats = data.draw(st.lists(st.sampled_from(seats), min_size=1, unique=True))
+    plans = engine._KeyedPlans(seed, np.array(keys))
+    for derived, warm in ((plans, False), (plans.pretrain_plan(), True)):
+        streams = engine._seat_streams(derived, np.array(seats), games)
+        for i, stream in zip(seats, streams):
+            plan = RngPlan(seed, keys[i % games])
+            plan = plan.pretrain_plan() if warm else plan
+            _assert_same_stream(stream, getattr(plan, ("agent_a", "agent_b")[i // games]))
+
+
+def test_a_key_array_run_needs_a_key_of_its_own_for_each_game():
+    # two games on one key would share their seats' streams; keys that differ
+    # in one part, or hold the same parts in another order, are distinct
+    config = GameConfig(rounds=4)
+    pair = _heuristic_pair()
+    for keys in ([[0, 1], [0, 1]], [[3, 5], [0, 1], [2, 2], [3, 5]]):
+        plans = engine._KeyedPlans(0, np.array(keys))
+        with pytest.raises(ValueError, match="RngPlan of its own"):
+            engine.play_games([config] * len(keys), [pair] * len(keys), plans)
+    keys = [[0, 1], [1, 0], [0, 2], [2**32 - 1, 1]]
+    demands = engine.play_games([config] * 4, [pair] * 4, engine._KeyedPlans(9, np.array(keys)))
+    assert np.array_equal(demands, engine.play_games([config] * 4, [pair] * 4, [RngPlan(9, key) for key in keys]))
+
+
 @pytest.mark.parametrize(
     ("seed", "key"),
     [

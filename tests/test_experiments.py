@@ -354,19 +354,26 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
 
 
 def test_a_part_derives_each_game_s_plan_as_the_plan_of_its_cell_and_replication(monkeypatch):
-    # the part checks its seed once and keys each game's plan from it
-    chunks = []
-    monkeypatch.setattr(experiments, "_play_chunk", lambda spec, chunk: chunks.extend(chunk) or [])
+    # the part keys each game by its cell and replication, and its chunk's
+    # run draws each game's streams as the plan of that key would
+    chunks, runs = [], []
+    real = experiments._play_chunk
+    monkeypatch.setattr(experiments, "_play_chunk", lambda spec, chunk: chunks.extend(chunk) or real(spec, chunk))
+    monkeypatch.setattr(
+        experiments, "play_games", lambda configs, pairs, plans, *args: runs.append(plans) or np.ones((len(pairs), 1, 2))
+    )
     spec = benchmark_spec(2, replications=3, base=GameConfig(seed=2**70 + 5), grid=(0.0, 1.0))
     games, _ = experiments._plan(spec, spec.cells())
     experiments._play_part(spec, games)
     assert len(chunks) == len(games) == 6
-    for (cell_index, _, rep), (_, _, plan) in zip(games, chunks):
+    (plans,) = runs
+    for (cell_index, _, rep), (_, _, key), row in zip(games, chunks, range(len(games))):
+        assert key == (cell_index, rep)
         fresh = RngPlan(spec.base.seed, (cell_index, rep))
-        assert (plan.entropy, plan.spawn_key) == (fresh.entropy, fresh.spawn_key)
-        for derived, alone in ((plan, fresh), (plan.pretrain_plan(), fresh.pretrain_plan())):
-            for name in ("agent_a", "agent_b"):
-                assert getattr(derived, name).random(59).tobytes() == getattr(alone, name).random(59).tobytes()
+        for derived, alone in ((plans, fresh), (plans.pretrain_plan(), fresh.pretrain_plan())):
+            for seat, name in enumerate(("agent_a", "agent_b")):
+                (stream,) = engine._seat_streams(derived, np.array([seat * len(games) + row]), len(games))
+                assert stream.random(59).tobytes() == getattr(alone, name).random(59).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,8 +391,8 @@ def test_a_chunk_scores_every_game_as_its_game_log_does(games, rounds, q, data):
     logs = [GameLog(config, game) for game in demands]
     expected = [(float(log.cum_profit_a), float(log.cum_profit_b), float(log.cum_profit_a + log.cum_profit_b),
                  log.success_rate_pct) for log in logs]
-    assert [tuple(map(type, row)) for row in scores] == [(float,) * 4] * games
-    assert scores == expected
+    assert scores.dtype == np.float64 and scores.shape == (games, 4)
+    assert scores.tolist() == list(map(list, expected))
 
 
 def test_a_chunk_refuses_a_demand_out_of_range(monkeypatch):
@@ -512,6 +519,47 @@ def _toy_cell(omega_a, profit_a, profit_b):
         total=total,
         success_rate_pct=(100.0,) * len(profit_a),
     )
+
+
+@pytest.mark.parametrize("reps", (1, 7, 8, 9, 30, 129))
+def test_aggregate_and_the_cells_csv_equal_per_cell_1d_statistics_bit_for_bit(reps, tmp_path):
+    # both reduce a (cells, metrics, reps) table along its contiguous last
+    # axis, which must give the bits of numpy's 1-D statistics of each cell;
+    # pairwise summation makes a sum's bits depend on how it is taken from 8 entries on
+    rng = np.random.default_rng(reps)
+    weights = [(i / 10, j / 10) for i in range(11) for j in range(11)]
+    cells = tuple(
+        CellResult(wa, wb, *(tuple((rng.random(reps) * 10.0 ** rng.integers(-3, 4)).tolist()) for _ in range(4)))
+        for wa, wb in weights
+    )
+    means = {m: np.array([np.mean(np.array(getattr(c, m))) for c in cells]) for m in experiments.METRICS}
+    expected = {stat: {m: float(getattr(np, stat)(v)) for m, v in means.items()} for stat in ("min", "mean", "max")}
+    summary = aggregate(cells)
+    assert summary == expected
+    for stat in expected:
+        assert [np.float64(v).tobytes() for v in summary[stat].values()] == [
+            np.float64(v).tobytes() for v in expected[stat].values()
+        ]
+    path = tmp_path / "cells.csv"
+    experiments.write_cells_csv(experiments.SweepSummary(None, cells, summary), path)
+    rows = [[float(x) for x in row.values()] for row in csv_rows(path)]
+    for c, row in zip(cells, rows, strict=True):
+        values = [c.omega_a, c.omega_b]
+        for m in experiments.METRICS:
+            v = np.array(getattr(c, m))
+            values += [float(np.mean(v)), float(np.min(v)), float(np.max(v))]
+        assert [np.float64(x).tobytes() for x in row] == [np.float64(x).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("test_id", (1, 2, 5))
+@pytest.mark.parametrize("seed", (0, 2**64 + 7, 2**200))
+def test_a_sweep_under_random_ties_plays_each_game_on_the_streams_of_its_plan(test_id, seed):
+    # every seat draws, on streams a chunk derives from its key array; each
+    # cell equals its games played one by one on RngPlan(seed, (cell, rep)),
+    # the warm-up games of scenario 5 on its pretrain_plan()
+    base = GameConfig(rounds=6, seed=seed, tie_break="random")
+    spec = benchmark_spec(test_id, replications=2, base=base, grid=(0.0, 0.7))
+    assert run_test(spec).cells == _unreused_cells(spec)
 
 
 def test_aggregate_treats_metrics_independently():
