@@ -122,10 +122,13 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     - ``streams_200``: 200 ``RngPlan`` seat streams, each built alone when
       first read, the one-plan path, and drawing 59 uniforms;
     - ``streams_200_run``: the same streams, built together through the path
-      a run takes on a list of plans (``engine._fill_streams``);
+      a run takes on a list of plans: the plans tabulated by
+      ``engine._KeyedPlans.of``, then ``seat_streams`` (on an older tree,
+      ``engine._fill_streams``);
     - ``streams_200_keyed``: the streams of seat B of 200 games keyed
-      ``(0, k)``, built together from one key array, the path a sweep's run
-      takes (``engine._seat_streams``), each drawing 59 uniforms;
+      ``(0, k)``, built together from the key table a sweep's chunk builds
+      (``engine._KeyedPlans(seeds, heads, keys).seat_streams``; on an older
+      tree, ``engine._seat_streams``), each drawing 59 uniforms;
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
       q=10 and h=10, keeping two stages, every state's row its own;
@@ -159,15 +162,22 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     if memo is not None:
         memo.draw(own, opp, u)
     takes_argv = bool(inspect.signature(cli._build_parser).parameters)
+    keyed = getattr(engine, "_KeyedPlans", None)
+    tabled = keyed is not None and hasattr(keyed, "seat_streams")  # else an older tree's names, or none
     fill_streams = getattr(engine, "_fill_streams", None)
 
     def run_streams():
         plans = [engine.RngPlan(0, (0, k)) for k in range(200)]
+        if tabled:
+            return [stream.random(59) for stream in keyed.of(plans).seat_streams(np.arange(200))]
         fill_streams([(plan, "agent_a") for plan in plans])
         return [plan.agent_a.random(59) for plan in plans]
 
     def keyed_streams():
-        streams = engine._seat_streams(engine._KeyedPlans(0, keys), np.arange(200, 400), 200)
+        if tabled:
+            streams = keyed([0], np.zeros(200, dtype=np.intp), keys).seat_streams(np.arange(200, 400))
+        else:
+            streams = engine._seat_streams(keyed(0, keys), np.arange(200, 400), 200)
         return [stream.random(59) for stream in streams]
 
     keys = np.column_stack((np.zeros(200, dtype=np.int64), np.arange(200)))
@@ -175,8 +185,8 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         "sample_200_one_shot": lambda: opponent.heuristic_sample(model, own, opp, u),
         "sample_200_warm_memo": memo and (lambda: memo.draw(own, opp, u)),
         "streams_200": lambda: [engine.RngPlan(0, (0, k)).agent_a.random(59) for k in range(200)],
-        "streams_200_run": fill_streams and run_streams,
-        "streams_200_keyed": keyed_streams if hasattr(engine, "_KeyedPlans") else None,
+        "streams_200_run": run_streams if tabled or fill_streams else None,
+        "streams_200_keyed": keyed_streams if keyed is not None else None,
         "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
     }
     learners = np.full((36, (q - 1) ** 2, q - 1), 1.0 / (q - 1))

@@ -48,7 +48,7 @@ __all__ = [
 
 
 class RngPlan:
-    """Named deterministic random streams for one game.
+    """Named deterministic random streams for one game, as a value.
 
     Same seed, same configuration: bit-identical game.  A plan is a seed, a
     non-negative int of any size, and a key of parts in ``0..2**32 - 1``,
@@ -57,12 +57,11 @@ class RngPlan:
     stream, so changing one player's settings cannot shift the other
     player's draws; a further child seeds an optional warm-up game.  Child
     ``i`` draws the bits of ``default_rng(SeedSequence(entropy,
-    spawn_key=key + (i,)))``, derived by :func:`_streams` only when its
-    stream is first read, so a game that draws nothing builds none.  A run
-    derives the streams of all its drawing seats in one call before its
-    first round; a plan that already holds a stream keeps it.  A stream's
-    ``bit_generator.seed_seq`` holds only its derived seed row, so it
-    cannot ``spawn``.
+    spawn_key=key + (i,)))``.  A run derives its streams afresh from the
+    seed and key alone, so a plan replays its game however often it is used;
+    ``agent_a`` and ``agent_b`` are built for a caller when first read.  A
+    stream's ``bit_generator.seed_seq`` holds only its derived seed row, so
+    it cannot ``spawn``.
     """
 
     agent_a = cached_property(lambda self: self._stream(0))
@@ -90,54 +89,41 @@ _NAMES = ("agent_a", "agent_b")
 
 
 class _KeyedPlans:
-    """The plans ``RngPlan(entropy, key)`` of one checked seed, one per row of
-    ``keys``, an int array of key parts trusted to lie in ``0..2**32 - 1``:
-    a sweep's chunk of games, keyed ``(cell_index, rep)``.  A run derives
-    each seat's stream from its row without building a plan; iterating
-    builds each row's :class:`RngPlan`, which draws the same streams."""
+    """A run's plans as one table: game ``g`` plays on ``RngPlan(entropies[
+    heads[g]], keys[g])``, ``keys`` one ``(games, parts)`` int array of parts
+    trusted to lie in ``0..2**32 - 1``.  A sweep's chunk builds it from its
+    seed and ``(cell_index, rep)`` keys, :func:`play_games` from a list of plans."""
 
-    __slots__ = ("entropy", "keys")
+    __slots__ = ("entropies", "heads", "keys")
 
-    def __init__(self, entropy: int, keys: np.ndarray):
-        self.entropy, self.keys = entropy, keys
+    def __init__(self, entropies: list, heads: np.ndarray, keys: np.ndarray):
+        self.entropies, self.heads, self.keys = entropies, heads, keys
+
+    @classmethod
+    def of(cls, plans) -> "_KeyedPlans":
+        """The table of a list of :class:`RngPlan`; plans whose keys differ in length are refused."""
+        lengths = {len(plan.spawn_key) for plan in plans}
+        if len(lengths) > 1:
+            raise ValueError(f"the plans of one run must share one key length, got lengths {sorted(lengths)}")
+        head_of = {}  # each distinct entropy, numbered in order of first use
+        heads = [head_of.setdefault(plan.entropy, len(head_of)) for plan in plans]
+        keys = np.array([plan.spawn_key for plan in plans], dtype=np.int64).reshape(len(plans), *lengths)
+        return cls(list(head_of), np.array(heads, dtype=np.intp), keys)
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __iter__(self):
-        return (RngPlan(self.entropy, key) for key in self.keys.tolist())
-
     def pretrain_plan(self) -> "_KeyedPlans":
-        """The warm-up plans of all rows, keyed ``key + (2,)`` as :meth:`RngPlan.pretrain_plan`."""
-        return _KeyedPlans(self.entropy, np.column_stack((self.keys, np.full(len(self.keys), 2))))
+        """The warm-up plans of all games, keyed ``key + (2,)`` as :meth:`RngPlan.pretrain_plan`."""
+        return _KeyedPlans(self.entropies, self.heads, np.column_stack((self.keys, np.full(len(self.keys), 2))))
 
-
-def _seat_streams(plans, seats: np.ndarray, games: int) -> list:
-    """The streams of the seats at ``seats`` of a run's row, seat ``i`` being
-    ``_NAMES[i // games]`` of game ``i % games``, from one hash of their keys."""
-    if not len(seats):
-        return []
-    if isinstance(plans, _KeyedPlans):
-        keys = np.column_stack((plans.keys[seats % games], seats // games))
-        return _streams(([plans.entropy], np.zeros(len(seats), dtype=np.intp), keys))
-    return _fill_streams((plans[i % games], _NAMES[i // games]) for i in seats.tolist())
-
-
-def _fill_streams(seats) -> list:
-    """Each ``(plan, name)``'s stream, in order; a plan that holds no stream
-    of that name is given one first, all from one hash of their keys, padded
-    with -1 into one array."""
-    seats = list(seats)
-    missing = [(plan, name) for plan, name in seats if name not in vars(plan)]
-    if missing:
-        head_of = {}  # each distinct entropy, numbered in order of first use
-        heads = [head_of.setdefault(plan.entropy, len(head_of)) for plan, _ in missing]
-        keys = [plan.spawn_key + (_NAMES.index(name),) for plan, name in missing]
-        width = max(map(len, keys))
-        keys = [key + (-1,) * (width - len(key)) for key in keys]
-        for (plan, name), stream in zip(missing, _streams((list(head_of), heads, keys))):
-            vars(plan)[name] = stream
-    return [vars(plan)[name] for plan, name in seats]
+    def seat_streams(self, seats: np.ndarray) -> list:
+        """The streams of the seats at ``seats`` of a run's row, seat ``i`` being
+        ``_NAMES[i // games]`` of game ``i % games``, from one hash of their keys."""
+        if not len(seats):
+            return []
+        game, index = seats % len(self.keys), seats // len(self.keys)
+        return _streams((self.entropies, self.heads[game], np.column_stack((self.keys[game], index))))
 
 
 # numpy's SeedSequence, with its default pool of four 32-bit words: the
@@ -151,8 +137,8 @@ def _streams(children) -> list:
     """One generator per child of ``children``, ``(entropies, heads, keys)``:
     child ``c`` draws the bits of ``default_rng(SeedSequence(entropy,
     spawn_key=key))``, its entropy ``entropies[heads[c]]``, a non-negative
-    int, and its key the parts of row ``c`` of the int array ``keys``, each
-    in ``0..2**32 - 1``, up to the first -1, which pads shorter keys.
+    int, and its key row ``c`` of the ``(children, parts)`` int array
+    ``keys``, each part in ``0..2**32 - 1``: every child's key has one length.
 
     ``SeedSequence`` hashes the 32-bit words of its entropy, padded with
     zeros to its pool of four, then one word per key part.  Its hash
@@ -161,26 +147,23 @@ def _streams(children) -> list:
     key's first part takes hash position 16, four more per entropy word past
     the pool, as read from ``entropy.bit_length()``; part ``p`` takes four
     positions on from there.  The key array is hashed as one ``(parts, 4,
-    children)`` uint64 array and mixed into the pools one part at a time,
-    part ``p`` only into the pools of keys longer than ``p``, so keys of any
-    lengths share a call.  The pools give each child's
-    ``generate_state(4, np.uint64)`` row, and numpy's own ``PCG64`` seeds
-    itself from that row and does every draw.
+    children)`` uint64 array and mixed into the pools one part at a time.
+    The pools give each child's ``generate_state(4, np.uint64)`` row, and
+    numpy's own ``PCG64`` seeds itself from that row and does every draw.
     """
     entropies, heads, keys = children
     heads = np.asarray(heads, dtype=np.intp)
-    parts = np.asarray(keys, dtype=np.int64).T  # (parts, children)
+    parts = np.asarray(keys, dtype=np.uint64).T  # (parts, children)
     starts = np.array([16 + 4 * max(0, -(-entropy.bit_length() // 32) - 4) for entropy in entropies])
     at = starts[heads] + 4 * np.arange(len(parts))[:, None]  # each part's first hash position
     at = at[:, None, :] + np.arange(4)[:, None]
     xor, mul = _hash_constants(int(at.max()) + 1)
-    hashed = (parts.astype(np.uint64)[:, None, :] ^ xor[at]) * mul[at] & _MASK
+    hashed = (parts[:, None, :] ^ xor[at]) * mul[at] & _MASK
     hashed ^= hashed >> _SHIFT
     pool = np.array([np.random.SeedSequence(entropy).pool for entropy in entropies], dtype=np.uint64)[heads].T
-    for word, present in zip(hashed, parts >= 0):
-        mixed = (_MIX_L * pool - _MIX_R * word) & _MASK
-        mixed ^= mixed >> _SHIFT
-        pool = np.where(present, mixed, pool)
+    for word in hashed:
+        pool = (_MIX_L * pool - _MIX_R * word) & _MASK
+        pool ^= pool >> _SHIFT
     xor, mul = _hash_constants(8, _INIT_B, _MULT_B)
     state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor[:, None]) * mul[:, None] & _MASK
     state ^= state >> _SHIFT
@@ -247,20 +230,21 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
     share ``q``, ``rounds``, ``initial_demand``, ``horizon`` and
     ``tie_break``; a sweep's configs differ only in their weights.  A seat
     holds a fixed model table, a :class:`DirichletLearner` or a
-    :class:`HeuristicModel` for that ``q``; a learner holds one seat of the
-    batch, and each game has a plan of its own: a distinct object in a list
-    of plans, or a distinct key row when a sweep's chunk passes its games'
-    plans as one key array (``_KeyedPlans``), checked by sorting the rows
-    and comparing neighbours.  Anything else is refused before the first
-    round.  With ``warmup_rounds``, a non-negative int, each
-    pair first plays a warm-up game of that length on its plan's
-    :meth:`RngPlan.pretrain_plan` streams, again in lockstep.
+    :class:`HeuristicModel` for that ``q``, and a learner holds one seat of
+    the batch.  ``plans`` is a list of :class:`RngPlan`, tabulated here
+    once, whose keys must share one length, or a sweep chunk's
+    :class:`_KeyedPlans`.  Plans are values: games on equal plans draw
+    equal but separate streams.  Anything else is refused before the first
+    round.  With ``warmup_rounds``, a non-negative int, each pair first
+    plays a warm-up game of that length on its plan's
+    :meth:`RngPlan.pretrain_plan` streams, again in lockstep, which trains
+    the learners in place.
     """
     check_int(warmup_rounds, "warmup_rounds")
     configs = list(configs)
     pairs = list(pairs)
-    keyed = isinstance(plans, _KeyedPlans)
-    plans = plans if keyed else list(plans)
+    if not isinstance(plans, _KeyedPlans):
+        plans = _KeyedPlans.of(list(plans))
     if not len(configs) == len(pairs) == len(plans):
         raise ValueError(
             f"need one config and plan per game, got {len(configs)} configs "
@@ -270,22 +254,9 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
         return np.empty((0, 0, 2), dtype=np.int64)
     if len({(c.q, c.rounds, c.initial_demand, c.horizon, c.tie_break) for c in configs}) > 1:
         raise ValueError("games played in lockstep must share q, rounds, initial_demand, horizon and tie_break")
-    if keyed:  # a sort puts equal keys side by side
-        ordered = plans.keys[np.lexsort(plans.keys.T[::-1])]
-        shared = (ordered[1:] == ordered[:-1]).all(axis=1).any()
-    else:
-        shared = len(set(map(id, plans))) < len(plans)
-    if shared:
-        raise ValueError("every game needs an RngPlan of its own")
     if warmup_rounds:
-        _warm_up(configs, pairs, plans, warmup_rounds)
+        _play(configs, pairs, plans.pretrain_plan(), warmup_rounds)
     return _play(configs, pairs, plans, configs[0].rounds)
-
-
-def _warm_up(configs, pairs, plans, n_rounds: int) -> None:
-    # Warm-up games train the learners in place, on streams disjoint from the main games'.
-    warm = plans.pretrain_plan() if isinstance(plans, _KeyedPlans) else [plan.pretrain_plan() for plan in plans]
-    _play(configs, pairs, warm, n_rounds)
 
 
 _FIXED, _LEARNER, _SAMPLER = range(3)  # the kinds of seat
@@ -367,11 +338,10 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     round, through one :class:`RuleRows` per model for the run: equal
     models share one, on any seats.  Each seat draws only from its own
     stream, read only if it draws, so seat order and interleaving cannot
-    move a draw.  The streams of all seats that draw are derived in one
-    :func:`_streams` call before the first round (:func:`_seat_streams`),
-    each with the bits its plan would build alone: from the plans' key
-    array, or from a list of plans, where a plan that already holds a
-    stream keeps it.
+    move a draw.  The streams of all seats that draw are derived afresh from
+    the run's key table in one :func:`_streams` call before the first round
+    (:meth:`_KeyedPlans.seat_streams`), each with the bits its plan's
+    stream has when built alone.
 
     Learners are copied into stacked run arrays, one row per distinct
     belief: its counts, its estimate as the solver's column stack and state
@@ -401,7 +371,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     model_of = model_of[group]
     drawing = np.flatnonzero(model_of >= 0)
     drawers = np.arange(2 * games) if draws else drawing  # every seat that draws, by its index in a row
-    streams = dict(zip(drawers.tolist(), _seat_streams(plans, drawers, games)))
+    streams = dict(zip(drawers.tolist(), plans.seat_streams(drawers)))
     samplers = []
     for model, number in models.items():  # each model's seats and their uniforms, one round per row
         seats = np.flatnonzero(model_of == number)
@@ -573,7 +543,8 @@ def pretrain(config: GameConfig, agent_a, agent_b, n_rounds: int, rng: RngPlan |
         raise ValueError("pretraining needs a DirichletLearner on both seats")
     check_int(n_rounds, "n_rounds")
     if n_rounds:
-        _warm_up([config], [(agent_a, agent_b)], [rng if rng is not None else RngPlan(config.seed)], n_rounds)
+        plan = rng if rng is not None else RngPlan(config.seed)
+        _play([config], [(agent_a, agent_b)], _KeyedPlans.of([plan.pretrain_plan()]), n_rounds)
     return agent_a, agent_b
 
 

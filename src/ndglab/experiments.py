@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GameConfig, _check_weight, atomic_write, check_int, game_scores, refuse_overwrite
-from .engine import RngPlan, _KeyedPlans, play_games
+from .engine import _KeyedPlans, play_games
 from .opponent import DirichletLearner, HeuristicModel, heuristic_table, uniform_table
 
 __all__ = [
@@ -275,7 +275,8 @@ def _play_part(spec: ExperimentSpec, games) -> np.ndarray:
     games share its config.  A learner is built fresh for each game, so its
     game brings new keys.  A chunk holds each game as ``(config, pair,
     (cell_index, rep))``; the key names the game's plan,
-    ``RngPlan(seed, (cell_index, rep))``.
+    ``RngPlan(seed, (cell_index, rep))``, which no game builds: its chunk's
+    run derives the streams from a table of the keys (:func:`_play_chunk`).
     """
     q = spec.base.q
     item_bytes = (q - 1) ** 3 * 8
@@ -306,12 +307,12 @@ def _play_chunk(spec: ExperimentSpec, chunk) -> np.ndarray:
     """Play one chunk of a sweep's games, as ``(config, pair, key)``, in
     lockstep, and score them all in one pass, as a ``(games, 4)`` float array.
 
-    The run gets the games' keys as one ``(games, 2)`` array, the plans
-    ``RngPlan(seed, key)`` of the sweep's seed, checked once per chunk, and
-    derives each seat's stream from its game's row, building no plan.
+    The run gets the games' plans as one key table, the sweep's seed (which
+    ``GameConfig`` has checked) and a ``(games, 2)`` array of the keys, and
+    derives each seat's stream from its game's row.
     """
     configs, pairs, keys = zip(*chunk)
-    plans = _KeyedPlans(RngPlan(spec.base.seed).entropy, np.array(keys))
+    plans = _KeyedPlans([int(spec.base.seed)], np.zeros(len(keys), dtype=np.intp), np.array(keys))
     demands = play_games(configs, pairs, plans, WARMUP_ROUNDS if spec.warms_up else 0)
     profits, success = game_scores(demands, spec.base.q)
     return np.column_stack((profits, profits.sum(axis=1), success))
@@ -347,7 +348,9 @@ def run_test(spec: ExperimentSpec, out_dir=None, force: bool = False) -> SweepSu
     reps = np.zeros(spec.replications, dtype=np.intp) if spec.deterministic else np.arange(spec.replications)
     table = metrics[first[:, None] + reps].transpose(0, 2, 1).copy()  # (cells, metrics, reps), reps contiguous
     table[swap, :2] = table[swap, 1::-1]
-    cells = tuple(CellResult(wa, wb, *map(tuple, rows)) for (wa, wb), rows in zip(weights, table.tolist()))
+    kept = 1 if spec.deterministic else spec.replications  # a deterministic cell's tuples repeat one float
+    rows, times = table[..., :kept].tolist(), spec.replications // kept
+    cells = tuple(CellResult(wa, wb, *(tuple(r) * times for r in row)) for (wa, wb), row in zip(weights, rows))
     result = SweepSummary(spec=spec, cells=cells, summary=_summary(table.mean(axis=-1)))
     vars(result)["table"] = table  # the cached table, so that write_cells_csv reads it, not the tuples
     if out_dir is not None:

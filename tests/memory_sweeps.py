@@ -13,13 +13,14 @@ BOUND_MIB = 36
 # holds each model as its distinct columns, about 5 at 4 rounds, and their
 # peak when it held one column per state, (q - 1)**2 = 3,481 of them, so a
 # stack of a column per state would exceed them.  "shared-fixed-model" sits
-# likewise between its peak with the uniform table held as one block of 8
-# columns and its peak with 841 columns, one per state.
+# between its peak of about 0.70 MiB, where each deterministic cell's
+# replication tuples repeat one float per metric, and its peak of about 1.02
+# MiB with a float per replication, 121 cells of 30 replications.
 CASE_BOUND_MIB = {
     "learner": 13.5,
     "learner-vs-learner": 8.8,
     "random-tie-planner": 11.25,
-    "shared-fixed-model": 3.75,
+    "shared-fixed-model": 0.85,
     "random-tie-learners": 12.2,
 }
 SWEEPS = (

@@ -461,9 +461,22 @@ def test_belief_convergence_refuses_bad_input_before_any_game(capsys, monkeypatc
 
 def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
     # scripts/bench_pairs.py times these in each side's interpreter; one quick
-    # pass keeps the code from rotting between full bench runs
+    # pass keeps the code from rotting between full bench runs.  On this tree
+    # both stream layers derive their streams from a run's key table: the
+    # list layer from the table of 200 plans, seat A of each, and the keyed
+    # layer from a sweep's table, seat B
+    from ndglab import engine
+
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/ and tests/
+    derived, real = [], engine._KeyedPlans.seat_streams
+
+    def recording(table, seats):
+        derived.append((len(table), seats.tolist()))
+        return real(table, seats)
+
+    monkeypatch.setattr(engine._KeyedPlans, "seat_streams", recording)
     timings = _script("bench_pairs").layer_timings(repeat=1, number=1)
+    assert derived[:2] == [(200, list(range(200))), (200, list(range(200, 400)))]
     assert list(timings) == [
         "sample_200_one_shot",
         "sample_200_warm_memo",

@@ -23,7 +23,7 @@ from ndglab import (
     run_game,
     uniform_table,
 )
-from ndglab import benchmark_spec, engine, opponent, run_test
+from ndglab import benchmark_spec, engine, experiments, opponent, run_test
 from ndglab.engine import ROUND_FIELDS, run_games, write_game_summary_csv, write_round_csv
 from ndglab.experiments import write_cells_csv, write_summary_csv
 from ndglab.opponent import save_learner
@@ -360,15 +360,17 @@ def test_each_run_row_s_column_holds_the_bits_of_its_state_s_normalised_counts(s
 )
 def test_swapping_the_seats_swaps_the_demand_columns(q, rounds, horizon, opening, tie_break, game, weights, seed):
     # the game is seat-symmetric: X against Y plays Y against X with the two
-    # weights and the two streams exchanged, demand columns swapped
+    # weights and the two streams exchanged, demand columns swapped; a run
+    # derives its streams from the plan's seed and key, so the mirrored game
+    # is the scalar replay on a plan whose two streams are swapped
     config = GameConfig(q=q, rounds=rounds, horizon=horizon, initial_demand=1 + opening % (q - 1),
                         omega_a=weights[0], omega_b=weights[1], seed=seed, tie_break=tie_break)
     mirror = replace(config, omega_a=weights[1], omega_b=weights[0])
     swapped = RngPlan(seed)
     swapped.agent_a, swapped.agent_b = swapped.agent_b, swapped.agent_a
     log = run_game(config, _seat(game[0], 0, q)[0], _seat(game[1], 1, q)[0], RngPlan(seed))
-    mirrored = run_game(mirror, _seat(game[1], 0, q)[0], _seat(game[0], 1, q)[0], swapped)
-    assert log.demands.tolist() == mirrored.demands[:, ::-1].tolist()
+    mirrored = reference_game(mirror, (_seat(game[1], 0, q)[1], _seat(game[0], 1, q)[1]), swapped)
+    assert log.demands.tolist() == [[b, a] for a, b in mirrored]
 
 
 def test_lockstep_games_may_differ_only_in_their_weights():
@@ -388,9 +390,10 @@ def test_lockstep_games_may_differ_only_in_their_weights():
             run_games([base, other], [_uniform_pair(c) for c in (base, other)], [RngPlan(0), RngPlan(1)])
     with pytest.raises(ValueError, match="one config and plan per game"):
         run_games(configs, pairs, [RngPlan(0)])
-    plan = RngPlan(0)  # two games on one plan would share their seats' streams
-    with pytest.raises(ValueError, match="RngPlan of its own"):
-        run_games(configs, pairs, [plan, plan])
+    with pytest.raises(ValueError, match="share one key length"):  # a run's plans are one key table
+        run_games(configs, pairs, [RngPlan(0), RngPlan(0, (1,))])
+    plan = RngPlan(0)  # a plan is a value: each game derives its own streams from it
+    assert run_games(configs, pairs, [plan, plan]) == [run_game(c, *_uniform_pair(c), RngPlan(0)) for c in configs]
 
 
 def test_reused_agents_play_a_second_game_as_fresh_agents_would():
@@ -487,18 +490,47 @@ def test_a_learner_reused_for_a_second_run_plays_it_as_a_fresh_copy_would(tie_br
     assert learner.estimate.tobytes() == copy.estimate.tobytes()
 
 
-def test_a_plan_builds_a_seat_stream_only_when_it_is_read():
-    # under smallest ties a fixed planner draws nothing, so its stream is never
-    # built; a stream first read late draws what one built with the plan draws
+def _hashed_keys(monkeypatch):
+    """Record, per ``engine._streams`` call, the key rows it hashes."""
+    hashed, real = [], engine._streams
+
+    def recording(children):
+        hashed.append(np.asarray(children[2]).tolist())
+        return real(children)
+
+    monkeypatch.setattr(engine, "_streams", recording)
+    return hashed
+
+
+def test_a_plan_builds_a_seat_stream_only_when_it_is_read(monkeypatch):
+    # under smallest ties a fixed planner draws nothing, so a run derives only
+    # the rule-based seat's stream, key () + (1,), and reads none of the plan's
+    # own; a plan builds each of its streams when a caller first reads it
+    hashed = _hashed_keys(monkeypatch)
     config = GameConfig(rounds=12, seed=11)
     plan = RngPlan(11)
     run_game(config, uniform_table(10), HeuristicModel(1.0, 10), plan)
-    assert "agent_a" not in vars(plan) and "agent_b" in vars(plan)
+    assert hashed == [[[1]]]
+    hashed.clear()
+    assert plan.agent_b is plan.agent_b and hashed == [[[1]]]  # built once, then held
     eager = RngPlan(11)
-    assert eager.agent_a is not eager.agent_b  # both streams built before any draw
-    eager.agent_b.random(config.rounds - 1)  # the rule-based seat's draws: one block of rounds - 1
+    assert eager.agent_a is not eager.agent_b
     assert plan.agent_a.random(8).tolist() == eager.agent_a.random(8).tolist()
-    assert plan.agent_b.random(8).tolist() == eager.agent_b.random(8).tolist()
+    assert plan.agent_b.random(8).tolist() == eager.agent_b.random(8).tolist()  # the run drew none of it
+
+
+def test_a_plan_plays_the_same_game_each_time_it_is_used():
+    # a run derives its streams afresh from a plan's seed and key, so one plan
+    # object replays its game, alone or in a batch
+    config = GameConfig(rounds=12, seed=3)
+    plan = RngPlan(3)
+    first, again = (run_game(config, uniform_table(10), HeuristicModel(1.0, 10), plan) for _ in range(2))
+    assert first.demands[:, 1].tolist() == [3, 4, 5, 5, 6, 6, 5, 4, 4, 4, 3, 3]
+    assert again == first
+    plans = [plan, RngPlan(4)]
+    pair = (uniform_table(10), HeuristicModel(1.0, 10))
+    batches = [run_games([config, replace(config, seed=4)], [pair] * 2, plans) for _ in range(2)]
+    assert batches[0] == batches[1] and batches[0][0] == first
 
 
 def test_agent_streams_are_isolated():
@@ -538,49 +570,42 @@ def test_a_keyed_plan_draws_the_streams_of_its_seed_sequence(seed, key):
         _assert_same_stream(stream, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
-_PLANS = st.tuples(
-    st.integers(0, 2**200),
-    _KEYS,
-    st.booleans(),  # the warm-up plan
-    st.sets(st.sampled_from(("agent_a", "agent_b"))),  # streams already read, and half drawn
+def _reference(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+# plans of one key length, 0 to 4 parts, as one run takes them
+_RUN_PLANS = st.integers(0, 4).flatmap(
+    lambda parts: st.lists(
+        st.tuples(st.integers(0, 2**200), st.tuples(*(st.integers(0, 2**32 - 1),) * parts)), min_size=1, max_size=8
+    )
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_PLANS, min_size=1, max_size=8))
-@example([(2**200, (2**32 - 1, 0, 5), False, set()), (2**40 + 3, (), True, {"agent_b"})])
-@example([(0, (), False, set()), (0, (1,), True, set()), (0, (2**32 - 1, 5, 0), False, {"agent_a"})])
+@given(_RUN_PLANS, st.data())
+@example([(2**200, (2**32 - 1, 0, 5)), (2**40 + 3, (1, 2, 3))], None)
+@example([(0, ()), (0, ()), (5, ())], None)  # equal plans derive equal, separate streams
 # seeds of four words and of five: the key's hash positions start at 16 and at 20
-@example([(2**128 - 1, (7,), True, {"agent_a", "agent_b"}), (2**128, (0, 0, 0, 0), False, set())])
-def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
-    # the run path builds all missing streams of a batch in one hash, over
-    # mixed seeds and key lengths; each equals the SeedSequence child it
-    # names, and a stream a plan already holds is kept as it is
-    def make(seed, key, warm):
-        plan = RngPlan(seed, key)
-        return (plan.pretrain_plan() if warm else plan), key + ((2,) if warm else ())
-
-    def reference(seed, key):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-    seats, held = [], {}
-    for seed, key, warm, read in plans:
-        plan, child_key = make(seed, key, warm)
-        for index, name in enumerate(("agent_a", "agent_b")):
-            expected = reference(seed, (*child_key, index))
-            if name in read:
-                held[id(plan), name] = getattr(plan, name)
-                held[id(plan), name].random(7)
-                expected.random(7)
-            seats.append((plan, name, expected))
-    engine._fill_streams([(plan, name) for plan, name, _ in seats])
-    for plan, name, expected in seats:
-        if (id(plan), name) in held:
-            assert vars(plan)[name] is held[id(plan), name]
-        _assert_same_stream(vars(plan)[name], expected)
-    for seed, key, warm, _ in plans:  # a plan read on its own takes the one-plan case of the same hash
-        plan, child_key = make(seed, key, warm)
-        _assert_same_stream(plan.agent_b, reference(seed, (*child_key, 1)))
+@example([(2**128 - 1, (7, 0, 0, 0)), (2**128, (0, 0, 0, 0))], None)
+def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans, data):
+    # a run tabulates its plans once, over mixed seeds of one key length, and
+    # derives any of its seats' streams, main or warm-up, in one hash; each
+    # equals the SeedSequence child it names, and a plan read on its own
+    # takes the one-plan case of the same hash
+    games = len(plans)
+    seats = list(range(2 * games))
+    if data is not None:
+        seats = data.draw(st.lists(st.sampled_from(seats), min_size=1, unique=True))
+    table = engine._KeyedPlans.of([RngPlan(seed, key) for seed, key in plans])
+    for derived, warm in ((table, ()), (table.pretrain_plan(), (2,))):
+        streams = derived.seat_streams(np.array(seats))
+        assert len({id(stream) for stream in streams}) == len(seats)
+        for i, stream in zip(seats, streams):
+            seed, key = plans[i % games]
+            _assert_same_stream(stream, _reference(seed, (*key, *warm, i // games)))
+    for seed, key in plans:
+        _assert_same_stream(RngPlan(seed, key).agent_b, _reference(seed, (*key, 1)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -594,36 +619,50 @@ def test_a_run_derives_every_seat_stream_as_its_seed_sequence_does(plans):
 @example(2**128 - 1, {(120, 29), (7, 0)}, None)
 @example(2**128, {(0, 0)}, None)
 def test_a_sweep_s_key_array_draws_the_streams_of_each_game_s_plan(seed, keys, data):
-    # a sweep's run derives the streams of any of its seats from one (games, 2)
-    # array of (cell, rep) keys, building no plan: seat i draws as seat
-    # i // games of RngPlan(seed, keys[i % games]) would, and its warm-up seat
-    # as that plan's pretrain_plan(), bits and final state alike
+    # a sweep's chunk hands its run one table of its seed and (cell, rep)
+    # keys, building no plan: seat i draws as seat i // games of
+    # RngPlan(seed, keys[i % games]) would, and its warm-up seat as that
+    # plan's pretrain_plan(), bits and final state alike
     keys = sorted(keys)
     games = len(keys)
     seats = list(range(2 * games))
     if data is not None:
         seats = data.draw(st.lists(st.sampled_from(seats), min_size=1, unique=True))
-    plans = engine._KeyedPlans(seed, np.array(keys))
+    plans = _sweep_table(seed, keys)
     for derived, warm in ((plans, False), (plans.pretrain_plan(), True)):
-        streams = engine._seat_streams(derived, np.array(seats), games)
+        streams = derived.seat_streams(np.array(seats))
         for i, stream in zip(seats, streams):
             plan = RngPlan(seed, keys[i % games])
             plan = plan.pretrain_plan() if warm else plan
             _assert_same_stream(stream, getattr(plan, ("agent_a", "agent_b")[i // games]))
 
 
-def test_a_key_array_run_needs_a_key_of_its_own_for_each_game():
-    # two games on one key would share their seats' streams; keys that differ
-    # in one part, or hold the same parts in another order, are distinct
+def _sweep_table(seed, keys):
+    """The key table a sweep's chunk of games keyed ``keys`` hands its run."""
+    tables = []
+
+    def capture(configs, pairs, plans, *args):
+        tables.append(plans)
+        return np.ones((len(pairs), 1, 2), dtype=np.int64)
+
+    spec = benchmark_spec(1, base=GameConfig(rounds=1, seed=seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "play_games", capture)
+        experiments._play_chunk(spec, [(spec.base, None, tuple(key)) for key in keys])
+    return tables[0]
+
+
+def test_a_key_array_run_plays_each_game_as_it_plays_alone():
+    # each game of a sweep's table plays as it does alone on the plan its key
+    # names: on equal keys, equal but separate streams; keys that differ in one
+    # part, or hold the same parts in another order, are distinct
     config = GameConfig(rounds=4)
     pair = _heuristic_pair()
-    for keys in ([[0, 1], [0, 1]], [[3, 5], [0, 1], [2, 2], [3, 5]]):
-        plans = engine._KeyedPlans(0, np.array(keys))
-        with pytest.raises(ValueError, match="RngPlan of its own"):
-            engine.play_games([config] * len(keys), [pair] * len(keys), plans)
-    keys = [[0, 1], [1, 0], [0, 2], [2**32 - 1, 1]]
-    demands = engine.play_games([config] * 4, [pair] * 4, engine._KeyedPlans(9, np.array(keys)))
-    assert np.array_equal(demands, engine.play_games([config] * 4, [pair] * 4, [RngPlan(9, key) for key in keys]))
+    for keys in ([[0, 1], [0, 1]], [[3, 5], [0, 1], [2, 2], [3, 5]], [[0, 1], [1, 0], [0, 2], [2**32 - 1, 1]]):
+        games = len(keys)
+        demands = engine.play_games([config] * games, [pair] * games, _sweep_table(9, keys))
+        alone = [run_game(config, *pair, RngPlan(9, key)).demands for key in keys]
+        assert demands.tolist() == [game.tolist() for game in alone]
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,31 @@ _SEATS = [  # every pairing a spec accepts: mdp-pretrained only beside another l
 ]
 
 
+class _Drawn:
+    """A run's stream that adds its seat's index to ``drew`` when it is drawn from."""
+
+    def __init__(self, stream, seat, drew):
+        self.stream, self.seat, self.drew = stream, seat, drew
+
+    def __getattr__(self, name):
+        self.drew.add(self.seat)
+        return getattr(self.stream, name)
+
+
+def _played_drawing(play, patch):
+    """``play()``, and the indices of the seats whose run streams it drew from:
+    each stream ``engine._streams`` derives is wrapped, and a key's last part
+    is its seat's index."""
+    drew, real = set(), engine._streams
+
+    def wrapping(children):
+        seats = np.asarray(children[2])[:, -1].tolist()
+        return [_Drawn(stream, seat, drew) for stream, seat in zip(real(children), seats)]
+
+    patch.setattr(engine, "_streams", wrapping)
+    return play(), drew
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(_SEATS),
@@ -174,16 +199,16 @@ _SEATS = [  # every pairing a spec accepts: mdp-pretrained only beside another l
 def test_a_deterministic_spec_replays_its_game_under_any_seed(seats, tie_break, wa, wb, seed, other):
     spec = ExperimentSpec(5, *seats, (wa,), (wb,), 1, GameConfig(rounds=20, tie_break=tie_break))
     assert spec.deterministic == (tie_break == "smallest" and AgentSpec("heuristic") not in seats)
-    plans = [RngPlan(seed), RngPlan(other)]
-    logs = [_play(spec, wa, wb, plan) for plan in plans]
-    for plan, fresh in zip(plans, (RngPlan(seed), RngPlan(other))):
-        # a seat drew iff its stream no longer starts where a fresh copy's does
-        drew = (plan.agent_a.random() != fresh.agent_a.random(), plan.agent_b.random() != fresh.agent_b.random())
-        for seat, seat_drew in zip(seats, drew):
+    logs = []
+    for plan in (RngPlan(seed), RngPlan(other)):
+        with pytest.MonkeyPatch.context() as patch:
+            log, drew = _played_drawing(lambda: _play(spec, wa, wb, plan), patch)
+        logs.append(log)
+        for index, seat in enumerate(seats):
             if seat.kind == "heuristic":
-                assert seat_drew  # a rule-based seat always draws
+                assert index in drew  # a rule-based seat always draws
             elif spec.deterministic:
-                assert not seat_drew
+                assert index not in drew
     if spec.deterministic:
         assert np.array_equal(logs[0].demands, logs[1].demands)
 
@@ -321,21 +346,21 @@ def test_repeated_random_grid_values_keep_their_own_seeds():
 
 
 def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
-    # a rule-based seat always draws, a planner only under random ties; no
-    # other seat's stream is built, and a run hashes its seats' streams at
-    # most once per seat name that draws, never when nothing draws
-    built, hashes = [], []
+    # a rule-based seat always draws, a planner only under random ties; a
+    # run hashes, in one call on the sweep's own key table, one row per game
+    # for each seat name that draws and none for any other, and makes no call
+    # when nothing draws
+    runs = []  # per run: its games, and per _streams call its rows per seat name
     real, real_streams = experiments.play_games, engine._streams
 
     def recording(configs, pairs, plans, *args):
-        plans = list(plans)
-        hashes.append(0)
-        demands = real(configs, pairs, plans, *args)
-        built.extend([name for name in ("agent_a", "agent_b") if name in vars(plan)] for plan in plans)
-        return demands
+        assert isinstance(plans, engine._KeyedPlans)
+        runs.append((len(plans), []))
+        return real(configs, pairs, plans, *args)
 
     def counting(children):
-        hashes[-1] += 1
+        index = np.asarray(children[2])[:, -1]
+        runs[-1][1].append({name: int((index == i).sum()) for i, name in enumerate(("agent_a", "agent_b"))})
         return real_streams(children)
 
     monkeypatch.setattr(experiments, "play_games", recording)
@@ -345,12 +370,13 @@ def test_a_sweep_builds_only_the_streams_its_seats_draw_from(monkeypatch):
         (4, "smallest", []),
         (3, "random", ["agent_a", "agent_b"]),
     ):
-        built.clear()
-        hashes.clear()
+        runs.clear()
         base = GameConfig(rounds=5, tie_break=tie_break)
         run_test(benchmark_spec(test_id, replications=2, base=base, grid=(0.0, 1.0)))
-        assert built and all(names == streams for names in built), (test_id, tie_break, built)
-        assert hashes and all(0 < runs <= len(streams) if streams else runs == 0 for runs in hashes), hashes
+        assert runs, (test_id, tie_break)
+        for games, calls in runs:
+            rows = {name: games if name in streams else 0 for name in ("agent_a", "agent_b")}
+            assert calls == ([rows] if streams else []), (test_id, tie_break, runs)
 
 
 def test_a_part_derives_each_game_s_plan_as_the_plan_of_its_cell_and_replication(monkeypatch):
@@ -372,7 +398,7 @@ def test_a_part_derives_each_game_s_plan_as_the_plan_of_its_cell_and_replication
         fresh = RngPlan(spec.base.seed, (cell_index, rep))
         for derived, alone in ((plans, fresh), (plans.pretrain_plan(), fresh.pretrain_plan())):
             for seat, name in enumerate(("agent_a", "agent_b")):
-                (stream,) = engine._seat_streams(derived, np.array([seat * len(games) + row]), len(games))
+                (stream,) = derived.seat_streams(np.array([seat * len(games) + row]))
                 assert stream.random(59).tobytes() == getattr(alone, name).random(59).tobytes()
 
 
