@@ -140,8 +140,15 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     - ``play_setup_200``: ``engine.play_games`` for 200 games of 2 rounds,
       a planner holding one ``heuristic_table`` at 4 weights against one
       rule-based model, on fresh plans: a run's setup and one round;
-    - ``rule_draw_200``: a fresh ``RuleRows`` drawing 59 rounds of 200
-      seats, at states near the even split: a run's rule-based draws;
+    - ``rule_draw_200``: a fresh ``RuleRows`` sized as a run of 200 seats
+      and 59 drawing rounds sizes it (on an older tree, ``RuleRows(model)``)
+      drawing those rounds, at states near the even split: a run's
+      rule-based draws;
+    - ``observe_36x59``: 59 rounds of ``engine._observe`` feeding 36
+      learner rows at q=10, from fresh copies of the flat prior's stacked
+      run arrays, at states near the even split: a run's learner updates;
+    - ``write_round_csv_60`` and ``write_game_summary_csv``: the round and
+      summary CSV writers on one 60-round game's log;
     - ``tabulate_121x30``: ``run_test`` of scenario 3 on the default grid at
       30 replications under random ties, 3,630 games, with ``_plan`` and
       ``_play_part`` replaced by their precomputed results, then
@@ -213,11 +220,32 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     rounds_own, rounds_opp = rng.integers(3, 8, (2, 59, 200))
     rounds_u = rng.random((59, 200))
 
+    sized = "draws" in inspect.signature(opponent.RuleRows).parameters
+
     def rule_draws():
-        memo = opponent.RuleRows(model)
+        memo = opponent.RuleRows(model, rounds_u.size) if sized else opponent.RuleRows(model)
         return [memo.draw(own, opp, u) for own, opp, u in zip(rounds_own, rounds_opp, rounds_u)]
 
     layers["rule_draw_200"] = rule_draws
+    n = q - 1
+    prior = planner.solver_inputs([np.full((n, n, n), 1.0 / n)] * 36, rng.random(36), q, spare=59)
+    observe_states = rng.integers(3, 8, (2, 59, 36))
+    observe_states = observe_states[0] * n + observe_states[1] - q
+    observed = rng.integers(3, 8, (59, 36))
+
+    def observe():
+        counts, columns, column_of = np.ones((36, n * n, n)), prior[0].copy(), prior[1].copy()
+        members = np.zeros((36, columns.shape[-1]), dtype=np.intp)
+        np.add.at(members, (np.arange(36)[:, None], column_of), 1)
+        used = 1
+        for states, seen in zip(observe_states, observed):
+            used = engine._observe(counts, columns, column_of, members, states, seen, used)
+
+    layers["observe_36x59"] = observe if hasattr(engine, "_observe") else None
+    log = core.GameLog(core.GameConfig(), rng.integers(1, q, (60, 2)))
+    csv_dir = Path(tempfile.mkdtemp())
+    layers["write_round_csv_60"] = lambda: engine.write_round_csv(log, csv_dir / "rounds.csv")
+    layers["write_game_summary_csv"] = lambda: engine.write_game_summary_csv(log, csv_dir / "summary.csv")
     spec = experiments.benchmark_spec(3, base=core.GameConfig(tie_break="random"))
     planned = experiments._plan(spec, spec.cells())
     metrics = np.column_stack((rng.integers(0, 300, (len(planned[0]), 3)), rng.integers(0, 61, len(planned[0]))))
@@ -244,6 +272,7 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         calls = number or timer.autorange()[0]
         timings[name] = round(min(timer.repeat(repeat, calls)) / calls * 1e6, 2)
     shutil.rmtree(out.parent, ignore_errors=True)
+    shutil.rmtree(csv_dir, ignore_errors=True)
     return timings
 
 

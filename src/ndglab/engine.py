@@ -336,12 +336,14 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     demand from its row's rule.  A round samples each rule-based model once,
     from uniforms drawn up front per seat with the bits of one draw per
     round, through one :class:`RuleRows` per model for the run: equal
-    models share one, on any seats.  Each seat draws only from its own
-    stream, read only if it draws, so seat order and interleaving cannot
-    move a draw.  The streams of all seats that draw are derived afresh from
-    the run's key table in one :func:`_streams` call before the first round
-    (:meth:`_KeyedPlans.seat_streams`), each with the bits its plan's
-    stream has when built alone.
+    models share one, on any seats.  A memo builds every state's column
+    before round 1 when that table is no larger than its model's uniforms,
+    and each column when first drawn at otherwise.  Each seat draws only
+    from its own stream, read only if it draws, so seat order and
+    interleaving cannot move a draw.  The streams of all seats that draw
+    are derived afresh from the run's key table in one :func:`_streams`
+    call before the first round (:meth:`_KeyedPlans.seat_streams`), each
+    with the bits its plan's stream has when built alone.
 
     Learners are copied into stacked run arrays, one row per distinct
     belief: its counts, its estimate as the solver's column stack and state
@@ -378,7 +380,7 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
         uniforms = np.empty((len(seats), rounds - 1))
         for row, i in zip(uniforms, seats.tolist()):
             streams[i].random(out=row)
-        samplers.append((RuleRows(model), *_row_runs(seats, games), uniforms.T.copy()))
+        samplers.append((RuleRows(model, uniforms.size), *_row_runs(seats, games), uniforms.T.copy()))
     fixed = np.flatnonzero(kind == _FIXED)
     # one key per distinct (table, weight), so _planner_rows reads each once
     key, first = _first_use(zip(group[fixed].tolist(), omegas[fixed].tolist()))

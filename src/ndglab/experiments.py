@@ -210,9 +210,6 @@ class CellResult:
     def rep_values(self, metric: str) -> np.ndarray:
         return np.asarray(getattr(self, metric), dtype=float)
 
-    def rep_mean(self, metric: str) -> float:
-        return float(self.rep_values(metric).mean())
-
 
 @dataclass(frozen=True)
 class SweepSummary:

@@ -92,28 +92,40 @@ def heuristic_sample(model: HeuristicModel, own_prev, opp_prev, u) -> np.ndarray
 
     ``own_prev`` and ``opp_prev`` are the modelled player's and its
     opponent's previous demands, checked to be whole numbers in ``1..q-1``,
-    and ``u`` uniforms in ``[0, 1)``, all broadcast together:
-    :meth:`RuleRows.draw` on a memo of its own.
+    and ``u`` uniforms, checked to be real numbers in ``[0, 1)``, all
+    broadcast together: :meth:`RuleRows.draw` on a memo of its own, sized
+    for the broadcast count of draws.
     """
     q = model.q
-    own, opp = np.asarray(own_prev), np.asarray(opp_prev)
-    for name, prev in (("own_prev", own), ("opp_prev", opp)):
-        outside = prev[(prev < 1) | (prev > q - 1) | (prev % 1 != 0)]  # NaN too
+    own, opp, u = np.asarray(own_prev), np.asarray(opp_prev), np.asarray(u)
+    for name, value, bounds in (("own_prev", own, f"1..{q - 1}"), ("opp_prev", opp, f"1..{q - 1}"), ("u", u, "[0, 1)")):
+        if value.dtype.kind not in "iuf":  # bools, strings and objects are not numbers here
+            raise ValueError(f"{name} must be real numbers in {bounds}, got dtype {value.dtype}")
+        inside = (value >= 0) & (value < 1) if name == "u" else (value >= 1) & (value <= q - 1) & (value % 1 == 0)
+        outside = value[~inside]  # NaN too
         if outside.size:
-            raise ValueError(f"{name} must lie in 1..{q - 1}, got {outside[0]}")
-    return RuleRows(model).draw(*np.broadcast_arrays(own.astype(np.intp), opp.astype(np.intp), np.asarray(u)))
+            raise ValueError(f"{name} must lie in {bounds}, got {outside[0]}")
+    own, opp, u = np.broadcast_arrays(own.astype(np.intp), opp.astype(np.intp), u)
+    return RuleRows(model, u.size).draw(own, opp, u)
 
 
 class RuleRows:
     """A rule-based model's running probability sums, one column per state drawn at.
 
-    A game run keeps one per model, so it holds at most ``min(draws, (q - 1)**2)`` columns."""
+    ``draws`` is how many uniforms its holder draws through the memo.  When
+    the whole table, ``(q - 2) * (q - 1)**2`` floats, is no larger than
+    that, every state's column is built up front, in state order, in one
+    pass; otherwise each is built the first time its state is drawn at.
+    Either way a memo holds at most ``min(draws, (q - 1)**2)`` columns.
+    """
 
-    def __init__(self, model: HeuristicModel):
+    def __init__(self, model: HeuristicModel, draws: int = 0):
         n = model.q - 1
         self.model = model
         self.slot = np.full(n * n, -1, dtype=np.intp)  # state (own - 1) * n + opp - 1 -> its column, -1 if unseen
         self.sums = np.empty((n - 1, 0))  # the last running sum is never read
+        if max(n - 1, 1) * n * n <= draws:  # at q = 2, one column of no floats: built for one draw or more
+            self._add(np.arange(n * n))
 
     def draw(self, own, opp, u) -> np.ndarray:
         """One demand per uniform ``u`` at states ``(own, opp)``, integer arrays trusted to lie in ``1..q-1``.
@@ -125,9 +137,10 @@ class RuleRows:
         gathered ``(q - 2, ...)`` sums, so that every step runs over whole
         rows of draws.  The sums are held that way round, a column per
         state, so the gather reads whole rows too.  The last sum is never
-        read, so not kept.  A state's column is built when first seen, with
-        the bits of its column built alone, so any grouping of draws gives
-        the bits of one uniform per state in turn.
+        read, so not kept.  A state's column is built when first seen, unless
+        the memo built them all up front, with the bits of its column built
+        alone either way, so any grouping of draws, and either way of
+        building, gives the bits of one uniform per state in turn.
         """
         at = own * (self.model.q - 1) + opp - self.model.q
         slot = self.slot.take(at)

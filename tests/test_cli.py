@@ -492,6 +492,9 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
         "game_scores_200x60",
         "play_setup_200",
         "rule_draw_200",
+        "observe_36x59",
+        "write_round_csv_60",
+        "write_game_summary_csv",
         "tabulate_121x30",
     ]
     assert all(isinstance(us, float) and us > 0 for us in timings.values()), timings

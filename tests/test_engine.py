@@ -774,8 +774,8 @@ def _rule_based_run(q, monkeypatch):
     memos = []
 
     class Recorded(opponent.RuleRows):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, model, draws):
+            super().__init__(model, draws)
             memos.append(self)
 
     monkeypatch.setattr(engine, "RuleRows", Recorded)
@@ -807,24 +807,35 @@ def test_a_rule_based_run_holds_no_more_than_its_visited_rows(monkeypatch):
     assert peak - floor <= bound < (q - 1) ** 3 * 8, f"{over:.2f} MiB over q=3, bound {bound / 2**20:.2f}"
 
 
-def test_a_run_builds_each_visited_state_s_row_once(monkeypatch):
-    # a state's rule-based row is built only the first time one of its
-    # model's seats draws there in a run, and a new run builds it anew
-    built = []
+def _counted_rule_rows(monkeypatch):
+    """Record the states of every ``_rule_rows`` call, one list per call, as ``(model, own, opp)``."""
+    calls = []
     real_rows = opponent._rule_rows
 
     def counted(model, own, opp):
-        built.extend((model, o, p) for o, p in zip(np.ravel(own).tolist(), np.ravel(opp).tolist()))
+        calls.append([(model, o, p) for o, p in zip(np.ravel(own).tolist(), np.ravel(opp).tolist())])
         return real_rows(model, own, opp)
 
     monkeypatch.setattr(opponent, "_rule_rows", counted)
-    q = 6
+    return calls
+
+
+def test_a_run_builds_each_visited_state_s_row_once(monkeypatch):
+    # below the size rule, a state's rule-based row is built only the first
+    # time one of its model's seats draws there in a run, and a new run builds
+    # it anew: at q=10 each model's table holds 8 * 81 = 648 floats, more than
+    # the narrow model's 20 seats * 29 uniforms and the wide model's 12 * 29
+    calls = _counted_rule_rows(monkeypatch)
+    q = 10
     narrow, wide, table = HeuristicModel(1.0, q), HeuristicModel(2.5, q), uniform_table(q)
     pairs = [(narrow, wide), (wide, narrow), (narrow, table), (table, wide), (narrow, narrow)] * 4
     configs = [GameConfig(q=q, rounds=30, initial_demand=2, seed=s) for s in range(len(pairs))]
+    for model, seats in ((narrow, 20), (wide, 12)):
+        assert sum(seat is model for pair in pairs for seat in pair) == seats and seats * 29 < (q - 2) * (q - 1) ** 2
     for _ in range(2):
-        built.clear()
+        calls.clear()
         demands = engine.play_games(configs, pairs, [RngPlan(config.seed) for config in configs])
+        built = [state for call in calls for state in call]
         visited = {
             (model, own, opp)
             for game, pair in zip(demands, pairs)
@@ -834,6 +845,80 @@ def test_a_run_builds_each_visited_state_s_row_once(monkeypatch):
         }
         assert len(built) == len(set(built)) == len(visited)
         assert set(built) == visited
+        assert len(visited) < 2 * (q - 1) ** 2  # some state unvisited: the lazy builds show
+
+
+@pytest.mark.parametrize(
+    ("q", "rounds", "games", "whole"),
+    [
+        (4, 19, 1, True),  # 1 seat * 18 uniforms against a table of 2 * 9 floats: at the threshold
+        (4, 18, 1, False),  # 17 uniforms: one short
+        (4, 6, 2, True),  # both seats of 2 games: 4 seats * 5 uniforms
+        (4, 5, 2, False),  # 4 seats * 4 uniforms
+        (10, 60, 200, True),  # a planner-vs-rule chunk: 200 seats * 59 against 648 floats
+    ],
+)
+def test_a_run_at_or_over_the_size_rule_builds_every_state_s_row_in_one_pass(monkeypatch, q, rounds, games, whole):
+    # a model whose whole table holds no more floats than the uniforms its
+    # seats draw has every state's column built in one _rule_rows call, in
+    # state order, before round 1, and no draw builds another; below that it
+    # builds each visited state's column when first drawn at
+    calls = _counted_rule_rows(monkeypatch)
+    model = HeuristicModel(1.5, q)
+    pair = (model, model) if games == 2 else (model, uniform_table(q))
+    configs = [GameConfig(q=q, rounds=rounds, initial_demand=q // 2, omega_a=g % 4 / 4) for g in range(games)]
+    demands = engine.play_games(configs, [pair] * games, [RngPlan(5, (g,)) for g in range(games)])
+    everything = [(model, own, opp) for own in range(1, q) for opp in range(1, q)]
+    if whole:
+        assert calls == [everything]
+    else:
+        seats = [0, 1] if games == 2 else [0]
+        visited = {(model, own, opp) for seat in seats for own, opp in zip(demands[:, :-1, seat].ravel().tolist(), demands[:, :-1, 1 - seat].ravel().tolist())}
+        built = [state for call in calls for state in call]
+        assert len(built) == len(visited) < len(everything) and set(built) == visited
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from(TIE_BREAKS),
+    st.integers(0, 2**32 - 1),
+)
+@example(q=2, rounds=6, games=2, tie_break="random", seed=0)
+@example(q=5, rounds=1, games=3, tie_break="smallest", seed=1)
+@example(q=2, rounds=1, games=1, tie_break="random", seed=2)
+def test_memos_built_whole_or_state_by_state_play_the_same_games(q, rounds, games, tie_break, seed):
+    # the size rule picks when columns are built, never what a draw reads:
+    # runs whose memos are all built up front, or all state by state, play
+    # the same demands bit for bit as the rule's own choice, beside planners
+    # and learners that draw their ties
+    sizes = []
+
+    def forced(draws):
+        class Forced(opponent.RuleRows):
+            def __init__(self, model, _):
+                super().__init__(model, draws)
+                sizes.append(self.sums.shape[1])
+
+        return Forced
+
+    rule, wide = HeuristicModel(1.0, q), HeuristicModel(3.0, q)
+    kinds = [(rule, wide), (wide, uniform_table(q)), (DirichletLearner.uniform(q), rule), (rule, rule)]
+    configs = [GameConfig(q=q, rounds=rounds, initial_demand=max(1, q // 3), tie_break=tie_break, seed=seed)] * games
+
+    def play():
+        pairs = [tuple(seat.__class__.uniform(q) if isinstance(seat, DirichletLearner) else seat for seat in kinds[g % 4]) for g in range(games)]
+        return engine.play_games(configs, pairs, [RngPlan(seed, (g,)) for g in range(games)])
+
+    chosen = play()
+    for draws, columns in ((0, 0), ((q - 1) ** 3, (q - 1) ** 2)):
+        sizes.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "RuleRows", forced(draws))
+            assert play().tobytes() == chosen.tobytes()
+        assert sizes and set(sizes) == {columns}
 
 
 def test_a_run_checks_each_distinct_table_object_once(monkeypatch):
@@ -862,8 +947,8 @@ def test_equal_rule_based_models_on_both_seats_share_one_memo(monkeypatch):
     memos = []
 
     class Recorded(opponent.RuleRows):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, model, draws):
+            super().__init__(model, draws)
             memos.append(self)
 
     monkeypatch.setattr(engine, "RuleRows", Recorded)

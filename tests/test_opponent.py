@@ -211,6 +211,22 @@ def test_sampler_rejects_out_of_range_states():
                     heuristic_sample(model, *prev, u)
 
 
+def test_sampler_rejects_uniforms_outside_the_unit_interval_and_non_numbers():
+    # refused where they enter, as a bad state is: a uniform of 1 or more would
+    # draw past the last demand's running sum, and NaN below every sum
+    model = HeuristicModel(sigma=1.0, q=10)
+    for bad, shown in ((1.5, "1.5"), (1.0, "1.0"), (-0.25, "-0.25"), (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")):
+        for u in (bad, [0.5, bad]):  # alone, and behind a good uniform
+            with pytest.raises(ValueError, match=rf"^u must lie in \[0, 1\), got {shown}$"):
+                heuristic_sample(model, 3, 4, u)
+    for bad, dtype in (("x", "<U1"), ([0.5, None], "object"), (True, "bool"), (0.5 + 0j, "complex128")):
+        with pytest.raises(ValueError, match=rf"^u must be real numbers in \[0, 1\), got dtype {dtype}$"):
+            heuristic_sample(model, 3, 4, bad)
+    with pytest.raises(ValueError, match=r"^own_prev must be real numbers in 1\.\.9, got dtype <U1$"):
+        heuristic_sample(model, "3", 4, 0.5)
+    assert heuristic_sample(model, 3, 4, [0, 0.5]).shape == (2,)  # an int 0 is a uniform
+
+
 def test_sampler_draws_nothing_from_empty_states_or_uniforms():
     model = HeuristicModel(sigma=1.0, q=10)
     for own, opp, u in (([], [], []), (3, 4, []), ([], [], 0.5), (np.empty((0, 2), dtype=int), 3, 0.5)):
@@ -247,6 +263,35 @@ def test_a_memo_holds_one_row_per_distinct_state_it_has_drawn_at(q, sigma, calls
         want = np.cumsum(reference_heuristic_distribution(model, own, opp))[:-1]
         assert memo.sums[:, memo.slot[(own - 1) * (q - 1) + opp - 1]].tobytes() == want.tobytes()
     assert sorted(np.flatnonzero(memo.slot >= 0).tolist()) == sorted((o - 1) * (q - 1) + p - 1 for o, p in seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 20),
+    st.sampled_from((0.3, 1.0, 2.5)),
+    st.lists(st.lists(st.tuples(st.integers(1, 19), st.integers(1, 19)), max_size=12), min_size=1, max_size=6),
+    st.integers(0, 2**32),
+)
+@example(q=2, sigma=1.0, calls=[[(1, 1)], []], seed=0)
+def test_a_memo_built_whole_draws_the_demands_of_one_built_state_by_state(q, sigma, calls, seed):
+    # a memo told of at least a table's worth of draws builds every state's
+    # column up front, in state order, with the bits of the columns a lazy
+    # memo builds one state at a time; both draw the same demands
+    model = HeuristicModel(sigma=sigma, q=q)
+    n = q - 1
+    whole, lazy = RuleRows(model, max(n - 1, 1) * n * n), RuleRows(model, max(n - 1, 1) * n * n - 1)
+    assert whole.sums.shape == (q - 2, n * n) and whole.sums.flags.c_contiguous
+    assert whole.slot.tolist() == list(range(n * n))
+    assert lazy.sums.shape == (q - 2, 0)
+    rng = np.random.default_rng(seed)
+    for states in calls:
+        own, opp = (np.array(states, dtype=np.intp).reshape(-1, 2).T - 1) % n + 1
+        u = rng.random(len(own))
+        assert whole.draw(own, opp, u).tobytes() == lazy.draw(own, opp, u).tobytes()
+    assert whole.sums.shape[1] == n * n  # no draw builds another column
+    for state, column in enumerate(lazy.slot.tolist()):
+        if column >= 0:
+            assert lazy.sums[:, column].tobytes() == whole.sums[:, state].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
