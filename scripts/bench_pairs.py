@@ -43,6 +43,8 @@ an otherwise idle machine: both sides share it, one after the other.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -111,9 +113,8 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     """Microseconds per call of each layer, the least of ``repeat`` timings, in this interpreter.
 
     Times whichever ``ndglab`` this interpreter imports, so a side's probe
-    times its own tree; a layer that tree lacks reads None.  ``number``
-    calls make one timing, by default as many as ``timeit`` picks to fill
-    0.2 s.  The layers:
+    times its own tree.  ``number`` calls make one timing, by default as
+    many as ``timeit`` picks to fill 0.2 s.  The layers:
 
     - ``sample_200_one_shot``: one round of rule-based draws for 200 seats
       through ``heuristic_sample``, at 17 states near the even split;
@@ -123,12 +124,11 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       first read, the one-plan path, and drawing 59 uniforms;
     - ``streams_200_run``: the same streams, built together through the path
       a run takes on a list of plans: the plans tabulated by
-      ``engine._KeyedPlans.of``, then ``seat_streams`` (on an older tree,
-      ``engine._fill_streams``);
+      ``engine._KeyedPlans.of``, then ``seat_streams``;
     - ``streams_200_keyed``: the streams of seat B of 200 games keyed
       ``(0, k)``, built together from the key table a sweep's chunk builds
-      (``engine._KeyedPlans(seeds, heads, keys).seat_streams``; on an older
-      tree, ``engine._seat_streams``), each drawing 59 uniforms;
+      (``engine._KeyedPlans(seeds, heads, keys).seat_streams``), each
+      drawing 59 uniforms;
     - ``parser_test``: the argument parser of ``ndglab test``;
     - ``lean_solve_b<B>``: one ``backward_induction_batch`` of B items at
       q=10 and h=10, keeping two stages, every state's row its own;
@@ -140,10 +140,10 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     - ``play_setup_200``: ``engine.play_games`` for 200 games of 2 rounds,
       a planner holding one ``heuristic_table`` at 4 weights against one
       rule-based model, on fresh plans: a run's setup and one round;
-    - ``rule_draw_200``: a fresh ``RuleRows`` sized as a run of 200 seats
-      and 59 drawing rounds sizes it (on an older tree, ``RuleRows(model)``)
-      drawing those rounds, at states near the even split: a run's
-      rule-based draws;
+    - ``rule_draw_200``: a fresh ``RuleRows`` sized as its run sizes it,
+      replaying the seat-B states and uniforms of each drawing round of a
+      real 200-game ``planner-vs-rule`` run (benchmark seed 0), recorded
+      once up front: a run's rule-based draws;
     - ``observe_36x59``: 59 rounds of ``engine._observe`` feeding 36
       learner rows at q=10, from fresh copies of the flat prior's stacked
       run arrays, at states near the even split: a run's learner updates;
@@ -155,8 +155,6 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
       ``write_cells_csv``: a sweep's results from its games' metrics to the
       cells, the summary and the cells CSV.
     """
-    import inspect
-
     import numpy as np
 
     from ndglab import cli, core, engine, experiments, opponent, planner
@@ -165,36 +163,26 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     q, model = 10, opponent.HeuristicModel(1.0, 10)
     own, opp = rng.integers(3, 8, (2, 17))[:, rng.integers(0, 17, 200)]
     u = rng.random(200)
-    memo = opponent.RuleRows(model) if hasattr(opponent, "RuleRows") else None
-    if memo is not None:
-        memo.draw(own, opp, u)
-    takes_argv = bool(inspect.signature(cli._build_parser).parameters)
-    keyed = getattr(engine, "_KeyedPlans", None)
-    tabled = keyed is not None and hasattr(keyed, "seat_streams")  # else an older tree's names, or none
-    fill_streams = getattr(engine, "_fill_streams", None)
+    memo = opponent.RuleRows(model)
+    memo.draw(own, opp, u)
+    keyed = engine._KeyedPlans
 
     def run_streams():
         plans = [engine.RngPlan(0, (0, k)) for k in range(200)]
-        if tabled:
-            return [stream.random(59) for stream in keyed.of(plans).seat_streams(np.arange(200))]
-        fill_streams([(plan, "agent_a") for plan in plans])
-        return [plan.agent_a.random(59) for plan in plans]
+        return [stream.random(59) for stream in keyed.of(plans).seat_streams(np.arange(200))]
 
     def keyed_streams():
-        if tabled:
-            streams = keyed([0], np.zeros(200, dtype=np.intp), keys).seat_streams(np.arange(200, 400))
-        else:
-            streams = engine._seat_streams(keyed(0, keys), np.arange(200, 400), 200)
+        streams = keyed([0], np.zeros(200, dtype=np.intp), keys).seat_streams(np.arange(200, 400))
         return [stream.random(59) for stream in streams]
 
     keys = np.column_stack((np.zeros(200, dtype=np.int64), np.arange(200)))
     layers = {
         "sample_200_one_shot": lambda: opponent.heuristic_sample(model, own, opp, u),
-        "sample_200_warm_memo": memo and (lambda: memo.draw(own, opp, u)),
+        "sample_200_warm_memo": lambda: memo.draw(own, opp, u),
         "streams_200": lambda: [engine.RngPlan(0, (0, k)).agent_a.random(59) for k in range(200)],
-        "streams_200_run": run_streams if tabled or fill_streams else None,
-        "streams_200_keyed": keyed_streams if keyed is not None else None,
-        "parser_test": lambda: cli._build_parser(["test"]) if takes_argv else cli._build_parser(),
+        "streams_200_run": run_streams,
+        "streams_200_keyed": keyed_streams,
+        "parser_test": lambda: cli._build_parser(["test"]),
     }
     learners = np.full((36, (q - 1) ** 2, q - 1), 1.0 / (q - 1))
     for table in learners:
@@ -217,14 +205,27 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     configs = [core.GameConfig(rounds=2, omega_a=g % 4 / 4) for g in range(200)]
     pairs = [(opponent.heuristic_table(opponent.HeuristicModel(3.0, q)), model)] * 200
     layers["play_setup_200"] = lambda: engine.play_games(configs, pairs, [engine.RngPlan(0, (g,)) for g in range(200)])
-    rounds_own, rounds_opp = rng.integers(3, 8, (2, 59, 200))
-    rounds_u = rng.random((59, 200))
+    drawn = []  # each drawing round of a real run: (memo, own, opp, u)
 
-    sized = "draws" in inspect.signature(opponent.RuleRows).parameters
+    class Recorded(opponent.RuleRows):
+        def draw(self, own, opp, u):
+            drawn.append((self, own.copy(), opp.copy(), u.copy()))
+            return super().draw(own, opp, u)
+
+    engine.RuleRows = Recorded
+    sweep_out = tempfile.mkdtemp()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(WORKLOADS["planner-vs-rule"].argv(0) + ["--out", sweep_out])
+    finally:
+        engine.RuleRows = opponent.RuleRows
+        shutil.rmtree(sweep_out, ignore_errors=True)
+    replayed = [step[1:] for step in drawn if step[0] is drawn[0][0]]  # the run's first memo
+    draws = sum(u.size for _, _, u in replayed)
 
     def rule_draws():
-        memo = opponent.RuleRows(model, rounds_u.size) if sized else opponent.RuleRows(model)
-        return [memo.draw(own, opp, u) for own, opp, u in zip(rounds_own, rounds_opp, rounds_u)]
+        memo = opponent.RuleRows(drawn[0][0].model, draws)
+        return [memo.draw(own, opp, u) for own, opp, u in replayed]
 
     layers["rule_draw_200"] = rule_draws
     n = q - 1
@@ -241,7 +242,7 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
         for states, seen in zip(observe_states, observed):
             used = engine._observe(counts, columns, column_of, members, states, seen, used)
 
-    layers["observe_36x59"] = observe if hasattr(engine, "_observe") else None
+    layers["observe_36x59"] = observe
     log = core.GameLog(core.GameConfig(), rng.integers(1, q, (60, 2)))
     csv_dir = Path(tempfile.mkdtemp())
     layers["write_round_csv_60"] = lambda: engine.write_round_csv(log, csv_dir / "rounds.csv")
@@ -250,8 +251,6 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     planned = experiments._plan(spec, spec.cells())
     metrics = np.column_stack((rng.integers(0, 300, (len(planned[0]), 3)), rng.integers(0, 61, len(planned[0]))))
     metrics = metrics * [1.0, 1.0, 1.0, 100 / 60]
-    if "ndarray" not in str(inspect.signature(experiments._play_part).return_annotation):
-        metrics = list(map(tuple, metrics.tolist()))  # a tree whose sweep holds a tuple per game
     out = Path(tempfile.mkdtemp()) / "cells.csv"
 
     def tabulate():
@@ -265,9 +264,6 @@ def layer_timings(repeat: int = 7, number: int | None = None) -> dict:
     layers["tabulate_121x30"] = tabulate
     timings = {}
     for name, call in layers.items():
-        if call is None:
-            timings[name] = None
-            continue
         timer = timeit.Timer(call)
         calls = number or timer.autorange()[0]
         timings[name] = round(min(timer.repeat(repeat, calls)) / calls * 1e6, 2)

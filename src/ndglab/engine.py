@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import zlib
 from functools import cache, cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -228,11 +227,13 @@ def play_games(configs, pairs, plans, warmup_rounds: int = 0) -> np.ndarray:
 
     Every game steps through the same rounds and solves, so the configs must
     share ``q``, ``rounds``, ``initial_demand``, ``horizon`` and
-    ``tie_break``; a sweep's configs differ only in their weights.  A seat
-    holds a fixed model table, a :class:`DirichletLearner` or a
-    :class:`HeuristicModel` for that ``q``, and a learner holds one seat of
-    the batch.  ``plans`` is a list of :class:`RngPlan`, tabulated here
-    once, whose keys must share one length, or a sweep chunk's
+    ``tie_break``; a sweep's configs differ only in their weights.  Each
+    pair holds exactly two seats.  A seat holds a fixed model table, a
+    :class:`DirichletLearner` or a :class:`HeuristicModel` for that ``q``,
+    and a learner holds one seat of the batch; one scan over the seats, in
+    game order, then seat order, refuses the first bad pair or seat it
+    meets.  ``plans`` is a list of :class:`RngPlan`, tabulated here once,
+    whose keys must share one length, or a sweep chunk's
     :class:`_KeyedPlans`.  Plans are values: games on equal plans draw
     equal but separate streams.  Anything else is refused before the first
     round.  With ``warmup_rounds``, a non-negative int, each pair first
@@ -263,52 +264,44 @@ _FIXED, _LEARNER, _SAMPLER = range(3)  # the kinds of seat
 
 
 def _seat_groups(q: int, pairs) -> tuple[list, list, np.ndarray]:
-    """Group a run's seats by object and check each distinct seat once.
+    """Number, check and classify a run's seats in one scan, in game order, then seat order.
 
     Returns, for each distinct seat object in order of first use, what the
     run holds of it (a fixed seat's validated table, else the seat) and its
-    kind, and each seat's distinct seat in round-row order: seat A of every
-    game, then seat B.  A bad seat is refused where a scan in game order,
-    then seat order, first meets it: a table, a seat of no known kind or one
+    kind, and each seat's number in round-row order: seat A of every game,
+    then seat B.  The scan refuses each bad seat where it meets it: a pair
+    that does not hold two seats, a table, a seat of no known kind or one
     built for another ``q`` at its first use, a learner at its second.
     """
-    seats = list(chain.from_iterable(pairs))
-    if len(seats) != 2 * len(pairs):
-        raise ValueError("every game needs a pair of seats")
-    group, first = _first_use(map(id, seats))
-    distinct = [seats[i] for i in first.tolist()]
-    uses = np.bincount(group)
-    reuse = min(  # a learner's first reuse and its first use, as scan positions 2 * g + seat
-        (np.flatnonzero(group == k)[1::-1].tolist() for k, seat in enumerate(distinct)
-         if uses[k] > 1 and isinstance(seat, DirichletLearner)),
-        default=None,
-    )
-    held, kinds = [], []
-    for seat, at in zip(distinct, first.tolist()):
-        if reuse and at > reuse[0]:
-            break
-        name = _NAMES[at % 2]
-        if isinstance(seat, np.ndarray):
-            held.append(_validate_model(seat, q))
-            kinds.append(_FIXED)
-            continue
-        if isinstance(seat, DirichletLearner):
-            kinds.append(_LEARNER)
-        elif isinstance(seat, HeuristicModel):
-            kinds.append(_SAMPLER)
-        else:
-            raise ValueError(
-                f"{name} must be a model table, a DirichletLearner or a HeuristicModel, got {type(seat).__name__}"
-            )
-        if seat.q != q:
-            raise ValueError(f"{name} was built for q={seat.q}, the game has q={q}")
-        held.append(seat)
-    if reuse:
-        at, first_at = reuse
-        raise ValueError(
-            f"{_NAMES[at % 2]} of game {at // 2} reuses the DirichletLearner of {_NAMES[first_at % 2]} of game {first_at // 2}"
-        )
-    return held, kinds, group.reshape(-1, 2).T.reshape(-1)
+    numbers, held, kinds, group = {}, [], [], []  # id -> number; group: each seat's number, in scan order
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"every game needs a pair of seats, game {len(group) // 2} has {len(pair)}")
+        for seat in pair:
+            number = numbers.get(id(seat))
+            if number is None:  # its first use, at scan position len(group) = 2 * game + seat
+                name = _NAMES[len(group) % 2]
+                if isinstance(seat, np.ndarray):
+                    held.append(_validate_model(seat, q))
+                    kinds.append(_FIXED)
+                elif isinstance(seat, (DirichletLearner, HeuristicModel)):
+                    if seat.q != q:
+                        raise ValueError(f"{name} was built for q={seat.q}, the game has q={q}")
+                    held.append(seat)
+                    kinds.append(_LEARNER if isinstance(seat, DirichletLearner) else _SAMPLER)
+                else:
+                    raise ValueError(
+                        f"{name} must be a model table, a DirichletLearner or a HeuristicModel, got {type(seat).__name__}"
+                    )
+                number = numbers[id(seat)] = len(held) - 1
+            elif kinds[number] == _LEARNER:
+                at, first_at = len(group), group.index(number)
+                raise ValueError(
+                    f"{_NAMES[at % 2]} of game {at // 2} reuses the DirichletLearner of "
+                    f"{_NAMES[first_at % 2]} of game {first_at // 2}"
+                )
+            group.append(number)
+    return held, kinds, np.array(group, dtype=np.intp).reshape(-1, 2).T.reshape(-1)
 
 
 def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
@@ -321,14 +314,16 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
     writes its own, every kind of seat at indices fixed for the run, taken
     as a slice where they are one contiguous run; the ``(games, rounds, 2)``
     result is a transposed view of it, not a copy, so a run holds its
-    demands once.  Seats are grouped by object before the first round
-    (:func:`_seat_groups`), so the run checks, classifies and sets up each
-    distinct seat once, whatever the number of games.
+    demands once.  Before the first round one scan over the seats, in game
+    order, then seat order (:func:`_seat_groups`), numbers each distinct
+    seat object and checks and classifies it at its first use, so the run
+    sets up each distinct seat once, whatever the number of games.
 
     Planners use their game's weight and the shared horizon and tie rule.
     Each planner holds the index of a run row, which :func:`_planner_rows`
     assigns the same way for fixed planners and learners under either tie
-    rule; fixed planners holding one table at one weight are keyed once.  A
+    rule, from every fixed seat's ``(omega, table)`` and every learner's
+    ``(omega, counts)``; a table already seen at its weight is not read.  A
     row is solved once for all its planners; under random ties each planner
     then draws the row's tied columns from its own stream and plays its own
     pick where its state ties.  Fixed rows are solved in one batch before
@@ -382,13 +377,10 @@ def _play(configs, pairs, plans, rounds: int) -> np.ndarray:
             streams[i].random(out=row)
         samplers.append((RuleRows(model, uniforms.size), *_row_runs(seats, games), uniforms.T.copy()))
     fixed = np.flatnonzero(kind == _FIXED)
-    # one key per distinct (table, weight), so _planner_rows reads each once
-    key, first = _first_use(zip(group[fixed].tolist(), omegas[fixed].tolist()))
-    key_row, key_lead = _planner_rows([(omegas[fixed[i]].item(), held[group[fixed[i]]]) for i in first.tolist()])
-    fixed_row = key_row[key]
+    fixed_row, leads = _planner_rows([(w, held[k]) for w, k in zip(omegas[fixed].tolist(), group[fixed].tolist())])
     fixed_rule = fixed_row * (q - 1) ** 2 - q  # plus own * (q - 1) + opp: the state's entry of its row's rule
     if fixed.size and rounds > 1:  # a fixed model's rule holds for the run
-        leads = fixed[first[key_lead]]
+        leads = fixed[leads]
         rngs = [streams[i] for i in fixed.tolist()] if draws else None
         tables = solver_inputs([held[k] for k in group[leads].tolist()], omegas[leads].tolist(), q)
         rules, picks = backward_induction_batch(*tables, h, rngs=rngs, rows=fixed_row)
@@ -487,8 +479,10 @@ def _planner_rows(planners) -> tuple[np.ndarray, np.ndarray]:
     Planners share a row when they hold equal weights and bit-equal tables,
     as these solve the same rule, under either tie rule.  A planner holding
     the table object of one already seen at its weight takes that row
-    unread; any other has its table hashed once, in place, and a hash match
-    is confirmed in full, so a collision cannot merge two rows.
+    unread, so the fixed seats of a run that share one table at one weight
+    cost a dict lookup each; any other has its table hashed once, in place,
+    and a hash match is confirmed in full, so a collision cannot merge two
+    rows.
     """
     seen, hashed, row_of, lead = {}, {}, [], []  # (omega, id) and (omega, hash) -> rows
     for i, (omega, table) in enumerate(planners):
@@ -510,14 +504,6 @@ def _split_rows(row_of, seen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a learner of each key leads it: any of them, since they share their belief
     _, lead, renumbered = np.unique(row_of * (seen.max() + 1) + seen, return_index=True, return_inverse=True)
     return renumbered, lead, row_of[lead]
-
-
-def _first_use(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct hashable ``keys`` in order of first use: each key's number, and each number's first index."""
-    numbers = {}
-    number = np.array([numbers.setdefault(key, len(numbers)) for key in keys], dtype=np.intp)
-    # a number's first index is where the running maximum reaches it
-    return number, np.flatnonzero(np.diff(np.maximum.accumulate(number), prepend=-1))
 
 
 def _row_runs(at, games: int) -> tuple:

@@ -464,7 +464,9 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
     # pass keeps the code from rotting between full bench runs.  On this tree
     # both stream layers derive their streams from a run's key table: the
     # list layer from the table of 200 plans, seat A of each, and the keyed
-    # layer from a sweep's table, seat B
+    # layer from a sweep's table, seat B.  Before them, the real 200-game
+    # planner-vs-rule run whose rule-based draws rule_draw_200 replays
+    # derives the streams of its seat B
     from ndglab import engine
 
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/ and tests/
@@ -476,7 +478,7 @@ def test_the_bench_layer_timings_run_on_this_tree(monkeypatch):
 
     monkeypatch.setattr(engine._KeyedPlans, "seat_streams", recording)
     timings = _script("bench_pairs").layer_timings(repeat=1, number=1)
-    assert derived[:2] == [(200, list(range(200))), (200, list(range(200, 400)))]
+    assert derived[:3] == [(200, list(range(200, 400))), (200, list(range(200))), (200, list(range(200, 400)))]
     assert list(timings) == [
         "sample_200_one_shot",
         "sample_200_warm_memo",

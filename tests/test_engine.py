@@ -77,6 +77,20 @@ def test_seat_roles_are_checked(monkeypatch):
             run_games([config] * 2, [(shared, rule), (shared, rule)], plans, warmup_rounds)
         with pytest.raises(ValueError, match="agent_b of game 1 reuses the DirichletLearner of agent_a of game 0"):
             run_games([config] * 2, [(shared, rule), (rule, shared)], plans, warmup_rounds)
+        # one scan in game order, then seat order, refuses the first bad pair or
+        # seat it meets; a pair is checked on its own, so four seats in pairs of
+        # three and one are not re-paired across the games
+        wrong, table = HeuristicModel(1.0, 14), uniform_table(10)
+        for pairs, message in (
+            ([(shared, rule), (wrong, shared)], "agent_a was built for q=14"),
+            ([(shared, rule), (shared, wrong)], "agent_a of game 1 reuses the DirichletLearner of agent_a of game 0"),
+            ([(shared, rule), (rule, np.ones((9, 9, 9)))], "every model row must be a distribution"),
+            ([(table, rule, table), (rule,)], "every game needs a pair of seats, game 0 has 3"),
+            ([(table, rule), (rule,)], "every game needs a pair of seats, game 1 has 1"),
+            ([(shared, rule), ()], "every game needs a pair of seats, game 1 has 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_games([config] * 2, pairs, plans, warmup_rounds)
     assert shared.counts.sum() == 729.0  # nothing was observed
 
 
